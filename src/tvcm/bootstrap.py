@@ -5,12 +5,20 @@ drawn copy as a distinct subject, recomputes the subject-uniform weights for
 the resampled data, and refits.  Replicates whose resampled design is
 singular are redrawn, with the total number of attempts capped at ten times
 the requested draw count.
+
+Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
+a replicate is fully described by how many copies of each subject it holds.
+bootstrap_fit therefore computes each subject's weighted Gram block
+A_i'A_i and cross product A_i'y_i once, turns a wave of draws into a matrix
+of copy counts C, and solves every replicate's normal equations
+(C G)alpha = C c in one batch; sigma2 comes from exact weighted residuals.
+resample_subjects followed by a QR fit_wls is the per-replicate reference
+path and stays as the test oracle.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,10 +26,13 @@ import numpy as np
 
 from .basis import build_design
 from .data import LongitudinalDataset, SubjectRecord
-from .errors import BootstrapDegeneracyError, InsufficientDataError, SingularDesignError
-from .frequentist import fit_wls
+from .errors import BootstrapDegeneracyError
+from .frequentist import fit_wls, solve_gram
+from .rng import as_generator
 
 REDRAW_FACTOR = 10
+# replicates solved together; bounds the scratch arrays at chunk x p x p and N x chunk
+REPLICATE_CHUNK = 16
 
 
 class DrawSource(str, Enum):
@@ -88,11 +99,7 @@ class PosteriorDraws:
 
     def summary(self, level: float = 0.95) -> dict:
         """Means and central intervals for every parameter."""
-        lows, highs = [], []
-        for j in range(self.n_params):
-            lo, hi = percentile_interval(self.alpha_draws[:, j], level)
-            lows.append(lo)
-            highs.append(hi)
+        lows, highs = column_intervals(self.alpha_draws, level)
         s_lo, s_hi = percentile_interval(self.sigma2_draws, level)
         return {
             "source": self.source.value,
@@ -100,8 +107,8 @@ class PosteriorDraws:
             "n_draws": self.n_draws,
             "level": level,
             "alpha_mean": self.alpha_draws.mean(axis=0).tolist(),
-            "alpha_lower": lows,
-            "alpha_upper": highs,
+            "alpha_lower": lows.tolist(),
+            "alpha_upper": highs.tolist(),
             "sigma2_mean": float(self.sigma2_draws.mean()),
             "sigma2_lower": s_lo,
             "sigma2_upper": s_hi,
@@ -118,6 +125,18 @@ def percentile_interval(samples, level: float) -> tuple[float, float]:
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(samples, [tail, 1.0 - tail], method="linear")
     return float(lo), float(hi)
+
+
+def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """percentile_interval of every column of a (n_draws, m) matrix in one quantile call."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] == 0:
+        raise ValueError("column intervals need a (n_draws, m) matrix with n_draws >= 1")
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    tail = (1.0 - level) / 2.0
+    lo, hi = np.quantile(samples, [tail, 1.0 - tail], axis=0, method="linear")
+    return lo, hi
 
 
 def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> LongitudinalDataset:
@@ -138,13 +157,69 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
     return LongitudinalDataset(subjects=tuple(subjects), time_domain=data.time_domain)
 
 
-def _one_attempt(data, specs, rng):
-    resampled = resample_subjects(data, rng)
-    try:
-        fit = fit_wls(build_design(resampled, specs))
-    except (SingularDesignError, InsufficientDataError):
-        return None
-    return fit.alpha_hat, fit.sigma2_hat
+@dataclass(frozen=True)
+class _SubjectStats:
+    """Weighted design sqrt(W) Z and response sqrt(W) y with per-subject sufficient statistics.
+
+    Subject i owns rows starts[i] .. starts[i] + counts[i]; gram[i] and
+    cross[i] are that block's A_i'A_i and A_i'y_i.
+    """
+
+    design: np.ndarray
+    response: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+
+
+def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
+    sw = np.sqrt(bundle.weights)
+    design = bundle.Z * sw[:, None]
+    response = bundle.y * sw
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    p = bundle.n_params
+    gram = np.empty((counts.size, p, p))
+    cross = np.empty((counts.size, p))
+    for i, (lo, n_i) in enumerate(zip(starts, counts)):
+        block = design[lo : lo + n_i]
+        gram[i] = block.T @ block
+        cross[i] = block.T @ response[lo : lo + n_i]
+    return _SubjectStats(design, response, starts, counts, gram, cross)
+
+
+def _replicate_wave(stats: _SubjectStats, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit one bootstrap replicate per stream; returns (feasible, alpha, sigma2).
+
+    Each stream draws n subject indices exactly as resample_subjects does.
+    n is unchanged, so every drawn copy keeps its weight 1/(n n_i) and a
+    replicate's normal equations are the copy-count-weighted sums of the
+    subjects' statistics.  Replicates are solved REPLICATE_CHUNK at a time.
+    sigma2 comes from each replicate's exact weighted residuals; s - c'alpha
+    would cancel to noise, or below zero, on a near-exact fit.
+    """
+    n = stats.counts.size
+    p = stats.design.shape[1]
+    feasible = np.zeros(len(streams), dtype=bool)
+    alpha = np.full((len(streams), p), np.nan)
+    sigma2 = np.full(len(streams), np.nan)
+    for lo in range(0, len(streams), REPLICATE_CHUNK):
+        chunk = streams[lo : lo + REPLICATE_CHUNK]
+        copies = np.array(
+            [np.bincount(s.integers(0, n, size=n), minlength=n) for s in chunk], dtype=float
+        )
+        n_obs = copies @ stats.counts
+        gram = (copies @ stats.gram.reshape(n, p * p)).reshape(-1, p, p)
+        ok, coef = solve_gram(gram, copies @ stats.cross)
+        ok &= n_obs > p
+        good = np.flatnonzero(ok)
+        resid = stats.response[:, None] - stats.design @ coef[good].T
+        per_subject = np.add.reduceat(resid**2, stats.starts, axis=0)
+        wrss = np.einsum("ji,ij->j", copies[good], per_subject)
+        feasible[lo + good] = True
+        alpha[lo + good] = coef[good]
+        sigma2[lo + good] = wrss / (n_obs[good] - p)
+    return feasible, alpha, sigma2
 
 
 def bootstrap_fit(
@@ -152,46 +227,38 @@ def bootstrap_fit(
     specs,
     n_draws: int,
     rng,
-    threads: int = 1,
 ) -> PosteriorDraws:
     """Collect n_draws successful replicate fits.
 
-    Per-attempt RNG streams are spawned deterministically from the master
-    seed in attempt order, so results do not depend on thread interleaving;
-    draws are assembled in attempt-index order.
+    Attempts run in waves of one replicate per still-missing draw.  Each
+    attempt's RNG stream is spawned from the master generator in attempt
+    order, and draws are kept in attempt-index order.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    gen = np.random.default_rng(rng) if seed >= 0 else rng
+    gen, seed = as_generator(rng)
+    bundle = build_design(data, specs)
     # the full-data fit must be feasible before resampling starts
-    fit_wls(build_design(data, specs))
+    fit_wls(bundle)
+    stats = _subject_stats(bundle, data.counts)
 
     cap = REDRAW_FACTOR * n_draws
-    results: list[tuple[int, np.ndarray, float]] = []
-    attempts_used = 0
-    while len(results) < n_draws and attempts_used < cap:
-        wave = min(n_draws - len(results), cap - attempts_used)
-        streams = gen.spawn(wave)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda s: _one_attempt(data, specs, s), streams))
-        else:
-            outcomes = [_one_attempt(data, specs, s) for s in streams]
-        for offset, outcome in enumerate(outcomes):
-            if outcome is not None:
-                alpha, sigma2 = outcome
-                results.append((attempts_used + offset, alpha, sigma2))
+    alphas, sigma2s = [], []
+    found = attempts_used = 0
+    while found < n_draws and attempts_used < cap:
+        wave = min(n_draws - found, cap - attempts_used)
+        feasible, alpha, sigma2 = _replicate_wave(stats, gen.spawn(wave))
+        alphas.append(alpha[feasible])
+        sigma2s.append(sigma2[feasible])
+        found += int(feasible.sum())
         attempts_used += wave
-    if len(results) < n_draws:
+    if found < n_draws:
         raise BootstrapDegeneracyError(
-            f"only {len(results)} of {n_draws} replicates succeeded within {attempts_used} attempts"
+            f"only {found} of {n_draws} replicates succeeded within {attempts_used} attempts"
         )
-    results.sort(key=lambda item: item[0])
-    results = results[:n_draws]
     return PosteriorDraws(
-        alpha_draws=np.array([alpha for _, alpha, _ in results]),
-        sigma2_draws=np.array([s2 for _, _, s2 in results]),
+        alpha_draws=np.concatenate(alphas),
+        sigma2_draws=np.concatenate(sigma2s),
         source=DrawSource.BOOTSTRAP,
         seed=seed,
     )

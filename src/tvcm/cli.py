@@ -29,7 +29,7 @@ from .basis import (
     place_knots_quantile,
     split_alpha,
 )
-from .bootstrap import percentile_interval
+from .bootstrap import column_intervals
 from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
@@ -54,7 +54,6 @@ _DEFAULTS = {
         "grid": 200,
         "kmax": 10,
         "strategy": "auto",
-        "threads": 1,
         "backend": "auto",
         "time_domain": None,
         "out": ".",
@@ -80,7 +79,6 @@ _DEFAULTS = {
         "level": "weak",
         "shape": "exp",
         "strategy": "auto",
-        "threads": 1,
         "out_prefix": "sim",
     },
     "bench": {
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--grid", type=int, help="curve grid size")
     fit.add_argument("--kmax", type=int, help="largest knot count tried by --knots auto")
     fit.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    fit.add_argument("--threads", type=int)
     fit.add_argument("--backend", choices=["auto", "compiled", "python"])
     fit.add_argument("--time-domain", dest="time_domain", help="a,b override for the time domain")
     fit.add_argument("--out", help="output directory")
@@ -168,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", choices=["weak", "medium", "high"])
     sim.add_argument("--shape", choices=["exp", "trig"])
     sim.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    sim.add_argument("--threads", type=int)
     sim.add_argument("--out-prefix", dest="out_prefix")
 
     bench = sub.add_parser("bench", parents=[common], help="time the samplers on synthetic data")
@@ -317,7 +313,6 @@ def cmd_fit(opts) -> int:
         draws=n_draws,
         burnin=opts["burnin"],
         tol=opts["tol"],
-        threads=opts["threads"],
         backend=opts["backend"],
     )
 
@@ -336,12 +331,11 @@ def cmd_fit(opts) -> int:
         est = bg @ blocks[r]
         if result.draws is not None:
             draw_blocks = split_alpha(result.draws.alpha_draws, block_dims)
-            curve_draws = draw_blocks[r] @ bg.T
-            lo_hi = [percentile_interval(curve_draws[:, g], level) for g in range(grid.size)]
+            lo, hi = column_intervals(draw_blocks[r] @ bg.T, level)
         else:
-            lo_hi = [(None, None)] * grid.size
+            lo = hi = [None] * grid.size
         for g in range(grid.size):
-            curve_rows.append((r, grid[g], est[g], lo_hi[g][0], lo_hi[g][1]))
+            curve_rows.append((r, grid[g], est[g], lo[g], hi[g]))
     with open(os.path.join(out_dir, "curves.csv"), "w") as fh:
         fh.write("coefficient,t,estimate,lower,upper\n")
         for r, t, est, lo, hi in curve_rows:
@@ -417,7 +411,6 @@ def cmd_simulate(opts) -> int:
         level=opts["level"],
         shape=opts["shape"],
         strategy=opts["strategy"],
-        threads=opts["threads"],
     )
     prefix = opts["out_prefix"]
     report.to_csv(f"{prefix}_report.csv")

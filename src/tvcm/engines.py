@@ -42,7 +42,6 @@ def fit_engine(
     burnin: int = DEFAULT_BURNIN,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    threads: int = 1,
     backend: str = "auto",
 ) -> EngineResult:
     """Fit one engine; draws=0 means the engine default (none for wls)."""
@@ -53,7 +52,7 @@ def fit_engine(
     if engine == "wls":
         if draws > 0:
             start = time.perf_counter()
-            boot = bootstrap_fit(data, specs, draws, rng, threads=threads)
+            boot = bootstrap_fit(data, specs, draws, rng)
             elapsed = time.perf_counter() - start
         else:
             boot, elapsed = None, 0.0

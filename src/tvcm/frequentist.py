@@ -87,6 +87,24 @@ def fit_wls(bundle: DesignBundle) -> WlsFit:
     )
 
 
+def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve stacked normal equations G alpha = c under fit_wls's singularity rule.
+
+    gram has shape (B, p, p) and cross (B, p).  Returns (feasible, alpha):
+    a system is feasible when its smallest eigenvalue is positive and
+    cond(G) = lambda_max / lambda_min stays within CONDITION_LIMIT, which is
+    the test fit_wls applies to cond(R)^2.  alpha is NaN where infeasible.
+    The solve itself is LU: unlike an eigendecomposition, its accuracy does
+    not suffer from badly scaled columns such as t^2 on a wide time domain.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    lo, hi = lam[..., 0], lam[..., -1]
+    feasible = (lo > 0) & (hi <= CONDITION_LIMIT * lo)
+    alpha = np.full(cross.shape, np.nan)
+    alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
+    return feasible, alpha
+
+
 def predict(alpha, specs, covariates, t: float) -> float:
     """Response surface x' beta(t) for one covariate vector (leading 1 included)."""
     specs = tuple(specs)

@@ -33,6 +33,7 @@ from .basis import DesignBundle
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
 from .frequentist import WlsFit
+from .rng import as_generator
 
 try:
     from . import _gibbs_kernel as _compiled_kernel
@@ -133,8 +134,7 @@ def gibbs(
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     n_obs, p = Z.shape
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    gen = np.random.default_rng(rng) if seed >= 0 else rng
+    gen, seed = as_generator(rng)
 
     M = Z.T @ Z + prior.ridge * np.eye(p)
     try:

@@ -11,6 +11,15 @@ by the algebraically motivated trace form
 with A the weighted hat matrix, which needs a single fit per candidate.
 Both forms are provided; the brute evaluator keeps the full-data weights
 when refitting without one observation.
+
+knot_search never refits.  It builds the weighted design once over the union
+of the columns any candidate can use: for each coefficient r, the polynomial
+part plus the knot columns of every count k in 0..k_max (for the radial
+basis the bandwidth depends on k).  From G = A'A, c = A'y~ and s = y~'y~
+each candidate is a column subset S, with alpha = G_S^-1 c_S and, since
+tr(A) = p for any feasible fit, PCV = (s - c_S'alpha) / (1 - p/N)^2.
+The per-candidate QR path (_candidate_pcv: build_design, fit_wls, pcv)
+stays as the test oracle, as does pcv_loo.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .basis import BasisFamily, DesignBundle, build_design, make_spec
+from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
 from .data import LongitudinalDataset, SubjectRecord, subject_uniform_weights
 from .engines import fit_engine
 from .errors import (
@@ -29,7 +38,8 @@ from .errors import (
     SelectionError,
     SingularDesignError,
 )
-from .frequentist import WlsFit, fit_wls, predict_rows
+from .frequentist import WlsFit, fit_wls, predict_rows, solve_gram
+from .rng import as_generator
 
 MAX_SWEEPS = 100
 # full enumeration is the default up to this many covariates and candidate knot counts
@@ -79,6 +89,7 @@ def pcv_loo(data: LongitudinalDataset, specs) -> float:
 
 
 def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None):
+    """Trace-form criterion of one candidate by a full QR refit; the oracle for knot_search."""
     try:
         specs = tuple(
             make_spec(family, degree, k, data.time_domain, bandwidth=bandwidth) for k in combo
@@ -90,37 +101,68 @@ def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None):
     return pcv(bundle, fit)
 
 
-def knot_search(
-    data: LongitudinalDataset,
-    family,
-    degree: int,
-    k_max: int,
-    strategy: str = "auto",
-) -> tuple[tuple[int, ...], list[dict]]:
-    """Minimize the trace-form criterion over per-coefficient knot counts.
+def _statistics_criterion(data: LongitudinalDataset, family, degree: int, k_max: int):
+    """Trace-form criterion of any knot-count tuple from one set of statistics.
 
-    Returns the winning (k_0, ..., k_d) and the table of evaluated
-    candidates.  'full' enumerates the grid {0..k_max}^(d+1) in
-    lexicographic order with strict improvement, so ties resolve toward
-    smaller counts; 'coordinate' descends one coordinate at a time from all
-    zeros.  'auto' uses the full grid for small problems.
+    The weighted design A is built once over the union of candidate columns:
+    coefficient r's polynomial columns plus its knot columns for every
+    placeable count k.  columns[r][k] lists the positions of r's block with
+    k knots, polynomial part first as build_design orders them; a count
+    whose knots cannot be placed is absent.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
-    family = BasisFamily(family)
-    n_coef = data.covariate_dim + 1
-    if strategy == "auto":
-        small = data.covariate_dim <= FULL_GRID_MAX_COVARIATES and k_max <= FULL_GRID_MAX_K
-        strategy = "full" if small else "coordinate"
-    if strategy not in ("full", "coordinate"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    t = data.times
+    x = np.column_stack([np.ones(data.n_obs), data.covariates])
+    n_coef = x.shape[1]
+    n_poly = degree + 1
+    specs = {}
+    for k in range(k_max + 1):
+        try:
+            specs[k] = make_spec(family, degree, k, data.time_domain)
+        except KnotError:
+            continue
+    design = np.empty((data.n_obs, n_coef * (n_poly + sum(k for k in specs))))
+    columns: list[dict[int, np.ndarray]] = [{} for _ in range(n_coef)]
+    width = 0
+    # the block of k = 0 is the polynomial part that every other count shares
+    for k, spec in specs.items():
+        basis = basis_matrix(spec, t)[:, n_poly if k else 0 :]
+        for r in range(n_coef):
+            block = np.arange(width, width + basis.shape[1])
+            columns[r][k] = np.concatenate([columns[r][0], block]) if k else block
+            design[:, block] = x[:, [r]] * basis
+            width += basis.shape[1]
+    sw = np.sqrt(subject_uniform_weights(data))
+    design *= sw[:, None]
+    response = data.responses * sw
+    gram = design.T @ design
+    cross = design.T @ response
+    total = float(response @ response)
+    n_obs = data.n_obs
 
-    weights = subject_uniform_weights(data)
+    def criterion(combo: tuple[int, ...]) -> float:
+        if any(k not in columns[r] for r, k in enumerate(combo)):
+            return float("inf")
+        idx = np.concatenate([columns[r][k] for r, k in enumerate(combo)])
+        p = idx.size
+        if n_obs <= p:
+            return float("inf")
+        feasible, alpha = solve_gram(gram[np.ix_(idx, idx)][None], cross[idx][None])
+        if not feasible[0]:
+            return float("inf")
+        # the weighted RSS is non-negative; s - c'alpha can round below zero on an exact fit
+        wrss = max(total - float(cross[idx] @ alpha[0]), 0.0)
+        return wrss / (1.0 - p / n_obs) ** 2
+
+    return criterion
+
+
+def _walk_grid(criterion, n_coef: int, k_max: int, strategy: str):
+    """Search {0..k_max}^n_coef with a candidate criterion; returns (best, table)."""
     cache: dict[tuple[int, ...], float] = {}
 
     def evaluate(combo: tuple[int, ...]) -> float:
         if combo not in cache:
-            cache[combo] = _candidate_pcv(data, family, degree, combo, weights)
+            cache[combo] = criterion(combo)
         return cache[combo]
 
     if strategy == "full":
@@ -147,6 +189,37 @@ def knot_search(
         raise SelectionError(f"no feasible knot configuration up to k_max={k_max}")
     table = [{"k": list(combo), "pcv": value} for combo, value in sorted(cache.items())]
     return best, table
+
+
+def knot_search(
+    data: LongitudinalDataset,
+    family,
+    degree: int,
+    k_max: int,
+    strategy: str = "auto",
+) -> tuple[tuple[int, ...], list[dict]]:
+    """Minimize the trace-form criterion over per-coefficient knot counts.
+
+    Returns the winning (k_0, ..., k_d) and the table of evaluated
+    candidates.  'full' enumerates the grid {0..k_max}^(d+1) in
+    lexicographic order with strict improvement, so ties resolve toward
+    smaller counts; 'coordinate' descends one coordinate at a time from all
+    zeros.  'auto' uses the full grid for small problems.  A candidate is
+    infeasible (criterion +inf) when N <= p, when its Gram block fails
+    fit_wls's singularity rule, or when its knots cannot be placed.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    family = BasisFamily(family)
+    n_coef = data.covariate_dim + 1
+    if strategy == "auto":
+        small = data.covariate_dim <= FULL_GRID_MAX_COVARIATES and k_max <= FULL_GRID_MAX_K
+        strategy = "full" if small else "coordinate"
+    if strategy not in ("full", "coordinate"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    criterion = _statistics_criterion(data, family, degree, k_max)
+    return _walk_grid(criterion, n_coef, k_max, strategy)
 
 
 def select_knots(
@@ -237,8 +310,7 @@ def crossval_amse(
     n_obs = data.n_obs
     if not 2 <= n_folds <= n_obs:
         raise ValueError(f"n_folds must be in [2, {n_obs}], got {n_folds}")
-    seed_given = isinstance(rng, (int, np.integer))
-    gen = np.random.default_rng(rng) if seed_given else rng
+    gen, _ = as_generator(rng)
     perm = gen.permutation(n_obs)
     folds = np.array_split(perm, n_folds)
     fold_rngs = gen.spawn(n_folds)

@@ -23,6 +23,7 @@ from .basis import BasisFamily, coefficient_curve, make_spec, split_alpha
 from .data import LongitudinalDataset, SubjectRecord
 from .engines import fit_engine
 from .errors import TvcmError
+from .rng import as_generator
 from .selection import amse, made, select_knots
 
 SCENARIO1_LEVELS = {"weak": 0.01, "medium": 0.04, "high": 0.09}
@@ -59,12 +60,6 @@ def scenario1_correlation_bounds(level: str) -> tuple[float, float]:
     return (sigma0_sq - s) / denom, (sigma0_sq + s) / denom
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _retention_mask(child: np.random.Generator, size: int, missing_rate: float) -> np.ndarray:
     # redraw until at least one visit survives so every subject contributes
     while True:
@@ -97,7 +92,7 @@ def gen_scenario1(
     beta0 = scenario1_beta0(shape)
     sigma0 = np.sqrt(SCENARIO1_LEVELS[level])
     sigma = np.sqrt(SCENARIO1_SIGMA2)
-    gen = _as_generator(rng)
+    gen, _ = as_generator(rng)
     children = gen.spawn(n)
     schedule = np.arange(1, m + 1) / (m + 1)
 
@@ -153,7 +148,7 @@ def gen_scenario2(n: int, rng) -> tuple[LongitudinalDataset, SimTruth]:
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     betas = scenario2_betas()
-    gen = _as_generator(rng)
+    gen, _ = as_generator(rng)
     children = gen.spawn(n)
     m = SCENARIO2_SCHEDULE.size
 
@@ -246,7 +241,6 @@ def run_replications(
     level: str = "weak",
     shape: str = "exp",
     strategy: str = "auto",
-    threads: int = 1,
 ) -> SimReport:
     """Repeatedly generate, select knots, fit every engine, and score recovery.
 
@@ -259,8 +253,7 @@ def run_replications(
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    master_seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    gen = _as_generator(rng)
+    gen, master_seed = as_generator(rng)
     rep_children = gen.spawn(reps)
     families = [BasisFamily(f).value for f in families]
 
@@ -288,7 +281,7 @@ def run_replications(
                 try:
                     start = time.perf_counter()
                     result = fit_engine(
-                        data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin, threads=threads
+                        data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin
                     )
                     millis = 1000.0 * (
                         result.sampling_seconds if engine != "wls" else time.perf_counter() - start

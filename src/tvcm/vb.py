@@ -34,6 +34,7 @@ from scipy.special import digamma, gammaln
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
 from .mcmc import PriorSpec
+from .rng import as_generator
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
@@ -161,8 +162,7 @@ def vb_sample(post: VariationalPosterior, n_draws: int, rng=0) -> PosteriorDraws
     """Independent draws from the factorized posterior approximation."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    gen = np.random.default_rng(rng) if seed >= 0 else rng
+    gen, seed = as_generator(rng)
     sigma2 = post.b_star / gen.standard_gamma(post.a_star, size=n_draws)
     try:
         chol_v = np.linalg.cholesky(post.V_star)

@@ -4,16 +4,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario1
+from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario1, gen_scenario2
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import (
+    REDRAW_FACTOR,
     DrawSource,
     PosteriorDraws,
+    _replicate_wave,
+    _subject_stats,
     bootstrap_fit,
+    column_intervals,
     percentile_interval,
     resample_subjects,
 )
-from tvcm.errors import BootstrapDegeneracyError
+from tvcm.errors import (
+    BootstrapDegeneracyError,
+    InsufficientDataError,
+    SingularDesignError,
+)
 from tvcm.frequentist import fit_wls
 
 from conftest import exact_response_dataset
@@ -26,6 +34,34 @@ def _one_obs_each(n: int) -> LongitudinalDataset:
         for i in range(n)
     )
     return LongitudinalDataset(subjects)
+
+
+def _loop_bootstrap(data, specs, n_draws, seed):
+    """Reference bootstrap: resample_subjects and a QR fit_wls per attempt,
+    in the waves and attempt order bootstrap_fit uses.  Returns the
+    successful (attempt index, alpha, sigma2) and the attempts used."""
+    gen = np.random.default_rng(seed)
+    cap = REDRAW_FACTOR * n_draws
+    hits, attempts = [], 0
+    while len(hits) < n_draws and attempts < cap:
+        wave = min(n_draws - len(hits), cap - attempts)
+        for offset, stream in enumerate(gen.spawn(wave)):
+            try:
+                fit = fit_wls(build_design(resample_subjects(data, stream),
+                                           specs))
+            except (SingularDesignError, InsufficientDataError):
+                continue
+            hits.append((attempts + offset, fit.alpha_hat, fit.sigma2_hat))
+        attempts += wave
+    return hits, attempts
+
+
+def _feasible_attempts(data, specs, seed, n_attempts):
+    """Attempt indices the batched path accepts, over one wave of streams."""
+    stats = _subject_stats(build_design(data, specs), data.counts)
+    streams = np.random.default_rng(seed).spawn(n_attempts)
+    feasible, _, _ = _replicate_wave(stats, streams)
+    return np.flatnonzero(feasible).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +119,8 @@ class TestResample:
 class TestBootstrapFit:
     def test_single_draw_composes_resample_and_fit(self):
         """One bootstrap draw equals resample -> rebuild weights -> WLS run
-        by hand with the same spawned substream."""
+        by hand with the same spawned substream, up to the rounding that
+        separates the normal equations from the QR solve."""
         data, _ = gen_scenario1(8, np.random.default_rng(21), m=6,
                                 level="weak", shape="trig")
         specs = (make_spec("radial", 2, 1, data.time_domain),)
@@ -91,9 +128,11 @@ class TestBootstrapFit:
         manual = fit_wls(build_design(
             resample_subjects(data, np.random.default_rng(77).spawn(1)[0]),
             specs))
-        np.testing.assert_array_equal(draws.alpha_draws[0], manual.alpha_hat)
-        np.testing.assert_array_equal(draws.sigma2_draws[0],
-                                      manual.sigma2_hat)
+        scale = np.abs(manual.alpha_hat).max()
+        assert np.abs(draws.alpha_draws[0] - manual.alpha_hat).max() \
+            <= 1e-8 * scale
+        assert draws.sigma2_draws[0] == pytest.approx(manual.sigma2_hat,
+                                                      rel=1e-8)
 
     def test_deterministic_given_seed(self):
         data, _ = gen_scenario1(8, np.random.default_rng(21), m=6,
@@ -102,18 +141,6 @@ class TestBootstrapFit:
         a = bootstrap_fit(data, specs, 12, np.random.default_rng(5))
         b = bootstrap_fit(data, specs, 12, np.random.default_rng(5))
         np.testing.assert_array_equal(a.alpha_draws, b.alpha_draws)
-
-    def test_threaded_run_matches_serial(self):
-        data, _ = gen_scenario1(8, np.random.default_rng(21), m=6,
-                                level="weak", shape="trig")
-        specs = (make_spec("radial", 2, 1, data.time_domain),)
-        serial = bootstrap_fit(data, specs, 16, np.random.default_rng(5))
-        threaded = bootstrap_fit(data, specs, 16, np.random.default_rng(5),
-                                 threads=4)
-        np.testing.assert_array_equal(serial.alpha_draws,
-                                      threaded.alpha_draws)
-        np.testing.assert_array_equal(serial.sigma2_draws,
-                                      threaded.sigma2_draws)
 
     def test_noiseless_draws_all_equal_truth(self):
         """With responses exactly on the fitted surface, every replicate fit
@@ -154,6 +181,51 @@ class TestBootstrapFit:
         assert not isinstance(exc_info.value, BootstrapDegeneracyError)
 
 
+class TestLoopOracle:
+    """The batched sufficient-statistics bootstrap against the per-replicate
+    resample-and-refit loop."""
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_draws_match_loop(self, scenario):
+        if scenario == 1:
+            data, _ = gen_scenario1(30, np.random.default_rng(8))
+        else:
+            data, _ = gen_scenario2(40, np.random.default_rng(8))
+        specs = tuple(make_spec("radial", 2, 2, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        hits, _ = _loop_bootstrap(data, specs, 40, 13)
+        draws = bootstrap_fit(data, specs, 40, 13)
+        alpha = np.array([a for _, a, _ in hits])
+        sigma2 = np.array([s for _, _, s in hits])
+        assert np.abs(draws.alpha_draws - alpha).max() \
+            <= 1e-8 * np.abs(alpha).max()
+        np.testing.assert_allclose(draws.sigma2_draws, sigma2, rtol=1e-9)
+
+    def test_redraws_succeed_on_the_same_attempts(self):
+        data = _one_obs_each(6)
+        specs = (make_spec("tpower", 4, 0, data.time_domain),)
+        hits, attempts = _loop_bootstrap(data, specs, 10, 0)
+        assert attempts > 10  # several redraw waves ran
+        assert _feasible_attempts(data, specs, 0, attempts) == \
+            [i for i, _, _ in hits]
+        draws = bootstrap_fit(data, specs, 10, 0)
+        np.testing.assert_allclose(draws.alpha_draws,
+                                   np.array([a for _, a, _ in hits]),
+                                   rtol=1e-8, atol=1e-8)
+
+    def test_exhaustion_matches_loop(self):
+        data = _one_obs_each(8)
+        specs = (make_spec("tpower", 6, 0, data.time_domain),)
+        hits, attempts = _loop_bootstrap(data, specs, 5, 0)
+        assert len(hits) < 5 and attempts == REDRAW_FACTOR * 5
+        assert _feasible_attempts(data, specs, 0, attempts) == \
+            [i for i, _, _ in hits]
+        expected = (f"only {len(hits)} of 5 replicates succeeded within "
+                    f"{attempts} attempts")
+        with pytest.raises(BootstrapDegeneracyError, match=expected):
+            bootstrap_fit(data, specs, 5, 0)
+
+
 # ---------------------------------------------------------------------------
 # Percentile intervals
 # ---------------------------------------------------------------------------
@@ -192,6 +264,19 @@ class TestPercentileInterval:
             percentile_interval(np.arange(5.0), 0.0)
         with pytest.raises(ValueError):
             percentile_interval(np.array([]), 0.5)
+        with pytest.raises(ValueError):
+            column_intervals(np.ones((4, 2)), 1.0)
+        with pytest.raises(ValueError):
+            column_intervals(np.empty((0, 2)), 0.5)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
+    def test_column_form_equals_per_column_calls(self, level):
+        samples = np.random.default_rng(4).standard_normal((200, 37))
+        lo, hi = column_intervals(samples, level)
+        expected = [percentile_interval(samples[:, j], level)
+                    for j in range(samples.shape[1])]
+        np.testing.assert_array_equal(lo, [e[0] for e in expected])
+        np.testing.assert_array_equal(hi, [e[1] for e in expected])
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,28 @@ class TestOptionsAndErrors:
         assert payload["error"] == "ValueError"
         assert "engin" in payload["message"]
 
+    def test_removed_threads_key_rejected(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "threads.json"
+        cfg.write_text(json.dumps({"threads": 4}))
+        code, payload = _run(
+            ["fit", "--data", str(data_csv), "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "threads" in payload["message"]
+
+    @pytest.mark.parametrize("engine_args", [
+        ["--engine", "wls", "--boot", "10"],
+        ["--engine", "gibbs", "--draws", "50", "--burnin", "10"],
+        ["--engine", "vb", "--draws", "50"],
+    ])
+    def test_negative_seed_is_json_error(self, data_csv, tmp_path, capsys,
+                                         engine_args):
+        code, payload = _run(
+            ["fit", "--data", str(data_csv), "--knots", "1", "--seed", "-3",
+             "--out", str(tmp_path / "neg"), *engine_args], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert "-3" in payload["message"]
+
     def test_seed_env_fallback(self, data_csv, tmp_path, capsys,
                                monkeypatch):
         monkeypatch.setenv("TVCM_SEED", "21")

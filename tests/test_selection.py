@@ -4,11 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario1
+from tvcm import (
+    LongitudinalDataset,
+    SubjectRecord,
+    gen_scenario1,
+    gen_scenario2,
+    ingest_csv,
+    subject_uniform_weights,
+)
 from tvcm.basis import build_design, make_spec
 from tvcm.errors import SelectionError
 from tvcm.frequentist import WlsFit, fit_wls
 from tvcm.selection import (
+    _candidate_pcv,
+    _walk_grid,
     amse,
     crossval_amse,
     knot_search,
@@ -165,6 +174,52 @@ class TestKnotSearch:
         data = _quadratic_subjects()
         with pytest.raises(ValueError):
             knot_search(data, "radial", 2, 1, strategy="simulated-annealing")
+
+
+class TestKnotSearchOracle:
+    """The sufficient-statistics search against per-candidate QR refits."""
+
+    @pytest.fixture(scope="class")
+    def panels(self, demo_csv):
+        return {
+            "scenario1": gen_scenario1(40, np.random.default_rng(6))[0],
+            "scenario2": gen_scenario2(60, np.random.default_rng(6))[0],
+            "demo": ingest_csv(demo_csv),
+        }
+
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2", "demo"])
+    @pytest.mark.parametrize("strategy", ["full", "coordinate"])
+    @pytest.mark.parametrize("family", ["radial", "tpower"])
+    def test_matches_qr_refits(self, panels, panel, strategy, family):
+        data = panels[panel]
+        k_max = 5 if data.covariate_dim == 0 else 3
+        weights = subject_uniform_weights(data)
+        best, table = knot_search(data, family, 2, k_max, strategy)
+        oracle_best, oracle_table = _walk_grid(
+            lambda combo: _candidate_pcv(data, family, 2, combo, weights),
+            data.covariate_dim + 1, k_max, strategy)
+        assert best == oracle_best
+        assert [row["k"] for row in table] == [row["k"] for row in oracle_table]
+        got = np.array([row["pcv"] for row in table])
+        want = np.array([row["pcv"] for row in oracle_table])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+
+    def test_demo_radial_infeasible_set(self, panels):
+        """At k_max=5 the raw-column condition rule rejects 85 of the 216
+        radial candidates on the demo panel, under both paths."""
+        data = panels["demo"]
+        weights = subject_uniform_weights(data)
+        _, table = knot_search(data, "radial", 2, 5, "full")
+        infeasible = {tuple(row["k"]) for row in table
+                      if not np.isfinite(row["pcv"])}
+        oracle = {tuple(row["k"]) for row in table
+                  if not np.isfinite(_candidate_pcv(data, "radial", 2,
+                                                    tuple(row["k"]), weights))}
+        assert len(table) == 216
+        assert len(infeasible) == 85
+        assert infeasible == oracle
 
 
 # ---------------------------------------------------------------------------
