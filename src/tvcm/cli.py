@@ -34,7 +34,7 @@ from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
 from .frequentist import fit_wls
-from .mcmc import available_backends, dic, gibbs_backend, whiten
+from .mcmc import dic, whiten
 from .selection import crossval_amse, knot_search, select_knots
 from .simgen import run_replications
 
@@ -54,7 +54,6 @@ _DEFAULTS = {
         "grid": 200,
         "kmax": 10,
         "strategy": "auto",
-        "backend": "auto",
         "time_domain": None,
         "out": ".",
     },
@@ -85,7 +84,6 @@ _DEFAULTS = {
         "scenario": 2,
         "n": "25,100",
         "engines": "gibbs,vb",
-        "backends": "auto",
         "family": "radial",
         "degree": 2,
         "knots": 3,
@@ -139,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--grid", type=int, help="curve grid size")
     fit.add_argument("--kmax", type=int, help="largest knot count tried by --knots auto")
     fit.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    fit.add_argument("--backend", choices=["auto", "compiled", "python"])
     fit.add_argument("--time-domain", dest="time_domain", help="a,b override for the time domain")
     fit.add_argument("--out", help="output directory")
 
@@ -173,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--engines", "--engine", dest="engines",
         help="comma list from gibbs,vb; 'both' means gibbs,vb")
-    bench.add_argument("--backends", help="comma list from auto,compiled,python (gibbs only)")
     bench.add_argument("--family", choices=["radial", "tpower"])
     bench.add_argument("--degree", type=int)
     bench.add_argument("--knots", type=int, help="knot count for every coefficient")
@@ -291,7 +287,6 @@ def _manifest(command, opts, artifacts) -> dict:
         "version": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "sampler_backend": gibbs_backend(),
         "options": {k: _json_safe(v) for k, v in sorted(opts.items())},
         "artifacts": artifacts,
     }
@@ -313,7 +308,6 @@ def cmd_fit(opts) -> int:
         draws=n_draws,
         burnin=opts["burnin"],
         tol=opts["tol"],
-        backend=opts["backend"],
     )
 
     out_dir = opts["out"]
@@ -427,8 +421,6 @@ def cmd_bench(opts) -> int:
     engines = [e.strip() for e in str(opts["engines"]).split(",")]
     if engines == ["both"]:
         engines = ["gibbs", "vb"]
-    backends = [b.strip() for b in str(opts["backends"]).split(",")]
-    available = available_backends()
     sizes = [int(v) for v in str(opts["n"]).split(",")]
     rows = []
     root = np.random.default_rng(opts["seed"])
@@ -448,51 +440,32 @@ def cmd_bench(opts) -> int:
             prior = default_prior(base)
             z_t, y_t = whiten(bundle)
             for engine in engines:
+                start = time.perf_counter()
                 if engine == "gibbs":
-                    for backend in backends:
-                        resolved = gibbs_backend() if backend == "auto" else backend
-                        if resolved not in available:
-                            continue
-                        start = time.perf_counter()
-                        gibbs(
-                            z_t,
-                            y_t,
-                            prior,
-                            draws=opts["draws"],
-                            burnin=opts["burnin"],
-                            rng=opts["seed"],
-                            backend=resolved,
-                        )
-                        ms = 1000.0 * (time.perf_counter() - start)
-                        rows.append({"n": n, "rep": rep, "engine": "gibbs", "backend": resolved, "ms": ms})
+                    gibbs(z_t, y_t, prior, draws=opts["draws"], burnin=opts["burnin"], rng=opts["seed"])
                 elif engine == "vb":
-                    start = time.perf_counter()
-                    post = vb_fit(z_t, y_t, prior)
-                    vb_sample(post, opts["draws"], opts["seed"])
-                    ms = 1000.0 * (time.perf_counter() - start)
-                    rows.append({"n": n, "rep": rep, "engine": "vb", "backend": "-", "ms": ms})
+                    vb_sample(vb_fit(z_t, y_t, prior), opts["draws"], opts["seed"])
                 else:
                     raise ValueError(f"bench engine must be gibbs or vb, got {engine!r}")
+                ms = 1000.0 * (time.perf_counter() - start)
+                rows.append({"n": n, "rep": rep, "engine": engine, "ms": ms})
     cells = {}
     for row in rows:
-        cells.setdefault((row["n"], row["engine"], row["backend"]), []).append(row["ms"])
+        cells.setdefault((row["n"], row["engine"]), []).append(row["ms"])
     summary = [
         {
             "n": n,
             "engine": engine,
-            "backend": backend,
             "mean_ms": float(np.mean(ms)),
             "min_ms": float(np.min(ms)),
             "reps": len(ms),
         }
-        for (n, engine, backend), ms in sorted(cells.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
+        for (n, engine), ms in sorted(cells.items())
     ]
     payload = {"scenario": opts["scenario"], "draws": opts["draws"], "rows": rows, "summary": summary}
     _write_json(opts["out"], payload)
-    width = max(len(s["engine"]) + len(s["backend"]) for s in summary) + 3
     for s in summary:
-        label = f"{s['engine']}/{s['backend']}"
-        print(f"n={s['n']:>5}  {label:<{width}}  mean {s['mean_ms']:9.2f} ms  min {s['min_ms']:9.2f} ms")
+        print(f"n={s['n']:>5}  {s['engine']:<6}  mean {s['mean_ms']:9.2f} ms  min {s['min_ms']:9.2f} ms")
     return 0
 
 

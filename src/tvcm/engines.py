@@ -42,7 +42,6 @@ def fit_engine(
     burnin: int = DEFAULT_BURNIN,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    backend: str = "auto",
 ) -> EngineResult:
     """Fit one engine; draws=0 means the engine default (none for wls)."""
     if engine not in ENGINES:
@@ -63,7 +62,7 @@ def fit_engine(
     n_draws = draws if draws > 0 else DEFAULT_DRAWS
     if engine == "gibbs":
         start = time.perf_counter()
-        out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng, backend=backend)
+        out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng)
         elapsed = time.perf_counter() - start
         return EngineResult(
             "gibbs", out.alpha_draws.mean(axis=0), base, out, elapsed, {"prior": prior.to_dict()}

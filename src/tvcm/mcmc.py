@@ -14,34 +14,29 @@ mu = M^-1 Z~'y~,
                                b_sigma + ||y~ - Z~ alpha||^2 / 2 + ridge ||alpha||^2 / 2)
     alpha | sigma2  ~ N(mu, sigma2 M^-1)
 
-The chain initializes at the ridge solution mu.  The iteration loop runs in
-a compiled kernel when available, with a NumPy fallback selected at import;
-both consume identical pregenerated variates, so a fixed seed gives the same
-chain up to floating point rounding on either backend.
+The chain initializes at the ridge solution mu.  Since M mu = Z~'y~, the
+variance rate needs no pass over the rows:
+
+    ||y~ - Z~ alpha||^2 + ridge ||alpha||^2 = r0 + (alpha - mu)' M (alpha - mu)
+
+with r0 = ||y~ - Z~ mu||^2 + ridge ||mu||^2 computed once, so one iteration
+costs O(p^2) whatever N is.  All variates are pregenerated, so a fixed seed
+fixes the chain.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .basis import DesignBundle
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
 from .frequentist import WlsFit
 from .rng import as_generator
-
-try:
-    from . import _gibbs_kernel as _compiled_kernel
-except ImportError:  # extension not built; fall back to the reference loop
-    _compiled_kernel = None
-from . import _gibbs_py
-
-_BACKEND_ENV = "TVCM_GIBBS_BACKEND"
 
 DEFAULT_DRAWS = 2000
 DEFAULT_BURNIN = 500
@@ -88,29 +83,6 @@ def default_prior(fit: WlsFit) -> PriorSpec:
     return PriorSpec(a_sigma=2.0, b_sigma=b_sigma, ridge=1.0 / fit.n_obs)
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "python") if _compiled_kernel is not None else ("python",)
-
-
-def gibbs_backend() -> str:
-    """Backend the next gibbs(..., backend='auto') call will use."""
-    return _resolve_backend("auto")[1]
-
-
-def _resolve_backend(name: str):
-    if name == "auto":
-        name = os.environ.get(_BACKEND_ENV, "").strip() or (
-            "compiled" if _compiled_kernel is not None else "python"
-        )
-    if name == "compiled":
-        if _compiled_kernel is None:
-            raise NumericalError("compiled sampler kernel is not built; use backend='python'")
-        return _compiled_kernel.run_chain, "compiled"
-    if name == "python":
-        return _gibbs_py.run_chain, "python"
-    raise ValueError(f"unknown backend {name!r}; expected 'auto', 'compiled', or 'python'")
-
-
 def gibbs(
     Z: np.ndarray,
     y: np.ndarray,
@@ -119,7 +91,6 @@ def gibbs(
     burnin: int = DEFAULT_BURNIN,
     rng=0,
     fixed_sigma2: float | None = None,
-    backend: str = "auto",
 ) -> PosteriorDraws:
     """Run the sampler on whitened inputs and return the retained draws.
 
@@ -133,6 +104,8 @@ def gibbs(
         raise ValueError("Z must be (N, p) and y must be length N")
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
+    if fixed_sigma2 is not None and not fixed_sigma2 > 0:
+        raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
     n_obs, p = Z.shape
     gen, seed = as_generator(rng)
 
@@ -142,6 +115,10 @@ def gibbs(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
     mu = cho_solve((L, True), Z.T @ y)
+    resid = y - Z @ mu
+    r0 = resid @ resid + prior.ridge * (mu @ mu)
+    # alpha = mu + sigma * L^-T z; precompute (L^-1)' once
+    linv_t = solve_triangular(L, np.eye(p), lower=True).T
 
     total = draws + burnin
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
@@ -149,21 +126,15 @@ def gibbs(
     normals = gen.standard_normal((total, p))
     alpha_out = np.empty((total, p))
     sigma2_out = np.empty(total)
-    kernel, _ = _resolve_backend(backend)
-    kernel(
-        Z,
-        y,
-        L,
-        mu,
-        prior.b_sigma,
-        prior.ridge,
-        gammas,
-        normals,
-        -1.0 if fixed_sigma2 is None else float(fixed_sigma2),
-        mu.copy(),
-        alpha_out,
-        sigma2_out,
-    )
+    alpha = mu
+    sigma2 = fixed_sigma2
+    for t in range(total):
+        if fixed_sigma2 is None:
+            d = alpha - mu
+            sigma2 = (prior.b_sigma + 0.5 * (r0 + d @ (M @ d))) / gammas[t]
+        alpha = mu + np.sqrt(sigma2) * (linv_t @ normals[t])
+        alpha_out[t] = alpha
+        sigma2_out[t] = sigma2
     if not (np.all(np.isfinite(alpha_out)) and np.all(np.isfinite(sigma2_out))):
         raise NumericalError("sampler produced non-finite draws")
     return PosteriorDraws(
@@ -174,27 +145,27 @@ def gibbs(
     )
 
 
-def _deviance(Z, y, alpha, sigma2):
-    resid = y - Z @ alpha
-    n_obs = y.size
-    return n_obs * np.log(2.0 * np.pi * sigma2) + (resid @ resid) / sigma2
-
-
 def dic(draws: PosteriorDraws, Z: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Deviance information criterion and its effective parameter count.
 
     Uses the Gaussian likelihood of the whitened regression, the posterior
     means as the plug-in point, and p_DIC = mean deviance - deviance at the
-    means.  Returns (dic, p_dic).
+    means.  Returns (dic, p_dic).  Each draw's residual sum of squares comes
+    from Gram statistics centred at the mean alpha_bar: with e = y - Z alpha_bar
+    and d = alpha - alpha_bar, RSS = e'e - 2 d'Z'e + d'Z'Z d.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    alpha = draws.alpha_draws
     sigma2 = draws.sigma2_draws
     if np.any(sigma2 <= 0):
         raise ValueError("DIC requires strictly positive variance draws")
-    resid = y[None, :] - alpha @ Z.T
-    dev = y.size * np.log(2.0 * np.pi * sigma2) + (resid**2).sum(axis=1) / sigma2
-    dev_at_mean = _deviance(Z, y, alpha.mean(axis=0), float(sigma2.mean()))
+    alpha_bar = draws.alpha_draws.mean(axis=0)
+    e = y - Z @ alpha_bar
+    rss_at_mean = e @ e
+    d = draws.alpha_draws - alpha_bar
+    rss = rss_at_mean - 2.0 * (d @ (Z.T @ e)) + np.einsum("ij,ij->i", d @ (Z.T @ Z), d)
+    dev = y.size * np.log(2.0 * np.pi * sigma2) + rss / sigma2
+    sigma2_bar = float(sigma2.mean())
+    dev_at_mean = y.size * np.log(2.0 * np.pi * sigma2_bar) + rss_at_mean / sigma2_bar
     p_dic = float(dev.mean() - dev_at_mean)
     return float(dev_at_mean + 2.0 * p_dic), p_dic

@@ -9,8 +9,9 @@ ridge I_p, the coordinate updates are
     b*  <-  b_sigma + (||y~||^2 - 2 y~'Z~ m* + m*'M m* + tr(M V*)) / 2
 
 while a* = a_sigma + N/2 + p/2 never changes.  m* is therefore the ridge
-solution M^-1 Z~'y~ from the first sweep onward, and only b* moves.  M is
-factorized once and reused across sweeps.
+solution M^-1 Z~'y~ from the first sweep onward, and only b* moves.  M,
+Z~'y~ and ||y~||^2 are formed once, and M is factorized once; the sweeps and
+the objective reuse them.
 
 The objective reported in elbo_trace uses the estimator
 
@@ -80,11 +81,10 @@ class VariationalPosterior:
         }
 
 
-def _elbo_value(Z, y, prior, m, V, a_star, b_star):
-    n_obs, p = Z.shape
-    M = Z.T @ Z + prior.ridge * np.eye(p)
+def _elbo_value(n_obs, M, z_ty, y_ty, prior, m, V, a_star, b_star):
+    p = M.shape[0]
     bracket = prior.b_sigma + 0.5 * (
-        y @ y - 2.0 * (y @ (Z @ m)) + m @ (M @ m) + np.einsum("ij,ji->", M, V)
+        y_ty - 2.0 * (z_ty @ m) + m @ (M @ m) + np.einsum("ij,ji->", M, V)
     )
     sign, logdet_v = np.linalg.slogdet(V)
     if sign <= 0:
@@ -105,7 +105,10 @@ def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorS
     """Objective value at an arbitrary variational state."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _elbo_value(Z, y, prior, post.m_star, post.V_star, post.a_star, post.b_star)
+    M = Z.T @ Z + prior.ridge * np.eye(Z.shape[1])
+    return _elbo_value(
+        y.size, M, Z.T @ y, float(y @ y), prior, post.m_star, post.V_star, post.a_star, post.b_star
+    )
 
 
 def vb_fit(
@@ -144,7 +147,7 @@ def vb_fit(
         b_star = prior.b_sigma + 0.5 * quad
         if not np.isfinite(b_star) or b_star <= 0:
             raise NumericalError(f"b_star update produced {b_star}")
-        trace.append(_elbo_value(Z, y, prior, m, V, a_star, b_star))
+        trace.append(_elbo_value(n_obs, M, z_ty, y_ty, prior, m, V, a_star, b_star))
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             converged = True
             break

@@ -234,13 +234,18 @@ class TestOptionsAndErrors:
         assert payload["error"] == "ValueError"
         assert "engin" in payload["message"]
 
-    def test_removed_threads_key_rejected(self, data_csv, tmp_path, capsys):
-        cfg = tmp_path / "threads.json"
-        cfg.write_text(json.dumps({"threads": 4}))
+    @pytest.mark.parametrize("key, value", [("threads", 4),
+                                            ("backend", "python")],
+                             ids=["threads", "backend"])
+    def test_removed_threads_key_rejected(self, data_csv, tmp_path, capsys,
+                                          key, value):
+        cfg = tmp_path / "removed.json"
+        cfg.write_text(json.dumps({key: value}))
         code, payload = _run(
             ["fit", "--data", str(data_csv), "--config", str(cfg)], capsys)
         assert code == 1
-        assert "threads" in payload["message"]
+        assert payload["error"] == "ValueError"
+        assert key in payload["message"]
 
     @pytest.mark.parametrize("engine_args", [
         ["--engine", "wls", "--boot", "10"],

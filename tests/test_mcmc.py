@@ -4,20 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_solve, solve_triangular
 
-from tvcm import gen_scenario2
+from tvcm import gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.frequentist import WlsFit, fit_wls
-from tvcm.mcmc import (
-    PriorSpec,
-    available_backends,
-    default_prior,
-    dic,
-    gibbs,
-    gibbs_backend,
-    whiten,
-)
+from tvcm.mcmc import PriorSpec, default_prior, dic, gibbs, whiten
 
 from conftest import single_subject
 
@@ -174,32 +167,102 @@ class TestGibbs:
         c = gibbs(Zt, yt, prior, draws=200, burnin=20, rng=43)
         assert not np.array_equal(a.alpha_draws, c.alpha_draws)
 
-    @pytest.mark.skipif("compiled" not in available_backends(),
-                        reason="compiled kernel not built")
-    def test_backend_parity(self):
-        """Compiled and pure python kernels consume one pregenerated variate
-        stream, so equal seeds give equal chains."""
-        bundle, Zt, yt = _whitened_scenario(n=20, seed=11)
-        base = fit_wls(bundle)
-        prior = default_prior(base)
-        a = gibbs(Zt, yt, prior, draws=500, burnin=100, rng=42,
-                  backend="compiled")
-        b = gibbs(Zt, yt, prior, draws=500, burnin=100, rng=42,
-                  backend="python")
-        np.testing.assert_allclose(a.alpha_draws, b.alpha_draws, atol=1e-10)
-        np.testing.assert_allclose(a.sigma2_draws, b.sigma2_draws,
-                                   atol=1e-10)
-
-    def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv("TVCM_GIBBS_BACKEND", "python")
-        assert gibbs_backend() == "python"
-
-    def test_unknown_backend_rejected(self):
+    def test_fixed_sigma2_must_be_positive(self):
         Z = np.ones((3, 1))
-        y = np.zeros(3)
-        with pytest.raises(ValueError):
-            gibbs(Z, y, PriorSpec(2.0, 1.0, 1.0), draws=10, burnin=0, rng=0,
-                  backend="fortran")
+        with pytest.raises(ValueError, match="fixed_sigma2"):
+            gibbs(Z, np.zeros(3), PriorSpec(2.0, 1.0, 1.0), draws=10,
+                  burnin=0, rng=0, fixed_sigma2=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-iteration loop over rows and the draws x N residual matrix
+# ---------------------------------------------------------------------------
+
+
+def _loop_gibbs(Z, y, prior, draws, burnin, rng, fixed_sigma2=None):
+    """Reference chain: the rate from full residuals at every iteration,
+    consuming the same pregenerated variates as gibbs."""
+    gen = np.random.default_rng(rng)
+    n_obs, p = Z.shape
+    M = Z.T @ Z + prior.ridge * np.eye(p)
+    L = np.linalg.cholesky(M)
+    mu = cho_solve((L, True), Z.T @ y)
+    linv_t = solve_triangular(L, np.eye(p), lower=True).T
+    total = draws + burnin
+    a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
+    gammas = gen.standard_gamma(a_star, size=total)
+    normals = gen.standard_normal((total, p))
+    alpha_out = np.empty((total, p))
+    sigma2_out = np.empty(total)
+    alpha = mu.copy()
+    for t in range(total):
+        resid = y - Z @ alpha
+        rate = prior.b_sigma + 0.5 * (resid @ resid) \
+            + 0.5 * prior.ridge * (alpha @ alpha)
+        sigma2 = rate / gammas[t] if fixed_sigma2 is None else fixed_sigma2
+        alpha = mu + np.sqrt(sigma2) * (linv_t @ normals[t])
+        alpha_out[t] = alpha
+        sigma2_out[t] = sigma2
+    return alpha_out[burnin:], sigma2_out[burnin:]
+
+
+def _loop_dic(draws, Z, y):
+    """Reference DIC from the draws x N residual matrix."""
+    alpha, sigma2 = draws.alpha_draws, draws.sigma2_draws
+    resid = y[None, :] - alpha @ Z.T
+    dev = y.size * np.log(2.0 * np.pi * sigma2) \
+        + (resid**2).sum(axis=1) / sigma2
+    r_bar = y - Z @ alpha.mean(axis=0)
+    s_bar = sigma2.mean()
+    dev_at_mean = y.size * np.log(2.0 * np.pi * s_bar) + r_bar @ r_bar / s_bar
+    p_dic = dev.mean() - dev_at_mean
+    return dev_at_mean + 2.0 * p_dic, p_dic
+
+
+@pytest.fixture(scope="module")
+def oracle_problems(demo_csv):
+    """Scenario 2 (n=100, radial k=3, p=18) and the demo panel
+    (tpower k=4, p=21), whitened, with their data-calibrated priors."""
+    scenario, _ = gen_scenario2(100, np.random.default_rng(7))
+    demo = ingest_csv(demo_csv)
+    problems = {}
+    for name, data, family, k in (("scenario2", scenario, "radial", 3),
+                                  ("demo", demo, "tpower", 4)):
+        specs = tuple(make_spec(family, 2, k, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        bundle = build_design(data, specs)
+        Zt, yt = whiten(bundle)
+        problems[name] = (Zt, yt, default_prior(fit_wls(bundle)))
+    return problems
+
+
+class TestOracles:
+    @pytest.mark.parametrize("panel", ["scenario2", "demo"])
+    @pytest.mark.parametrize("fixed_sigma2", [None, 0.5])
+    def test_gibbs_matches_row_loop(self, oracle_problems, panel,
+                                    fixed_sigma2):
+        Zt, yt, prior = oracle_problems[panel]
+        if fixed_sigma2 is not None:
+            fixed_sigma2 *= prior.b_sigma
+        got = gibbs(Zt, yt, prior, draws=400, burnin=100, rng=19,
+                    fixed_sigma2=fixed_sigma2)
+        alpha, sigma2 = _loop_gibbs(Zt, yt, prior, 400, 100, 19, fixed_sigma2)
+        scale = np.max(np.abs(alpha))
+        assert np.max(np.abs(got.alpha_draws - alpha)) <= 1e-10 * scale
+        np.testing.assert_allclose(got.sigma2_draws, sigma2, rtol=1e-10,
+                                   atol=0)
+        if fixed_sigma2 is not None:
+            # the same arithmetic on the same variates: equal to the bit
+            np.testing.assert_array_equal(got.alpha_draws, alpha)
+
+    @pytest.mark.parametrize("panel", ["scenario2", "demo"])
+    def test_dic_matches_residual_matrix(self, oracle_problems, panel):
+        Zt, yt, prior = oracle_problems[panel]
+        draws = gibbs(Zt, yt, prior, draws=1000, burnin=100, rng=4)
+        value, p_dic = dic(draws, Zt, yt)
+        ref_value, ref_p = _loop_dic(draws, Zt, yt)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        assert abs(p_dic - ref_p) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
