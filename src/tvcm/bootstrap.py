@@ -18,7 +18,6 @@ path and stays as the test oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,15 +86,18 @@ class PosteriorDraws:
         return self.alpha_draws.shape[1]
 
     def to_csv(self, path) -> None:
-        """Flat draw,param_index,value rows; indices 0..p-1 are coefficients, p is sigma2."""
+        """Flat draw,param_index,value rows; indices 0..p-1 are coefficients, p is sigma2.
+
+        The bytes are those of csv.writer with repr floats: \\r\\n line ends and
+        no quoting, which repr of a finite float never needs.
+        """
         p = self.n_params
+        # "{0},0,{1!r}\r\n{0},1,{2!r}\r\n...": the p + 1 rows of one draw
+        row = "".join(f"{{0}},{j},{{{j + 1}!r}}\r\n" for j in range(p + 1))
+        values = np.column_stack([self.alpha_draws, self.sigma2_draws]).tolist()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "param_index", "value"])
-            for b in range(self.n_draws):
-                for j in range(p):
-                    writer.writerow([b, j, repr(float(self.alpha_draws[b, j]))])
-                writer.writerow([b, p, repr(float(self.sigma2_draws[b]))])
+            fh.write("draw,param_index,value\r\n")
+            fh.write("".join(row.format(b, *draw) for b, draw in enumerate(values)))
 
     def summary(self, level: float = 0.95) -> dict:
         """Means and central intervals for every parameter."""

@@ -295,9 +295,13 @@ def _manifest(command, opts, artifacts) -> dict:
 def cmd_fit(opts) -> int:
     if not opts.get("data"):
         raise ValueError("fit requires --data")
+    clock = time.perf_counter
+    t_start = clock()
     data = ingest_csv(opts["data"], time_domain=_parse_domain(opts["time_domain"]))
+    t_ingest = clock()
     counts = _knot_counts(data, opts)
     specs = _specs_from_opts(data, opts, counts)
+    t_select = clock()
     engine = opts["engine"]
     n_draws = opts["boot"] if engine == "wls" else opts["draws"]
     result = fit_engine(
@@ -309,6 +313,7 @@ def cmd_fit(opts) -> int:
         burnin=opts["burnin"],
         tol=opts["tol"],
     )
+    t_fit = clock()
 
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -330,12 +335,8 @@ def cmd_fit(opts) -> int:
             lo = hi = [None] * grid.size
         for g in range(grid.size):
             curve_rows.append((r, grid[g], est[g], lo[g], hi[g]))
-    with open(os.path.join(out_dir, "curves.csv"), "w") as fh:
-        fh.write("coefficient,t,estimate,lower,upper\n")
-        for r, t, est, lo, hi in curve_rows:
-            lo_s = "" if lo is None else repr(float(lo))
-            hi_s = "" if hi is None else repr(float(hi))
-            fh.write(f"{r},{float(t)!r},{float(est)!r},{lo_s},{hi_s}\n")
+    summary = result.draws.summary(level) if result.draws is not None else None
+    t_intervals = clock()
 
     fit_payload = {
         "engine": engine,
@@ -352,9 +353,7 @@ def cmd_fit(opts) -> int:
         "sampling_seconds": result.sampling_seconds,
     }
     if engine in ("gibbs", "vb"):
-        bundle = build_design(data, specs)
-        z_t, y_t = whiten(bundle)
-        dic_value, p_dic = dic(result.draws, z_t, y_t)
+        dic_value, p_dic = dic(result.draws, *result.whitened)
         fit_payload["sigma2"] = float(result.draws.sigma2_draws.mean())
         fit_payload["prior"] = result.extra.get("prior")
         fit_payload["dic"] = {"dic": dic_value, "p_dic": p_dic}
@@ -362,10 +361,27 @@ def cmd_fit(opts) -> int:
             posterior = dict(result.extra["posterior"])
             posterior.pop("m_star", None)
             fit_payload["vb"] = posterior
+
+    t_write_start = clock()
+    with open(os.path.join(out_dir, "curves.csv"), "w") as fh:
+        fh.write("coefficient,t,estimate,lower,upper\n")
+        for r, t, est, lo, hi in curve_rows:
+            lo_s = "" if lo is None else repr(float(lo))
+            hi_s = "" if hi is None else repr(float(hi))
+            fh.write(f"{r},{float(t)!r},{float(est)!r},{lo_s},{hi_s}\n")
     if result.draws is not None:
         result.draws.to_csv(os.path.join(out_dir, "draws.csv"))
-        _write_json(os.path.join(out_dir, "draws_summary.json"), result.draws.summary(level))
+        _write_json(os.path.join(out_dir, "draws_summary.json"), summary)
         artifacts += ["draws.csv", "draws_summary.json"]
+    t_write = clock()
+    # seconds per stage; DIC and this payload are computed between intervals and write
+    fit_payload["timings"] = {
+        "ingest": t_ingest - t_start,
+        "select": t_select - t_ingest,
+        "fit": t_fit - t_select,
+        "intervals": t_intervals - t_fit,
+        "write": t_write - t_write_start,
+    }
     _write_json(os.path.join(out_dir, "fit.json"), fit_payload)
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest("fit", opts, sorted(artifacts)))
     print(json.dumps({"status": "ok", "out": out_dir, "artifacts": sorted(artifacts)}))

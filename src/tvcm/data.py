@@ -9,8 +9,10 @@ coefficient functions while the stored covariate matrix has d columns.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -154,14 +156,15 @@ def ingest_csv(
     """Read a long-format CSV into a LongitudinalDataset.
 
     Expected header: subject,time,y,x1,...,xd (names configurable through
-    schema).  Rows may arrive in any order; observations are grouped by
-    subject and stably sorted by time.  The time domain defaults to the
-    observed min/max unless overridden.  Accepts a path or an open text
+    schema); a name may appear only once.  Rows may arrive in any order;
+    observations are grouped by subject and stably sorted by time.  The time
+    domain defaults to the observed min/max unless overridden.  Accepts a
+    path, read as UTF-8 with or without a byte-order mark, or an open text
     stream.  Error messages count rows as file lines, header included.
     """
     if hasattr(path, "read"):
         return _parse_csv(path, getattr(path, "name", "<stream>"), schema, time_domain)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _parse_csv(fh, str(path), schema, time_domain)
 
 
@@ -173,7 +176,12 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
     except StopIteration:
         raise EmptyDataError(f"{label}: file is empty") from None
     header = [h.strip() for h in header]
-    col_pos = {name: i for i, name in enumerate(header)}
+    col_pos: dict[str, int] = {}
+    for i, name in enumerate(header):
+        # blank names (trailing commas) are never looked up
+        if name and name in col_pos:
+            raise SchemaError(f"{label}: column {name!r} appears more than once in the header")
+        col_pos[name] = i
     for required in (schema.subject_col, schema.time_col, schema.response_col):
         if required not in col_pos:
             raise SchemaError(f"{label}: missing required column {required!r}")
@@ -190,26 +198,77 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
             if name not in col_pos:
                 raise SchemaError(f"{label}: missing covariate column {name!r}")
     needed = [schema.time_col, schema.response_col, *covariate_cols]
+    sid_pos = col_pos[schema.subject_col]
+    positions = [col_pos[name] for name in needed]
+    rows = list(reader)
+    try:
+        sids, values = _parse_columns(rows, len(header), sid_pos, positions)
+    except ValueError:
+        # A ragged, blank, non-numeric or non-finite row: the row loop skips
+        # blank rows and names the first bad one.
+        return _parse_rows(rows, label, header, sid_pos, list(zip(needed, positions)), time_domain)
+
+    first_seen: dict[str, int] = {}
+    codes = np.array([first_seen.setdefault(sid, len(first_seen)) for sid in sids])
+    # lexsort is stable: rows tied in time keep their file order
+    order = np.lexsort((values[:, 0], codes))
+    blocks = np.split(values[order], np.cumsum(np.bincount(codes))[:-1])
+    subjects = tuple(
+        SubjectRecord(subject_id=sid, times=block[:, 0], responses=block[:, 1], covariates=block[:, 2:])
+        for sid, block in zip(first_seen, blocks)
+    )
+    return LongitudinalDataset(subjects=subjects, time_domain=time_domain)
+
+
+def _parse_columns(rows, width, sid_pos, positions) -> tuple[list[str], np.ndarray]:
+    """Subject ids and the (n_rows, len(positions)) values of the non-empty rows.
+
+    One float pass per column.  Raises ValueError when there are no rows,
+    when any row is ragged or blank, or when any needed cell is not a finite
+    number.
+    """
+    rows = [row for row in rows if row]
+    if set(map(len, rows)) != {width}:
+        raise ValueError("rows are missing or ragged")
+    n = len(rows)
+    values = np.empty((n, len(positions)))
+    for j, pos in enumerate(positions):
+        values[:, j] = np.fromiter(map(float, map(itemgetter(pos), rows)), float, n)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite value")
+    return [row[sid_pos].strip() for row in rows], values
+
+
+def _parse_rows(rows, label, header, sid_pos, needed, time_domain) -> LongitudinalDataset:
+    """Row-at-a-time parse: the error locator behind _parse_columns and its test oracle.
+
+    needed lists (name, position) for time, response and the covariates.
+    """
     groups: dict[str, list[list[float]]] = {}
     order: list[str] = []
     # header is row 1, so data rows start at 2
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(rows, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(header):
             raise CsvParseError(
                 f"{label}: row {row_number} has {len(row)} cells, expected {len(header)}"
             )
-        sid = row[col_pos[schema.subject_col]].strip()
+        sid = row[sid_pos].strip()
         values = []
-        for name in needed:
-            cell = row[col_pos[name]].strip()
+        for name, pos in needed:
+            cell = row[pos].strip()
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise CsvParseError(
                     f"{label}: non-numeric value {cell!r} in column {name!r} at row {row_number}"
                 ) from None
+            if not math.isfinite(value):
+                raise CsvParseError(
+                    f"{label}: non-finite value {cell!r} in column {name!r} at row {row_number}"
+                )
+            values.append(value)
         if sid not in groups:
             groups[sid] = []
             order.append(sid)

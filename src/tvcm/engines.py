@@ -31,6 +31,8 @@ class EngineResult:
     draws: PosteriorDraws | None
     sampling_seconds: float
     extra: dict = field(default_factory=dict)
+    # (sqrt(W) Z, sqrt(W) y) for the Bayesian engines, reused by DIC; None for wls
+    whitened: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def fit_engine(
@@ -65,7 +67,13 @@ def fit_engine(
         out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng)
         elapsed = time.perf_counter() - start
         return EngineResult(
-            "gibbs", out.alpha_draws.mean(axis=0), base, out, elapsed, {"prior": prior.to_dict()}
+            "gibbs",
+            out.alpha_draws.mean(axis=0),
+            base,
+            out,
+            elapsed,
+            {"prior": prior.to_dict()},
+            whitened=(z_t, y_t),
         )
     start = time.perf_counter()
     post = vb_fit(z_t, y_t, prior, tol=tol, max_iters=max_iters)
@@ -78,4 +86,5 @@ def fit_engine(
         out,
         elapsed,
         {"prior": prior.to_dict(), "posterior": post.to_dict(), "converged": post.converged},
+        whitened=(z_t, y_t),
     )

@@ -1,6 +1,8 @@
 """Subject resampling, bootstrap replication, and percentile intervals."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from tvcm.errors import (
     SingularDesignError,
 )
 from tvcm.frequentist import fit_wls
+from tvcm.mcmc import default_prior, gibbs, whiten
 
 from conftest import exact_response_dataset
 
@@ -284,6 +287,20 @@ class TestPercentileInterval:
 # ---------------------------------------------------------------------------
 
 
+def _loop_to_csv(draws: PosteriorDraws, path) -> None:
+    """Reference writer: one csv.writer row per draw and parameter."""
+    p = draws.n_params
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["draw", "param_index", "value"])
+        for b in range(draws.n_draws):
+            for j in range(p):
+                writer.writerow([b, j, repr(float(draws.alpha_draws[b, j]))])
+            writer.writerow([b, p, repr(float(draws.sigma2_draws[b]))])
+
+
+
+
 class TestPosteriorDraws:
     def test_bootstrap_allows_zero_variance(self):
         d = PosteriorDraws(np.zeros((3, 2)), np.zeros(3),
@@ -306,6 +323,29 @@ class TestPosteriorDraws:
         assert len(lines) == 1 + 3 * 3
         assert lines[1] == "0,0,0.0"
         assert lines[3] == "0,2,1.0"
+
+    @pytest.mark.parametrize("source", ["bootstrap", "gibbs", "awkward"])
+    def test_csv_matches_row_writer(self, source, tmp_path):
+        """to_csv writes the bytes of the csv.writer row loop."""
+        data, _ = gen_scenario1(30, np.random.default_rng(2))
+        specs = (make_spec("radial", 2, 1, data.time_domain),)
+        if source == "bootstrap":
+            draws = bootstrap_fit(data, specs, 25, 4)
+        elif source == "gibbs":
+            bundle = build_design(data, specs)
+            z_t, y_t = whiten(bundle)
+            draws = gibbs(z_t, y_t, default_prior(fit_wls(bundle)), draws=40,
+                          burnin=5, rng=4)
+        else:
+            # values whose repr is in exponent form, signed zero, extremes
+            alpha = np.array([[1e-05, -0.0, 1e16, -2.5e-300],
+                              [0.1, 123456789.123, -1e-07, 5e-324]])
+            draws = PosteriorDraws(alpha, np.array([0.0, 1.7976931348623157e308]),
+                                   DrawSource.BOOTSTRAP, 3)
+        fast, loop = tmp_path / "fast.csv", tmp_path / "loop.csv"
+        draws.to_csv(fast)
+        _loop_to_csv(draws, loop)
+        assert fast.read_bytes() == loop.read_bytes()
 
     def test_summary_contract(self):
         d = PosteriorDraws(np.arange(8.0).reshape(4, 2),

@@ -102,8 +102,21 @@ class TestFit:
         gap = np.abs(est["gibbs"] - est["vb"])[interior].max()
         assert gap < 0.02 * scale
 
+    def test_fit_json_stage_timings(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "timed"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--engine", "wls", "--boot", "20",
+             "--knots", "auto", "--kmax", "2", "--grid", "20", "--seed", "4",
+             "--out", str(out)], capsys)
+        assert code == 0
+        timings = json.loads((out / "fit.json").read_text())["timings"]
+        assert sorted(timings) == ["fit", "ingest", "intervals", "select", "write"]
+        for stage, seconds in timings.items():
+            assert isinstance(seconds, float), stage
+            assert np.isfinite(seconds) and seconds >= 0.0, stage
+
     def test_deterministic_fit_json(self, data_csv, tmp_path, capsys):
-        """Everything except the wall-clock timing field must be identical
+        """Everything except the wall-clock timing fields must be identical
         across two runs with the same seed."""
         payloads = []
         for d in ("a", "b"):
@@ -115,6 +128,7 @@ class TestFit:
             assert code == 0
             fit = json.loads((out / "fit.json").read_text())
             fit.pop("sampling_seconds")
+            fit.pop("timings")
             payloads.append(fit)
         assert payloads[0] == payloads[1]
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcm import LongitudinalDataset, SubjectRecord, ingest_csv, write_csv
+from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario2, ingest_csv, write_csv
+from tvcm import data as data_module
 from tvcm.data import subject_uniform_weights
 from tvcm.errors import CsvParseError, DataError, EmptyDataError, SchemaError
 
@@ -115,6 +116,144 @@ class TestIngest:
             np.testing.assert_array_equal(rec_a.times, rec_b.times)
             np.testing.assert_array_equal(rec_a.responses, rec_b.responses)
             np.testing.assert_array_equal(rec_a.covariates, rec_b.covariates)
+
+
+class TestIngestDefects:
+    def test_repeated_header_name_rejected(self):
+        with pytest.raises(SchemaError, match="'x1'"):
+            ingest_csv(_csv("""
+                subject,time,y,x1,x1
+                a,0.1,1.0,0.5,0.7
+            """))
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = "subject,time,y,x1\r\na,0.1,1.0,0.5\r\nb,0.2,2.0,1.5\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        _assert_same_dataset(ingest_csv(marked), ingest_csv(plain))
+
+    @pytest.mark.parametrize("cell, column", [
+        ("nan", "y"), ("inf", "time"), ("-Infinity", "x1"), ("NaN", "x1")])
+    def test_non_finite_cell_names_row_and_column(self, cell, column):
+        cells = {"time": "0.3", "y": "2.0", "x1": "0.5"}
+        cells[column] = cell
+        text = ("subject,time,y,x1\na,0.1,1.0,0.5\na,0.2,1.5,0.5\n"
+                f"b,{cells['time']},{cells['y']},{cells['x1']}\n")
+        with pytest.raises(CsvParseError) as info:
+            ingest_csv(io.StringIO(text))
+        message = str(info.value)
+        assert "row 4" in message
+        assert f"column {column!r}" in message
+        assert repr(cell) in message
+        assert isinstance(info.value, DataError)
+
+    def test_ragged_row_reported_before_later_bad_cell(self):
+        with pytest.raises(CsvParseError, match=r"row 3 has 2 cells, expected 3"):
+            ingest_csv(io.StringIO("subject,time,y\na,0.1,1.0\na,0.2\na,0.3,oops\n"))
+
+    def test_bad_cell_reported_before_later_ragged_row(self):
+        with pytest.raises(
+                CsvParseError,
+                match=r"non-numeric value 'oops' in column 'y' at row 3"):
+            ingest_csv(io.StringIO("subject,time,y\na,0.1,1.0\na,0.3,oops\na,0.2\n"))
+
+
+# ---------------------------------------------------------------------------
+# Columnar parse against the row loop
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_dataset(a: LongitudinalDataset, b: LongitudinalDataset):
+    assert [s.subject_id for s in a.subjects] == [s.subject_id for s in b.subjects]
+    assert a.time_domain == b.time_domain
+    for rec_a, rec_b in zip(a.subjects, b.subjects):
+        np.testing.assert_array_equal(rec_a.times, rec_b.times)
+        np.testing.assert_array_equal(rec_a.responses, rec_b.responses)
+        np.testing.assert_array_equal(rec_a.covariates, rec_b.covariates)
+        assert rec_a.covariates.shape == rec_b.covariates.shape
+
+
+def _row_loop_only(*args):
+    raise ValueError("columnar parse disabled")
+
+
+def _columnar_only(*args):
+    raise AssertionError("the row loop ran on a file the columnar parse should take")
+
+
+def _ingest_both(path, monkeypatch, columnar: bool):
+    """(default parse, row-loop parse) of the file at path.  columnar=True
+    also requires the default parse to finish without the row loop."""
+    with monkeypatch.context() as m:
+        if columnar:
+            m.setattr(data_module, "_parse_rows", _columnar_only)
+        default = ingest_csv(path)
+    with monkeypatch.context() as m:
+        m.setattr(data_module, "_parse_columns", _row_loop_only)
+        loop = ingest_csv(path)
+    return default, loop
+
+
+_EDGE_FILES = {
+    # csv.reader yields [] for an empty line; the columnar parse drops it
+    "empty_rows": ("subject,time,y\n\na,0.2,1.0\n\n\nb,0.1,2.0\na,0.1,3.0\n\n", True),
+    # a whitespace-only line is one blank cell: the row loop skips it
+    "whitespace_rows": ("subject,time,y\na,0.2,1.0\n   \nb,0.1,2.0\n\t\na,0.1,3.0\n", False),
+    "blank_cell_rows": ("subject,time,y\na,0.2,1.0\n,,\nb,0.1,2.0\n , ,\n", False),
+    "quoted_ids": ('subject,time,y,x1\n"Smith, J",0.2,1.0,4\n"Doe, ""A""",0.1,2.0,5\n'
+                   '"Smith, J",0.1,3.0,4\n', True),
+    "crlf": ("subject,time,y,x1\r\nb,0.3,1.0,1\r\na,0.2,2.0,0\r\nb,0.1,3.0,1\r\n", True),
+    "tied_times": ("subject,time,y\na,0.5,1.0\nb,0.5,9.0\na,0.1,2.0\na,0.5,3.0\n"
+                   "a,0.5,4.0\nb,0.5,8.0\n", True),
+    "padded_cells": ("subject , time,y\n a ,  0.5 ,1.0\na,0.25, 2.0 \n", True),
+}
+
+
+class TestColumnarParity:
+    @pytest.mark.parametrize("name", sorted(_EDGE_FILES))
+    def test_edge_files(self, name, tmp_path, monkeypatch):
+        text, columnar = _EDGE_FILES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        default, loop = _ingest_both(path, monkeypatch, columnar)
+        _assert_same_dataset(default, loop)
+
+    def test_quoted_ids_keep_commas(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(_EDGE_FILES["quoted_ids"][0].encode("utf-8"))
+        data = ingest_csv(path)
+        assert [s.subject_id for s in data.subjects] == ["Smith, J", 'Doe, "A"']
+        np.testing.assert_array_equal(data.subjects[0].responses, [3.0, 1.0])
+
+    def test_tied_times_keep_file_order(self, tmp_path):
+        path = tmp_path / "ties.csv"
+        path.write_bytes(_EDGE_FILES["tied_times"][0].encode("utf-8"))
+        data = ingest_csv(path)
+        np.testing.assert_array_equal(data.subjects[0].responses, [2.0, 1.0, 3.0, 4.0])
+        np.testing.assert_array_equal(data.subjects[1].responses, [9.0, 8.0])
+
+    def test_demo_panel(self, demo_csv, monkeypatch):
+        default, loop = _ingest_both(demo_csv, monkeypatch, columnar=True)
+        _assert_same_dataset(default, loop)
+
+    def test_shuffled_scenario2_panel(self, tmp_path, monkeypatch):
+        data, _ = gen_scenario2(60, np.random.default_rng(5))
+        ordered = tmp_path / "ordered.csv"
+        write_csv(data, ordered)
+        header, *rows = ordered.read_text().splitlines(keepends=True)
+        perm = np.random.default_rng(6).permutation(len(rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows[i] for i in perm))
+        default, loop = _ingest_both(shuffled, monkeypatch, columnar=True)
+        _assert_same_dataset(default, loop)
+        # subjects come back in first-seen order of the shuffled file
+        first_ids = list(dict.fromkeys(rows[i].split(",", 1)[0] for i in perm))
+        assert [s.subject_id for s in default.subjects] == first_ids
+        by_id = {s.subject_id: s for s in data.subjects}
+        for rec in default.subjects:
+            np.testing.assert_array_equal(rec.times, by_id[rec.subject_id].times)
+            np.testing.assert_array_equal(rec.covariates, by_id[rec.subject_id].covariates)
 
 
 # ---------------------------------------------------------------------------

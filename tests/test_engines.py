@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from tvcm import gen_scenario2
-from tvcm.basis import make_spec
+from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource
 from tvcm.engines import ENGINES, fit_engine
+from tvcm.mcmc import dic, whiten
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,21 @@ class TestFitEngine:
         b = fit_engine(data, specs, "gibbs", rng=7, draws=100, burnin=10)
         np.testing.assert_array_equal(a.draws.alpha_draws,
                                       b.draws.alpha_draws)
+
+    @pytest.mark.parametrize("engine", ["gibbs", "vb"])
+    def test_whitened_design_is_the_fresh_one(self, small_problem, engine):
+        """DIC from the carried (Z~, y~) equals DIC from a rebuilt design,
+        bit for bit."""
+        data, specs = small_problem
+        result = fit_engine(data, specs, engine, rng=2, draws=200, burnin=20)
+        z_t, y_t = whiten(build_design(data, specs))
+        np.testing.assert_array_equal(result.whitened[0], z_t)
+        np.testing.assert_array_equal(result.whitened[1], y_t)
+        assert dic(result.draws, *result.whitened) == dic(result.draws, z_t, y_t)
+
+    def test_wls_carries_no_whitened_design(self, small_problem):
+        data, specs = small_problem
+        assert fit_engine(data, specs, "wls", rng=3, draws=10).whitened is None
 
     def test_unknown_engine(self, small_problem):
         data, specs = small_problem
