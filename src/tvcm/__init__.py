@@ -33,7 +33,6 @@ from .bootstrap import (
 from .data import (
     CsvSchema,
     LongitudinalDataset,
-    SubjectRecord,
     ingest_csv,
     subject_uniform_weights,
     write_csv,

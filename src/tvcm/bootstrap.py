@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import build_design
-from .data import LongitudinalDataset, SubjectRecord
+from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
 from .frequentist import fit_wls, solve_gram
 from .rng import as_generator
@@ -145,18 +145,19 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
     """Draw n subjects with replacement; copies get '#<slot>' id suffixes to stay distinct."""
     n = data.n_subjects
     picks = rng.integers(0, n, size=n)
-    subjects = []
-    for slot, pick in enumerate(picks):
-        src = data.subjects[pick]
-        subjects.append(
-            SubjectRecord(
-                subject_id=f"{src.subject_id}#{slot}",
-                times=src.times,
-                responses=src.responses,
-                covariates=src.covariates,
-            )
-        )
-    return LongitudinalDataset(subjects=tuple(subjects), time_domain=data.time_domain)
+    counts = data.counts[picks]
+    # row r of copy `slot` is row starts[pick] + (r - offset of slot) of the data
+    starts = np.cumsum(data.counts) - data.counts
+    shift = np.repeat(starts[picks] - (np.cumsum(counts) - counts), counts)
+    rows = np.arange(counts.sum()) + shift
+    return LongitudinalDataset(
+        tuple(f"{data.subject_ids[pick]}#{slot}" for slot, pick in enumerate(picks)),
+        counts,
+        data.times[rows],
+        data.responses[rows],
+        data.covariates[rows],
+        data.time_domain,
+    )
 
 
 @dataclass(frozen=True)

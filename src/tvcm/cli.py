@@ -23,7 +23,6 @@ from .basis import (
     BasisFamily,
     BasisSpec,
     basis_matrix,
-    build_design,
     default_bandwidth,
     make_spec,
     place_knots_quantile,
@@ -33,8 +32,7 @@ from .bootstrap import column_intervals
 from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
-from .frequentist import fit_wls
-from .mcmc import dic, whiten
+from .mcmc import dic
 from .selection import crossval_amse, knot_search, select_knots
 from .simgen import run_replications
 
@@ -207,19 +205,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     opts = dict(_DEFAULTS[args.command])
     for key, value in config.items():
         key = key.replace("-", "_")
-        if key in ("seed", "data"):
-            opts[key] = value
-        elif key not in opts:
+        if key not in opts and key not in ("seed", "data"):
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
-        else:
-            opts[key] = value
+        opts[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         opts[key] = value
-    if "seed" not in opts or opts.get("seed") is None:
-        opts["seed"] = int(os.environ.get("TVCM_SEED", "0"))
-    opts["seed"] = int(opts["seed"])
+    seed = opts.get("seed")
+    if seed is None:
+        seed = os.environ.get("TVCM_SEED", "0")
+    if isinstance(seed, (bool, float)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    opts["seed"] = int(seed)
     return opts
 
 
@@ -257,7 +255,9 @@ def _specs_from_opts(data, opts, counts) -> tuple[BasisSpec, ...]:
             knots = make_spec(family, opts["degree"], k, domain).knots
         bandwidth = None
         if family is BasisFamily.RADIAL:
-            bandwidth = opts.get("bandwidth") or default_bandwidth(domain, k)
+            bandwidth = opts.get("bandwidth")
+            if bandwidth is None:
+                bandwidth = default_bandwidth(domain, k)
         specs.append(
             BasisSpec(family=family, degree=opts["degree"], knots=knots, bandwidth=bandwidth)
         )
@@ -430,13 +430,14 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_bench(opts) -> int:
-    from .mcmc import default_prior, gibbs
     from .simgen import gen_scenario1, gen_scenario2
-    from .vb import vb_fit, vb_sample
 
     engines = [e.strip() for e in str(opts["engines"]).split(",")]
     if engines == ["both"]:
         engines = ["gibbs", "vb"]
+    for engine in engines:
+        if engine not in ("gibbs", "vb"):
+            raise ValueError(f"bench engine must be gibbs or vb, got {engine!r}")
     sizes = [int(v) for v in str(opts["n"]).split(",")]
     rows = []
     root = np.random.default_rng(opts["seed"])
@@ -451,19 +452,11 @@ def cmd_bench(opts) -> int:
                 make_spec(opts["family"], opts["degree"], opts["knots"], data.time_domain)
                 for _ in range(data.covariate_dim + 1)
             )
-            bundle = build_design(data, specs)
-            base = fit_wls(bundle)
-            prior = default_prior(base)
-            z_t, y_t = whiten(bundle)
             for engine in engines:
-                start = time.perf_counter()
-                if engine == "gibbs":
-                    gibbs(z_t, y_t, prior, draws=opts["draws"], burnin=opts["burnin"], rng=opts["seed"])
-                elif engine == "vb":
-                    vb_sample(vb_fit(z_t, y_t, prior), opts["draws"], opts["seed"])
-                else:
-                    raise ValueError(f"bench engine must be gibbs or vb, got {engine!r}")
-                ms = 1000.0 * (time.perf_counter() - start)
+                result = fit_engine(
+                    data, specs, engine, rng=opts["seed"], draws=opts["draws"], burnin=opts["burnin"]
+                )
+                ms = 1000.0 * result.sampling_seconds
                 rows.append({"n": n, "rep": rep, "engine": engine, "ms": ms})
     cells = {}
     for row in rows:

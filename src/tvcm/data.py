@@ -1,7 +1,9 @@
 """Longitudinal dataset container and CSV ingestion.
 
 A dataset holds n subjects, subject i contributing n_i observations
-(t_ij, y_ij, x_ij) with a shared covariate dimension d.  The leading
+(t_ij, y_ij, x_ij) with a shared covariate dimension d.  It stores them as
+stacked rows: subject-contiguous, time-sorted within each subject, plus the
+per-subject counts n_i that set the 1/(n n_i) weights.  The leading
 regression column is an implicit intercept, so model code sees d+1
 coefficient functions while the stored covariate matrix has d columns.
 """
@@ -21,69 +23,57 @@ from .errors import CsvParseError, DataError, EmptyDataError, SchemaError
 _COVARIATE_PATTERN = re.compile(r"^x([1-9][0-9]*)$")
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
-class SubjectRecord:
-    """Observations for one subject, sorted by time.
+class LongitudinalDataset:
+    """Immutable stacked panel with a declared time domain.
 
-    covariates has shape (n_obs, d); d may be zero.
+    Rows are grouped by subject: subject i owns the counts[i] rows after
+    those of subjects 0..i-1, sorted by time.  times and responses have
+    shape (N,), covariates (N, d) with d possibly zero, and N = counts.sum().
     """
 
-    subject_id: str
+    subject_ids: tuple[str, ...]
+    counts: np.ndarray
     times: np.ndarray
     responses: np.ndarray
     covariates: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = _as_float_array(self.times, "times")
-        responses = _as_float_array(self.responses, "responses")
-        covariates = np.asarray(self.covariates, dtype=float)
-        if covariates.ndim != 2:
-            raise DataError("covariates must be a 2-D array (n_obs, d)")
-        if not np.all(np.isfinite(covariates)):
-            raise DataError("covariates contain non-finite values")
-        if times.ndim != 1 or responses.ndim != 1:
-            raise DataError("times and responses must be 1-D")
-        if times.size == 0:
-            raise DataError(f"subject {self.subject_id!r} has no observations")
-        if not (times.size == responses.size == covariates.shape[0]):
-            raise DataError(f"subject {self.subject_id!r} has ragged observation arrays")
-        if np.any(np.diff(times) < 0):
-            raise DataError(f"subject {self.subject_id!r} times are not sorted")
-        for attr, arr in (("times", times), ("responses", responses), ("covariates", covariates)):
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
-
-    @property
-    def n_obs(self) -> int:
-        return self.times.size
-
-
-@dataclass(frozen=True)
-class LongitudinalDataset:
-    """Immutable collection of subjects with a declared time domain."""
-
-    subjects: tuple[SubjectRecord, ...]
     time_domain: tuple[float, float] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        subjects = tuple(self.subjects)
-        if not subjects:
+        ids = tuple(self.subject_ids)
+        if not ids:
             raise EmptyDataError("dataset has no subjects")
-        ids = [s.subject_id for s in subjects]
         if len(set(ids)) != len(ids):
             raise DataError("subject identifiers are not unique")
-        dims = {s.covariates.shape[1] for s in subjects}
-        if len(dims) != 1:
-            raise DataError(f"inconsistent covariate dimensions across subjects: {sorted(dims)}")
-        t_min = min(float(s.times.min()) for s in subjects)
-        t_max = max(float(s.times.max()) for s in subjects)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise DataError("counts must be a 1-D integer array")
+        if counts.size != len(ids):
+            raise DataError(f"{len(ids)} subject ids but {counts.size} counts")
+        counts = counts.astype(np.int64)
+        if np.any(counts < 1):
+            raise DataError(f"subject {ids[int(np.argmax(counts < 1))]!r} has no observations")
+        n_rows = int(counts.sum())
+        arrays = {}
+        for name, ndim in (("times", 1), ("responses", 1), ("covariates", 2)):
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{name} is not a numeric array: {exc}") from None
+            if arr.ndim != ndim:
+                raise DataError(f"{name} must be a {ndim}-D array")
+            arr = np.ascontiguousarray(arr)
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"{name} contains non-finite values")
+            if arr.shape[0] != n_rows:
+                raise DataError(f"{name} has {arr.shape[0]} rows but counts sum to {n_rows}")
+            arrays[name] = arr
+        times = arrays["times"]
+        index = np.repeat(np.arange(len(ids)), counts)
+        unsorted = np.flatnonzero((np.diff(times) < 0) & (index[1:] == index[:-1]))
+        if unsorted.size:
+            raise DataError(f"subject {ids[index[unsorted[0]]]!r} times are not sorted")
+        t_min, t_max = float(times.min()), float(times.max())
         domain = self.time_domain
         if domain is None:
             domain = (t_min, t_max)
@@ -93,40 +83,25 @@ class LongitudinalDataset:
                 raise DataError(
                     f"time domain {domain} does not cover observed times [{t_min}, {t_max}]"
                 )
-        if domain[0] > domain[1]:
-            raise DataError(f"invalid time domain {domain}")
-        object.__setattr__(self, "subjects", subjects)
+        arrays["counts"] = counts
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "subject_ids", ids)
         object.__setattr__(self, "time_domain", domain)
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.subject_ids)
 
     @property
     def covariate_dim(self) -> int:
-        return self.subjects[0].covariates.shape[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-subject observation counts n_i."""
-        return np.array([s.n_obs for s in self.subjects])
+        return self.covariates.shape[1]
 
     @property
     def n_obs(self) -> int:
         """Total observation count N."""
-        return int(self.counts.sum())
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.concatenate([s.times for s in self.subjects])
-
-    @property
-    def responses(self) -> np.ndarray:
-        return np.concatenate([s.responses for s in self.subjects])
-
-    @property
-    def covariates(self) -> np.ndarray:
-        return np.concatenate([s.covariates for s in self.subjects], axis=0)
+        return self.times.size
 
     @property
     def subject_index(self) -> np.ndarray:
@@ -211,13 +186,10 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
     first_seen: dict[str, int] = {}
     codes = np.array([first_seen.setdefault(sid, len(first_seen)) for sid in sids])
     # lexsort is stable: rows tied in time keep their file order
-    order = np.lexsort((values[:, 0], codes))
-    blocks = np.split(values[order], np.cumsum(np.bincount(codes))[:-1])
-    subjects = tuple(
-        SubjectRecord(subject_id=sid, times=block[:, 0], responses=block[:, 1], covariates=block[:, 2:])
-        for sid, block in zip(first_seen, blocks)
+    values = values[np.lexsort((values[:, 0], codes))]
+    return LongitudinalDataset(
+        tuple(first_seen), np.bincount(codes), values[:, 0], values[:, 1], values[:, 2:], time_domain
     )
-    return LongitudinalDataset(subjects=subjects, time_domain=time_domain)
 
 
 def _parse_columns(rows, width, sid_pos, positions) -> tuple[list[str], np.ndarray]:
@@ -245,7 +217,6 @@ def _parse_rows(rows, label, header, sid_pos, needed, time_domain) -> Longitudin
     needed lists (name, position) for time, response and the covariates.
     """
     groups: dict[str, list[list[float]]] = {}
-    order: list[str] = []
     # header is row 1, so data rows start at 2
     for row_number, row in enumerate(rows, start=2):
         if not row or all(cell.strip() == "" for cell in row):
@@ -269,41 +240,28 @@ def _parse_rows(rows, label, header, sid_pos, needed, time_domain) -> Longitudin
                     f"{label}: non-finite value {cell!r} in column {name!r} at row {row_number}"
                 )
             values.append(value)
-        if sid not in groups:
-            groups[sid] = []
-            order.append(sid)
-        groups[sid].append(values)
+        groups.setdefault(sid, []).append(values)
     if not groups:
         raise EmptyDataError(f"{label}: no data rows")
 
-    subjects = []
-    for sid in order:
-        block = np.asarray(groups[sid], dtype=float)
-        sort = np.argsort(block[:, 0], kind="stable")
-        block = block[sort]
-        subjects.append(
-            SubjectRecord(
-                subject_id=sid,
-                times=block[:, 0],
-                responses=block[:, 1],
-                covariates=block[:, 2:],
-            )
-        )
-    return LongitudinalDataset(subjects=tuple(subjects), time_domain=time_domain)
+    blocks = [np.asarray(block, dtype=float) for block in groups.values()]
+    values = np.concatenate([block[np.argsort(block[:, 0], kind="stable")] for block in blocks])
+    counts = [len(block) for block in blocks]
+    return LongitudinalDataset(
+        tuple(groups), counts, values[:, 0], values[:, 1], values[:, 2:], time_domain
+    )
 
 
 def write_csv(data: LongitudinalDataset, path) -> None:
     """Write a dataset in the same long format accepted by ingest_csv."""
     d = data.covariate_dim
     header = ["subject", "time", "y"] + [f"x{j}" for j in range(1, d + 1)]
+    ids = np.repeat(np.array(data.subject_ids, dtype=object), data.counts)
+    columns = [data.times, data.responses, *data.covariates.T]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for subject in data.subjects:
-            for j in range(subject.n_obs):
-                row = [subject.subject_id, repr(float(subject.times[j])), repr(float(subject.responses[j]))]
-                row.extend(repr(float(v)) for v in subject.covariates[j])
-                writer.writerow(row)
+        writer.writerows(zip(ids, *(map(repr, column.tolist()) for column in columns)))
 
 
 def subject_uniform_weights(data: LongitudinalDataset) -> np.ndarray:

@@ -29,7 +29,7 @@ import itertools
 import numpy as np
 
 from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
-from .data import LongitudinalDataset, SubjectRecord, subject_uniform_weights
+from .data import LongitudinalDataset, subject_uniform_weights
 from .engines import fit_engine
 from .errors import (
     DataError,
@@ -270,24 +270,17 @@ def _take_rows(data: LongitudinalDataset, keep: np.ndarray) -> LongitudinalDatas
     """Dataset restricted to the kept stacked-row indices; empty subjects drop out."""
     keep_mask = np.zeros(data.n_obs, dtype=bool)
     keep_mask[keep] = True
-    subjects = []
-    offset = 0
-    for record in data.subjects:
-        local = keep_mask[offset : offset + record.n_obs]
-        offset += record.n_obs
-        if not local.any():
-            continue
-        subjects.append(
-            SubjectRecord(
-                subject_id=record.subject_id,
-                times=record.times[local],
-                responses=record.responses[local],
-                covariates=record.covariates[local],
-            )
-        )
-    if not subjects:
+    kept = np.bincount(data.subject_index[keep_mask], minlength=data.n_subjects)
+    if not kept.any():
         raise DataError("no subjects left after removing held-out rows")
-    return LongitudinalDataset(subjects=tuple(subjects), time_domain=data.time_domain)
+    return LongitudinalDataset(
+        tuple(sid for sid, k in zip(data.subject_ids, kept) if k),
+        kept[kept > 0],
+        data.times[keep_mask],
+        data.responses[keep_mask],
+        data.covariates[keep_mask],
+        data.time_domain,
+    )
 
 
 def crossval_amse(

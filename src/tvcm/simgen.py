@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisFamily, coefficient_curve, make_spec, split_alpha
-from .data import LongitudinalDataset, SubjectRecord
+from .data import LongitudinalDataset
 from .engines import fit_engine
 from .errors import TvcmError
 from .rng import as_generator
@@ -96,8 +96,7 @@ def gen_scenario1(
     children = gen.spawn(n)
     schedule = np.arange(1, m + 1) / (m + 1)
 
-    subjects = []
-    truth_blocks = []
+    times, responses, truth_blocks = [], [], []
     for i in range(1, n + 1):
         child = children[i - 1]
         keep = _retention_mask(child, m, missing_rate)
@@ -107,16 +106,14 @@ def gen_scenario1(
         eps = child.standard_normal(t.size) * noise_sd
         process = a[0] + a[1] * np.cos(2.0 * np.pi * t) + a[2] * np.sin(2.0 * np.pi * t)
         truth = beta0(t)
-        subjects.append(
-            SubjectRecord(
-                subject_id=str(i),
-                times=t,
-                responses=truth + process + eps,
-                covariates=np.empty((t.size, 0)),
-            )
-        )
+        times.append(t)
+        responses.append(truth + process + eps)
         truth_blocks.append(truth)
-    data = LongitudinalDataset(subjects=tuple(subjects), time_domain=(0.0, 1.0))
+    counts = [t.size for t in times]
+    data = LongitudinalDataset(
+        tuple(map(str, range(1, n + 1))), counts, np.concatenate(times), np.concatenate(responses),
+        np.empty((sum(counts), 0)), time_domain=(0.0, 1.0),
+    )
     params = {
         "scenario": 1,
         "n": n,
@@ -152,7 +149,7 @@ def gen_scenario2(n: int, rng) -> tuple[LongitudinalDataset, SimTruth]:
     children = gen.spawn(n)
     m = SCENARIO2_SCHEDULE.size
 
-    subjects = []
+    times, responses, x_rows = [], [], []
     truth_blocks: list[list[np.ndarray]] = [[], [], []]
     for i in range(1, n + 1):
         child = children[i - 1]
@@ -163,18 +160,16 @@ def gen_scenario2(n: int, rng) -> tuple[LongitudinalDataset, SimTruth]:
         gamma = SCENARIO2_ERROR_VAR * np.exp(-np.abs(t[:, None] - t[None, :]))
         eps = np.linalg.cholesky(gamma) @ child.standard_normal(t.size)
         curve_vals = [b(t) for b in betas]
-        y = curve_vals[0] + curve_vals[1] * x1 + curve_vals[2] * x2 + eps
-        subjects.append(
-            SubjectRecord(
-                subject_id=str(i),
-                times=t,
-                responses=y,
-                covariates=np.column_stack([np.full(t.size, x1), np.full(t.size, x2)]),
-            )
-        )
+        times.append(t)
+        responses.append(curve_vals[0] + curve_vals[1] * x1 + curve_vals[2] * x2 + eps)
+        x_rows.append((x1, x2))
         for r in range(3):
             truth_blocks[r].append(curve_vals[r])
-    data = LongitudinalDataset(subjects=tuple(subjects), time_domain=(0.0, 31.0))
+    counts = [t.size for t in times]
+    data = LongitudinalDataset(
+        tuple(map(str, range(1, n + 1))), counts, np.concatenate(times), np.concatenate(responses),
+        np.repeat(np.array(x_rows), counts, axis=0), time_domain=(0.0, 31.0),
+    )
     params = {"scenario": 2, "n": n, "missing_rate": 0.5}
     return data, SimTruth(
         curves=tuple(np.concatenate(blocks) for blocks in truth_blocks), params=params

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcm import LongitudinalDataset, SubjectRecord
+from tvcm import LongitudinalDataset
 from tvcm.basis import (
     BasisFamily,
     BasisSpec,
@@ -186,10 +186,9 @@ class TestEvaluation:
 
 
 def _two_subject_data():
-    a = SubjectRecord("a", [0.1, 0.2, 0.3], [1.0, 1.5, 2.0],
-                      np.full((3, 1), 2.0))
-    b = SubjectRecord("b", [0.1, 0.4], [0.0, 0.5], np.full((2, 1), 2.0))
-    return LongitudinalDataset((a, b), time_domain=(0.0, 1.0))
+    return LongitudinalDataset(("a", "b"), [3, 2], [0.1, 0.2, 0.3, 0.1, 0.4],
+                               [1.0, 1.5, 2.0, 0.0, 0.5], np.full((5, 1), 2.0),
+                               time_domain=(0.0, 1.0))
 
 
 class TestBuildDesign:
@@ -243,8 +242,8 @@ class TestBuildDesign:
         """Total columns are sum over coefficients of k_r + g_r + 1."""
         n_cov = len(shapes) - 1
         t = np.linspace(0.05, 0.95, 6)
-        rec = SubjectRecord("a", t, np.zeros(6), np.ones((6, n_cov)))
-        data = LongitudinalDataset((rec,), time_domain=(0.0, 1.0))
+        data = LongitudinalDataset(("a",), [6], t, np.zeros(6),
+                                   np.ones((6, n_cov)), time_domain=(0.0, 1.0))
         specs = tuple(make_spec("tpower", g, k, data.time_domain)
                       for g, k in shapes)
         bundle = build_design(data, specs)

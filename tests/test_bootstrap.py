@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario1, gen_scenario2
+from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import (
     REDRAW_FACTOR,
@@ -27,16 +27,13 @@ from tvcm.errors import (
 from tvcm.frequentist import fit_wls
 from tvcm.mcmc import default_prior, gibbs, whiten
 
-from conftest import exact_response_dataset
+from conftest import by_subject, exact_response_dataset
 
 
 def _one_obs_each(n: int) -> LongitudinalDataset:
-    subjects = tuple(
-        SubjectRecord(f"s{i}", [i / max(n - 1, 1)], [float(i)],
-                      np.empty((1, 0)))
-        for i in range(n)
-    )
-    return LongitudinalDataset(subjects)
+    return LongitudinalDataset([f"s{i}" for i in range(n)], [1] * n,
+                               np.arange(n) / max(n - 1, 1),
+                               np.arange(n, dtype=float), np.empty((n, 0)))
 
 
 def _loop_bootstrap(data, specs, n_draws, seed):
@@ -77,19 +74,18 @@ class TestResample:
         data = _one_obs_each(5)
         a = resample_subjects(data, np.random.default_rng(3))
         b = resample_subjects(data, np.random.default_rng(3))
-        assert [s.subject_id for s in a.subjects] == [s.subject_id
-                                                      for s in b.subjects]
+        assert a.subject_ids == b.subject_ids
 
     def test_single_subject_always_drawn(self):
         data = _one_obs_each(1)
         out = resample_subjects(data, np.random.default_rng(0))
         assert out.n_subjects == 1
-        assert out.subjects[0].subject_id.startswith("s0#")
+        assert out.subject_ids[0].startswith("s0#")
 
     def test_slot_suffixes_make_ids_unique(self):
         data = _one_obs_each(3)
         out = resample_subjects(data, np.random.default_rng(1))
-        ids = [s.subject_id for s in out.subjects]
+        ids = out.subject_ids
         assert len(set(ids)) == 3
         assert all("#" in sid for sid in ids)
 
@@ -101,8 +97,8 @@ class TestResample:
         counts = np.zeros((3, 3))
         for _ in range(10000):
             out = resample_subjects(data, gen)
-            for slot, rec in enumerate(out.subjects):
-                counts[slot, int(rec.subject_id.split("#")[0][1:])] += 1
+            for slot, sid in enumerate(out.subject_ids):
+                counts[slot, int(sid.split("#")[0][1:])] += 1
         freq = counts / 10000
         assert freq.min() > 1 / 3 - 0.02
         assert freq.max() < 1 / 3 + 0.02
@@ -112,6 +108,19 @@ class TestResample:
         out = resample_subjects(data, np.random.default_rng(5))
         assert out.time_domain == data.time_domain
         assert out.n_subjects == data.n_subjects
+
+    def test_copies_carry_their_subjects_rows(self):
+        data, _ = gen_scenario2(7, np.random.default_rng(4))
+        out = resample_subjects(data, np.random.default_rng(9))
+        source = {sid: i for i, sid in enumerate(data.subject_ids)}
+        picks = [source[sid.split("#")[0]] for sid in out.subject_ids]
+        assert [sid.split("#")[1] for sid in out.subject_ids] == \
+            [str(slot) for slot in range(7)]
+        np.testing.assert_array_equal(out.counts, data.counts[picks])
+        for name in ("times", "responses", "covariates"):
+            blocks = by_subject(data, getattr(data, name))
+            for slot, block in enumerate(by_subject(out, getattr(out, name))):
+                np.testing.assert_array_equal(block, blocks[picks[slot]])
 
 
 # ---------------------------------------------------------------------------

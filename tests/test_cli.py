@@ -275,6 +275,49 @@ class TestOptionsAndErrors:
         assert payload["error"] == "ValueError"
         assert "-3" in payload["message"]
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, False],
+                             ids=["fraction", "integral-float", "true",
+                                  "false"])
+    def test_non_integer_config_seed_rejected(self, data_csv, tmp_path,
+                                              capsys, seed):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        code, payload = _run(
+            ["fit", "--data", str(data_csv), "--config", str(cfg),
+             "--engine", "wls", "--knots", "1", "--out",
+             str(tmp_path / "seed")], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert f"seed must be an integer, got {seed!r}" == payload["message"]
+
+    def test_integer_config_seed_used(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        out = tmp_path / "intseed"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--config", str(cfg),
+             "--engine", "wls", "--knots", "1", "--grid", "10", "--out",
+             str(out)], capsys)
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["seed"] == 7
+
+    def test_zero_bandwidth_is_json_error(self, data_csv, tmp_path, capsys):
+        code, payload = _run(
+            ["fit", "--data", str(data_csv), "--bandwidth", "0", "--knots",
+             "1", "--engine", "wls", "--out", str(tmp_path / "bw")], capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": "radial basis requires a positive bandwidth"}
+
+    def test_bench_rejects_wls_engine(self, tmp_path, capsys):
+        code, payload = _run(
+            ["bench", "--n", "10", "--engine", "wls", "--reps", "1",
+             "--out", str(tmp_path / "bench.json")], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert "'wls'" in payload["message"]
+
     def test_seed_env_fallback(self, data_csv, tmp_path, capsys,
                                monkeypatch):
         monkeypatch.setenv("TVCM_SEED", "21")

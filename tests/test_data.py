@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import io
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario2, ingest_csv, write_csv
+from tvcm import LongitudinalDataset, gen_scenario2, ingest_csv, write_csv
 from tvcm import data as data_module
 from tvcm.data import subject_uniform_weights
 from tvcm.errors import CsvParseError, DataError, EmptyDataError, SchemaError
 
-from conftest import single_subject
+from conftest import by_subject, single_subject
 
 
 def _csv(text: str) -> io.StringIO:
@@ -51,10 +53,10 @@ class TestIngest:
             a,0.1,1.0
             b,0.2,2.0
         """))
-        assert [s.subject_id for s in data.subjects] == ["b", "a"]
-        np.testing.assert_array_equal(data.subjects[0].times, [0.2, 0.4])
-        np.testing.assert_array_equal(data.subjects[0].responses, [2.0, 4.0])
-        np.testing.assert_array_equal(data.subjects[1].times, [0.1, 0.3])
+        assert data.subject_ids == ("b", "a")
+        np.testing.assert_array_equal(data.counts, [2, 2])
+        np.testing.assert_array_equal(data.times, [0.2, 0.4, 0.1, 0.3])
+        np.testing.assert_array_equal(data.responses, [2.0, 4.0, 1.0, 3.0])
 
     def test_covariate_columns_detected_in_numeric_order(self):
         data = ingest_csv(_csv("""
@@ -63,8 +65,7 @@ class TestIngest:
         """))
         assert data.covariate_dim == 3
         # x1, x2, x10: numeric suffix order, not lexicographic
-        np.testing.assert_array_equal(data.subjects[0].covariates[0],
-                                      [10.0, 20.0, 100.0])
+        np.testing.assert_array_equal(data.covariates[0], [10.0, 20.0, 100.0])
 
     def test_single_row_file(self):
         data = ingest_csv(_csv("""
@@ -98,6 +99,14 @@ class TestIngest:
         with pytest.raises(EmptyDataError):
             ingest_csv(io.StringIO("subject,time,y\n"))
 
+    def test_demo_script_reproduces_bundled_panel(self, demo_csv, tmp_path):
+        out = tmp_path / "demo.csv"
+        script = demo_csv.parents[1] / "scripts" / "make_demo_data.py"
+        proc = subprocess.run([sys.executable, str(script), str(out)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == demo_csv.read_bytes()
+
     def test_round_trip_is_identity(self, tmp_path):
         src = _csv("""
             subject,time,y,x1
@@ -109,13 +118,7 @@ class TestIngest:
         path = tmp_path / "rt.csv"
         write_csv(first, path)
         second = ingest_csv(path)
-        assert first.n_subjects == second.n_subjects
-        assert first.time_domain == second.time_domain
-        for rec_a, rec_b in zip(first.subjects, second.subjects):
-            assert rec_a.subject_id == rec_b.subject_id
-            np.testing.assert_array_equal(rec_a.times, rec_b.times)
-            np.testing.assert_array_equal(rec_a.responses, rec_b.responses)
-            np.testing.assert_array_equal(rec_a.covariates, rec_b.covariates)
+        _assert_same_dataset(first, second)
 
 
 class TestIngestDefects:
@@ -165,13 +168,13 @@ class TestIngestDefects:
 
 
 def _assert_same_dataset(a: LongitudinalDataset, b: LongitudinalDataset):
-    assert [s.subject_id for s in a.subjects] == [s.subject_id for s in b.subjects]
+    assert a.subject_ids == b.subject_ids
     assert a.time_domain == b.time_domain
-    for rec_a, rec_b in zip(a.subjects, b.subjects):
-        np.testing.assert_array_equal(rec_a.times, rec_b.times)
-        np.testing.assert_array_equal(rec_a.responses, rec_b.responses)
-        np.testing.assert_array_equal(rec_a.covariates, rec_b.covariates)
-        assert rec_a.covariates.shape == rec_b.covariates.shape
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.responses, b.responses)
+    np.testing.assert_array_equal(a.covariates, b.covariates)
+    assert a.covariates.shape == b.covariates.shape
 
 
 def _row_loop_only(*args):
@@ -223,15 +226,16 @@ class TestColumnarParity:
         path = tmp_path / "quoted.csv"
         path.write_bytes(_EDGE_FILES["quoted_ids"][0].encode("utf-8"))
         data = ingest_csv(path)
-        assert [s.subject_id for s in data.subjects] == ["Smith, J", 'Doe, "A"']
-        np.testing.assert_array_equal(data.subjects[0].responses, [3.0, 1.0])
+        assert data.subject_ids == ("Smith, J", 'Doe, "A"')
+        np.testing.assert_array_equal(by_subject(data, data.responses)[0], [3.0, 1.0])
 
     def test_tied_times_keep_file_order(self, tmp_path):
         path = tmp_path / "ties.csv"
         path.write_bytes(_EDGE_FILES["tied_times"][0].encode("utf-8"))
         data = ingest_csv(path)
-        np.testing.assert_array_equal(data.subjects[0].responses, [2.0, 1.0, 3.0, 4.0])
-        np.testing.assert_array_equal(data.subjects[1].responses, [9.0, 8.0])
+        a, b = by_subject(data, data.responses)
+        np.testing.assert_array_equal(a, [2.0, 1.0, 3.0, 4.0])
+        np.testing.assert_array_equal(b, [9.0, 8.0])
 
     def test_demo_panel(self, demo_csv, monkeypatch):
         default, loop = _ingest_both(demo_csv, monkeypatch, columnar=True)
@@ -249,11 +253,13 @@ class TestColumnarParity:
         _assert_same_dataset(default, loop)
         # subjects come back in first-seen order of the shuffled file
         first_ids = list(dict.fromkeys(rows[i].split(",", 1)[0] for i in perm))
-        assert [s.subject_id for s in default.subjects] == first_ids
-        by_id = {s.subject_id: s for s in data.subjects}
-        for rec in default.subjects:
-            np.testing.assert_array_equal(rec.times, by_id[rec.subject_id].times)
-            np.testing.assert_array_equal(rec.covariates, by_id[rec.subject_id].covariates)
+        assert list(default.subject_ids) == first_ids
+        times = dict(zip(data.subject_ids, by_subject(data, data.times)))
+        covariates = dict(zip(data.subject_ids, by_subject(data, data.covariates)))
+        for sid, t, x in zip(default.subject_ids, by_subject(default, default.times),
+                             by_subject(default, default.covariates)):
+            np.testing.assert_array_equal(t, times[sid])
+            np.testing.assert_array_equal(x, covariates[sid])
 
 
 # ---------------------------------------------------------------------------
@@ -261,45 +267,109 @@ class TestColumnarParity:
 # ---------------------------------------------------------------------------
 
 
+def _dataset(ids, counts, times, covariates=None, responses=None, time_domain=None):
+    """Stacked dataset; ids may be a string of one-letter ids, responses
+    default to zeros and covariates to none."""
+    times = np.asarray(times, dtype=float)
+    if responses is None:
+        responses = np.zeros(times.size)
+    if covariates is None:
+        covariates = np.empty((times.size, 0))
+    return LongitudinalDataset(tuple(ids), counts, times, responses, covariates, time_domain)
+
+
 class TestContainers:
     def test_times_must_be_sorted(self):
-        with pytest.raises(DataError):
-            SubjectRecord("a", [0.3, 0.1], [1.0, 2.0], np.empty((2, 0)))
+        with pytest.raises(DataError, match="not sorted"):
+            _dataset("a", [2], [0.3, 0.1])
+
+    def test_unsorted_subject_is_named(self):
+        with pytest.raises(DataError, match="subject 'b' times are not sorted"):
+            _dataset("abc", [2, 2, 1], [0.1, 0.2, 0.5, 0.3, 0.0])
+
+    def test_time_decrease_at_subject_boundary_accepted(self):
+        data = _dataset("ab", [2, 2], [0.5, 0.9, 0.1, 0.2])
+        assert data.time_domain == (0.1, 0.9)
 
     def test_values_must_be_finite(self):
-        with pytest.raises(DataError):
-            SubjectRecord("a", [0.1, 0.2], [1.0, np.nan], np.empty((2, 0)))
+        with pytest.raises(DataError, match="responses contains non-finite"):
+            _dataset("a", [2], [0.1, 0.2], responses=[1.0, np.nan])
+
+    @pytest.mark.parametrize("name", ["times", "responses", "covariates"])
+    def test_non_finite_array_is_named(self, name):
+        arrays = {"times": np.array([0.1, 0.2]), "responses": np.zeros(2),
+                  "covariates": np.zeros((2, 1))}
+        arrays[name].flat[1] = np.inf
+        with pytest.raises(DataError, match=f"{name} contains non-finite"):
+            LongitudinalDataset(("a",), [2], **arrays)
 
     def test_covariate_rows_must_match_times(self):
-        with pytest.raises(DataError):
-            SubjectRecord("a", [0.1, 0.2], [1.0, 2.0], np.zeros((3, 1)))
+        with pytest.raises(DataError, match="covariates has 3 rows"):
+            _dataset("a", [2], [0.1, 0.2], covariates=np.zeros((3, 1)))
+
+    def test_counts_must_match_rows(self):
+        with pytest.raises(DataError, match="times has 3 rows but counts sum to 4"):
+            _dataset("ab", [2, 2], [0.1, 0.2, 0.3])
+
+    def test_ids_and_counts_must_have_equal_length(self):
+        with pytest.raises(DataError, match="2 subject ids but 1 counts"):
+            _dataset("ab", [3], [0.1, 0.2, 0.3])
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(DataError, match="subject 'b' has no observations"):
+            _dataset("abc", [2, 0, 1], [0.1, 0.2, 0.3])
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(DataError, match="integer"):
+            _dataset("ab", [1.0, 1.0], [0.1, 0.2])
+
+    @pytest.mark.parametrize("name, value", [
+        ("times", [[0.1, 0.2]]), ("responses", [[0.0, 0.0]]), ("covariates", [0.0, 0.0])])
+    def test_array_dimensions(self, name, value):
+        arrays = {"times": [0.1, 0.2], "responses": [0.0, 0.0], "covariates": np.empty((2, 0))}
+        arrays[name] = value
+        with pytest.raises(DataError, match=f"{name} must be a"):
+            LongitudinalDataset(("a",), [2], **arrays)
 
     def test_arrays_are_read_only(self):
-        rec = SubjectRecord("a", [0.1, 0.2], [1.0, 2.0], np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            rec.times[0] = 9.0
+        data = _dataset("ab", [2, 1], [0.1, 0.2, 0.0], covariates=np.zeros((3, 1)))
+        for arr in (data.counts, data.times, data.responses, data.covariates):
+            with pytest.raises(ValueError):
+                arr[0] = 9
 
     def test_duplicate_subject_ids_rejected(self):
-        rec = SubjectRecord("a", [0.1], [1.0], np.empty((1, 0)))
-        with pytest.raises(DataError):
-            LongitudinalDataset((rec, rec))
+        with pytest.raises(DataError, match="not unique"):
+            _dataset(["a", "a"], [1, 1], [0.1, 0.1])
+
+    def test_no_subjects_rejected(self):
+        with pytest.raises(EmptyDataError):
+            _dataset([], np.array([], dtype=int), [])
 
     def test_mixed_covariate_width_rejected(self):
-        a = SubjectRecord("a", [0.1], [1.0], np.zeros((1, 1)))
-        b = SubjectRecord("b", [0.1], [1.0], np.zeros((1, 2)))
-        with pytest.raises(DataError):
-            LongitudinalDataset((a, b))
+        with pytest.raises(DataError, match="covariates is not a numeric array"):
+            _dataset("ab", [1, 1], [0.1, 0.1], covariates=[[0.0], [0.0, 1.0]])
+
+    def test_covariates_must_be_two_dimensional(self):
+        with pytest.raises(DataError, match="covariates must be a 2-D array"):
+            _dataset("ab", [1, 1], [0.1, 0.1], covariates=np.zeros(2))
 
     def test_default_domain_is_observed_range(self):
-        a = SubjectRecord("a", [0.2, 0.7], [1.0, 2.0], np.empty((2, 0)))
-        assert LongitudinalDataset((a,)).time_domain == (0.2, 0.7)
+        assert _dataset("a", [2], [0.2, 0.7]).time_domain == (0.2, 0.7)
 
     def test_domain_override_must_cover_observations(self):
-        a = SubjectRecord("a", [0.2, 0.7], [1.0, 2.0], np.empty((2, 0)))
-        data = LongitudinalDataset((a,), time_domain=(0.0, 1.0))
+        data = _dataset("a", [2], [0.2, 0.7], time_domain=(0.0, 1.0))
         assert data.time_domain == (0.0, 1.0)
-        with pytest.raises(DataError):
-            LongitudinalDataset((a,), time_domain=(0.3, 1.0))
+        with pytest.raises(DataError, match="does not cover"):
+            _dataset("a", [2], [0.2, 0.7], time_domain=(0.3, 1.0))
+
+    def test_reversed_domain_rejected(self):
+        with pytest.raises(DataError, match="does not cover"):
+            _dataset("a", [1], [0.5], time_domain=(1.0, 0.0))
+
+    def test_derived_sizes(self):
+        data = _dataset("abc", [2, 3, 1], np.arange(6.0), covariates=np.zeros((6, 2)))
+        assert (data.n_subjects, data.n_obs, data.covariate_dim) == (3, 6, 2)
+        np.testing.assert_array_equal(data.subject_index, [0, 0, 1, 1, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +379,8 @@ class TestContainers:
 
 def _panel(counts) -> LongitudinalDataset:
     """Dataset with the given per-subject observation counts."""
-    subjects = []
-    for i, c in enumerate(counts):
-        t = np.linspace(0.0, 1.0, c)
-        subjects.append(SubjectRecord(f"s{i}", t, np.zeros(c), np.empty((c, 0))))
-    return LongitudinalDataset(tuple(subjects))
+    times = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts])
+    return _dataset([f"s{i}" for i in range(len(counts))], counts, times)
 
 
 class TestWeights:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, SubjectRecord, gen_scenario2
+from tvcm import LongitudinalDataset, gen_scenario2
 from tvcm.basis import build_design, make_spec
 from tvcm.errors import InsufficientDataError, SingularDesignError
 from tvcm.frequentist import fit_wls, predict, predict_rows
@@ -50,8 +50,8 @@ class TestFitWls:
 
     def test_duplicate_column_is_singular(self):
         t = np.linspace(0.1, 0.9, 8)
-        rec = SubjectRecord("a", t, np.sin(t), np.ones((8, 1)))
-        data = LongitudinalDataset((rec,), time_domain=(0.0, 1.0))
+        data = LongitudinalDataset(("a",), [8], t, np.sin(t), np.ones((8, 1)),
+                                   time_domain=(0.0, 1.0))
         # covariate x1 = 1 duplicates the intercept block exactly
         specs = (make_spec("tpower", 0, 0, data.time_domain),
                  make_spec("tpower", 0, 0, data.time_domain))

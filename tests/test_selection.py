@@ -6,7 +6,6 @@ import pytest
 
 from tvcm import (
     LongitudinalDataset,
-    SubjectRecord,
     gen_scenario1,
     gen_scenario2,
     ingest_csv,
@@ -17,6 +16,7 @@ from tvcm.errors import SelectionError
 from tvcm.frequentist import WlsFit, fit_wls
 from tvcm.selection import (
     _candidate_pcv,
+    _take_rows,
     _walk_grid,
     amse,
     crossval_amse,
@@ -27,29 +27,29 @@ from tvcm.selection import (
     select_knots,
 )
 
-from conftest import single_subject
+from conftest import by_subject, single_subject
 
 
 def _random_intercept_panel(gen, n=50, m=30, b_sd=0.3, noise_sd=0.05):
     """Dense panel with a quadratic mean curve and subject-level shifts."""
     t = np.arange(1, m + 1) / (m + 1)
-    subjects = []
+    ys = []
     for i in range(n):
         shift = b_sd * gen.standard_normal()
-        y = (1.0 + 2.0 * t - 1.5 * t**2) + shift \
-            + noise_sd * gen.standard_normal(m)
-        subjects.append(SubjectRecord(f"s{i}", t, y, np.empty((m, 0))))
-    return LongitudinalDataset(tuple(subjects), (0.0, 1.0))
+        ys.append((1.0 + 2.0 * t - 1.5 * t**2) + shift
+                  + noise_sd * gen.standard_normal(m))
+    return LongitudinalDataset([f"s{i}" for i in range(n)], [m] * n,
+                               np.tile(t, n), np.concatenate(ys),
+                               np.empty((n * m, 0)), (0.0, 1.0))
 
 
 def _quadratic_subjects(seed=7, n=8, m=6):
     """Noiseless quadratic data spread over several subjects."""
-    subjects = []
-    for i, gen in enumerate(np.random.default_rng(seed).spawn(n)):
-        t = np.sort(gen.uniform(0.0, 1.0, m))
-        y = 1.0 + 2.0 * t - 1.5 * t**2
-        subjects.append(SubjectRecord(f"p{i}", t, y, np.empty((m, 0))))
-    return LongitudinalDataset(tuple(subjects), (0.0, 1.0))
+    t = np.concatenate([np.sort(gen.uniform(0.0, 1.0, m))
+                        for gen in np.random.default_rng(seed).spawn(n)])
+    return LongitudinalDataset([f"p{i}" for i in range(n)], [m] * n, t,
+                               1.0 + 2.0 * t - 1.5 * t**2,
+                               np.empty((n * m, 0)), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +284,39 @@ class TestMetrics:
 
 
 class TestCrossval:
+    def test_training_rows_match_per_subject_filter(self):
+        """The fold's training data equals filtering each subject's rows on
+        its own and dropping subjects left empty."""
+        data, _ = gen_scenario2(12, np.random.default_rng(3))
+        keep = np.random.default_rng(4).permutation(data.n_obs)[:12]
+        mask = np.zeros(data.n_obs, dtype=bool)
+        mask[keep] = True
+        train = _take_rows(data, keep)
+        expected = [(sid, m) for sid, m in zip(data.subject_ids,
+                                               by_subject(data, mask)) if m.any()]
+        assert len(expected) < data.n_subjects  # some subject drops out
+        assert train.subject_ids == tuple(sid for sid, _ in expected)
+        np.testing.assert_array_equal(train.counts,
+                                      [m.sum() for _, m in expected])
+        for name in ("times", "responses", "covariates"):
+            blocks = dict(zip(data.subject_ids, by_subject(data, getattr(data, name))))
+            got = by_subject(train, getattr(train, name))
+            for (sid, m), block in zip(expected, got):
+                np.testing.assert_array_equal(block, blocks[sid][m])
+        assert train.time_domain == data.time_domain
+
     def test_loo_equals_brute_criterion_for_single_obs_subjects(self):
         """With one observation per subject all weights are 1/N, so the
         leave-one-out fold split reproduces the brute criterion exactly."""
         gen = np.random.default_rng(40)
-        subjects = []
+        times, ys = [], []
         for i in range(20):
             t = float(gen.uniform(0.0, 1.0))
-            y = 1.0 + 2.0 * t - 1.5 * t * t + 0.1 * gen.standard_normal()
-            subjects.append(SubjectRecord(f"s{i}", [t], [y],
-                                          np.empty((1, 0))))
-        data = LongitudinalDataset(tuple(subjects), (0.0, 1.0))
+            times.append(t)
+            ys.append(1.0 + 2.0 * t - 1.5 * t * t
+                      + 0.1 * gen.standard_normal())
+        data = LongitudinalDataset([f"s{i}" for i in range(20)], [1] * 20,
+                                   times, ys, np.empty((20, 0)), (0.0, 1.0))
         specs = (make_spec("radial", 2, 0, data.time_domain),)
         cv = crossval_amse(data, specs, n_folds=20, rng=3)
         assert cv == pytest.approx(pcv_loo(data, specs), rel=1e-12)

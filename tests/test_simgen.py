@@ -15,6 +15,8 @@ from tvcm.simgen import (
     scenario2_betas,
 )
 
+from conftest import by_subject
+
 
 # ---------------------------------------------------------------------------
 # Scenario 1
@@ -25,9 +27,9 @@ class TestScenario1:
     def test_deterministic_per_seed(self):
         a, _ = gen_scenario1(5, np.random.default_rng(3))
         b, _ = gen_scenario1(5, np.random.default_rng(3))
-        for ra, rb in zip(a.subjects, b.subjects):
-            np.testing.assert_array_equal(ra.times, rb.times)
-            np.testing.assert_array_equal(ra.responses, rb.responses)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.responses, b.responses)
 
     def test_visit_masks_stable_under_growth(self):
         """Adding subjects must not disturb earlier subjects' substreams.
@@ -36,15 +38,15 @@ class TestScenario1:
         depends on i/n, but the retained visit times must."""
         small, _ = gen_scenario1(3, np.random.default_rng(8))
         big, _ = gen_scenario1(6, np.random.default_rng(8))
-        for ra, rb in zip(small.subjects, big.subjects[:3]):
-            np.testing.assert_array_equal(ra.times, rb.times)
+        np.testing.assert_array_equal(small.counts, big.counts[:3])
+        np.testing.assert_array_equal(small.times, big.times[:small.n_obs])
 
     def test_full_schedule_when_nothing_missing(self):
         data, _ = gen_scenario1(4, np.random.default_rng(1), m=6,
                                 missing_rate=0.0)
         expected = np.arange(1, 7) / 7.0
-        for rec in data.subjects:
-            np.testing.assert_allclose(rec.times, expected)
+        for times in by_subject(data, data.times):
+            np.testing.assert_allclose(times, expected)
         assert data.time_domain == (0.0, 1.0)
 
     def test_every_subject_keeps_at_least_one_point(self):
@@ -118,17 +120,17 @@ class TestScenario2:
     def test_times_are_retained_integer_visits(self):
         data, _ = gen_scenario2(12, np.random.default_rng(0))
         assert data.time_domain == (0.0, 31.0)
-        for rec in data.subjects:
-            assert np.all(np.isin(rec.times, SCENARIO2_SCHEDULE))
-            assert np.all(np.diff(rec.times) >= 1.0)
+        for times in by_subject(data, data.times):
+            assert np.all(np.isin(times, SCENARIO2_SCHEDULE))
+            assert np.all(np.diff(times) >= 1.0)
 
     def test_covariates_constant_within_subject(self):
         data, _ = gen_scenario2(40, np.random.default_rng(6))
         x1_values = set()
-        for rec in data.subjects:
-            assert np.all(rec.covariates[:, 0] == rec.covariates[0, 0])
-            assert np.all(rec.covariates[:, 1] == rec.covariates[0, 1])
-            x1_values.add(float(rec.covariates[0, 0]))
+        for x in by_subject(data, data.covariates):
+            assert np.all(x[:, 0] == x[0, 0])
+            assert np.all(x[:, 1] == x[0, 1])
+            x1_values.add(float(x[0, 0]))
         assert x1_values <= {0.0, 1.0}
 
     def test_truth_tabulates_all_three_curves(self):
@@ -148,16 +150,12 @@ class TestScenario2:
         x = np.column_stack([np.ones(data.n_obs), data.covariates])
         eps = data.responses - np.sum(x * b, axis=1)
         first, second = [], []
-        row = 0
-        for rec in data.subjects:
-            k = rec.n_obs
-            gaps = np.diff(rec.times)
-            for j, gap in enumerate(gaps):
-                if gap == 1.0:
-                    first.append(eps[row + j])
-                    second.append(eps[row + j + 1])
-            row += k
-        first, second = np.asarray(first), np.asarray(second)
+        for times, e in zip(by_subject(data, data.times),
+                            by_subject(data, eps)):
+            unit = np.flatnonzero(np.diff(times) == 1.0)
+            first.append(e[unit])
+            second.append(e[unit + 1])
+        first, second = np.concatenate(first), np.concatenate(second)
         assert first.size > 30000
         corr = np.corrcoef(first, second)[0, 1]
         se = (1.0 - np.exp(-2.0)) / np.sqrt(first.size)
@@ -176,19 +174,21 @@ class TestScenario2:
     def test_deterministic_per_seed(self):
         a, _ = gen_scenario2(5, np.random.default_rng(4))
         b, _ = gen_scenario2(5, np.random.default_rng(4))
-        for ra, rb in zip(a.subjects, b.subjects):
-            np.testing.assert_array_equal(ra.responses, rb.responses)
-            np.testing.assert_array_equal(ra.covariates, rb.covariates)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.responses, b.responses)
+        np.testing.assert_array_equal(a.covariates, b.covariates)
 
     def test_subject_substreams_stable_under_growth(self):
         """Unlike scenario 1 nothing here depends on n, so the first
         subjects of a larger panel reproduce the smaller panel exactly."""
         small, _ = gen_scenario2(4, np.random.default_rng(14))
         big, _ = gen_scenario2(9, np.random.default_rng(14))
-        for ra, rb in zip(small.subjects, big.subjects[:4]):
-            np.testing.assert_array_equal(ra.times, rb.times)
-            np.testing.assert_array_equal(ra.responses, rb.responses)
-            np.testing.assert_array_equal(ra.covariates, rb.covariates)
+        rows = small.n_obs
+        np.testing.assert_array_equal(small.counts, big.counts[:4])
+        np.testing.assert_array_equal(small.times, big.times[:rows])
+        np.testing.assert_array_equal(small.responses, big.responses[:rows])
+        np.testing.assert_array_equal(small.covariates,
+                                      big.covariates[:rows])
 
 
 # ---------------------------------------------------------------------------
