@@ -18,12 +18,13 @@ path and stays as the test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .basis import build_design
+from .basis import DesignBundle, build_design
 from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
 from .frequentist import fit_wls, solve_gram
@@ -122,23 +123,43 @@ def percentile_interval(samples, level: float) -> tuple[float, float]:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot form a percentile interval from zero samples")
-    if not 0 < level < 1:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(samples, [tail, 1.0 - tail], method="linear")
+    lo, hi = _central_quantiles(samples.ravel(), level)
     return float(lo), float(hi)
 
 
 def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """percentile_interval of every column of a (n_draws, m) matrix in one quantile call."""
+    """percentile_interval of every column of a (n_draws, m) matrix from one sort."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("column intervals need a (n_draws, m) matrix with n_draws >= 1")
+    return _central_quantiles(samples, level)
+
+
+def _central_quantiles(samples: np.ndarray, level: float):
+    """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 from one sort.
+
+    This is np.quantile's 'linear' method, bit for bit: the virtual index
+    (n - 1)q falls between order statistics a <= b with fraction g, and the
+    quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A column
+    holding a NaN gets NaN.  On draw matrices one sort serving both ends costs
+    less than np.quantile's multi-point partition.
+    """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    ordered = np.sort(samples, axis=0)
+    n = ordered.shape[0]
+    last = ordered[-1]
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(samples, [tail, 1.0 - tail], axis=0, method="linear")
-    return lo, hi
+    ends = []
+    for q in (tail, 1.0 - tail):
+        index = (n - 1) * q
+        below = math.floor(index)
+        a, b = ordered[min(below, n - 1)], ordered[min(below + 1, n - 1)]
+        g = index - below
+        diff = b - a
+        value = b - diff * (1 - g) if g >= 0.5 else a + diff * g
+        ends.append(np.where(np.isnan(last), last, value))
+    return ends[0], ends[1]
 
 
 def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> LongitudinalDataset:
@@ -230,19 +251,23 @@ def bootstrap_fit(
     specs,
     n_draws: int,
     rng,
+    bundle: DesignBundle | None = None,
 ) -> PosteriorDraws:
     """Collect n_draws successful replicate fits.
 
     Attempts run in waves of one replicate per still-missing draw.  Each
     attempt's RNG stream is spawned from the master generator in attempt
-    order, and draws are kept in attempt-index order.
+    order, and draws are kept in attempt-index order.  bundle, when given,
+    is the design of (data, specs) that a fit_wls call has already found
+    feasible; without it the design is built and checked here.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen, seed = as_generator(rng)
-    bundle = build_design(data, specs)
-    # the full-data fit must be feasible before resampling starts
-    fit_wls(bundle)
+    if bundle is None:
+        bundle = build_design(data, specs)
+        # the full-data fit must be feasible before resampling starts
+        fit_wls(bundle)
     stats = _subject_stats(bundle, data.counts)
 
     cap = REDRAW_FACTOR * n_draws

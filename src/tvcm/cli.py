@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: fit, select, simulate, bench, crossval.  Every option can come
+Subcommands: fit, select, simulate, crossval.  Every option can come
 from a JSON config file (--config); explicit flags win over config values,
 which win over the built-in defaults.  The master seed resolves from --seed,
 then the config, then the TVCM_SEED environment variable, then 0.  Any
@@ -78,20 +78,6 @@ _DEFAULTS = {
         "strategy": "auto",
         "out_prefix": "sim",
     },
-    "bench": {
-        "scenario": 2,
-        "n": "25,100",
-        "engines": "gibbs,vb",
-        "family": "radial",
-        "degree": 2,
-        "knots": 3,
-        "draws": 2000,
-        "burnin": 500,
-        "reps": 3,
-        "level": "weak",
-        "shape": "exp",
-        "out": "bench.json",
-    },
     "crossval": {
         "family": "radial",
         "degree": 2,
@@ -162,22 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--strategy", choices=["auto", "full", "coordinate"])
     sim.add_argument("--out-prefix", dest="out_prefix")
 
-    bench = sub.add_parser("bench", parents=[common], help="time the samplers on synthetic data")
-    bench.add_argument("--scenario", type=int, choices=[1, 2])
-    bench.add_argument("--n", help="comma list of subject counts")
-    bench.add_argument(
-        "--engines", "--engine", dest="engines",
-        help="comma list from gibbs,vb; 'both' means gibbs,vb")
-    bench.add_argument("--family", choices=["radial", "tpower"])
-    bench.add_argument("--degree", type=int)
-    bench.add_argument("--knots", type=int, help="knot count for every coefficient")
-    bench.add_argument("--draws", type=int)
-    bench.add_argument("--burnin", type=int)
-    bench.add_argument("--reps", type=int, help="datasets per cell")
-    bench.add_argument("--level", choices=["weak", "medium", "high"])
-    bench.add_argument("--shape", choices=["exp", "trig"])
-    bench.add_argument("--out")
-
     cv = sub.add_parser("crossval", parents=[common], help="fold-based predictive error")
     cv.add_argument("--data")
     cv.add_argument("--family", choices=["radial", "tpower"])
@@ -213,11 +183,15 @@ def _resolve(args: argparse.Namespace) -> dict:
             continue
         opts[key] = value
     seed = opts.get("seed")
+    source = f"--config {args.config}"
     if seed is None:
-        seed = os.environ.get("TVCM_SEED", "0")
+        seed, source = os.environ.get("TVCM_SEED", "0"), "TVCM_SEED"
     if isinstance(seed, (bool, float)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    opts["seed"] = int(seed)
+    try:
+        opts["seed"] = int(seed)
+    except (TypeError, ValueError):
+        raise ValueError(f"seed must be an integer, got {seed!r} from {source}") from None
     return opts
 
 
@@ -429,55 +403,6 @@ def cmd_simulate(opts) -> int:
     return 0
 
 
-def cmd_bench(opts) -> int:
-    from .simgen import gen_scenario1, gen_scenario2
-
-    engines = [e.strip() for e in str(opts["engines"]).split(",")]
-    if engines == ["both"]:
-        engines = ["gibbs", "vb"]
-    for engine in engines:
-        if engine not in ("gibbs", "vb"):
-            raise ValueError(f"bench engine must be gibbs or vb, got {engine!r}")
-    sizes = [int(v) for v in str(opts["n"]).split(",")]
-    rows = []
-    root = np.random.default_rng(opts["seed"])
-    for n in sizes:
-        for rep in range(opts["reps"]):
-            child = root.spawn(1)[0]
-            if opts["scenario"] == 1:
-                data, _ = gen_scenario1(n, child, level=opts["level"], shape=opts["shape"])
-            else:
-                data, _ = gen_scenario2(n, child)
-            specs = tuple(
-                make_spec(opts["family"], opts["degree"], opts["knots"], data.time_domain)
-                for _ in range(data.covariate_dim + 1)
-            )
-            for engine in engines:
-                result = fit_engine(
-                    data, specs, engine, rng=opts["seed"], draws=opts["draws"], burnin=opts["burnin"]
-                )
-                ms = 1000.0 * result.sampling_seconds
-                rows.append({"n": n, "rep": rep, "engine": engine, "ms": ms})
-    cells = {}
-    for row in rows:
-        cells.setdefault((row["n"], row["engine"]), []).append(row["ms"])
-    summary = [
-        {
-            "n": n,
-            "engine": engine,
-            "mean_ms": float(np.mean(ms)),
-            "min_ms": float(np.min(ms)),
-            "reps": len(ms),
-        }
-        for (n, engine), ms in sorted(cells.items())
-    ]
-    payload = {"scenario": opts["scenario"], "draws": opts["draws"], "rows": rows, "summary": summary}
-    _write_json(opts["out"], payload)
-    for s in summary:
-        print(f"n={s['n']:>5}  {s['engine']:<6}  mean {s['mean_ms']:9.2f} ms  min {s['min_ms']:9.2f} ms")
-    return 0
-
-
 def cmd_crossval(opts) -> int:
     if not opts.get("data"):
         raise ValueError("crossval requires --data")
@@ -513,7 +438,6 @@ _HANDLERS = {
     "fit": cmd_fit,
     "select": cmd_select,
     "simulate": cmd_simulate,
-    "bench": cmd_bench,
     "crossval": cmd_crossval,
 }
 

@@ -53,7 +53,7 @@ def fit_engine(
     if engine == "wls":
         if draws > 0:
             start = time.perf_counter()
-            boot = bootstrap_fit(data, specs, draws, rng)
+            boot = bootstrap_fit(data, specs, draws, rng, bundle=bundle)
             elapsed = time.perf_counter() - start
         else:
             boot, elapsed = None, 0.0

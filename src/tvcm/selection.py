@@ -18,8 +18,10 @@ part plus the knot columns of every count k in 0..k_max (for the radial
 basis the bandwidth depends on k).  From G = A'A, c = A'y~ and s = y~'y~
 each candidate is a column subset S, with alpha = G_S^-1 c_S and, since
 tr(A) = p for any feasible fit, PCV = (s - c_S'alpha) / (1 - p/N)^2.
-The per-candidate QR path (_candidate_pcv: build_design, fit_wls, pcv)
-stays as the test oracle, as does pcv_loo.
+Candidates are scored in batches: those sharing a parameter count p gather
+their (B, p, p) Gram blocks with one fancy index and are solved by one
+solve_gram call.  The per-candidate QR path (_candidate_pcv: build_design,
+fit_wls, pcv) stays as the test oracle, as does pcv_loo.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ MAX_SWEEPS = 100
 # full enumeration is the default up to this many covariates and candidate knot counts
 FULL_GRID_MAX_COVARIATES = 2
 FULL_GRID_MAX_K = 10
+# candidates solved together; bounds the gathered Gram blocks at chunk x p x p
+CANDIDATE_CHUNK = 256
 
 
 def pcv(bundle: DesignBundle, fit: WlsFit) -> float:
@@ -102,7 +106,7 @@ def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None):
 
 
 def _statistics_criterion(data: LongitudinalDataset, family, degree: int, k_max: int):
-    """Trace-form criterion of any knot-count tuple from one set of statistics.
+    """Batch scorer: trace-form criteria of a list of knot-count tuples from one set of statistics.
 
     The weighted design A is built once over the union of candidate columns:
     coefficient r's polynomial columns plus its knot columns for every
@@ -139,47 +143,63 @@ def _statistics_criterion(data: LongitudinalDataset, family, degree: int, k_max:
     total = float(response @ response)
     n_obs = data.n_obs
 
-    def criterion(combo: tuple[int, ...]) -> float:
-        if any(k not in columns[r] for r, k in enumerate(combo)):
-            return float("inf")
-        idx = np.concatenate([columns[r][k] for r, k in enumerate(combo)])
-        p = idx.size
-        if n_obs <= p:
-            return float("inf")
-        feasible, alpha = solve_gram(gram[np.ix_(idx, idx)][None], cross[idx][None])
-        if not feasible[0]:
-            return float("inf")
-        # the weighted RSS is non-negative; s - c'alpha can round below zero on an exact fit
-        wrss = max(total - float(cross[idx] @ alpha[0]), 0.0)
-        return wrss / (1.0 - p / n_obs) ** 2
+    def criterion(combos: list[tuple[int, ...]]) -> list[float]:
+        values = [float("inf")] * len(combos)
+        # candidates that can be fitted, grouped by parameter count p
+        groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for i, combo in enumerate(combos):
+            if any(k not in columns[r] for r, k in enumerate(combo)):
+                continue
+            idx = np.concatenate([columns[r][k] for r, k in enumerate(combo)])
+            if idx.size < n_obs:
+                groups.setdefault(idx.size, []).append((i, idx))
+        for p, members in groups.items():
+            for lo in range(0, len(members), CANDIDATE_CHUNK):
+                chunk = members[lo : lo + CANDIDATE_CHUNK]
+                idx = np.array([cols for _, cols in chunk])
+                feasible, alpha = solve_gram(gram[idx[:, :, None], idx[:, None, :]], cross[idx])
+                for (i, cols), ok, coef in zip(chunk, feasible, alpha):
+                    if ok:
+                        # s - c'alpha can round below zero on an exact fit; a per-row
+                        # dot keeps every value equal to the one-candidate solve
+                        wrss = max(total - float(cross[cols] @ coef), 0.0)
+                        values[i] = wrss / (1.0 - p / n_obs) ** 2
+        return values
 
     return criterion
 
 
 def _walk_grid(criterion, n_coef: int, k_max: int, strategy: str):
-    """Search {0..k_max}^n_coef with a candidate criterion; returns (best, table)."""
+    """Search {0..k_max}^n_coef with a batch criterion; returns (best, table).
+
+    criterion maps a list of knot-count tuples to their values.  'full'
+    scores the whole grid in one call; 'coordinate' scores the k_max + 1
+    candidates along one coordinate per call, skipping those already scored.
+    Either way the candidates are then scanned in order with strict
+    improvement, as a one-at-a-time walk would.
+    """
     cache: dict[tuple[int, ...], float] = {}
 
-    def evaluate(combo: tuple[int, ...]) -> float:
-        if combo not in cache:
-            cache[combo] = criterion(combo)
-        return cache[combo]
+    def evaluate(combos: list[tuple[int, ...]]) -> list[float]:
+        fresh = [combo for combo in combos if combo not in cache]
+        cache.update(zip(fresh, criterion(fresh)))
+        return [cache[combo] for combo in combos]
 
     if strategy == "full":
         best, best_value = None, float("inf")
-        for combo in itertools.product(range(k_max + 1), repeat=n_coef):
-            value = evaluate(combo)
+        grid = list(itertools.product(range(k_max + 1), repeat=n_coef))
+        for combo, value in zip(grid, evaluate(grid)):
             if value < best_value:
                 best, best_value = combo, value
     else:
         best = (0,) * n_coef
-        best_value = evaluate(best)
+        best_value = evaluate([best])[0]
         for _ in range(MAX_SWEEPS):
             changed = False
             for r in range(n_coef):
-                for k in range(k_max + 1):
-                    candidate = best[:r] + (k,) + best[r + 1 :]
-                    value = evaluate(candidate)
+                # moving along coordinate r leaves the others, so the line is fixed up front
+                line = [best[:r] + (k,) + best[r + 1 :] for k in range(k_max + 1)]
+                for candidate, value in zip(line, evaluate(line)):
                     if value < best_value:
                         best, best_value = candidate, value
                         changed = True

@@ -281,6 +281,30 @@ class TestPercentileInterval:
         with pytest.raises(ValueError):
             column_intervals(np.empty((0, 2)), 0.5)
 
+    def test_sorted_form_equals_numpy_quantile(self):
+        """Both interval functions reproduce np.quantile's 'linear' method
+        bit for bit: random shapes and levels, rounded values with ties,
+        n = 1, and a NaN column."""
+        gen = np.random.default_rng(17)
+        for trial in range(300):
+            n = 1 if trial % 10 == 0 else int(gen.integers(2, 600))
+            samples = gen.standard_normal((n, int(gen.integers(1, 5))))
+            if trial % 2:
+                samples = np.round(samples, 1)
+            if trial % 7 == 0:
+                samples[int(gen.integers(n)), 0] = np.nan
+            level = float(gen.uniform(1e-6, 1.0 - 1e-6))
+            tail = (1.0 - level) / 2.0
+            want = np.quantile(samples, [tail, 1.0 - tail], axis=0,
+                               method="linear")
+            lo, hi = column_intervals(samples, level)
+            np.testing.assert_array_equal(lo, want[0])
+            np.testing.assert_array_equal(hi, want[1])
+            one = np.quantile(samples[:, -1], [tail, 1.0 - tail],
+                              method="linear")
+            np.testing.assert_array_equal(
+                percentile_interval(samples[:, -1], level), one)
+
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
     def test_column_form_equals_per_column_calls(self, level):
         samples = np.random.default_rng(4).standard_normal((200, 37))

@@ -134,7 +134,7 @@ class TestFit:
 
 
 # ---------------------------------------------------------------------------
-# select / crossval / simulate / bench
+# select / crossval / simulate
 # ---------------------------------------------------------------------------
 
 
@@ -193,19 +193,6 @@ class TestOtherCommands:
                                             newline="")))
             metrics.append([r["metric"] for r in rows])
         assert metrics[0] == metrics[1]
-
-    def test_bench_engine_both_alias(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--scenario", "2", "--n", "10", "--engine", "both",
-             "--knots", "1", "--draws", "50", "--burnin", "10", "--reps",
-             "1", "--seed", "3", "--out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(out.read_text())
-        engines = {row["engine"] for row in report["rows"]}
-        assert "vb" in engines
-        assert any(e.startswith("gibbs") for e in engines)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +277,38 @@ class TestOptionsAndErrors:
         assert payload["error"] == "ValueError"
         assert f"seed must be an integer, got {seed!r}" == payload["message"]
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    def test_bad_seed_string_names_value_and_source(self, data_csv, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    source, seed):
+        args = ["fit", "--data", str(data_csv), "--engine", "wls", "--knots",
+                "1", "--out", str(tmp_path / "seed")]
+        if source == "config":
+            cfg = tmp_path / "seed.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+            args += ["--config", str(cfg)]
+            where = f"--config {cfg}"
+        else:
+            monkeypatch.setenv("TVCM_SEED", seed)
+            where = "TVCM_SEED"
+        code, payload = _run(args, capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": f"seed must be an integer, got {seed!r} from {where}"}
+
+    def test_integer_string_seed_accepted(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": "7"}))
+        out = tmp_path / "strseed"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--config", str(cfg),
+             "--engine", "wls", "--knots", "1", "--grid", "10", "--out",
+             str(out)], capsys)
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["seed"] == 7
+
     def test_integer_config_seed_used(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps({"seed": 7}))
@@ -309,14 +328,6 @@ class TestOptionsAndErrors:
         assert payload == {
             "error": "ValueError",
             "message": "radial basis requires a positive bandwidth"}
-
-    def test_bench_rejects_wls_engine(self, tmp_path, capsys):
-        code, payload = _run(
-            ["bench", "--n", "10", "--engine", "wls", "--reps", "1",
-             "--out", str(tmp_path / "bench.json")], capsys)
-        assert code == 1
-        assert payload["error"] == "ValueError"
-        assert "'wls'" in payload["message"]
 
     def test_seed_env_fallback(self, data_csv, tmp_path, capsys,
                                monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from tvcm import gen_scenario2
 from tvcm.basis import build_design, make_spec
-from tvcm.bootstrap import DrawSource
+from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
 from tvcm.mcmc import dic, whiten
 
@@ -36,6 +36,17 @@ class TestFitEngine:
         assert result.draws.source is DrawSource.BOOTSTRAP
         assert result.draws.n_draws == 25
         assert result.sampling_seconds > 0.0
+
+    def test_wls_draws_equal_direct_bootstrap(self, small_problem):
+        """Handing the checked design to the bootstrap leaves its streams
+        and draws exactly as a direct bootstrap_fit call makes them."""
+        data, specs = small_problem
+        result = fit_engine(data, specs, "wls", rng=3, draws=25)
+        direct = bootstrap_fit(data, specs, 25, 3)
+        np.testing.assert_array_equal(result.draws.alpha_draws,
+                                      direct.alpha_draws)
+        np.testing.assert_array_equal(result.draws.sigma2_draws,
+                                      direct.sigma2_draws)
 
     def test_gibbs_point_estimate_is_draw_mean(self, small_problem):
         data, specs = small_problem

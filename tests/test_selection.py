@@ -1,6 +1,8 @@
 """Model selection: trace criterion, knot search, error metrics, CV."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from tvcm import (
     ingest_csv,
     subject_uniform_weights,
 )
+from tvcm import selection
 from tvcm.basis import build_design, make_spec
 from tvcm.errors import SelectionError
-from tvcm.frequentist import WlsFit, fit_wls
+from tvcm.frequentist import WlsFit, fit_wls, solve_gram
 from tvcm.selection import (
     _candidate_pcv,
+    _statistics_criterion,
     _take_rows,
     _walk_grid,
     amse,
@@ -41,6 +45,39 @@ def _random_intercept_panel(gen, n=50, m=30, b_sd=0.3, noise_sd=0.05):
     return LongitudinalDataset([f"s{i}" for i in range(n)], [m] * n,
                                np.tile(t, n), np.concatenate(ys),
                                np.empty((n * m, 0)), (0.0, 1.0))
+
+
+def _sequential_walk(criterion, n_coef, k_max, strategy):
+    """Reference grid walk scoring one candidate at a time; returns (best,
+    sorted scored candidates).  'full' keeps strict improvements in
+    lexicographic order; 'coordinate' sweeps the coordinates from all zeros,
+    taking each strict improvement in k order, until a sweep changes
+    nothing."""
+    scores = {}
+
+    def score(combo):
+        if combo not in scores:
+            scores[combo] = criterion(combo)
+        return scores[combo]
+
+    if strategy == "full":
+        best, best_value = None, float("inf")
+        for combo in itertools.product(range(k_max + 1), repeat=n_coef):
+            if score(combo) < best_value:
+                best, best_value = combo, score(combo)
+        return best, sorted(scores)
+    best = (0,) * n_coef
+    best_value = score(best)
+    changed = True
+    while changed:
+        changed = False
+        for r in range(n_coef):
+            for k in range(k_max + 1):
+                candidate = best[:r] + (k,) + best[r + 1:]
+                if score(candidate) < best_value:
+                    best, best_value = candidate, score(candidate)
+                    changed = True
+    return best, sorted(scores)
 
 
 def _quadratic_subjects(seed=7, n=8, m=6):
@@ -170,6 +207,63 @@ class TestKnotSearch:
         with pytest.raises(SelectionError):
             knot_search(data, "radial", 2, 2)  # p >= 3 = N everywhere
 
+    @pytest.mark.parametrize("strategy, expected",
+                             [("full", (0, 1)), ("coordinate", (1, 0))])
+    def test_walk_keeps_the_first_of_tied_improvements(self, strategy,
+                                                       expected):
+        """Every candidate but (0, 0) ties at 0: the batched walk keeps the
+        first strict improvement, as the sequential walk does."""
+        def value(combo):
+            return 1.0 if combo == (0, 0) else 0.0
+
+        best, table = _walk_grid(lambda combos: [value(c) for c in combos],
+                                 2, 2, strategy)
+        ref_best, ref_keys = _sequential_walk(value, 2, 2, strategy)
+        assert best == ref_best == expected
+        assert [tuple(row["k"]) for row in table] == ref_keys
+
+    def test_coordinate_walk_moves_to_the_line_minimum(self):
+        """Along a line the walk keeps improving to the line's minimum, so
+        it settles at (2, 0) and never visits the global minimum (1, 1)
+        that stopping at the first improvement (1, 0) would reach."""
+        values = {(0, 0): 5.0, (1, 0): 4.0, (2, 0): 3.0, (1, 1): 0.0}
+
+        def value(combo):
+            return values.get(combo, 10.0)
+
+        best, table = _walk_grid(lambda combos: [value(c) for c in combos],
+                                 2, 2, "coordinate")
+        ref_best, ref_keys = _sequential_walk(value, 2, 2, "coordinate")
+        assert best == ref_best == (2, 0)
+        assert [tuple(row["k"]) for row in table] == ref_keys
+
+    def test_scorer_marks_unplaceable_counts_infinite(self):
+        """All times equal: the domain is degenerate, so only k = 0 can be
+        placed, and a tuple mixing k = 0 and k = 1 scores inf."""
+        gen = np.random.default_rng(5)
+        x = gen.standard_normal(12)
+        data = LongitudinalDataset(
+            [f"s{i}" for i in range(4)], [3] * 4, np.full(12, 0.5),
+            1.0 + 2.0 * x + 0.1 * gen.standard_normal(12), x[:, None])
+        combos = [(0, 1), (0, 0), (1, 0), (1, 1)]
+        got = _statistics_criterion(data, "radial", 0, 1)(combos)
+        weights = subject_uniform_weights(data)
+        want = [_candidate_pcv(data, "radial", 0, c, weights) for c in combos]
+        assert np.isfinite(got[1])
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+        assert got[0] == got[2] == got[3] == want[0] == float("inf")
+
+    def test_scorer_marks_saturated_candidates_infinite(self):
+        """Four observations under a linear radial basis: k = 2 gives
+        p = 4 = N and k = 3 gives p = 5, both inf, in input order."""
+        data = single_subject([0.1, 0.4, 0.6, 0.9], [1.0, 2.5, 2.0, 3.5])
+        combos = [(3,), (0,), (2,), (1,)]
+        got = _statistics_criterion(data, "radial", 1, 3)(combos)
+        weights = subject_uniform_weights(data)
+        want = [_candidate_pcv(data, "radial", 1, c, weights) for c in combos]
+        assert got[0] == got[2] == float("inf")
+        np.testing.assert_allclose(got[1::2], want[1::2], rtol=1e-9)
+
     def test_unknown_strategy(self):
         data = _quadratic_subjects()
         with pytest.raises(ValueError):
@@ -187,16 +281,36 @@ class TestKnotSearchOracle:
             "demo": ingest_csv(demo_csv),
         }
 
+    @pytest.fixture(scope="class")
+    def qr_scores(self):
+        """Memo of _candidate_pcv per (panel, family, combo), shared by the
+        tests that walk the grid with the QR oracle."""
+        return {}
+
+    @staticmethod
+    def _qr_criterion(panels, qr_scores, panel, family):
+        data = panels[panel]
+        weights = subject_uniform_weights(data)
+
+        def criterion(combo):
+            key = (panel, family, combo)
+            if key not in qr_scores:
+                qr_scores[key] = _candidate_pcv(data, family, 2, combo, weights)
+            return qr_scores[key]
+
+        return criterion
+
     @pytest.mark.parametrize("panel", ["scenario1", "scenario2", "demo"])
     @pytest.mark.parametrize("strategy", ["full", "coordinate"])
     @pytest.mark.parametrize("family", ["radial", "tpower"])
-    def test_matches_qr_refits(self, panels, panel, strategy, family):
+    def test_matches_qr_refits(self, panels, qr_scores, panel, strategy,
+                               family):
         data = panels[panel]
         k_max = 5 if data.covariate_dim == 0 else 3
-        weights = subject_uniform_weights(data)
+        criterion = self._qr_criterion(panels, qr_scores, panel, family)
         best, table = knot_search(data, family, 2, k_max, strategy)
         oracle_best, oracle_table = _walk_grid(
-            lambda combo: _candidate_pcv(data, family, 2, combo, weights),
+            lambda combos: [criterion(combo) for combo in combos],
             data.covariate_dim + 1, k_max, strategy)
         assert best == oracle_best
         assert [row["k"] for row in table] == [row["k"] for row in oracle_table]
@@ -205,6 +319,36 @@ class TestKnotSearchOracle:
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2", "demo"])
+    @pytest.mark.parametrize("strategy", ["full", "coordinate"])
+    @pytest.mark.parametrize("family", ["radial", "tpower"])
+    def test_batched_walk_matches_sequential_walk(self, panels, qr_scores,
+                                                  panel, strategy, family):
+        data = panels[panel]
+        k_max = 5 if data.covariate_dim == 0 else 3
+        best, table = knot_search(data, family, 2, k_max, strategy)
+        ref_best, ref_keys = _sequential_walk(
+            self._qr_criterion(panels, qr_scores, panel, family),
+            data.covariate_dim + 1, k_max, strategy)
+        assert best == ref_best
+        assert [tuple(row["k"]) for row in table] == ref_keys
+
+    def test_small_chunks_give_the_same_search(self, panels, monkeypatch):
+        batches = []
+
+        def counting_solve(gram, cross):
+            batches.append(len(gram))
+            return solve_gram(gram, cross)
+
+        for panel in ("scenario2", "demo"):
+            data = panels[panel]
+            want = knot_search(data, "radial", 2, 4, "full")
+            monkeypatch.setattr(selection, "CANDIDATE_CHUNK", 3)
+            monkeypatch.setattr(selection, "solve_gram", counting_solve)
+            assert knot_search(data, "radial", 2, 4, "full") == want
+            monkeypatch.undo()
+        assert max(batches) == 3
 
     def test_demo_radial_infeasible_set(self, panels):
         """At k_max=5 the raw-column condition rule rejects 85 of the 216
