@@ -54,7 +54,7 @@ from .errors import (
 )
 from .frequentist import WlsFit, fit_wls, predict, predict_rows
 from .mcmc import PriorSpec, default_prior, dic, gibbs, whiten
-from .selection import amse, crossval_amse, knot_search, made, pcv, pcv_loo, select_knots
+from .selection import amse, crossval_amse, knot_search, made, pcv, pcv_loo
 from .simgen import (
     SimReport,
     SimTruth,

@@ -127,14 +127,31 @@ def make_spec(
     n_knots: int,
     domain: tuple[float, float],
     bandwidth: float | None = None,
+    *,
+    placement: str = "equal",
+    times=None,
 ) -> BasisSpec:
-    """BasisSpec with equally spaced knots and the default bandwidth."""
+    """The one builder of a coefficient's BasisSpec from its knot count.
+
+    placement 'equal' spaces the knots evenly over domain; 'quantile' puts
+    them at the sample quantiles of times, which it then requires.  A radial
+    bandwidth defaults to default_bandwidth(domain, n_knots); the truncated
+    power family takes none, so passing one is a ValueError.
+    """
     family = BasisFamily(family)
-    knots = place_knots_equal(domain, n_knots)
-    if family is BasisFamily.RADIAL and bandwidth is None:
-        bandwidth = default_bandwidth(domain, n_knots)
+    if placement == "equal":
+        knots = place_knots_equal(domain, n_knots)
+    elif placement == "quantile":
+        if times is None:
+            raise ValueError("quantile knot placement needs the observation times")
+        knots = place_knots_quantile(times, n_knots)
+    else:
+        raise ValueError(f"unknown knot placement {placement!r}; expected 'equal' or 'quantile'")
     if family is BasisFamily.TPOWER:
-        bandwidth = None
+        if bandwidth is not None:
+            raise ValueError(f"bandwidth {bandwidth} given, but family 'tpower' takes none")
+    elif bandwidth is None:
+        bandwidth = default_bandwidth(domain, n_knots)
     return BasisSpec(family=family, degree=degree, knots=knots, bandwidth=bandwidth)
 
 

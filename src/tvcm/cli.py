@@ -1,10 +1,13 @@
 """Command line interface.
 
-Subcommands: fit, select, simulate, crossval.  Every option can come
-from a JSON config file (--config); explicit flags win over config values,
-which win over the built-in defaults.  The master seed resolves from --seed,
-then the config, then the TVCM_SEED environment variable, then 0.  Any
-handled failure prints a one-line JSON error object and exits nonzero.
+Subcommands: fit, select, simulate, crossval.  fit, select and crossval
+share one parent parser and one set of defaults for the model options; fit's
+--placement and --bandwidth shape both its knot search and its fitted basis.
+Every option can come from a JSON config file (--config); explicit flags win
+over config values, which win over the built-in defaults.  The master seed
+resolves from --seed, then the config, then the TVCM_SEED environment
+variable, then 0.  Any handled failure prints a one-line JSON error object
+and exits nonzero.
 """
 
 from __future__ import annotations
@@ -19,27 +22,21 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .basis import (
-    BasisFamily,
-    BasisSpec,
-    basis_matrix,
-    default_bandwidth,
-    make_spec,
-    place_knots_quantile,
-    split_alpha,
-)
+from .basis import basis_matrix, make_spec, split_alpha
 from .bootstrap import column_intervals
 from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
 from .mcmc import dic
-from .selection import crossval_amse, knot_search, select_knots
+from .selection import crossval_amse, knot_search
 from .simgen import run_replications
+
+# defaults of the options on the shared model parser (--data has none)
+_MODEL_DEFAULTS = {"family": "radial", "degree": 2, "kmax": 10, "strategy": "auto", "time_domain": None}
 
 _DEFAULTS = {
     "fit": {
-        "family": "radial",
-        "degree": 2,
+        **_MODEL_DEFAULTS,
         "knots": "auto",
         "placement": "equal",
         "bandwidth": None,
@@ -50,19 +47,9 @@ _DEFAULTS = {
         "tol": 1e-6,
         "level": 0.95,
         "grid": 200,
-        "kmax": 10,
-        "strategy": "auto",
-        "time_domain": None,
         "out": ".",
     },
-    "select": {
-        "family": "radial",
-        "degree": 2,
-        "kmax": 10,
-        "strategy": "auto",
-        "time_domain": None,
-        "out": "select.json",
-    },
+    "select": {**_MODEL_DEFAULTS, "out": "select.json"},
     "simulate": {
         "scenario": 1,
         "n": 25,
@@ -79,16 +66,12 @@ _DEFAULTS = {
         "out_prefix": "sim",
     },
     "crossval": {
-        "family": "radial",
-        "degree": 2,
+        **_MODEL_DEFAULTS,
         "knots": "auto",
-        "kmax": 10,
-        "strategy": "auto",
         "folds": 5,
         "engine": "wls",
         "draws": 0,
         "burnin": 500,
-        "time_domain": None,
         "out": "crossval.json",
     },
 }
@@ -105,10 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file supplying any of the other options")
     common.add_argument("--seed", type=int, help="master RNG seed (default: $TVCM_SEED or 0)")
 
-    fit = sub.add_parser("fit", parents=[common], help="fit one dataset and write artifacts")
-    fit.add_argument("--data", help="input CSV: subject,time,y,x1,...,xd")
-    fit.add_argument("--family", choices=["radial", "tpower"])
-    fit.add_argument("--degree", type=int)
+    model = argparse.ArgumentParser(add_help=False, parents=[common])
+    model.add_argument("--data", help="input CSV: subject,time,y,x1,...,xd")
+    model.add_argument("--family", choices=["radial", "tpower"])
+    model.add_argument("--degree", type=int)
+    model.add_argument("--kmax", type=int, help="largest knot count tried by --knots auto")
+    model.add_argument("--strategy", choices=["auto", "full", "coordinate"])
+    model.add_argument("--time-domain", help="a,b override for the time domain")
+
+    fit = sub.add_parser("fit", parents=[model], help="fit one dataset and write artifacts")
     fit.add_argument("--knots", help="'auto', a single count, or comma counts per coefficient")
     fit.add_argument("--placement", choices=["equal", "quantile"])
     fit.add_argument("--bandwidth", type=float, help="radial kernel bandwidth override")
@@ -119,18 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tol", type=float, help="variational convergence tolerance")
     fit.add_argument("--level", type=float, help="interval level for curves.csv")
     fit.add_argument("--grid", type=int, help="curve grid size")
-    fit.add_argument("--kmax", type=int, help="largest knot count tried by --knots auto")
-    fit.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    fit.add_argument("--time-domain", dest="time_domain", help="a,b override for the time domain")
     fit.add_argument("--out", help="output directory")
 
-    sel = sub.add_parser("select", parents=[common], help="knot selection table for one dataset")
-    sel.add_argument("--data")
-    sel.add_argument("--family", choices=["radial", "tpower"])
-    sel.add_argument("--degree", type=int)
-    sel.add_argument("--kmax", type=int)
-    sel.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    sel.add_argument("--time-domain", dest="time_domain")
+    sel = sub.add_parser("select", parents=[model], help="knot selection table for one dataset")
     sel.add_argument("--out")
 
     sim = sub.add_parser("simulate", parents=[common], help="replication study on synthetic data")
@@ -146,20 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", choices=["weak", "medium", "high"])
     sim.add_argument("--shape", choices=["exp", "trig"])
     sim.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    sim.add_argument("--out-prefix", dest="out_prefix")
+    sim.add_argument("--out-prefix")
 
-    cv = sub.add_parser("crossval", parents=[common], help="fold-based predictive error")
-    cv.add_argument("--data")
-    cv.add_argument("--family", choices=["radial", "tpower"])
-    cv.add_argument("--degree", type=int)
+    cv = sub.add_parser("crossval", parents=[model], help="fold-based predictive error")
     cv.add_argument("--knots", help="'auto', a single count, or comma counts per coefficient")
-    cv.add_argument("--kmax", type=int)
-    cv.add_argument("--strategy", choices=["auto", "full", "coordinate"])
     cv.add_argument("--folds", type=int)
     cv.add_argument("--engine", choices=["wls", "gibbs", "vb"])
     cv.add_argument("--draws", type=int)
     cv.add_argument("--burnin", type=int)
-    cv.add_argument("--time-domain", dest="time_domain")
     cv.add_argument("--out")
     return parser
 
@@ -198,44 +171,49 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _parse_domain(value):
     if value in (None, ""):
         return None
-    if isinstance(value, (list, tuple)):
-        a, b = value
-        return float(a), float(b)
-    a, b = str(value).split(",")
-    return float(a), float(b)
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        a, b = (float(v) for v in parts)
+    except (TypeError, ValueError):
+        raise ValueError(f"--time-domain must be two numbers a,b, got {value!r}") from None
+    return a, b
 
 
-def _knot_counts(data, opts) -> tuple[int, ...]:
-    raw = str(opts["knots"]).strip()
-    n_coef = data.covariate_dim + 1
+def _ingest(opts, command):
+    """The panel named by the shared --data and --time-domain options."""
+    if not opts.get("data"):
+        raise ValueError(f"{command} requires --data")
+    return ingest_csv(opts["data"], time_domain=_parse_domain(opts["time_domain"]))
+
+
+def _basis(data, opts):
+    """Knot counts from --knots (searched when 'auto'), their specs, and the search table or None.
+
+    The search and the specs take the same make_spec placement and bandwidth;
+    only fit exposes them, so the other commands get the defaults.
+    """
+    family, degree, raw = opts["family"], opts["degree"], str(opts["knots"]).strip()
+    options = {"placement": opts.get("placement", "equal"), "bandwidth": opts.get("bandwidth")}
+    n_coef, table = data.covariate_dim + 1, None
     if raw == "auto":
-        return select_knots(data, opts["family"], opts["degree"], opts["kmax"], opts["strategy"])
-    parts = [int(v) for v in raw.split(",")]
-    if len(parts) == 1:
-        return tuple(parts * n_coef)
-    if len(parts) != n_coef:
-        raise ValueError(f"--knots lists {len(parts)} counts but the model has {n_coef} coefficients")
-    return tuple(parts)
-
-
-def _specs_from_opts(data, opts, counts) -> tuple[BasisSpec, ...]:
-    family = BasisFamily(opts["family"])
-    domain = data.time_domain
-    specs = []
-    for k in counts:
-        if opts.get("placement", "equal") == "quantile" and k > 0:
-            knots = place_knots_quantile(data.times, k)
-        else:
-            knots = make_spec(family, opts["degree"], k, domain).knots
-        bandwidth = None
-        if family is BasisFamily.RADIAL:
-            bandwidth = opts.get("bandwidth")
-            if bandwidth is None:
-                bandwidth = default_bandwidth(domain, k)
-        specs.append(
-            BasisSpec(family=family, degree=opts["degree"], knots=knots, bandwidth=bandwidth)
-        )
-    return tuple(specs)
+        counts, table = knot_search(data, family, degree, opts["kmax"], opts["strategy"], **options)
+    else:
+        try:
+            counts = tuple(int(v) for v in raw.split(","))
+            if min(counts) < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"--knots must be 'auto' or non-negative counts, got {opts['knots']!r}"
+            ) from None
+        if len(counts) == 1:
+            counts *= n_coef
+        if len(counts) != n_coef:
+            raise ValueError(f"--knots lists {len(counts)} counts for {n_coef} coefficients")
+    specs = tuple(
+        make_spec(family, degree, k, data.time_domain, times=data.times, **options) for k in counts
+    )
+    return counts, specs, table
 
 
 def _json_safe(value):
@@ -267,14 +245,13 @@ def _manifest(command, opts, artifacts) -> dict:
 
 
 def cmd_fit(opts) -> int:
-    if not opts.get("data"):
-        raise ValueError("fit requires --data")
+    if opts["grid"] < 1:
+        raise ValueError(f"--grid must be at least 1, got {opts['grid']}")
     clock = time.perf_counter
     t_start = clock()
-    data = ingest_csv(opts["data"], time_domain=_parse_domain(opts["time_domain"]))
+    data = _ingest(opts, "fit")
     t_ingest = clock()
-    counts = _knot_counts(data, opts)
-    specs = _specs_from_opts(data, opts, counts)
+    counts, specs, table = _basis(data, opts)
     t_select = clock()
     engine = opts["engine"]
     n_draws = opts["boot"] if engine == "wls" else opts["draws"]
@@ -321,6 +298,11 @@ def cmd_fit(opts) -> int:
         "level": level,
         "basis": [s.to_dict() for s in specs],
         "knot_counts": list(counts),
+        # knot-search size when --knots auto ran it; null for fixed counts
+        "selection": None if table is None else {
+            "candidates": len(table),
+            "infeasible": sum(1 for row in table if not np.isfinite(row["pcv"])),
+        },
         "alpha": {str(r): blocks[r].tolist() for r in range(len(blocks))},
         "sigma2": result.base_fit.sigma2_hat,
         "wls_sigma2": result.base_fit.sigma2_hat,
@@ -363,9 +345,7 @@ def cmd_fit(opts) -> int:
 
 
 def cmd_select(opts) -> int:
-    if not opts.get("data"):
-        raise ValueError("select requires --data")
-    data = ingest_csv(opts["data"], time_domain=_parse_domain(opts["time_domain"]))
+    data = _ingest(opts, "select")
     best, table = knot_search(data, opts["family"], opts["degree"], opts["kmax"], opts["strategy"])
     payload = {
         "selected": list(best),
@@ -404,13 +384,8 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_crossval(opts) -> int:
-    if not opts.get("data"):
-        raise ValueError("crossval requires --data")
-    data = ingest_csv(opts["data"], time_domain=_parse_domain(opts["time_domain"]))
-    counts = _knot_counts(data, opts)
-    specs = tuple(
-        make_spec(opts["family"], opts["degree"], k, data.time_domain) for k in counts
-    )
+    data = _ingest(opts, "crossval")
+    counts, specs, _ = _basis(data, opts)
     value = crossval_amse(
         data,
         specs,

@@ -48,6 +48,8 @@ def fit_engine(
     """Fit one engine; draws=0 means the engine default (none for wls)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if draws < 0:
+        raise ValueError(f"draws must be non-negative (0 means the engine default), got {draws}")
     bundle = build_design(data, specs)
     base = fit_wls(bundle)
     if engine == "wls":

@@ -14,10 +14,11 @@ when refitting without one observation.
 
 knot_search never refits.  It builds the weighted design once over the union
 of the columns any candidate can use: for each coefficient r, the polynomial
-part plus the knot columns of every count k in 0..k_max (for the radial
-basis the bandwidth depends on k).  From G = A'A, c = A'y~ and s = y~'y~
-each candidate is a column subset S, with alpha = G_S^-1 c_S and, since
-tr(A) = p for any feasible fit, PCV = (s - c_S'alpha) / (1 - p/N)^2.
+part plus the knot columns of every count k in 0..k_max, each from make_spec
+as the fit builds it (the default radial bandwidth depends on k).  From
+G = A'A, c = A'y~ and s = y~'y~ each candidate is a column subset S, with
+alpha = G_S^-1 c_S and, since tr(A) = p for any feasible fit,
+PCV = (s - c_S'alpha) / (1 - p/N)^2.
 Candidates are scored in batches: those sharing a parameter count p gather
 their (B, p, p) Gram blocks with one fancy index and are solved by one
 solve_gram call.  The per-candidate QR path (_candidate_pcv: build_design,
@@ -92,12 +93,11 @@ def pcv_loo(data: LongitudinalDataset, specs) -> float:
     return total
 
 
-def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None):
+def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None, placement="equal"):
     """Trace-form criterion of one candidate by a full QR refit; the oracle for knot_search."""
     try:
-        specs = tuple(
-            make_spec(family, degree, k, data.time_domain, bandwidth=bandwidth) for k in combo
-        )
+        specs = tuple(make_spec(family, degree, k, data.time_domain, bandwidth,
+                                placement=placement, times=data.times) for k in combo)
         bundle = build_design(data, specs, weights)
         fit = fit_wls(bundle)
     except (SingularDesignError, InsufficientDataError, KnotError):
@@ -105,14 +105,16 @@ def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None):
     return pcv(bundle, fit)
 
 
-def _statistics_criterion(data: LongitudinalDataset, family, degree: int, k_max: int):
+def _statistics_criterion(
+    data: LongitudinalDataset, family, degree: int, k_max: int, placement="equal", bandwidth=None
+):
     """Batch scorer: trace-form criteria of a list of knot-count tuples from one set of statistics.
 
     The weighted design A is built once over the union of candidate columns:
     coefficient r's polynomial columns plus its knot columns for every
-    placeable count k.  columns[r][k] lists the positions of r's block with
-    k knots, polynomial part first as build_design orders them; a count
-    whose knots cannot be placed is absent.
+    placeable count k, each count's spec coming from make_spec.  columns[r][k]
+    lists the positions of r's block with k knots, polynomial part first as
+    build_design orders them; a count whose knots cannot be placed is absent.
     """
     t = data.times
     x = np.column_stack([np.ones(data.n_obs), data.covariates])
@@ -121,7 +123,8 @@ def _statistics_criterion(data: LongitudinalDataset, family, degree: int, k_max:
     specs = {}
     for k in range(k_max + 1):
         try:
-            specs[k] = make_spec(family, degree, k, data.time_domain)
+            specs[k] = make_spec(family, degree, k, data.time_domain, bandwidth,
+                                 placement=placement, times=t)
         except KnotError:
             continue
     design = np.empty((data.n_obs, n_coef * (n_poly + sum(k for k in specs))))
@@ -217,16 +220,21 @@ def knot_search(
     degree: int,
     k_max: int,
     strategy: str = "auto",
+    *,
+    placement: str = "equal",
+    bandwidth: float | None = None,
 ) -> tuple[tuple[int, ...], list[dict]]:
     """Minimize the trace-form criterion over per-coefficient knot counts.
 
     Returns the winning (k_0, ..., k_d) and the table of evaluated
-    candidates.  'full' enumerates the grid {0..k_max}^(d+1) in
-    lexicographic order with strict improvement, so ties resolve toward
-    smaller counts; 'coordinate' descends one coordinate at a time from all
-    zeros.  'auto' uses the full grid for small problems.  A candidate is
-    infeasible (criterion +inf) when N <= p, when its Gram block fails
-    fit_wls's singularity rule, or when its knots cannot be placed.
+    candidates.  Each count's basis comes from make_spec with the given
+    placement and bandwidth, so the search scores the basis that is later
+    fitted.  'full' enumerates the grid {0..k_max}^(d+1) in lexicographic
+    order with strict improvement, so ties resolve toward smaller counts;
+    'coordinate' descends one coordinate at a time from all zeros.  'auto'
+    uses the full grid for small problems.  A candidate is infeasible
+    (criterion +inf) when N <= p, when its Gram block fails fit_wls's
+    singularity rule, or when its knots cannot be placed.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
@@ -238,18 +246,8 @@ def knot_search(
     if strategy not in ("full", "coordinate"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    criterion = _statistics_criterion(data, family, degree, k_max)
+    criterion = _statistics_criterion(data, family, degree, k_max, placement, bandwidth)
     return _walk_grid(criterion, n_coef, k_max, strategy)
-
-
-def select_knots(
-    data: LongitudinalDataset,
-    family,
-    degree: int,
-    k_max: int,
-    strategy: str = "auto",
-) -> tuple[int, ...]:
-    return knot_search(data, family, degree, k_max, strategy)[0]
 
 
 def amse(truth, estimate, counts) -> float:

@@ -24,7 +24,7 @@ from .data import LongitudinalDataset
 from .engines import fit_engine
 from .errors import TvcmError
 from .rng import as_generator
-from .selection import amse, made, select_knots
+from .selection import amse, knot_search, made
 
 SCENARIO1_LEVELS = {"weak": 0.01, "medium": 0.04, "high": 0.09}
 SCENARIO1_SIGMA2 = 0.01
@@ -264,7 +264,7 @@ def run_replications(
         times = data.times
         for family in families:
             try:
-                k_best = select_knots(data, family, degree, k_max, strategy)
+                k_best = knot_search(data, family, degree, k_max, strategy)[0]
                 specs = tuple(make_spec(family, degree, k, data.time_domain) for k in k_best)
             except TvcmError as exc:
                 for engine in engines:

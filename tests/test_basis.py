@@ -101,6 +101,38 @@ class TestBasisSpec:
         assert "bandwidth" not in spec.to_dict()
 
 
+class TestMakeSpec:
+    def test_quantile_placement_uses_the_times(self):
+        times = [0.0, 0.1, 0.2, 0.3, 1.0]
+        spec = make_spec("radial", 2, 1, (0.0, 1.0), placement="quantile",
+                         times=times)
+        assert spec.knots == place_knots_quantile(times, 1) == (0.2,)
+        # the default bandwidth still follows the equal spacing of the domain
+        assert spec.bandwidth == default_bandwidth((0.0, 1.0), 1) == 0.5
+
+    def test_quantile_zero_knots_is_the_equal_spec(self):
+        assert (make_spec("tpower", 1, 0, (0.0, 1.0), placement="quantile",
+                          times=[0.3, 0.4])
+                == make_spec("tpower", 1, 0, (0.0, 1.0)))
+
+    def test_bandwidth_override(self):
+        spec = make_spec("radial", 2, 3, (0.0, 1.0), 0.1)
+        assert spec.knots == place_knots_equal((0.0, 1.0), 3)
+        assert spec.bandwidth == 0.1
+
+    def test_quantile_needs_times(self):
+        with pytest.raises(ValueError, match="times"):
+            make_spec("radial", 2, 2, (0.0, 1.0), placement="quantile")
+
+    def test_unknown_placement(self):
+        with pytest.raises(ValueError, match="placement"):
+            make_spec("radial", 2, 2, (0.0, 1.0), placement="random")
+
+    def test_tpower_bandwidth_names_both_options(self):
+        with pytest.raises(ValueError, match="bandwidth.*tpower"):
+            make_spec("tpower", 2, 2, (0.0, 1.0), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Basis evaluation
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line interface: artifact contracts, config layering, errors."""
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tvcm import gen_scenario1, write_csv
-from tvcm.cli import main
+from tvcm.cli import _DEFAULTS, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,34 @@ class TestFit:
         for stage, seconds in timings.items():
             assert isinstance(seconds, float), stage
             assert np.isfinite(seconds) and seconds >= 0.0, stage
+
+    @pytest.mark.parametrize("extra, counts, selection", [
+        ([], [0, 2, 0], {"candidates": 125, "infeasible": 20}),
+        (["--bandwidth", "5"], [0, 0, 0], {"candidates": 125, "infeasible": 0}),
+    ], ids=["default-bandwidth", "bandwidth-5"])
+    def test_auto_knots_score_the_fitted_basis(self, demo_csv, tmp_path,
+                                               capsys, extra, counts,
+                                               selection):
+        """--knots auto searches with the bandwidth the fit then uses, and
+        fit.json records the size of that search."""
+        out = tmp_path / "auto"
+        code, _ = _run(
+            ["fit", "--data", str(demo_csv), "--engine", "wls", "--knots",
+             "auto", "--kmax", "4", "--grid", "10", "--out", str(out),
+             *extra], capsys)
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["knot_counts"] == counts
+        assert fit["selection"] == selection
+
+    def test_fixed_knots_record_no_selection(self, data_csv, tmp_path,
+                                             capsys):
+        out = tmp_path / "fixed"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--engine", "wls", "--knots",
+             "2", "--grid", "10", "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["selection"] is None
 
     def test_deterministic_fit_json(self, data_csv, tmp_path, capsys):
         """Everything except the wall-clock timing fields must be identical
@@ -329,6 +358,49 @@ class TestOptionsAndErrors:
             "error": "ValueError",
             "message": "radial basis requires a positive bandwidth"}
 
+    @pytest.mark.parametrize("args, named", [
+        (["--time-domain", "0,1,2"], "--time-domain must be two numbers a,b, got '0,1,2'"),
+        (["--time-domain", "x"], "--time-domain must be two numbers a,b, got 'x'"),
+        (["--knots", "3,abc"], "--knots must be 'auto' or non-negative counts, got '3,abc'"),
+        (["--knots", "-1"], "--knots must be 'auto' or non-negative counts, got '-1'"),
+        (["--engine", "wls", "--boot", "-5"], "draws must be non-negative (0 means the "
+                                              "engine default), got -5"),
+        (["--engine", "gibbs", "--draws", "-5"], "draws must be non-negative (0 means the "
+                                                 "engine default), got -5"),
+        (["--grid", "0"], "--grid must be at least 1, got 0"),
+        (["--grid", "-3"], "--grid must be at least 1, got -3"),
+        (["--family", "tpower", "--bandwidth", "5"], "bandwidth 5.0 given, but family 'tpower' takes none"),
+        (["--family", "tpower", "--bandwidth", "5", "--knots", "auto", "--kmax", "2"],
+         "bandwidth 5.0 given, but family 'tpower' takes none"),
+    ], ids=["domain-three-values", "domain-not-a-number", "knots-not-a-count",
+            "knots-negative", "boot-negative", "draws-negative", "grid-zero",
+            "grid-negative", "tpower-bandwidth", "tpower-bandwidth-auto"])
+    def test_bad_option_names_the_option(self, data_csv, tmp_path, capsys,
+                                         args, named):
+        fixed = ["--knots", "1", "--engine", "wls"]
+        code, payload = _run(
+            ["fit", "--data", str(data_csv), "--out", str(tmp_path / "bad"),
+             *fixed, *args], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert named in payload["message"]
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        (command, "time_domain", value, "--time-domain")
+        for command in ("fit", "select", "crossval") for value in ([0, 1, 2], "1")
+    ] + [(command, "knots", "3,abc", "--knots") for command in ("fit", "crossval")])
+    def test_bad_config_value_names_the_option(self, data_csv, tmp_path,
+                                               capsys, command, key, value,
+                                               named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, payload = _run(
+            [command, "--data", str(data_csv), "--config", str(cfg),
+             "--out", str(tmp_path / "bad-out")], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert named in payload["message"] and repr(value) in payload["message"]
+
     def test_seed_env_fallback(self, data_csv, tmp_path, capsys,
                                monkeypatch):
         monkeypatch.setenv("TVCM_SEED", "21")
@@ -366,3 +438,46 @@ class TestOptionsAndErrors:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout.strip().splitlines()[-1])
         assert payload["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# Parser and defaults
+# ---------------------------------------------------------------------------
+
+
+class TestParserDefaults:
+    @staticmethod
+    def _flags(command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
+    def test_flags_match_defaults(self, command):
+        """Every flag but --config and --seed has a default, and every
+        default has a flag; fit, select and crossval also take --data."""
+        flags = self._flags(command) - {"config", "seed"}
+        data = {"data"} if command != "simulate" else set()
+        assert flags == set(_DEFAULTS[command]) | data
+
+    def test_model_options_shared(self):
+        shared = {"data", "family", "degree", "kmax", "strategy", "time_domain"}
+        for command in ("fit", "select", "crossval"):
+            assert shared <= self._flags(command)
+            assert {k: _DEFAULTS[command][k] for k in shared - {"data"}} == {
+                k: _DEFAULTS["fit"][k] for k in shared - {"data"}}
+
+    @pytest.mark.parametrize("command", ["select", "crossval"])
+    @pytest.mark.parametrize("key", ["placement", "bandwidth"])
+    def test_fit_only_keys_rejected(self, data_csv, tmp_path, capsys,
+                                    command, key):
+        cfg = tmp_path / "fit-only.json"
+        cfg.write_text(json.dumps({key: "quantile" if key == "placement" else 5.0}))
+        code, payload = _run(
+            [command, "--data", str(data_csv), "--config", str(cfg),
+             "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": f"unknown config key {key!r} for command {command!r}"}

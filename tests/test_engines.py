@@ -101,5 +101,11 @@ class TestFitEngine:
         with pytest.raises(ValueError):
             fit_engine(data, specs, "stan")
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_draws_rejected(self, small_problem, engine):
+        data, specs = small_problem
+        with pytest.raises(ValueError, match="draws.*-5"):
+            fit_engine(data, specs, engine, draws=-5)
+
     def test_engine_registry(self):
         assert ENGINES == ("wls", "gibbs", "vb")

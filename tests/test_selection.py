@@ -28,7 +28,6 @@ from tvcm.selection import (
     made,
     pcv,
     pcv_loo,
-    select_knots,
 )
 
 from conftest import by_subject, single_subject
@@ -187,8 +186,8 @@ class TestKnotSearch:
         for seed in (1, 2, 3):
             data, _ = gen_scenario1(10, np.random.default_rng(seed), m=8,
                                     level="weak", shape="trig")
-            full = select_knots(data, "radial", 2, 4, strategy="full")
-            coord = select_knots(data, "radial", 2, 4, strategy="coordinate")
+            full = knot_search(data, "radial", 2, 4, strategy="full")[0]
+            coord = knot_search(data, "radial", 2, 4, strategy="coordinate")[0]
             assert full == coord
 
     def test_polynomial_truth_prefers_zero_knots(self):
@@ -198,7 +197,7 @@ class TestKnotSearch:
         hits = 0
         for _ in range(100):
             data = _random_intercept_panel(root.spawn(1)[0])
-            if select_knots(data, "radial", 2, 3) == (0,):
+            if knot_search(data, "radial", 2, 3)[0] == (0,):
                 hits += 1
         assert hits >= 90
 
@@ -349,6 +348,42 @@ class TestKnotSearchOracle:
             assert knot_search(data, "radial", 2, 4, "full") == want
             monkeypatch.undo()
         assert max(batches) == 3
+
+    @pytest.mark.parametrize("panel", ["scenario2", "demo"])
+    @pytest.mark.parametrize("family, options", [
+        ("radial", {"bandwidth": 5.0}),
+        ("radial", {"placement": "quantile"}),
+        ("tpower", {"placement": "quantile"}),
+    ], ids=["radial-bw5", "radial-quantile", "tpower-quantile"])
+    def test_basis_options_match_qr_refits(self, panels, panel, family, options):
+        """Selection scores the basis that is fitted: with a bandwidth
+        override or quantile knots, the statistics search and the QR walk
+        under the same options pick the same winner and infeasible set."""
+        data = panels[panel]
+        k_max = 4 if panel == "demo" else 3
+        weights = subject_uniform_weights(data)
+        best, table = knot_search(data, family, 2, k_max, "full", **options)
+        oracle_best, oracle_table = _walk_grid(
+            lambda combos: [_candidate_pcv(data, family, 2, c, weights, **options)
+                            for c in combos],
+            data.covariate_dim + 1, k_max, "full")
+        assert best == oracle_best
+        got = np.array([row["pcv"] for row in table])
+        want = np.array([row["pcv"] for row in oracle_table])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+
+    def test_demo_bandwidth_override_moves_the_pick(self, panels):
+        """Under the default bandwidths the demo search picks (0, 2, 0);
+        scoring the h = 5 basis that gets fitted picks (0, 0, 0)."""
+        data = panels["demo"]
+        assert knot_search(data, "radial", 2, 4)[0] == (0, 2, 0)
+        assert knot_search(data, "radial", 2, 4, bandwidth=5.0)[0] == (0, 0, 0)
+
+    def test_tpower_bandwidth_rejected(self, panels):
+        with pytest.raises(ValueError, match="bandwidth.*tpower"):
+            knot_search(panels["demo"], "tpower", 2, 2, bandwidth=5.0)
 
     def test_demo_radial_infeasible_set(self, panels):
         """At k_max=5 the raw-column condition rule rejects 85 of the 216
