@@ -4,16 +4,19 @@ A bootstrap replicate resamples n subjects with replacement, keeping each
 drawn copy as a distinct subject, recomputes the subject-uniform weights for
 the resampled data, and refits.  Replicates whose resampled design is
 singular are redrawn, with the total number of attempts capped at ten times
-the requested draw count.
+the requested draw count.  Attempt j draws its n subject indices from the
+master generator, right after attempt j - 1's.
 
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
 bootstrap_fit therefore computes each subject's weighted Gram block
-A_i'A_i and cross product A_i'y_i once, turns a wave of draws into a matrix
-of copy counts C, and solves every replicate's normal equations
-(C G)alpha = C c in one batch; sigma2 comes from exact weighted residuals.
-resample_subjects followed by a QR fit_wls is the per-replicate reference
-path and stays as the test oracle.
+A_i'A_i and cross product A_i'y_i once, turns a chunk of draws into a
+matrix of copy counts C, and solves every replicate's normal equations
+(C G)alpha = C c in one batch.  sigma2 comes from per-subject residual
+statistics about the full-data solution, so a replicate costs
+O(n p^2 + p^3) whatever the number of observations.  resample_subjects
+followed by a QR fit_wls is the per-replicate reference path and stays as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .frequentist import fit_wls, solve_gram
 from .rng import as_generator
 
 REDRAW_FACTOR = 10
-# replicates solved together; bounds the scratch arrays at chunk x p x p and N x chunk
-REPLICATE_CHUNK = 16
+# replicates drawn and solved together; bounds the scratch arrays at chunk x n and chunk x p x p
+REPLICATE_CHUNK = 256
 
 
 class DrawSource(str, Enum):
@@ -48,13 +51,15 @@ class PosteriorDraws:
     Shared container for bootstrap replicates and Bayesian posterior samples;
     sigma2_draws holds variances (sigma squared), strictly positive for the
     Bayesian sources.  seed records the master seed, -1 when the caller
-    passed a live Generator instead of an integer.
+    passed a live Generator instead of an integer.  attempts is the number of
+    bootstrap replicates tried, singular ones included; None for samplers.
     """
 
     alpha_draws: np.ndarray
     sigma2_draws: np.ndarray
     source: DrawSource
     seed: int = -1
+    attempts: int | None = None
 
     def __post_init__(self) -> None:
         alpha = np.asarray(self.alpha_draws, dtype=float)
@@ -183,18 +188,20 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
 
 @dataclass(frozen=True)
 class _SubjectStats:
-    """Weighted design sqrt(W) Z and response sqrt(W) y with per-subject sufficient statistics.
+    """Per-subject sufficient statistics of the weighted fit about a center.
 
-    Subject i owns rows starts[i] .. starts[i] + counts[i]; gram[i] and
-    cross[i] are that block's A_i'A_i and A_i'y_i.
+    With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
+    and cross[i] are A_i'A_i and A_i'y_i.  center is the full-data solution
+    alpha0; with e = y~ - A alpha0, resid_sq[i] is e_i'e_i and lever[i] is
+    A_i'e_i = cross[i] - gram[i] alpha0.
     """
 
-    design: np.ndarray
-    response: np.ndarray
-    starts: np.ndarray
     counts: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
+    center: np.ndarray
+    resid_sq: np.ndarray
+    lever: np.ndarray
 
 
 def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
@@ -209,40 +216,44 @@ def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
         block = design[lo : lo + n_i]
         gram[i] = block.T @ block
         cross[i] = block.T @ response[lo : lo + n_i]
-    return _SubjectStats(design, response, starts, counts, gram, cross)
+    center = np.linalg.solve(gram.sum(axis=0), cross.sum(axis=0))
+    resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
+    lever = cross - gram @ center
+    return _SubjectStats(counts, gram, cross, center, resid_sq, lever)
 
 
-def _replicate_wave(stats: _SubjectStats, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit one bootstrap replicate per stream; returns (feasible, alpha, sigma2).
+def _replicate_wave(stats: _SubjectStats, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit one bootstrap replicate per row of picks; returns (feasible, alpha, sigma2).
 
-    Each stream draws n subject indices exactly as resample_subjects does.
-    n is unchanged, so every drawn copy keeps its weight 1/(n n_i) and a
-    replicate's normal equations are the copy-count-weighted sums of the
-    subjects' statistics.  Replicates are solved REPLICATE_CHUNK at a time.
-    sigma2 comes from each replicate's exact weighted residuals; s - c'alpha
-    would cancel to noise, or below zero, on a near-exact fit.
+    Row b of picks holds the n subject indices of attempt b, as
+    resample_subjects draws them.  n is unchanged, so every drawn copy keeps
+    its weight 1/(n n_i) and a replicate's normal equations are the
+    copy-count-weighted sums of the subjects' statistics.  With copy counts
+    C_b, Gram matrix G_b and d_b = alpha_b - alpha0, the weighted residual
+    sum of squares is C_b.resid_sq - 2 d_b'(C_b lever) + d_b' G_b d_b, exact
+    for any center alpha0; the full-data alpha0 sits near every alpha_b, so
+    unlike s - c'alpha it does not cancel to noise on a near-exact fit.
+    Roundoff below zero is clamped.
     """
-    n = stats.counts.size
-    p = stats.design.shape[1]
-    feasible = np.zeros(len(streams), dtype=bool)
-    alpha = np.full((len(streams), p), np.nan)
-    sigma2 = np.full(len(streams), np.nan)
-    for lo in range(0, len(streams), REPLICATE_CHUNK):
-        chunk = streams[lo : lo + REPLICATE_CHUNK]
-        copies = np.array(
-            [np.bincount(s.integers(0, n, size=n), minlength=n) for s in chunk], dtype=float
-        )
-        n_obs = copies @ stats.counts
-        gram = (copies @ stats.gram.reshape(n, p * p)).reshape(-1, p, p)
-        ok, coef = solve_gram(gram, copies @ stats.cross)
-        ok &= n_obs > p
-        good = np.flatnonzero(ok)
-        resid = stats.response[:, None] - stats.design @ coef[good].T
-        per_subject = np.add.reduceat(resid**2, stats.starts, axis=0)
-        wrss = np.einsum("ji,ij->j", copies[good], per_subject)
-        feasible[lo + good] = True
-        alpha[lo + good] = coef[good]
-        sigma2[lo + good] = wrss / (n_obs[good] - p)
+    rows, n = picks.shape
+    p = stats.center.size
+    # one bincount over row-offset picks counts the copies of every attempt
+    offset = picks + n * np.arange(rows)[:, None]
+    copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
+    n_obs = copies @ stats.counts
+    gram = (copies @ stats.gram.reshape(n, p * p)).reshape(rows, p, p)
+    feasible, alpha = solve_gram(gram, copies @ stats.cross)
+    feasible &= n_obs > p
+    alpha[~feasible] = np.nan
+    # infeasible rows get d = 0 so the whole chunk is scored without copying G
+    d = np.where(feasible[:, None], alpha - stats.center, 0.0)
+    wrss = (
+        copies @ stats.resid_sq
+        - 2.0 * np.einsum("bj,bj->b", d, copies @ stats.lever)
+        + np.einsum("bj,bj->b", d, (gram @ d[:, :, None])[..., 0])
+    )
+    sigma2 = np.full(rows, np.nan)
+    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
     return feasible, alpha, sigma2
 
 
@@ -255,11 +266,14 @@ def bootstrap_fit(
 ) -> PosteriorDraws:
     """Collect n_draws successful replicate fits.
 
-    Attempts run in waves of one replicate per still-missing draw.  Each
-    attempt's RNG stream is spawned from the master generator in attempt
-    order, and draws are kept in attempt-index order.  bundle, when given,
-    is the design of (data, specs) that a fit_wls call has already found
-    feasible; without it the design is built and checked here.
+    Attempts run in waves of one replicate per still-missing draw.  Attempt
+    j takes the next n subject indices from the master generator itself, so
+    the draws equal those of resample_subjects(data, gen) called once per
+    attempt in order; each chunk of up to REPLICATE_CHUNK attempts is one
+    gen.integers call.  Draws are kept in attempt-index order, and the
+    returned draws record the attempts made.  bundle, when given, is the
+    design of (data, specs) that a fit_wls call has already found feasible;
+    without it the design is built and checked here.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -270,23 +284,27 @@ def bootstrap_fit(
         fit_wls(bundle)
     stats = _subject_stats(bundle, data.counts)
 
+    n = data.n_subjects
     cap = REDRAW_FACTOR * n_draws
     alphas, sigma2s = [], []
-    found = attempts_used = 0
-    while found < n_draws and attempts_used < cap:
-        wave = min(n_draws - found, cap - attempts_used)
-        feasible, alpha, sigma2 = _replicate_wave(stats, gen.spawn(wave))
-        alphas.append(alpha[feasible])
-        sigma2s.append(sigma2[feasible])
-        found += int(feasible.sum())
-        attempts_used += wave
+    found = attempts = 0
+    while found < n_draws and attempts < cap:
+        wave_end = attempts + min(n_draws - found, cap - attempts)
+        while attempts < wave_end:
+            rows = min(REPLICATE_CHUNK, wave_end - attempts)
+            feasible, alpha, sigma2 = _replicate_wave(stats, gen.integers(0, n, size=(rows, n)))
+            alphas.append(alpha[feasible])
+            sigma2s.append(sigma2[feasible])
+            found += int(feasible.sum())
+            attempts += rows
     if found < n_draws:
         raise BootstrapDegeneracyError(
-            f"only {found} of {n_draws} replicates succeeded within {attempts_used} attempts"
+            f"only {found} of {n_draws} replicates succeeded within {attempts} attempts"
         )
     return PosteriorDraws(
         alpha_draws=np.concatenate(alphas),
         sigma2_draws=np.concatenate(sigma2s),
         source=DrawSource.BOOTSTRAP,
         seed=seed,
+        attempts=attempts,
     )

@@ -303,6 +303,8 @@ def cmd_fit(opts) -> int:
             "candidates": len(table),
             "infeasible": sum(1 for row in table if not np.isfinite(row["pcv"])),
         },
+        # bootstrap attempts, singular redraws included, for wls with --boot; null otherwise
+        "bootstrap": result.extra.get("bootstrap"),
         "alpha": {str(r): blocks[r].tolist() for r in range(len(blocks))},
         "sigma2": result.base_fit.sigma2_hat,
         "wls_sigma2": result.base_fit.sigma2_hat,

@@ -53,13 +53,13 @@ def fit_engine(
     bundle = build_design(data, specs)
     base = fit_wls(bundle)
     if engine == "wls":
-        if draws > 0:
-            start = time.perf_counter()
-            boot = bootstrap_fit(data, specs, draws, rng, bundle=bundle)
-            elapsed = time.perf_counter() - start
-        else:
-            boot, elapsed = None, 0.0
-        return EngineResult("wls", base.alpha_hat, base, boot, elapsed)
+        if draws == 0:
+            return EngineResult("wls", base.alpha_hat, base, None, 0.0)
+        start = time.perf_counter()
+        boot = bootstrap_fit(data, specs, draws, rng, bundle=bundle)
+        elapsed = time.perf_counter() - start
+        tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
+        return EngineResult("wls", base.alpha_hat, base, boot, elapsed, {"bootstrap": tries})
 
     prior = default_prior(base)
     z_t, y_t = whiten(bundle)

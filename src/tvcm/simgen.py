@@ -96,23 +96,23 @@ def gen_scenario1(
     children = gen.spawn(n)
     schedule = np.arange(1, m + 1) / (m + 1)
 
-    times, responses, truth_blocks = [], [], []
-    for i in range(1, n + 1):
-        child = children[i - 1]
-        keep = _retention_mask(child, m, missing_rate)
-        a = child.standard_normal(3) * np.array([sigma0, sigma, sigma])
-        t = schedule[keep]
-        noise_sd = sigma * (1.0 - np.exp(-0.5 * t - i / n))
-        eps = child.standard_normal(t.size) * noise_sd
-        process = a[0] + a[1] * np.cos(2.0 * np.pi * t) + a[2] * np.sin(2.0 * np.pi * t)
-        truth = beta0(t)
-        times.append(t)
-        responses.append(truth + process + eps)
-        truth_blocks.append(truth)
-    counts = [t.size for t in times]
+    # each subject's stream draws its mask, then a, then one noise variate per kept visit
+    keep, effects, variates = np.empty((n, m), dtype=bool), np.empty((n, 3)), []
+    for i, child in enumerate(children):
+        keep[i] = _retention_mask(child, m, missing_rate)
+        effects[i] = child.standard_normal(3)
+        variates.append(child.standard_normal(np.count_nonzero(keep[i])))
+    counts = keep.sum(axis=1)
+    t = np.broadcast_to(schedule, keep.shape)[keep]
+    subject = np.repeat(np.arange(1, n + 1), counts)
+    a = np.repeat(effects * np.array([sigma0, sigma, sigma]), counts, axis=0)
+    noise_sd = sigma * (1.0 - np.exp(-0.5 * t - subject / n))
+    eps = np.concatenate(variates) * noise_sd
+    process = a[:, 0] + a[:, 1] * np.cos(2.0 * np.pi * t) + a[:, 2] * np.sin(2.0 * np.pi * t)
+    truth = beta0(t)
     data = LongitudinalDataset(
-        tuple(map(str, range(1, n + 1))), counts, np.concatenate(times), np.concatenate(responses),
-        np.empty((sum(counts), 0)), time_domain=(0.0, 1.0),
+        tuple(map(str, range(1, n + 1))), counts, t, truth + process + eps,
+        np.empty((t.size, 0)), time_domain=(0.0, 1.0),
     )
     params = {
         "scenario": 1,
@@ -124,7 +124,7 @@ def gen_scenario1(
         "sigma0_sq": SCENARIO1_LEVELS[level],
         "sigma_sq": SCENARIO1_SIGMA2,
     }
-    return data, SimTruth(curves=(np.concatenate(truth_blocks),), params=params)
+    return data, SimTruth(curves=(truth,), params=params)
 
 
 def scenario2_betas() -> tuple:

@@ -6,7 +6,8 @@ import csv
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2
+import tvcm.bootstrap
+from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import (
     REDRAW_FACTOR,
@@ -37,17 +38,18 @@ def _one_obs_each(n: int) -> LongitudinalDataset:
 
 
 def _loop_bootstrap(data, specs, n_draws, seed):
-    """Reference bootstrap: resample_subjects and a QR fit_wls per attempt,
-    in the waves and attempt order bootstrap_fit uses.  Returns the
-    successful (attempt index, alpha, sigma2) and the attempts used."""
+    """Reference bootstrap: resample_subjects from the master generator and
+    a QR fit_wls per attempt, in the waves and attempt order bootstrap_fit
+    uses.  Returns the successful (attempt index, alpha, sigma2) and the
+    attempts used."""
     gen = np.random.default_rng(seed)
     cap = REDRAW_FACTOR * n_draws
     hits, attempts = [], 0
     while len(hits) < n_draws and attempts < cap:
         wave = min(n_draws - len(hits), cap - attempts)
-        for offset, stream in enumerate(gen.spawn(wave)):
+        for offset in range(wave):
             try:
-                fit = fit_wls(build_design(resample_subjects(data, stream),
+                fit = fit_wls(build_design(resample_subjects(data, gen),
                                            specs))
             except (SingularDesignError, InsufficientDataError):
                 continue
@@ -57,11 +59,18 @@ def _loop_bootstrap(data, specs, n_draws, seed):
 
 
 def _feasible_attempts(data, specs, seed, n_attempts):
-    """Attempt indices the batched path accepts, over one wave of streams."""
+    """Attempt indices the batched path accepts, over one pick matrix."""
     stats = _subject_stats(build_design(data, specs), data.counts)
-    streams = np.random.default_rng(seed).spawn(n_attempts)
-    feasible, _, _ = _replicate_wave(stats, streams)
+    n = data.n_subjects
+    picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
+    feasible, _, _ = _replicate_wave(stats, picks)
     return np.flatnonzero(feasible).tolist()
+
+
+def _picks(data, resampled):
+    """Subject indices behind the '<id>#<slot>' ids of a resample."""
+    source = {sid: i for i, sid in enumerate(data.subject_ids)}
+    return [source[sid.split("#")[0]] for sid in resampled.subject_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +140,14 @@ class TestResample:
 class TestBootstrapFit:
     def test_single_draw_composes_resample_and_fit(self):
         """One bootstrap draw equals resample -> rebuild weights -> WLS run
-        by hand with the same spawned substream, up to the rounding that
+        by hand from the same master generator, up to the rounding that
         separates the normal equations from the QR solve."""
         data, _ = gen_scenario1(8, np.random.default_rng(21), m=6,
                                 level="weak", shape="trig")
         specs = (make_spec("radial", 2, 1, data.time_domain),)
         draws = bootstrap_fit(data, specs, 1, np.random.default_rng(77))
         manual = fit_wls(build_design(
-            resample_subjects(data, np.random.default_rng(77).spawn(1)[0]),
+            resample_subjects(data, np.random.default_rng(77)),
             specs))
         scale = np.abs(manual.alpha_hat).max()
         assert np.abs(draws.alpha_draws[0] - manual.alpha_hat).max() \
@@ -168,13 +177,14 @@ class TestBootstrapFit:
         assert draws.sigma2_draws.max() <= 1e-16
 
     def test_degenerate_resamples_exhaust_budget(self):
-        """Eight one-observation subjects under a degree-6 polynomial: most
-        resamples lose too many distinct times, so the redraw budget of
-        10 * n_draws runs out."""
+        """Eight one-observation subjects under a degree-6 polynomial: a
+        resample succeeds only when it holds seven or more distinct
+        subjects, about 7% of attempts, so 1,000 attempts fall far short
+        of 100 draws."""
         data = _one_obs_each(8)
         specs = (make_spec("tpower", 6, 0, data.time_domain),)
         with pytest.raises(BootstrapDegeneracyError):
-            bootstrap_fit(data, specs, 5, np.random.default_rng(0))
+            bootstrap_fit(data, specs, 100, np.random.default_rng(0))
 
     def test_redraws_recover_from_singular_attempts(self):
         """Six one-observation subjects under a degree-4 polynomial succeed
@@ -183,6 +193,7 @@ class TestBootstrapFit:
         specs = (make_spec("tpower", 4, 0, data.time_domain),)
         draws = bootstrap_fit(data, specs, 10, np.random.default_rng(0))
         assert draws.n_draws == 10
+        assert draws.attempts > 10
         assert draws.source is DrawSource.BOOTSTRAP
 
     def test_infeasible_base_fit_raises_before_resampling(self):
@@ -221,6 +232,7 @@ class TestLoopOracle:
         assert _feasible_attempts(data, specs, 0, attempts) == \
             [i for i, _, _ in hits]
         draws = bootstrap_fit(data, specs, 10, 0)
+        assert draws.attempts == attempts
         np.testing.assert_allclose(draws.alpha_draws,
                                    np.array([a for _, a, _ in hits]),
                                    rtol=1e-8, atol=1e-8)
@@ -228,14 +240,89 @@ class TestLoopOracle:
     def test_exhaustion_matches_loop(self):
         data = _one_obs_each(8)
         specs = (make_spec("tpower", 6, 0, data.time_domain),)
-        hits, attempts = _loop_bootstrap(data, specs, 5, 0)
-        assert len(hits) < 5 and attempts == REDRAW_FACTOR * 5
+        hits, attempts = _loop_bootstrap(data, specs, 100, 0)
+        assert len(hits) < 100 and attempts == REDRAW_FACTOR * 100
         assert _feasible_attempts(data, specs, 0, attempts) == \
             [i for i, _, _ in hits]
-        expected = (f"only {len(hits)} of 5 replicates succeeded within "
+        expected = (f"only {len(hits)} of 100 replicates succeeded within "
                     f"{attempts} attempts")
         with pytest.raises(BootstrapDegeneracyError, match=expected):
-            bootstrap_fit(data, specs, 5, 0)
+            bootstrap_fit(data, specs, 100, 0)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 30, 40, 50, 100, 101])
+    def test_pick_matrix_equals_sequential_resamples(self, n):
+        """One integers call for a chunk of attempts draws the subjects that
+        resample_subjects draws when called once per attempt."""
+        data = _one_obs_each(n)
+        picks = np.random.default_rng(n).integers(0, n, size=(9, n))
+        gen = np.random.default_rng(n)
+        for row in picks:
+            assert _picks(data, resample_subjects(data, gen)) == row.tolist()
+
+    def test_chunking_leaves_draws_unchanged(self, monkeypatch):
+        """REPLICATE_CHUNK bounds scratch memory only: chunks of 3 draw and
+        keep exactly what one chunk per wave does."""
+        data = _one_obs_each(6)
+        specs = (make_spec("tpower", 4, 0, data.time_domain),)
+        whole = bootstrap_fit(data, specs, 10, 0)
+        monkeypatch.setattr(tvcm.bootstrap, "REPLICATE_CHUNK", 3)
+        chunked = bootstrap_fit(data, specs, 10, 0)
+        np.testing.assert_array_equal(chunked.alpha_draws, whole.alpha_draws)
+        np.testing.assert_array_equal(chunked.sigma2_draws, whole.sigma2_draws)
+        assert chunked.attempts == whole.attempts
+
+
+def _exact_sigma2(data, specs, seed, alpha):
+    """sigma2 of each replicate alpha[b] from the weighted residuals of the
+    b-th resample_subjects draw from default_rng(seed)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for coef in alpha:
+        bundle = build_design(resample_subjects(data, gen), specs)
+        resid = np.sqrt(bundle.weights) * (bundle.y - bundle.Z @ coef)
+        out.append(resid @ resid / (bundle.y.size - bundle.n_params))
+    return np.array(out)
+
+
+class TestCenteredSigma2:
+    """sigma2 from the per-subject statistics about the full-data center
+    against the exact weighted residuals of each resampled design."""
+
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2", "demo"])
+    def test_matches_exact_residuals(self, panel, request):
+        if panel == "scenario1":
+            data, _ = gen_scenario1(30, np.random.default_rng(8))
+            specs = (make_spec("radial", 2, 2, data.time_domain),)
+        elif panel == "scenario2":
+            data, _ = gen_scenario2(40, np.random.default_rng(8))
+            specs = tuple(make_spec("radial", 2, 2, data.time_domain)
+                          for _ in range(3))
+        else:
+            data = ingest_csv(request.getfixturevalue("demo_csv"))
+            specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
+                          for _ in range(data.covariate_dim + 1))
+        stats = _subject_stats(build_design(data, specs), data.counts)
+        n = data.n_subjects
+        picks = np.random.default_rng(3).integers(0, n, size=(25, n))
+        feasible, alpha, sigma2 = _replicate_wave(stats, picks)
+        assert feasible.all()
+        exact = _exact_sigma2(data, specs, 3, alpha)
+        np.testing.assert_allclose(sigma2, exact, rtol=1e-10, atol=0.0)
+
+    def test_noiseless_panel_stays_at_roundoff(self):
+        base, _ = gen_scenario1(12, np.random.default_rng(42), m=6,
+                                level="weak", shape="exp")
+        specs = (make_spec("radial", 2, 1, base.time_domain),)
+        alpha_star = np.random.default_rng(5).standard_normal(
+            build_design(base, specs).n_params)
+        clean = exact_response_dataset(base, specs, alpha_star)
+        stats = _subject_stats(build_design(clean, specs), clean.counts)
+        picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
+        feasible, alpha, sigma2 = _replicate_wave(stats, picks)
+        exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]
+        assert feasible.sum() >= 10
+        assert np.abs(sigma2[feasible] - exact).max() <= 1e-26
+        assert sigma2[feasible].max() <= 1e-24
 
 
 # ---------------------------------------------------------------------------

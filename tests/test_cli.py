@@ -57,6 +57,7 @@ class TestFit:
         curves = _read_curves(out)
         assert len(curves) == 50  # one coefficient, 50 grid points
         assert all(row["lower"] != "" for row in curves)
+        assert fit["bootstrap"] == {"attempts": 40, "redraws": 0}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["options"]["seed"] == 3
         assert manifest["command"] == "fit"
@@ -84,6 +85,7 @@ class TestFit:
         assert np.isfinite(fit["dic"]["dic"])
         assert np.isfinite(fit["dic"]["p_dic"])
         assert "prior" in fit
+        assert fit["bootstrap"] is None
 
     def test_vb_close_to_gibbs_curves(self, data_csv, tmp_path, capsys):
         """The two Bayesian engines must produce nearly identical posterior
@@ -142,7 +144,9 @@ class TestFit:
             ["fit", "--data", str(data_csv), "--engine", "wls", "--knots",
              "2", "--grid", "10", "--out", str(out)], capsys)
         assert code == 0
-        assert json.loads((out / "fit.json").read_text())["selection"] is None
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["selection"] is None
+        assert fit["bootstrap"] is None
 
     def test_deterministic_fit_json(self, data_csv, tmp_path, capsys):
         """Everything except the wall-clock timing fields must be identical

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvcm import gen_scenario2
+from tvcm import LongitudinalDataset, gen_scenario2
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
@@ -47,6 +47,19 @@ class TestFitEngine:
                                       direct.alpha_draws)
         np.testing.assert_array_equal(result.draws.sigma2_draws,
                                       direct.sigma2_draws)
+
+    def test_wls_reports_bootstrap_attempts(self):
+        """Six one-visit subjects under a degree-4 polynomial force redraws;
+        extra counts them from the draws' attempts."""
+        data = LongitudinalDataset([f"s{i}" for i in range(6)], [1] * 6,
+                                   np.arange(6) / 5, np.arange(6.0),
+                                   np.empty((6, 0)))
+        specs = (make_spec("tpower", 4, 0, data.time_domain),)
+        result = fit_engine(data, specs, "wls", rng=0, draws=10)
+        attempts = bootstrap_fit(data, specs, 10, 0).attempts
+        assert attempts > 10
+        assert result.extra["bootstrap"] == {"attempts": attempts,
+                                             "redraws": attempts - 10}
 
     def test_gibbs_point_estimate_is_draw_mean(self, small_problem):
         data, specs = small_problem

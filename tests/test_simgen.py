@@ -18,6 +18,33 @@ from tvcm.simgen import (
 from conftest import by_subject
 
 
+def _loop_scenario1(n, seed, m=30, missing_rate=0.5, level="weak",
+                    shape="exp"):
+    """Reference scenario 1: every subject's curve, process and noise
+    computed inside its own loop step.  Returns (times, responses, truth)."""
+    beta0 = scenario1_beta0(shape)
+    sigma0 = np.sqrt(SCENARIO1_LEVELS[level])
+    sigma = np.sqrt(SCENARIO1_SIGMA2)
+    schedule = np.arange(1, m + 1) / (m + 1)
+    times, responses, truths = [], [], []
+    for i, child in enumerate(np.random.default_rng(seed).spawn(n), start=1):
+        while True:
+            keep = child.random(m) >= missing_rate
+            if keep.any():
+                break
+        a = child.standard_normal(3) * np.array([sigma0, sigma, sigma])
+        t = schedule[keep]
+        noise_sd = sigma * (1.0 - np.exp(-0.5 * t - i / n))
+        eps = child.standard_normal(t.size) * noise_sd
+        process = (a[0] + a[1] * np.cos(2.0 * np.pi * t)
+                   + a[2] * np.sin(2.0 * np.pi * t))
+        truth = beta0(t)
+        times.append(t)
+        responses.append(truth + process + eps)
+        truths.append(truth)
+    return tuple(map(np.concatenate, (times, responses, truths)))
+
+
 # ---------------------------------------------------------------------------
 # Scenario 1
 # ---------------------------------------------------------------------------
@@ -40,6 +67,22 @@ class TestScenario1:
         big, _ = gen_scenario1(6, np.random.default_rng(8))
         np.testing.assert_array_equal(small.counts, big.counts[:3])
         np.testing.assert_array_equal(small.times, big.times[:small.n_obs])
+
+    @pytest.mark.parametrize("n, kwargs", [
+        (1, {}),
+        (7, {"m": 6, "level": "high", "shape": "trig"}),
+        (50, {}),
+        (133, {"missing_rate": 0.9, "m": 4, "level": "medium"}),
+        (1000, {"missing_rate": 0.0, "shape": "trig"}),
+    ])
+    def test_stacked_arrays_equal_subject_loop(self, n, kwargs):
+        """Times, responses and truth bit for bit equal the per-subject
+        loop: the stacked math keeps every subject's draws and operations."""
+        data, truth = gen_scenario1(n, np.random.default_rng(n), **kwargs)
+        times, responses, curve = _loop_scenario1(n, n, **kwargs)
+        np.testing.assert_array_equal(data.times, times)
+        np.testing.assert_array_equal(data.responses, responses)
+        np.testing.assert_array_equal(truth.curves[0], curve)
 
     def test_full_schedule_when_nothing_missing(self):
         data, _ = gen_scenario1(4, np.random.default_rng(1), m=6,
