@@ -212,10 +212,14 @@ def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
     p = bundle.n_params
     gram = np.empty((counts.size, p, p))
     cross = np.empty((counts.size, p))
-    for i, (lo, n_i) in enumerate(zip(starts, counts)):
-        block = design[lo : lo + n_i]
-        gram[i] = block.T @ block
-        cross[i] = block.T @ response[lo : lo + n_i]
+    # one stacked matmul over all subjects with the same visit count
+    for n_i in np.unique(counts):
+        subjects = np.flatnonzero(counts == n_i)
+        rows = starts[subjects, None] + np.arange(n_i)
+        block = design[rows]
+        block_t = block.transpose(0, 2, 1)
+        gram[subjects] = block_t @ block
+        cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
     center = np.linalg.solve(gram.sum(axis=0), cross.sum(axis=0))
     resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
     lever = cross - gram @ center

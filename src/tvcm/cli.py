@@ -247,6 +247,8 @@ def _manifest(command, opts, artifacts) -> dict:
 def cmd_fit(opts) -> int:
     if opts["grid"] < 1:
         raise ValueError(f"--grid must be at least 1, got {opts['grid']}")
+    if not 0 < opts["level"] < 1:
+        raise ValueError(f"--level must be in (0, 1), got {opts['level']}")
     clock = time.perf_counter
     t_start = clock()
     data = _ingest(opts, "fit")
@@ -306,8 +308,8 @@ def cmd_fit(opts) -> int:
         # bootstrap attempts, singular redraws included, for wls with --boot; null otherwise
         "bootstrap": result.extra.get("bootstrap"),
         "alpha": {str(r): blocks[r].tolist() for r in range(len(blocks))},
-        "sigma2": result.base_fit.sigma2_hat,
-        "wls_sigma2": result.base_fit.sigma2_hat,
+        "sigma2": result.sigma2_hat,
+        "wls_sigma2": result.sigma2_hat,
         "sampling_seconds": result.sampling_seconds,
     }
     if engine in ("gibbs", "vb"):

@@ -16,8 +16,9 @@ import numpy as np
 from .basis import build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
-from .frequentist import WlsFit, fit_wls
-from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, default_prior, gibbs, whiten
+from .errors import InsufficientDataError, SingularDesignError
+from .frequentist import CONDITION_LIMIT, fit_wls, solve_gram
+from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, calibrated_prior, gibbs, whiten
 from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, vb_fit, vb_sample
 
 ENGINES = ("wls", "gibbs", "vb")
@@ -27,7 +28,8 @@ ENGINES = ("wls", "gibbs", "vb")
 class EngineResult:
     engine: str
     alpha: np.ndarray
-    base_fit: WlsFit
+    # the WLS noise variance estimate (N - p denominator) that calibrates the priors
+    sigma2_hat: float
     draws: PosteriorDraws | None
     sampling_seconds: float
     extra: dict = field(default_factory=dict)
@@ -51,42 +53,37 @@ def fit_engine(
     if draws < 0:
         raise ValueError(f"draws must be non-negative (0 means the engine default), got {draws}")
     bundle = build_design(data, specs)
-    base = fit_wls(bundle)
     if engine == "wls":
+        base = fit_wls(bundle)
         if draws == 0:
-            return EngineResult("wls", base.alpha_hat, base, None, 0.0)
+            return EngineResult("wls", base.alpha_hat, base.sigma2_hat, None, 0.0)
         start = time.perf_counter()
         boot = bootstrap_fit(data, specs, draws, rng, bundle=bundle)
         elapsed = time.perf_counter() - start
         tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
-        return EngineResult("wls", base.alpha_hat, base, boot, elapsed, {"bootstrap": tries})
+        return EngineResult("wls", base.alpha_hat, base.sigma2_hat, boot, elapsed, {"bootstrap": tries})
 
-    prior = default_prior(base)
     z_t, y_t = whiten(bundle)
+    n_obs, p = z_t.shape
+    if n_obs <= p:
+        raise InsufficientDataError(f"{n_obs} observations cannot identify {p} coefficients")
+    # fit_wls's estimate from the Gram statistics, under the rule knot search applies
+    feasible, alpha = solve_gram((z_t.T @ z_t)[None], (z_t.T @ y_t)[None])
+    if not feasible[0]:
+        raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
+    resid = y_t - z_t @ alpha[0]
+    sigma2_hat = float(resid @ resid) / (n_obs - p)
+    prior = calibrated_prior(sigma2_hat, n_obs)
     n_draws = draws if draws > 0 else DEFAULT_DRAWS
-    if engine == "gibbs":
-        start = time.perf_counter()
-        out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng)
-        elapsed = time.perf_counter() - start
-        return EngineResult(
-            "gibbs",
-            out.alpha_draws.mean(axis=0),
-            base,
-            out,
-            elapsed,
-            {"prior": prior.to_dict()},
-            whitened=(z_t, y_t),
-        )
+    extra = {"prior": prior.to_dict()}
     start = time.perf_counter()
-    post = vb_fit(z_t, y_t, prior, tol=tol, max_iters=max_iters)
-    out = vb_sample(post, n_draws, rng)
+    if engine == "gibbs":
+        out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng)
+        point = out.alpha_draws.mean(axis=0)
+    else:
+        post = vb_fit(z_t, y_t, prior, tol=tol, max_iters=max_iters)
+        out = vb_sample(post, n_draws, rng)
+        point = post.m_star
+        extra.update(posterior=post.to_dict(), converged=post.converged)
     elapsed = time.perf_counter() - start
-    return EngineResult(
-        "vb",
-        post.m_star,
-        base,
-        out,
-        elapsed,
-        {"prior": prior.to_dict(), "posterior": post.to_dict(), "converged": post.converged},
-        whitened=(z_t, y_t),
-    )
+    return EngineResult(engine, point, sigma2_hat, out, elapsed, extra, whitened=(z_t, y_t))

@@ -25,8 +25,8 @@ CONDITION_LIMIT = 1e12
 class WlsFit:
     """Weighted least squares solution and its reusable byproducts.
 
-    gram_inverse is (Z'WZ)^-1, kept for interval construction and the
-    conjugate samplers; hat_trace is the trace of the weighted hat matrix.
+    gram_inverse is (Z'WZ)^-1, the covariance of alpha_hat over sigma2 (no
+    engine reads it); hat_trace, the weighted hat matrix's trace, feeds pcv.
     """
 
     alpha_hat: np.ndarray

@@ -71,16 +71,35 @@ def whiten(bundle: DesignBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_prior(fit: WlsFit) -> PriorSpec:
+    """Data-calibrated prior from a WLS fit; see calibrated_prior."""
+    return calibrated_prior(fit.sigma2_hat, fit.n_obs)
+
+
+def calibrated_prior(sigma2_hat: float, n_obs: int) -> PriorSpec:
     """Data-calibrated prior: a_sigma = 2, b_sigma = sigma2_hat, ridge = 1/N."""
-    b_sigma = fit.sigma2_hat
-    if b_sigma < B_SIGMA_FLOOR:
+    if sigma2_hat < B_SIGMA_FLOOR:
         warnings.warn(
-            f"base fit sigma2_hat={b_sigma:.3e} is effectively zero; "
+            f"base fit sigma2_hat={sigma2_hat:.3e} is effectively zero; "
             f"substituting b_sigma={B_SIGMA_FLOOR:.1e}",
-            stacklevel=2,
+            stacklevel=3,
         )
-        b_sigma = B_SIGMA_FLOOR
-    return PriorSpec(a_sigma=2.0, b_sigma=b_sigma, ridge=1.0 / fit.n_obs)
+        sigma2_hat = B_SIGMA_FLOOR
+    return PriorSpec(a_sigma=2.0, b_sigma=sigma2_hat, ridge=1.0 / n_obs)
+
+
+def _ridge_posterior(Z, y, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """M, its lower Cholesky factor L, mu and r0 of the module docstring for whitened inputs."""
+    Z, y = np.ascontiguousarray(Z, dtype=float), np.ascontiguousarray(y, dtype=float)
+    if Z.ndim != 2 or y.shape != (Z.shape[0],):
+        raise ValueError("Z must be (N, p) and y must be length N")
+    M = Z.T @ Z + ridge * np.eye(Z.shape[1])
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
+    mu = cho_solve((L, True), Z.T @ y)
+    resid = y - Z @ mu
+    return M, L, mu, float(resid @ resid + ridge * (mu @ mu))
 
 
 def gibbs(
@@ -98,25 +117,13 @@ def gibbs(
     fixed_sigma2 pins the variance and skips its update, which makes the
     alpha draws independent samples from the exact Normal conditional.
     """
-    Z = np.ascontiguousarray(Z, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    if Z.ndim != 2 or y.shape != (Z.shape[0],):
-        raise ValueError("Z must be (N, p) and y must be length N")
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    n_obs, p = Z.shape
+    M, L, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
+    n_obs, p = np.shape(Z)
     gen, seed = as_generator(rng)
-
-    M = Z.T @ Z + prior.ridge * np.eye(p)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
-    mu = cho_solve((L, True), Z.T @ y)
-    resid = y - Z @ mu
-    r0 = resid @ resid + prior.ridge * (mu @ mu)
     # alpha = mu + sigma * L^-T z; precompute (L^-1)' once
     linv_t = solve_triangular(L, np.eye(p), lower=True).T
 

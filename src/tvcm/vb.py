@@ -1,27 +1,28 @@
 """Coordinate-ascent variational inference for the conjugate basis regression.
 
 Approximates the posterior of (alpha, sigma2) by q(alpha) q(sigma2) with
-q(alpha) = N(m*, V*) and q(sigma2) = InvGamma(a*, b*).  With M = Z~'Z~ +
-ridge I_p, the coordinate updates are
+q(alpha) = N(m*, V*) and q(sigma2) = InvGamma(a*, b*), the mean-field
+linear regression of Ormerod & Wand (2010, Am. Stat. 64).  With M, mu and
+r0 as in the Gibbs sampler, the coordinate updates V* <- (b*/a*) M^-1 and
+m* <- (a*/b*) V* Z~'y~ give m* = mu and tr(M V*) = p b*/a* from the first
+sweep on, and a* = a_sigma + N/2 + p/2 never changes.  A sweep is therefore
+the scalar recursion
 
-    V*  <-  (b*/a*) M^-1
-    m*  <-  (a*/b*) V* Z~'y~
-    b*  <-  b_sigma + (||y~||^2 - 2 y~'Z~ m* + m*'M m* + tr(M V*)) / 2
+    b*  <-  b_sigma + (r0 + p b_prev / a*) / 2
 
-while a* = a_sigma + N/2 + p/2 never changes.  m* is therefore the ridge
-solution M^-1 Z~'y~ from the first sweep onward, and only b* moves.  M,
-Z~'y~ and ||y~||^2 are formed once, and M is factorized once; the sweeps and
-the objective reuse them.
+and V* = (b_prev/a*) M^-1 is formed once, after the last sweep.
 
-The objective reported in elbo_trace uses the estimator
+The objective, which elbo evaluates at any state, is
 
     -(N log 2pi + p log(1/ridge) - p) / 2 + a_sigma log b_sigma - lgamma(a_sigma)
     + a* (1 + log b* - 2 psi(a*)) + lgamma(a*) + 2 (log b* - psi(a*))
-    + log det(V*) / 2 - (a*/b*) [ b_sigma + (||y~||^2 - 2 y~'Z~ m*
-                                  + m*'M m* + tr(M V*)) / 2 ]
+    + log det(V*) / 2 - (a*/b*) [ b_sigma + (||y~ - Z~ m*||^2 + ridge ||m*||^2
+                                  + tr(M V*)) / 2 ]
 
-where psi is the digamma function.  Evaluated at the state the sweep just
-produced, the bracket equals b* and the last term collapses to -a*.
+where psi is the digamma function.  At the state a sweep just produced the
+bracket equals b* and log det(V*) = p log(b_prev/a*) - 2 sum log L_ii, with
+L the Cholesky factor of M, so elbo_trace records the closed form
+const + (a* + 2) log b* + (p/2) log(b_prev/a*).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from scipy.special import digamma, gammaln
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .mcmc import PriorSpec
+from .mcmc import PriorSpec, _ridge_posterior
 from .rng import as_generator
 
 DEFAULT_TOL = 1e-6
@@ -81,33 +82,32 @@ class VariationalPosterior:
         }
 
 
-def _elbo_value(n_obs, M, z_ty, y_ty, prior, m, V, a_star, b_star):
-    p = M.shape[0]
-    bracket = prior.b_sigma + 0.5 * (
-        y_ty - 2.0 * (z_ty @ m) + m @ (M @ m) + np.einsum("ij,ji->", M, V)
-    )
-    sign, logdet_v = np.linalg.slogdet(V)
-    if sign <= 0:
-        raise NumericalError("V_star must be positive definite for the objective")
+def _objective_constant(n_obs: int, p: int, prior: PriorSpec, a_star: float) -> float:
+    """The objective's terms that depend on neither m*, V* nor b*."""
     return float(
         -0.5 * (n_obs * np.log(2.0 * np.pi) + p * np.log(1.0 / prior.ridge) - p)
         + prior.a_sigma * np.log(prior.b_sigma)
         - gammaln(prior.a_sigma)
-        + a_star * (1.0 + np.log(b_star) - 2.0 * digamma(a_star))
+        - 2.0 * (a_star + 1.0) * digamma(a_star)
         + gammaln(a_star)
-        + 2.0 * (np.log(b_star) - digamma(a_star))
-        + 0.5 * logdet_v
-        - (a_star / b_star) * bracket
     )
 
 
 def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorSpec) -> float:
     """Objective value at an arbitrary variational state."""
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M = Z.T @ Z + prior.ridge * np.eye(Z.shape[1])
-    return _elbo_value(
-        y.size, M, Z.T @ y, float(y @ y), prior, post.m_star, post.V_star, post.a_star, post.b_star
+    M, _, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
+    a_star, b_star, d = post.a_star, post.b_star, post.m_star - mu
+    # ||y~ - Z~ m||^2 + ridge ||m||^2 = r0 + (m - mu)' M (m - mu), since M mu = Z~'y~
+    bracket = prior.b_sigma + 0.5 * (r0 + d @ (M @ d) + np.einsum("ij,ji->", M, post.V_star))
+    sign, logdet_v = np.linalg.slogdet(post.V_star)
+    if sign <= 0:
+        raise NumericalError("V_star must be positive definite for the objective")
+    return float(
+        _objective_constant(np.shape(Z)[0], mu.size, prior, a_star)
+        + (a_star + 2.0) * np.log(b_star)
+        + a_star
+        + 0.5 * logdet_v
+        - (a_star / b_star) * bracket
     )
 
 
@@ -119,41 +119,28 @@ def vb_fit(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VariationalPosterior:
     """Run coordinate ascent from b* = b_sigma until the objective gain drops below tol."""
-    Z = np.ascontiguousarray(Z, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    if Z.ndim != 2 or y.shape != (Z.shape[0],):
-        raise ValueError("Z must be (N, p) and y must be length N")
     if tol <= 0 or max_iters < 1:
         raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
-    n_obs, p = Z.shape
-    M = Z.T @ Z + prior.ridge * np.eye(p)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
-    m_inv = cho_solve((L, True), np.eye(p))
-    z_ty = Z.T @ y
-    y_ty = float(y @ y)
-
+    M, L, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
+    n_obs, p = np.shape(Z)
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
+    # a* (1 + log b*) - (a*/b*) bracket = a* log b* once the bracket is b*
+    const = _objective_constant(n_obs, p, prior, a_star) - np.sum(np.log(np.diag(L)))
     b_star = prior.b_sigma
     trace: list[float] = []
     converged = False
-    m = V = None
     for _ in range(max_iters):
-        V = (b_star / a_star) * m_inv
-        m = (a_star / b_star) * (V @ z_ty)
-        quad = y_ty - 2.0 * (z_ty @ m) + m @ (M @ m) + np.einsum("ij,ji->", M, V)
-        b_star = prior.b_sigma + 0.5 * quad
+        b_prev = b_star
+        b_star = prior.b_sigma + 0.5 * (r0 + p * b_prev / a_star)
         if not np.isfinite(b_star) or b_star <= 0:
             raise NumericalError(f"b_star update produced {b_star}")
-        trace.append(_elbo_value(n_obs, M, z_ty, y_ty, prior, m, V, a_star, b_star))
+        trace.append(float(const + (a_star + 2.0) * np.log(b_star) + 0.5 * p * np.log(b_prev / a_star)))
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             converged = True
             break
     return VariationalPosterior(
-        m_star=m,
-        V_star=V,
+        m_star=mu,
+        V_star=(b_prev / a_star) * cho_solve((L, True), np.eye(p)),
         a_star=a_star,
         b_star=b_star,
         elbo_trace=np.array(trace),

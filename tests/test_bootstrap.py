@@ -284,6 +284,47 @@ def _exact_sigma2(data, specs, seed, alpha):
     return np.array(out)
 
 
+def _loop_subject_blocks(bundle, counts):
+    """Each subject's Gram block and cross product from its own two small
+    matmuls: the per-subject loop that _subject_stats batches by visit count."""
+    sw = np.sqrt(bundle.weights)
+    design, response = bundle.Z * sw[:, None], bundle.y * sw
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    gram = np.stack([design[lo:lo + c].T @ design[lo:lo + c]
+                     for lo, c in zip(starts, counts)])
+    cross = np.stack([design[lo:lo + c].T @ response[lo:lo + c]
+                      for lo, c in zip(starts, counts)])
+    return gram, cross
+
+
+class TestSubjectStats:
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2", "demo",
+                                       "one-visit"])
+    def test_blocks_match_subject_loop(self, panel, request):
+        if panel == "scenario1":
+            data, _ = gen_scenario1(50, np.random.default_rng(4))
+            specs = (make_spec("radial", 2, 3, data.time_domain),)
+        elif panel == "scenario2":
+            data, _ = gen_scenario2(100, np.random.default_rng(4))
+            specs = tuple(make_spec("radial", 2, 4, data.time_domain)
+                          for _ in range(3))
+        elif panel == "demo":
+            data = ingest_csv(request.getfixturevalue("demo_csv"))
+            specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
+                          for _ in range(data.covariate_dim + 1))
+        else:
+            data = _one_obs_each(9)
+            specs = (make_spec("tpower", 1, 0, data.time_domain),)
+        assert panel == "one-visit" or np.unique(data.counts).size > 1
+        bundle = build_design(data, specs)
+        stats = _subject_stats(bundle, data.counts)
+        gram, cross = _loop_subject_blocks(bundle, data.counts)
+        np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
+                                   atol=1e-14 * np.abs(gram).max())
+        np.testing.assert_allclose(stats.cross, cross, rtol=1e-14,
+                                   atol=1e-14 * np.abs(cross).max())
+
+
 class TestCenteredSigma2:
     """sigma2 from the per-subject statistics about the full-data center
     against the exact weighted residuals of each resampled design."""

@@ -373,12 +373,15 @@ class TestOptionsAndErrors:
                                                  "engine default), got -5"),
         (["--grid", "0"], "--grid must be at least 1, got 0"),
         (["--grid", "-3"], "--grid must be at least 1, got -3"),
+        (["--level", "1.5"], "--level must be in (0, 1), got 1.5"),
+        (["--level", "0"], "--level must be in (0, 1), got 0.0"),
         (["--family", "tpower", "--bandwidth", "5"], "bandwidth 5.0 given, but family 'tpower' takes none"),
         (["--family", "tpower", "--bandwidth", "5", "--knots", "auto", "--kmax", "2"],
          "bandwidth 5.0 given, but family 'tpower' takes none"),
     ], ids=["domain-three-values", "domain-not-a-number", "knots-not-a-count",
             "knots-negative", "boot-negative", "draws-negative", "grid-zero",
-            "grid-negative", "tpower-bandwidth", "tpower-bandwidth-auto"])
+            "grid-negative", "level-above-one", "level-zero",
+            "tpower-bandwidth", "tpower-bandwidth-auto"])
     def test_bad_option_names_the_option(self, data_csv, tmp_path, capsys,
                                          args, named):
         fixed = ["--knots", "1", "--engine", "wls"]
@@ -422,14 +425,21 @@ class TestOptionsAndErrors:
         assert payload["error"] in ("FileNotFoundError", "OSError")
 
     def test_singular_design_is_json_error(self, tmp_path, capsys):
-        path = tmp_path / "tiny.csv"
-        path.write_text("subject,time,y\na,0.5,1.0\na,0.5,2.0\n")
-        code, payload = _run(
-            ["fit", "--data", str(path), "--engine", "wls", "--knots", "0",
-             "--degree", "1"], capsys)
-        assert code == 1
-        assert payload["error"] in ("SingularDesignError",
-                                    "InsufficientDataError")
+        """Every engine refuses an underdetermined and a collinear design
+        with the same typed error."""
+        panels = {"tiny": ("a,0.5,1.0\na,0.5,2.0\n", "InsufficientDataError"),
+                  "collinear": ("a,0.5,1.0\na,0.5,2.0\nb,0.5,3.0\n",
+                                "SingularDesignError")}
+        for name, (rows, error) in panels.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("subject,time,y\n" + rows)
+            for engine in ("wls", "gibbs", "vb"):
+                code, payload = _run(
+                    ["fit", "--data", str(path), "--engine", engine,
+                     "--knots", "0", "--degree", "1",
+                     "--out", str(tmp_path / f"{name}-{engine}")], capsys)
+                assert code == 1
+                assert payload["error"] == error, (name, engine, payload)
 
     def test_module_entry_point(self, data_csv, tmp_path):
         """One true subprocess run through the installed console script."""

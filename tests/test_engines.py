@@ -4,11 +4,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, gen_scenario2
+from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
+from tvcm.errors import SingularDesignError
+from tvcm.frequentist import fit_wls
 from tvcm.mcmc import dic, whiten
+
+
+def _panel(name, demo_csv):
+    if name == "scenario1":
+        data, _ = gen_scenario1(50, np.random.default_rng(3))
+        return data, (make_spec("radial", 2, 3, data.time_domain),)
+    if name == "scenario2":
+        data, _ = gen_scenario2(100, np.random.default_rng(3))
+        return data, tuple(make_spec("radial", 2, 4, data.time_domain)
+                           for _ in range(3))
+    data = ingest_csv(demo_csv)
+    family, k = ("tpower", 3) if name == "demo-tpower" else ("radial", 2)
+    return data, tuple(make_spec(family, 2, k, data.time_domain)
+                       for _ in range(data.covariate_dim + 1))
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +42,8 @@ class TestFitEngine:
         assert result.engine == "wls"
         assert result.draws is None
         assert result.sampling_seconds == 0.0
-        np.testing.assert_array_equal(result.alpha,
-                                      result.base_fit.alpha_hat)
+        np.testing.assert_array_equal(
+            result.alpha, fit_wls(build_design(data, specs)).alpha_hat)
 
     def test_wls_with_bootstrap_draws(self, small_problem):
         data, specs = small_problem
@@ -108,6 +124,39 @@ class TestFitEngine:
     def test_wls_carries_no_whitened_design(self, small_problem):
         data, specs = small_problem
         assert fit_engine(data, specs, "wls", rng=3, draws=10).whitened is None
+
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2",
+                                       "demo-tpower", "demo-radial"])
+    def test_bayesian_sigma2_matches_qr_fit(self, panel, demo_csv,
+                                            monkeypatch):
+        """gibbs and vb take sigma2_hat and their prior from the Gram
+        statistics, never from the QR fit, and agree with it to 1e-12."""
+        data, specs = _panel(panel, demo_csv)
+        qr = fit_wls(build_design(data, specs))
+
+        def no_qr(bundle):
+            raise AssertionError("fit_wls called for a Bayesian engine")
+
+        monkeypatch.setattr("tvcm.engines.fit_wls", no_qr)
+        for engine in ("gibbs", "vb"):
+            result = fit_engine(data, specs, engine, rng=1, draws=20,
+                                burnin=5)
+            assert result.sigma2_hat == pytest.approx(qr.sigma2_hat,
+                                                      rel=1e-12)
+            prior = result.extra["prior"]
+            assert prior["b_sigma"] == result.sigma2_hat
+            assert prior["ridge"] == 1.0 / qr.n_obs
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_singular_design_raises_for_every_engine(self, demo_csv,
+                                                     engine):
+        """The demo panel in weeks makes radial k=4 singular; the Gram rule
+        of the Bayesian engines refuses it as the QR fit does."""
+        data = ingest_csv(demo_csv)
+        specs = tuple(make_spec("radial", 2, 4, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        with pytest.raises(SingularDesignError):
+            fit_engine(data, specs, engine, draws=10, burnin=5)
 
     def test_unknown_engine(self, small_problem):
         data, specs = small_problem

@@ -6,11 +6,15 @@ import pytest
 from scipy import stats
 from scipy.linalg import cho_solve, solve_triangular
 
+import tvcm.mcmc
+import tvcm.vb
 from tvcm import gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
+from tvcm.errors import NumericalError
 from tvcm.frequentist import WlsFit, fit_wls
-from tvcm.mcmc import PriorSpec, default_prior, dic, gibbs, whiten
+from tvcm.mcmc import (PriorSpec, _ridge_posterior, default_prior, dic, gibbs,
+                       whiten)
 
 from conftest import single_subject
 
@@ -177,6 +181,45 @@ class TestGibbs:
 # ---------------------------------------------------------------------------
 # Oracles: the per-iteration loop over rows and the draws x N residual matrix
 # ---------------------------------------------------------------------------
+
+
+class TestRidgePosterior:
+    def test_statistics_match_definitions(self):
+        _, Zt, yt = _whitened_scenario()
+        ridge = 1.0 / Zt.shape[0]
+        M, L, mu, r0 = _ridge_posterior(Zt, yt, ridge)
+        np.testing.assert_allclose(M, Zt.T @ Zt + ridge * np.eye(Zt.shape[1]))
+        np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
+        np.testing.assert_allclose(M @ mu, Zt.T @ yt, rtol=1e-9)
+        resid = yt - Zt @ mu
+        assert r0 == pytest.approx(resid @ resid + ridge * (mu @ mu),
+                                   rel=1e-12)
+
+    def test_failed_factorization_is_numerical_error(self):
+        Z = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match="Cholesky"):
+            _ridge_posterior(Z, np.ones(3), -1.0)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="Z must be"):
+            _ridge_posterior(np.ones((3, 2)), np.ones(2), 1.0)
+
+    def test_engines_share_the_core(self, monkeypatch):
+        """gibbs, vb_fit and elbo each reach the statistics through one call."""
+        _, Zt, yt = _whitened_scenario(n=8)
+        prior = PriorSpec(2.0, 0.1, 1.0 / Zt.shape[0])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _ridge_posterior(*args)
+
+        monkeypatch.setattr(tvcm.mcmc, "_ridge_posterior", counted)
+        monkeypatch.setattr(tvcm.vb, "_ridge_posterior", counted)
+        gibbs(Zt, yt, prior, draws=5, burnin=0)
+        post = tvcm.vb.vb_fit(Zt, yt, prior)
+        tvcm.vb.elbo(post, Zt, yt, prior)
+        assert len(calls) == 3
 
 
 def _loop_gibbs(Z, y, prior, draws, burnin, rng, fixed_sigma2=None):

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.special import digamma, gammaln
 
-from tvcm import gen_scenario1, gen_scenario2
+from tvcm import gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource
-from tvcm.mcmc import PriorSpec, whiten
+from tvcm.frequentist import fit_wls
+from tvcm.mcmc import PriorSpec, default_prior, whiten
 from tvcm.vb import elbo, vb_fit, vb_sample
 
 
@@ -37,6 +39,71 @@ def _reference_objective(Z, y, prior, m, V, a_star, b_star):
         + 0.5 * np.linalg.slogdet(V)[1]
         - (a_star / b_star) * bracket
     )
+
+
+def _loop_vb_fit(Z, y, prior, tol=1e-6, max_iters=500):
+    """The coordinate-ascent sweep on p x p matrices: V*, m* and the full
+    quadratic bracket are rebuilt every sweep and the objective is scored by
+    _reference_objective.  Returns (m*, V*, a*, b*, trace, converged)."""
+    n_obs, p = Z.shape
+    M = Z.T @ Z + prior.ridge * np.eye(p)
+    m_inv = cho_solve((np.linalg.cholesky(M), True), np.eye(p))
+    z_ty, y_ty = Z.T @ y, y @ y
+    a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
+    b_star = prior.b_sigma
+    trace = []
+    for _ in range(max_iters):
+        V = (b_star / a_star) * m_inv
+        m = (a_star / b_star) * (V @ z_ty)
+        b_star = prior.b_sigma + 0.5 * (y_ty - 2.0 * (z_ty @ m) + m @ M @ m
+                                        + np.trace(M @ V))
+        trace.append(_reference_objective(Z, y, prior, m, V, a_star, b_star))
+        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+            return m, V, a_star, b_star, np.array(trace), True
+    return m, V, a_star, b_star, np.array(trace), False
+
+
+def _oracle_problems(demo_csv):
+    """Whitened scenario-1, scenario-2 and demo designs with their
+    data-calibrated priors, and the 1x1 hand problem."""
+    scenario1, _ = gen_scenario1(50, np.random.default_rng(21))
+    scenario2, _ = gen_scenario2(100, np.random.default_rng(21))
+    demo = ingest_csv(demo_csv)
+    problems = {}
+    for name, data, family, k in (("scenario1", scenario1, "radial", 3),
+                                  ("scenario2", scenario2, "radial", 4),
+                                  ("demo-tpower", demo, "tpower", 3),
+                                  ("demo-radial", demo, "radial", 2)):
+        specs = tuple(make_spec(family, 2, k, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        bundle = build_design(data, specs)
+        problems[name] = (*whiten(bundle), default_prior(fit_wls(bundle)))
+    problems["hand"] = (np.array([[1.0]]), np.array([0.0]),
+                        PriorSpec(2.0, 1.0, 1.0))
+    return problems
+
+
+class TestLoopOracle:
+    """The scalar recursion against the matrix sweep it replaces."""
+
+    @pytest.mark.parametrize("max_iters", [500, 1])
+    def test_closed_form_matches_matrix_sweep(self, demo_csv, max_iters):
+        for name, (Z, y, prior) in _oracle_problems(demo_csv).items():
+            post = vb_fit(Z, y, prior, max_iters=max_iters)
+            m, V, a_star, b_star, trace, converged = _loop_vb_fit(
+                Z, y, prior, max_iters=max_iters)
+            assert post.elbo_trace.size == trace.size, name
+            assert post.converged is converged is (max_iters > 1), name
+            assert post.a_star == a_star
+            np.testing.assert_allclose(post.elbo_trace, trace, rtol=1e-10,
+                                       err_msg=name)
+            assert post.b_star == pytest.approx(b_star, rel=1e-10), name
+            np.testing.assert_allclose(post.V_star, V, rtol=1e-10,
+                                       atol=1e-10 * np.abs(V).max(),
+                                       err_msg=name)
+            np.testing.assert_allclose(post.m_star, m, rtol=1e-10,
+                                       atol=1e-10 * np.abs(m).max(),
+                                       err_msg=name)
 
 
 class TestFixedPoint:
