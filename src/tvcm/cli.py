@@ -245,6 +245,8 @@ def _manifest(command, opts, artifacts) -> dict:
 
 
 def cmd_fit(opts) -> int:
+    if opts["boot"] < 0:
+        raise ValueError(f"--boot must be non-negative, got {opts['boot']}")
     if opts["grid"] < 1:
         raise ValueError(f"--grid must be at least 1, got {opts['grid']}")
     if not 0 < opts["level"] < 1:

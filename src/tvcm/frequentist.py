@@ -19,6 +19,9 @@ from .errors import InsufficientDataError, SingularDesignError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
+# Gram matrices per Cholesky call in solve_gram's feasibility certificate; it bounds
+# the shifted copy and the factor, and was no slower than whole 200-matrix stacks.
+CERTIFY_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,56 @@ def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndar
     gram has shape (B, p, p) and cross (B, p).  Returns (feasible, alpha):
     a system is feasible when its smallest eigenvalue is positive and
     cond(G) = lambda_max / lambda_min stays within CONDITION_LIMIT, which is
-    the test fit_wls applies to cond(R)^2.  alpha is NaN where infeasible.
-    The solve itself is LU: unlike an eigendecomposition, its accuracy does
-    not suffer from badly scaled columns such as t^2 on a wide time domain.
+    the test fit_wls applies to cond(R)^2.  alpha is NaN where infeasible,
+    and a member with a NaN or inf entry is infeasible.
+
+    Most stacks pass without an eigendecomposition: batched Cholesky
+    factorisations of G_b - s_b I with s_b = 2 tr(G_b) / CONDITION_LIMIT
+    succeed only if every lambda_min(G_b) > s_b >= 2 lambda_max(G_b) /
+    CONDITION_LIMIT, half the allowed condition number, and the factorisation
+    is backward stable (Higham 2002, section 10.1), so roundoff cannot
+    certify a member the eigenvalue test would reject.  When a
+    factorisation fails anywhere, the whole stack takes the eigenvalue test.
+    The solve itself is LU on G whichever test ran, so alpha does not depend
+    on the test; unlike an eigendecomposition, LU's accuracy does not suffer
+    from badly scaled columns such as t^2 on a wide time domain.
     """
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    if finite.all():
+        if _certified(gram):
+            return finite, np.linalg.solve(gram, cross[..., None])[..., 0]
+    else:
+        # LAPACK's answer on NaN or inf is arbitrary; a zero matrix fails the test
+        gram = np.where(finite[:, None, None], gram, 0.0)
     lam = np.linalg.eigvalsh(gram)
     lo, hi = lam[..., 0], lam[..., -1]
     feasible = (lo > 0) & (hi <= CONDITION_LIMIT * lo)
     alpha = np.full(cross.shape, np.nan)
     alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
     return feasible, alpha
+
+
+def _certified(gram: np.ndarray) -> bool:
+    """True when G_b - (2 tr(G_b) / CONDITION_LIMIT) I has a finite Cholesky factor for every b.
+
+    A positive definite shifted matrix has a positive shift (tr(G) <= 0
+    would force lambda_min <= tr(G) / p <= s), so G is positive definite
+    and tr(G) >= lambda_max(G).  Chunks of CERTIFY_CHUNK members bound the
+    shifted copy and its factor, and the first failing chunk ends the test.
+    """
+    p = gram.shape[-1]
+    for lo in range(0, len(gram), CERTIFY_CHUNK):
+        shifted = gram[lo : lo + CERTIFY_CHUNK].copy()
+        shift = (2.0 / CONDITION_LIMIT) * np.trace(shifted, axis1=-2, axis2=-1)
+        # the diagonal of each flattened p x p member, strided in place
+        shifted.reshape(len(shifted), p * p)[:, :: p + 1] -= shift[:, None]
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(factor).all():
+            return False
+    return True
 
 
 def predict(alpha, specs, covariates, t: float) -> float:

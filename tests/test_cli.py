@@ -367,8 +367,8 @@ class TestOptionsAndErrors:
         (["--time-domain", "x"], "--time-domain must be two numbers a,b, got 'x'"),
         (["--knots", "3,abc"], "--knots must be 'auto' or non-negative counts, got '3,abc'"),
         (["--knots", "-1"], "--knots must be 'auto' or non-negative counts, got '-1'"),
-        (["--engine", "wls", "--boot", "-5"], "draws must be non-negative (0 means the "
-                                              "engine default), got -5"),
+        (["--engine", "wls", "--boot", "-5"], "--boot must be non-negative, got -5"),
+        (["--engine", "gibbs", "--boot", "-5"], "--boot must be non-negative, got -5"),
         (["--engine", "gibbs", "--draws", "-5"], "draws must be non-negative (0 means the "
                                                  "engine default), got -5"),
         (["--grid", "0"], "--grid must be at least 1, got 0"),
@@ -379,7 +379,7 @@ class TestOptionsAndErrors:
         (["--family", "tpower", "--bandwidth", "5", "--knots", "auto", "--kmax", "2"],
          "bandwidth 5.0 given, but family 'tpower' takes none"),
     ], ids=["domain-three-values", "domain-not-a-number", "knots-not-a-count",
-            "knots-negative", "boot-negative", "draws-negative", "grid-zero",
+            "knots-negative", "boot-negative", "boot-negative-gibbs", "draws-negative", "grid-zero",
             "grid-negative", "level-above-one", "level-zero",
             "tpower-bandwidth", "tpower-bandwidth-auto"])
     def test_bad_option_names_the_option(self, data_csv, tmp_path, capsys,

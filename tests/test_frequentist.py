@@ -1,13 +1,16 @@
 """Weighted least squares fit, diagnostics, and prediction."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, gen_scenario2
-from tvcm.basis import build_design, make_spec
+from tvcm import LongitudinalDataset, frequentist, gen_scenario2
+from tvcm.basis import basis_matrix, build_design, make_spec
+from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
-from tvcm.frequentist import fit_wls, predict, predict_rows
+from tvcm.frequentist import CONDITION_LIMIT, fit_wls, predict, predict_rows, solve_gram
 
 from conftest import exact_response_dataset, single_subject
 
@@ -144,3 +147,190 @@ class TestPrediction:
         spec = make_spec("tpower", 0, 0, (0.2, 0.8))
         with pytest.raises(ValueError):
             predict(fit.alpha_hat, (spec,), [1.0, 2.0], 0.4)
+
+
+def _eig_solve_gram(gram, cross):
+    """solve_gram without its Cholesky certificate: the eigenvalue rule on
+    every member, the slow and obvious version kept as the test oracle."""
+    lam = np.linalg.eigvalsh(gram)
+    lo, hi = lam[..., 0], lam[..., -1]
+    feasible = (lo > 0) & (hi <= CONDITION_LIMIT * lo)
+    alpha = np.full(cross.shape, np.nan)
+    alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
+    return feasible, alpha
+
+
+CONDITIONS = (1.0, 1e6, 1e11, 4.9e11, 5.1e11, 9.9e11, 1.01e12, 1e14)
+P = 6
+
+
+def _with_spectrum(lam, rng):
+    """Symmetric matrix with eigenvalues lam in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    g = (q * lam) @ q.T
+    return (g + g.T) / 2
+
+
+def _conditioned(cond, spike, rng):
+    """p x p Gram matrix with condition number cond at a random scale.
+
+    A spike spectrum (one large eigenvalue, the rest at lambda_min) has
+    tr(G) close to lambda_max, so the certificate's shift sits closest to
+    lambda_min there; a geometric spectrum has a larger trace.
+    """
+    lam = np.full(P, 1.0 / cond) if spike else np.geomspace(1.0 / cond, 1.0, P)
+    lam[-1] = 1.0
+    return _with_spectrum(lam * 10.0 ** rng.uniform(-6, 6), rng)
+
+
+def _t_squared_grams(family, rng):
+    """Gram matrices of one basis block on weeks 0-120 (columns up to t^2 ~ 1.4e4)."""
+    t = np.sort(rng.uniform(0.0, 120.0, 80))
+    # radial condition numbers cross 1e12 between 6 and 7 knots
+    bases = [basis_matrix(make_spec(family, 2, k, (0.0, 120.0)), t) for k in range(11)]
+    return [b.T @ b for b in bases]
+
+
+def _members():
+    """(label, gram) pairs: prescribed conditions, singular, indefinite, t^2 columns."""
+    rng = np.random.default_rng(20)
+    members = [(f"cond{c:.3g}-{'spike' if spike else 'geom'}", _conditioned(c, spike, rng))
+               for c in CONDITIONS for spike in (True, False)]
+    zero_row = _conditioned(10.0, False, rng)
+    zero_row[2, :] = zero_row[:, 2] = 0.0
+    members.append(("zero-row", zero_row))
+    a = rng.standard_normal((20, P))
+    a[:, 3] = a[:, 1]
+    members.append(("duplicate-column", a.T @ a))
+    members.append(("indefinite", _with_spectrum(np.array([-1.0, 1e-3, 0.1, 1.0, 2.0, 5.0]), rng)))
+    members.append(("negative-definite", -_conditioned(1e3, False, rng)))
+    for family in ("radial", "tpower"):
+        members += [(f"{family}-t2-p{g.shape[0]}", g) for g in _t_squared_grams(family, rng)]
+    return members
+
+
+MEMBERS = _members()
+
+
+def _cross(gram, seed=0):
+    return np.random.default_rng(seed).standard_normal(gram.shape[:-1])
+
+
+def _assert_matches_oracle(gram, cross):
+    feasible, alpha = solve_gram(gram, cross)
+    want_feasible, want_alpha = _eig_solve_gram(gram, cross)
+    np.testing.assert_array_equal(feasible, want_feasible)
+    assert np.array_equal(alpha[feasible], want_alpha[feasible])
+    assert np.isnan(alpha[~feasible]).all()
+    return feasible
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Stack sizes of every np.linalg.eigvalsh call made while the test runs."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestSolveGram:
+    def test_members_are_what_they_claim(self):
+        """The eigenvalue rule puts the prescribed conditions on the side of
+        the 1e12 limit they were built for, and every other kind of member
+        occurs on the side it should."""
+        labels = dict((label, _eig_solve_gram(g[None], _cross(g[None]))[0][0])
+                      for label, g in MEMBERS)
+        for cond in CONDITIONS:
+            for shape in ("spike", "geom"):
+                assert labels[f"cond{cond:.3g}-{shape}"] == (cond < CONDITION_LIMIT)
+        for label in ("zero-row", "duplicate-column", "indefinite", "negative-definite"):
+            assert not labels[label]
+        t2 = [ok for label, ok in labels.items() if "-t2-" in label]
+        assert any(t2) and not all(t2)
+
+    @pytest.mark.parametrize("label, gram", MEMBERS, ids=[label for label, _ in MEMBERS])
+    def test_one_member_stack_matches_oracle(self, label, gram):
+        _assert_matches_oracle(gram[None], _cross(gram[None]))
+
+    def test_all_feasible_stack_matches_oracle(self):
+        grams = np.array([g for _, g in MEMBERS if g.shape[0] == P])
+        feasible, _ = _eig_solve_gram(grams, _cross(grams))
+        assert feasible.sum() > 10
+        assert _assert_matches_oracle(grams[feasible], _cross(grams[feasible], 1)).all()
+
+    def test_mixed_stack_matches_oracle(self, eig_calls):
+        grams = np.array([g for _, g in MEMBERS if g.shape[0] == P])
+        feasible = _assert_matches_oracle(grams, _cross(grams))
+        assert feasible.any() and not feasible.all()
+        assert eig_calls == [len(grams)] * 2  # the fallback and the oracle
+
+    @pytest.mark.parametrize("chunk", [2, 32])
+    def test_well_conditioned_stack_is_certified(self, eig_calls, monkeypatch, chunk):
+        monkeypatch.setattr(frequentist, "CERTIFY_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        grams = np.array([_conditioned(c, spike, rng) for c in (1.0, 1e6, 1e11)
+                          for spike in (True, False)])
+        feasible, alpha = solve_gram(grams, _cross(grams))
+        assert feasible.all() and eig_calls == []
+        assert np.array_equal(alpha, _eig_solve_gram(grams, _cross(grams))[1])
+
+    @pytest.mark.parametrize("chunk", [2, 32])
+    def test_one_singular_member_makes_one_eigendecomposition(self, eig_calls, monkeypatch,
+                                                              chunk):
+        """With chunks of 2 the singular member sits in the second chunk."""
+        monkeypatch.setattr(frequentist, "CERTIFY_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        grams = np.array([_conditioned(1e3, False, rng) for _ in range(5)])
+        grams[2, :, 0] = grams[2, 0, :] = 0.0
+        feasible, _ = solve_gram(grams, _cross(grams))
+        assert feasible.tolist() == [True, True, False, True, True]
+        assert eig_calls == [5]
+
+    def test_non_finite_factor_is_no_certificate(self, eig_calls, monkeypatch):
+        """A factorisation that returns without raising but with NaN in its
+        factor (as numpy's batched Cholesky can) sends the stack to the
+        eigenvalue rule."""
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+        rng = np.random.default_rng(6)
+        grams = np.array([_conditioned(1e3, False, rng) for _ in range(4)])
+        assert _assert_matches_oracle(grams, _cross(grams)).all()
+        assert eig_calls == [4, 4]
+
+    def test_bootstrap_makes_no_eigendecomposition(self, eig_calls):
+        """A 200-replicate bootstrap on a 100-subject scenario-2 panel is
+        certified wave by wave; the eigenvalue rule never runs."""
+        data, _ = gen_scenario2(100, np.random.default_rng(7))
+        specs = tuple(make_spec("radial", 2, k, data.time_domain) for k in (2, 2, 3))
+        draws = bootstrap_fit(data, specs, 200, 11)
+        assert draws.n_draws == 200
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_members_are_infeasible(self, value):
+        """LAPACK's answer on NaN or inf is arbitrary (a 1 x 1 inf matrix has
+        eigenvalue inf, which the eigenvalue rule would accept), so such
+        members are infeasible, silently."""
+        rng = np.random.default_rng(5)
+        grams = np.array([_conditioned(1e3, False, rng) for _ in range(5)])
+        for b, (i, j) in enumerate([(0, 0), (P - 1, 0), (0, P - 1), (P - 1, P - 1)], start=1):
+            grams[b, i, j] = value
+        cross = _cross(grams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feasible, alpha = solve_gram(grams, cross)
+            one, one_alpha = solve_gram(np.full((1, 1, 1), value), np.ones((1, 1)))
+        assert feasible.tolist() == [True, False, False, False, False]
+        assert np.array_equal(alpha[:1], _eig_solve_gram(grams[:1], cross[:1])[1])
+        assert np.isnan(alpha[1:]).all()
+        assert not one[0] and np.isnan(one_alpha).all()
+
+    def test_empty_stack(self):
+        feasible, alpha = solve_gram(np.empty((0, 4, 4)), np.empty((0, 4)))
+        assert feasible.shape == (0,) and feasible.dtype == bool
+        assert alpha.shape == (0, 4)
