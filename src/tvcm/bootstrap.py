@@ -12,9 +12,10 @@ a replicate is fully described by how many copies of each subject it holds.
 bootstrap_fit therefore computes each subject's weighted Gram block
 A_i'A_i and cross product A_i'y_i once, turns a chunk of draws into a
 matrix of copy counts C, and solves every replicate's normal equations
-(C G)alpha = C c in one batch.  sigma2 comes from per-subject residual
-statistics about the full-data solution, so a replicate costs
-O(n p^2 + p^3) whatever the number of observations.  resample_subjects
+(C G)alpha = C c in one batch.  The per-subject statistics are one stacked
+frequentist.GramStats about the full-data solution, so a replicate's are
+their copy-count-weighted sums and its sigma2 comes from GramStats.rss; a
+replicate costs O(n p^2 + p^3) whatever the number of observations.  resample_subjects
 followed by a QR fit_wls is the per-replicate reference path and stays as
 the test oracle.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from .basis import DesignBundle, build_design
 from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
-from .frequentist import fit_wls, solve_gram
+from .frequentist import GramStats, fit_wls, solve_gram, whiten
 from .rng import as_generator
 
 REDRAW_FACTOR = 10
@@ -186,28 +187,14 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
     )
 
 
-@dataclass(frozen=True)
-class _SubjectStats:
-    """Per-subject sufficient statistics of the weighted fit about a center.
+def _subject_stats(bundle, counts: np.ndarray) -> GramStats:
+    """Per-subject GramStats about the full-data solution alpha0, stacked over subjects.
 
     With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
-    and cross[i] are A_i'A_i and A_i'y_i.  center is the full-data solution
-    alpha0; with e = y~ - A alpha0, resid_sq[i] is e_i'e_i and lever[i] is
-    A_i'e_i = cross[i] - gram[i] alpha0.
+    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A alpha0, resid_sq[i]
+    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] alpha0.
     """
-
-    counts: np.ndarray
-    gram: np.ndarray
-    cross: np.ndarray
-    center: np.ndarray
-    resid_sq: np.ndarray
-    lever: np.ndarray
-
-
-def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
-    sw = np.sqrt(bundle.weights)
-    design = bundle.Z * sw[:, None]
-    response = bundle.y * sw
+    design, response = whiten(bundle)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     p = bundle.n_params
     gram = np.empty((counts.size, p, p))
@@ -223,41 +210,35 @@ def _subject_stats(bundle, counts: np.ndarray) -> _SubjectStats:
     center = np.linalg.solve(gram.sum(axis=0), cross.sum(axis=0))
     resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
     lever = cross - gram @ center
-    return _SubjectStats(counts, gram, cross, center, resid_sq, lever)
+    return GramStats(counts, gram, cross, center, resid_sq, lever)
 
 
-def _replicate_wave(stats: _SubjectStats, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _replicate_wave(stats: GramStats, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit one bootstrap replicate per row of picks; returns (feasible, alpha, sigma2).
 
     Row b of picks holds the n subject indices of attempt b, as
     resample_subjects draws them.  n is unchanged, so every drawn copy keeps
-    its weight 1/(n n_i) and a replicate's normal equations are the
-    copy-count-weighted sums of the subjects' statistics.  With copy counts
-    C_b, Gram matrix G_b and d_b = alpha_b - alpha0, the weighted residual
-    sum of squares is C_b.resid_sq - 2 d_b'(C_b lever) + d_b' G_b d_b, exact
-    for any center alpha0; the full-data alpha0 sits near every alpha_b, so
-    unlike s - c'alpha it does not cancel to noise on a near-exact fit.
-    Roundoff below zero is clamped.
+    its weight 1/(n n_i) and a replicate's statistics are the
+    copy-count-weighted sums of the subjects', all about the full-data alpha0.
+    That center sits near every alpha_b, so the weighted residual sum of
+    squares from rss does not cancel to noise on a near-exact fit.  Roundoff
+    below zero is clamped.
     """
     rows, n = picks.shape
     p = stats.center.size
     # one bincount over row-offset picks counts the copies of every attempt
     offset = picks + n * np.arange(rows)[:, None]
     copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-    n_obs = copies @ stats.counts
     gram = (copies @ stats.gram.reshape(n, p * p)).reshape(rows, p, p)
-    feasible, alpha = solve_gram(gram, copies @ stats.cross)
-    feasible &= n_obs > p
+    reps = GramStats(copies @ stats.n_obs, gram, copies @ stats.cross, stats.center,
+                     copies @ stats.resid_sq, copies @ stats.lever)
+    feasible, alpha = solve_gram(reps.gram, reps.cross)
+    feasible &= reps.n_obs > p
     alpha[~feasible] = np.nan
-    # infeasible rows get d = 0 so the whole chunk is scored without copying G
-    d = np.where(feasible[:, None], alpha - stats.center, 0.0)
-    wrss = (
-        copies @ stats.resid_sq
-        - 2.0 * np.einsum("bj,bj->b", d, copies @ stats.lever)
-        + np.einsum("bj,bj->b", d, (gram @ d[:, :, None])[..., 0])
-    )
+    # infeasible rows are scored at the center, so the whole chunk is scored without copying G
+    wrss = reps.rss(np.where(feasible[:, None], alpha, stats.center))
     sigma2 = np.full(rows, np.nan)
-    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
+    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (reps.n_obs[feasible] - p)
     return feasible, alpha, sigma2
 
 

@@ -27,7 +27,7 @@ from .bootstrap import column_intervals
 from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
-from .mcmc import dic
+from .mcmc import _dic
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
 
@@ -239,14 +239,20 @@ def _manifest(command, opts, artifacts) -> dict:
         "version": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {v: os.environ.get(v)  # null when unset
+                         for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "options": {k: _json_safe(v) for k, v in sorted(opts.items())},
         "artifacts": artifacts,
     }
 
 
 def cmd_fit(opts) -> int:
-    if opts["boot"] < 0:
-        raise ValueError(f"--boot must be non-negative, got {opts['boot']}")
+    for name, note in (("boot", ""), ("draws", " (0 means the engine default)"), ("burnin", "")):
+        if opts[name] < 0:
+            raise ValueError(f"--{name} must be non-negative{note}, got {opts[name]}")
+    if not opts["tol"] > 0:
+        raise ValueError(f"--tol must be positive, got {opts['tol']}")
     if opts["grid"] < 1:
         raise ValueError(f"--grid must be at least 1, got {opts['grid']}")
     if not 0 < opts["level"] < 1:
@@ -279,12 +285,13 @@ def cmd_fit(opts) -> int:
     block_dims = tuple(s.n_terms for s in specs)
     blocks = split_alpha(result.alpha, block_dims)
     level = opts["level"]
+    if result.draws is not None:
+        draw_blocks = [np.ascontiguousarray(b) for b in split_alpha(result.draws.alpha_draws, block_dims)]
     curve_rows = []
     for r, spec in enumerate(specs):
         bg = basis_matrix(spec, grid)
         est = bg @ blocks[r]
         if result.draws is not None:
-            draw_blocks = split_alpha(result.draws.alpha_draws, block_dims)
             lo, hi = column_intervals(draw_blocks[r] @ bg.T, level)
         else:
             lo = hi = [None] * grid.size
@@ -315,7 +322,7 @@ def cmd_fit(opts) -> int:
         "sampling_seconds": result.sampling_seconds,
     }
     if engine in ("gibbs", "vb"):
-        dic_value, p_dic = dic(result.draws, *result.whitened)
+        dic_value, p_dic = _dic(result.draws, result.stats)
         fit_payload["sigma2"] = float(result.draws.sigma2_draws.mean())
         fit_payload["prior"] = result.extra.get("prior")
         fit_payload["dic"] = {"dic": dic_value, "p_dic": p_dic}

@@ -4,6 +4,8 @@ Given a dataset and basis specs, fit_engine produces a point estimate of the
 stacked coefficients plus optional draws, timing only the inference stage
 (bootstrap replicates, sampler iterations including burn-in, or variational
 optimization plus sampling) so the engines can be compared on equal terms.
+A gibbs or vb fit builds one frequentist.GramStats, which its feasibility
+test, sigma2_hat (GramStats.rss), sampler or VB fit, and DIC all read.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .basis import build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
 from .errors import InsufficientDataError, SingularDesignError
-from .frequentist import CONDITION_LIMIT, fit_wls, solve_gram
-from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, calibrated_prior, gibbs, whiten
-from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, vb_fit, vb_sample
+from .frequentist import CONDITION_LIMIT, GramStats, fit_wls, gram_stats, solve_gram, whiten
+from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, _gibbs, calibrated_prior
+from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, _vb_fit, vb_sample
 
 ENGINES = ("wls", "gibbs", "vb")
 
@@ -33,8 +35,8 @@ class EngineResult:
     draws: PosteriorDraws | None
     sampling_seconds: float
     extra: dict = field(default_factory=dict)
-    # (sqrt(W) Z, sqrt(W) y) for the Bayesian engines, reused by DIC; None for wls
-    whitened: tuple[np.ndarray, np.ndarray] | None = None
+    # the whitened fit's statistics for the Bayesian engines, read by DIC; None for wls
+    stats: GramStats | None = None
 
 
 def fit_engine(
@@ -63,27 +65,27 @@ def fit_engine(
         tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
         return EngineResult("wls", base.alpha_hat, base.sigma2_hat, boot, elapsed, {"bootstrap": tries})
 
-    z_t, y_t = whiten(bundle)
-    n_obs, p = z_t.shape
+    n_obs, p = bundle.Z.shape
     if n_obs <= p:
         raise InsufficientDataError(f"{n_obs} observations cannot identify {p} coefficients")
+    # centred at the ridge solution for calibrated_prior's ridge 1/N
+    stats = gram_stats(*whiten(bundle), ridge=1.0 / n_obs)
     # fit_wls's estimate from the Gram statistics, under the rule knot search applies
-    feasible, alpha = solve_gram((z_t.T @ z_t)[None], (z_t.T @ y_t)[None])
+    feasible, alpha = solve_gram(stats.gram[None], stats.cross[None])
     if not feasible[0]:
         raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
-    resid = y_t - z_t @ alpha[0]
-    sigma2_hat = float(resid @ resid) / (n_obs - p)
+    sigma2_hat = float(stats.rss(alpha[0])) / (n_obs - p)
     prior = calibrated_prior(sigma2_hat, n_obs)
     n_draws = draws if draws > 0 else DEFAULT_DRAWS
     extra = {"prior": prior.to_dict()}
     start = time.perf_counter()
     if engine == "gibbs":
-        out = gibbs(z_t, y_t, prior, draws=n_draws, burnin=burnin, rng=rng)
+        out = _gibbs(stats, prior, draws=n_draws, burnin=burnin, rng=rng)
         point = out.alpha_draws.mean(axis=0)
     else:
-        post = vb_fit(z_t, y_t, prior, tol=tol, max_iters=max_iters)
+        post = _vb_fit(stats, prior, tol=tol, max_iters=max_iters)
         out = vb_sample(post, n_draws, rng)
         point = post.m_star
         extra.update(posterior=post.to_dict(), converged=post.converged)
     elapsed = time.perf_counter() - start
-    return EngineResult(engine, point, sigma2_hat, out, elapsed, extra, whitened=(z_t, y_t))
+    return EngineResult(engine, point, sigma2_hat, out, elapsed, extra, stats=stats)

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .basis import BasisSpec, DesignBundle, coefficient_curve, split_alpha
-from .errors import InsufficientDataError, SingularDesignError
+from .errors import InsufficientDataError, NumericalError, SingularDesignError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
@@ -57,21 +57,26 @@ class WlsFit:
         }
 
 
+def whiten(bundle: DesignBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the weights into the regression: returns (sqrt(W) Z, sqrt(W) y)."""
+    sw = np.sqrt(bundle.weights)
+    return bundle.Z * sw[:, None], bundle.y * sw
+
+
 def fit_wls(bundle: DesignBundle) -> WlsFit:
     """Fit the weighted regression; raises on underdetermined or singular designs."""
     Z, y, w = bundle.Z, bundle.y, bundle.weights
     n_obs, p = Z.shape
     if n_obs <= p:
         raise InsufficientDataError(f"{n_obs} observations cannot identify {p} coefficients")
-    sw = np.sqrt(w)
-    A = Z * sw[:, None]
+    A, y_t = whiten(bundle)
     Q, R = np.linalg.qr(A)
     cond_r = np.linalg.cond(R)
     if not np.isfinite(cond_r) or cond_r**2 > CONDITION_LIMIT:
         raise SingularDesignError(
             f"weighted Gram matrix condition estimate {cond_r**2:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    alpha = solve_triangular(R, Q.T @ (y * sw))
+    alpha = solve_triangular(R, Q.T @ y_t)
     fitted = Z @ alpha
     residuals = y - fitted
     sigma2 = float(w @ residuals**2) / (n_obs - p)
@@ -88,6 +93,45 @@ def fit_wls(bundle: DesignBundle) -> WlsFit:
         hat_trace=hat_trace,
         block_dims=bundle.block_dims,
     )
+
+
+@dataclass(frozen=True)
+class GramStats:
+    """Whitened regression statistics about a center, read by the bootstrap, gibbs, vb and DIC.
+
+    gram is Z~'Z~, cross Z~'y~ and n_obs the row count; with e = y~ - Z~ center,
+    resid_sq is e'e and lever Z~'e.  Leading axes stack regressions sharing the center.
+    """
+
+    n_obs: int | np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    center: np.ndarray
+    resid_sq: float | np.ndarray
+    lever: np.ndarray
+
+    def rss(self, beta) -> np.ndarray:
+        """||y~ - Z~ beta||^2 = e'e - 2 d'Z~'e + d'Z~'Z~ d with d = beta - center, exact for any center."""
+        d = beta - self.center
+        d_lever = np.einsum("...j,...j->...", d, self.lever)
+        d_gram_d = np.einsum("...j,...j->...", d, (self.gram @ d[..., None])[..., 0])
+        return self.resid_sq - 2.0 * d_lever + d_gram_d
+
+
+def gram_stats(design, response, center=None, ridge: float = 0.0) -> GramStats:
+    """GramStats of one whitened regression, by default about (Z~'Z~ + ridge I)^-1 Z~'y~ by Cholesky."""
+    Z, y = np.ascontiguousarray(design, dtype=float), np.ascontiguousarray(response, dtype=float)
+    if Z.ndim != 2 or y.shape != (Z.shape[0],):
+        raise ValueError("Z must be (N, p) and y must be length N")
+    gram, cross = Z.T @ Z, Z.T @ y
+    if center is None:
+        try:
+            factor = np.linalg.cholesky(gram + ridge * np.eye(Z.shape[1]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
+        center = cho_solve((factor, True), cross)
+    e = y - Z @ center
+    return GramStats(y.size, gram, cross, center, float(e @ e), Z.T @ e)
 
 
 def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,8 @@ variance rate needs no pass over the rows:
 
 with r0 = ||y~ - Z~ mu||^2 + ridge ||mu||^2 computed once, so one iteration
 costs O(p^2) whatever N is.  All variates are pregenerated, so a fixed seed
-fixes the chain.
+fixes the chain.  M, mu and r0 come from one frequentist.GramStats centred at
+mu, and DIC scores draws with GramStats.rss.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .basis import DesignBundle
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import WlsFit
+from .frequentist import GramStats, WlsFit, gram_stats, whiten  # whiten stays importable here
 from .rng import as_generator
 
 DEFAULT_DRAWS = 2000
@@ -64,12 +64,6 @@ class PriorSpec:
         return {"a_sigma": self.a_sigma, "b_sigma": self.b_sigma, "ridge": self.ridge}
 
 
-def whiten(bundle: DesignBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the weights into the regression: returns (sqrt(W) Z, sqrt(W) y)."""
-    sw = np.sqrt(bundle.weights)
-    return bundle.Z * sw[:, None], bundle.y * sw
-
-
 def default_prior(fit: WlsFit) -> PriorSpec:
     """Data-calibrated prior from a WLS fit; see calibrated_prior."""
     return calibrated_prior(fit.sigma2_hat, fit.n_obs)
@@ -87,19 +81,11 @@ def calibrated_prior(sigma2_hat: float, n_obs: int) -> PriorSpec:
     return PriorSpec(a_sigma=2.0, b_sigma=sigma2_hat, ridge=1.0 / n_obs)
 
 
-def _ridge_posterior(Z, y, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """M, its lower Cholesky factor L, mu and r0 of the module docstring for whitened inputs."""
-    Z, y = np.ascontiguousarray(Z, dtype=float), np.ascontiguousarray(y, dtype=float)
-    if Z.ndim != 2 or y.shape != (Z.shape[0],):
-        raise ValueError("Z must be (N, p) and y must be length N")
-    M = Z.T @ Z + ridge * np.eye(Z.shape[1])
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
-    mu = cho_solve((L, True), Z.T @ y)
-    resid = y - Z @ mu
-    return M, L, mu, float(resid @ resid + ridge * (mu @ mu))
+def _ridge_posterior(stats: GramStats, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """M, its Cholesky factor L, mu and r0 of the module docstring, from gram_stats(Z, y, ridge=ridge)."""
+    M = stats.gram + ridge * np.eye(stats.center.size)
+    mu = stats.center
+    return M, np.linalg.cholesky(M), mu, stats.resid_sq + ridge * (mu @ mu)
 
 
 def gibbs(
@@ -117,12 +103,17 @@ def gibbs(
     fixed_sigma2 pins the variance and skips its update, which makes the
     alpha draws independent samples from the exact Normal conditional.
     """
+    return _gibbs(gram_stats(Z, y, ridge=prior.ridge), prior, draws, burnin, rng, fixed_sigma2)
+
+
+def _gibbs(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
+    """gibbs on statistics centred at the ridge solution for prior.ridge."""
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    M, L, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
-    n_obs, p = np.shape(Z)
+    M, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
     # alpha = mu + sigma * L^-T z; precompute (L^-1)' once
     linv_t = solve_triangular(L, np.eye(p), lower=True).T
@@ -157,22 +148,21 @@ def dic(draws: PosteriorDraws, Z: np.ndarray, y: np.ndarray) -> tuple[float, flo
 
     Uses the Gaussian likelihood of the whitened regression, the posterior
     means as the plug-in point, and p_DIC = mean deviance - deviance at the
-    means.  Returns (dic, p_dic).  Each draw's residual sum of squares comes
-    from Gram statistics centred at the mean alpha_bar: with e = y - Z alpha_bar
-    and d = alpha - alpha_bar, RSS = e'e - 2 d'Z'e + d'Z'Z d.
+    means.  Returns (dic, p_dic).  The statistics are centred at the mean
+    alpha_bar, so a chain with no spread has p_DIC exactly 0.
     """
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _dic(draws, gram_stats(Z, y, center=draws.alpha_draws.mean(axis=0)))
+
+
+def _dic(draws: PosteriorDraws, stats: GramStats) -> tuple[float, float]:
+    """dic with every residual sum of squares from stats.rss, for any center."""
     sigma2 = draws.sigma2_draws
     if np.any(sigma2 <= 0):
         raise ValueError("DIC requires strictly positive variance draws")
-    alpha_bar = draws.alpha_draws.mean(axis=0)
-    e = y - Z @ alpha_bar
-    rss_at_mean = e @ e
-    d = draws.alpha_draws - alpha_bar
-    rss = rss_at_mean - 2.0 * (d @ (Z.T @ e)) + np.einsum("ij,ij->i", d @ (Z.T @ Z), d)
-    dev = y.size * np.log(2.0 * np.pi * sigma2) + rss / sigma2
+    n_obs = stats.n_obs
+    dev = n_obs * np.log(2.0 * np.pi * sigma2) + stats.rss(draws.alpha_draws) / sigma2
     sigma2_bar = float(sigma2.mean())
-    dev_at_mean = y.size * np.log(2.0 * np.pi * sigma2_bar) + rss_at_mean / sigma2_bar
+    rss_at_mean = stats.rss(draws.alpha_draws.mean(axis=0))
+    dev_at_mean = n_obs * np.log(2.0 * np.pi * sigma2_bar) + rss_at_mean / sigma2_bar
     p_dic = float(dev.mean() - dev_at_mean)
     return float(dev_at_mean + 2.0 * p_dic), p_dic

@@ -35,6 +35,7 @@ from scipy.special import digamma, gammaln
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
+from .frequentist import GramStats, gram_stats
 from .mcmc import PriorSpec, _ridge_posterior
 from .rng import as_generator
 
@@ -95,7 +96,7 @@ def _objective_constant(n_obs: int, p: int, prior: PriorSpec, a_star: float) -> 
 
 def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorSpec) -> float:
     """Objective value at an arbitrary variational state."""
-    M, _, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
+    M, _, mu, r0 = _ridge_posterior(gram_stats(Z, y, ridge=prior.ridge), prior.ridge)
     a_star, b_star, d = post.a_star, post.b_star, post.m_star - mu
     # ||y~ - Z~ m||^2 + ridge ||m||^2 = r0 + (m - mu)' M (m - mu), since M mu = Z~'y~
     bracket = prior.b_sigma + 0.5 * (r0 + d @ (M @ d) + np.einsum("ij,ji->", M, post.V_star))
@@ -119,10 +120,15 @@ def vb_fit(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VariationalPosterior:
     """Run coordinate ascent from b* = b_sigma until the objective gain drops below tol."""
+    return _vb_fit(gram_stats(Z, y, ridge=prior.ridge), prior, tol, max_iters)
+
+
+def _vb_fit(stats: GramStats, prior: PriorSpec, tol: float, max_iters: int) -> VariationalPosterior:
+    """vb_fit on statistics centred at the ridge solution for prior.ridge."""
     if tol <= 0 or max_iters < 1:
         raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
-    M, L, mu, r0 = _ridge_posterior(Z, y, prior.ridge)
-    n_obs, p = np.shape(Z)
+    _, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    n_obs, p = stats.n_obs, mu.size
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
     # a* (1 + log b*) - (a*/b*) bracket = a* log b* once the bracket is b*
     const = _objective_constant(n_obs, p, prior, a_star) - np.sum(np.log(np.diag(L)))

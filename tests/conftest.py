@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import pathlib
 
-import numpy as np
+# One BLAS thread unless the caller chose otherwise: threaded OpenBLAS GEMMs
+# on a small shared machine make the timing gates (c05) noisy.  It must be set
+# before NumPy loads, and neither pytest nor its plugins load NumPy first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from tvcm import LongitudinalDataset

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -117,6 +118,22 @@ class TestFit:
         for stage, seconds in timings.items():
             assert isinstance(seconds, float), stage
             assert np.isfinite(seconds) and seconds >= 0.0, stage
+
+    def test_manifest_records_cpus_and_blas_threads(self, data_csv, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        out = tmp_path / "threads"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--engine", "wls", "--knots",
+             "1", "--grid", "10", "--out", str(out)], capsys)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": None,
+                                            "MKL_NUM_THREADS": "4"}
 
     @pytest.mark.parametrize("extra, counts, selection", [
         ([], [0, 2, 0], {"candidates": 125, "infeasible": 20}),
@@ -371,6 +388,13 @@ class TestOptionsAndErrors:
         (["--engine", "gibbs", "--boot", "-5"], "--boot must be non-negative, got -5"),
         (["--engine", "gibbs", "--draws", "-5"], "draws must be non-negative (0 means the "
                                                  "engine default), got -5"),
+        (["--engine", "wls", "--draws", "-5"], "--draws must be non-negative (0 means the "
+                                               "engine default), got -5"),
+        (["--engine", "wls", "--burnin", "-3"], "--burnin must be non-negative, got -3"),
+        (["--engine", "gibbs", "--burnin", "-3"], "--burnin must be non-negative, got -3"),
+        (["--engine", "vb", "--tol", "0"], "--tol must be positive, got 0.0"),
+        (["--engine", "wls", "--tol", "-1"], "--tol must be positive, got -1.0"),
+        (["--engine", "vb", "--tol", "nan"], "--tol must be positive, got nan"),
         (["--grid", "0"], "--grid must be at least 1, got 0"),
         (["--grid", "-3"], "--grid must be at least 1, got -3"),
         (["--level", "1.5"], "--level must be in (0, 1), got 1.5"),
@@ -379,7 +403,9 @@ class TestOptionsAndErrors:
         (["--family", "tpower", "--bandwidth", "5", "--knots", "auto", "--kmax", "2"],
          "bandwidth 5.0 given, but family 'tpower' takes none"),
     ], ids=["domain-three-values", "domain-not-a-number", "knots-not-a-count",
-            "knots-negative", "boot-negative", "boot-negative-gibbs", "draws-negative", "grid-zero",
+            "knots-negative", "boot-negative", "boot-negative-gibbs", "draws-negative",
+            "draws-negative-wls", "burnin-negative-wls", "burnin-negative-gibbs", "tol-zero-vb",
+            "tol-negative-wls", "tol-nan-vb", "grid-zero",
             "grid-negative", "level-above-one", "level-zero",
             "tpower-bandwidth", "tpower-bandwidth-auto"])
     def test_bad_option_names_the_option(self, data_csv, tmp_path, capsys,
@@ -391,6 +417,22 @@ class TestOptionsAndErrors:
         assert code == 1
         assert payload["error"] == "ValueError"
         assert named in payload["message"]
+
+    @pytest.mark.parametrize("engine", ["wls", "gibbs", "vb"])
+    @pytest.mark.parametrize("args, named", [
+        (["--draws", "-5"], "--draws"), (["--burnin", "-3"], "--burnin"),
+        (["--tol", "0"], "--tol"),
+    ])
+    def test_sampler_options_checked_before_ingest(self, tmp_path, capsys,
+                                                   engine, args, named):
+        """A missing data file would be an OSError; the bad option is
+        reported instead, whatever the engine."""
+        code, payload = _run(
+            ["fit", "--data", str(tmp_path / "missing.csv"), "--engine",
+             engine, "--out", str(tmp_path / "bad"), *args], capsys)
+        assert code == 1
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(named)
 
     @pytest.mark.parametrize("command, key, value, named", [
         (command, "time_domain", value, "--time-domain")

@@ -9,8 +9,8 @@ from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
 from tvcm.errors import SingularDesignError
-from tvcm.frequentist import fit_wls
-from tvcm.mcmc import dic, whiten
+from tvcm.frequentist import fit_wls, gram_stats
+from tvcm.mcmc import _dic, dic, whiten
 
 
 def _panel(name, demo_csv):
@@ -112,18 +112,33 @@ class TestFitEngine:
 
     @pytest.mark.parametrize("engine", ["gibbs", "vb"])
     def test_whitened_design_is_the_fresh_one(self, small_problem, engine):
-        """DIC from the carried (Z~, y~) equals DIC from a rebuilt design,
-        bit for bit."""
+        """The carried statistics are those of a freshly built and whitened
+        design at the prior's ridge, and DIC from them equals DIC from the
+        rebuilt ones, bit for bit."""
         data, specs = small_problem
         result = fit_engine(data, specs, engine, rng=2, draws=200, burnin=20)
         z_t, y_t = whiten(build_design(data, specs))
-        np.testing.assert_array_equal(result.whitened[0], z_t)
-        np.testing.assert_array_equal(result.whitened[1], y_t)
-        assert dic(result.draws, *result.whitened) == dic(result.draws, z_t, y_t)
+        fresh = gram_stats(z_t, y_t, ridge=result.extra["prior"]["ridge"])
+        for name in ("n_obs", "gram", "cross", "center", "resid_sq", "lever"):
+            np.testing.assert_array_equal(getattr(result.stats, name),
+                                          getattr(fresh, name))
+        assert _dic(result.draws, result.stats) == _dic(result.draws, fresh)
+
+    @pytest.mark.parametrize("engine", ["gibbs", "vb"])
+    def test_dic_from_fit_stats_equals_public_dic(self, demo_csv, engine):
+        data, specs = _panel("demo-tpower", demo_csv)
+        result = fit_engine(data, specs, engine, rng=4, draws=1000,
+                            burnin=100)
+        value, p_dic = _dic(result.draws, result.stats)
+        pub_value, pub_p = dic(result.draws,
+                               *whiten(build_design(data, specs)))
+        assert value == pytest.approx(pub_value, rel=1e-12)
+        assert abs(p_dic - pub_p) <= 1e-9
 
     def test_wls_carries_no_whitened_design(self, small_problem):
+        """wls keeps no Gram statistics: DIC is for the Bayesian engines."""
         data, specs = small_problem
-        assert fit_engine(data, specs, "wls", rng=3, draws=10).whitened is None
+        assert fit_engine(data, specs, "wls", rng=3, draws=10).stats is None
 
     @pytest.mark.parametrize("panel", ["scenario1", "scenario2",
                                        "demo-tpower", "demo-radial"])

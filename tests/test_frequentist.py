@@ -10,7 +10,8 @@ from tvcm import LongitudinalDataset, frequentist, gen_scenario2
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
-from tvcm.frequentist import CONDITION_LIMIT, fit_wls, predict, predict_rows, solve_gram
+from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_stats, predict,
+                              predict_rows, solve_gram)
 
 from conftest import exact_response_dataset, single_subject
 
@@ -147,6 +148,61 @@ class TestPrediction:
         spec = make_spec("tpower", 0, 0, (0.2, 0.8))
         with pytest.raises(ValueError):
             predict(fit.alpha_hat, (spec,), [1.0, 2.0], 0.4)
+
+
+class TestGramStats:
+    """rss against the explicit residuals it stands for."""
+
+    def test_rss_matches_residual_matrix(self):
+        rng = np.random.default_rng(5)
+        Z, y = rng.standard_normal((60, 4)), rng.standard_normal(60)
+        stats = gram_stats(Z, y, center=rng.standard_normal(4))
+        betas = rng.standard_normal((7, 4))
+        resid = y[None, :] - betas @ Z.T
+        np.testing.assert_allclose(stats.rss(betas), (resid**2).sum(axis=1),
+                                   rtol=1e-12)
+        assert stats.rss(betas[0]) == pytest.approx(resid[0] @ resid[0],
+                                                    rel=1e-12)
+
+    def test_default_center_is_ridge_solution(self):
+        rng = np.random.default_rng(6)
+        Z, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+        stats = gram_stats(Z, y, ridge=0.5)
+        np.testing.assert_allclose((Z.T @ Z + 0.5 * np.eye(3)) @ stats.center,
+                                   Z.T @ y, rtol=1e-12)
+        assert stats.rss(stats.center) == stats.resid_sq
+
+    def test_stacked_rss_with_zero_d_rows(self):
+        """Subject statistics summed with copy counts, as a bootstrap
+        replicate sums them, against the residuals of the resampled rows;
+        a replicate scored at the center (d = 0) gets its e'e exactly."""
+        rng = np.random.default_rng(7)
+        p, counts = 3, (3, 5, 2, 4)
+        blocks = [(rng.standard_normal((c, p)), rng.standard_normal(c))
+                  for c in counts]
+        center = rng.standard_normal(p)
+        subjects = [gram_stats(Z, y, center=center) for Z, y in blocks]
+        copies = np.array([[1, 0, 2, 1], [0, 3, 1, 0], [2, 1, 0, 1]], float)
+
+        def summed(name):
+            stacked = np.array([getattr(s, name) for s in subjects])
+            return np.tensordot(copies, stacked, axes=1)
+
+        reps = GramStats(summed("n_obs"), summed("gram"), summed("cross"),
+                         center, summed("resid_sq"), summed("lever"))
+        betas = rng.standard_normal((3, p))
+        betas[1] = center
+        expected = []
+        for row in copies:
+            picked = [i for i, c in enumerate(row) for _ in range(int(c))]
+            Z = np.concatenate([blocks[i][0] for i in picked])
+            y = np.concatenate([blocks[i][1] for i in picked])
+            resid = y - Z @ betas[len(expected)]
+            expected.append(resid @ resid)
+        got = reps.rss(betas)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        assert got[1] == reps.resid_sq[1]
+        np.testing.assert_array_equal(reps.n_obs, copies @ counts)
 
 
 def _eig_solve_gram(gram, cross):

@@ -6,15 +6,18 @@ import pytest
 from scipy import stats
 from scipy.linalg import cho_solve, solve_triangular
 
+import tvcm.engines
+import tvcm.frequentist
 import tvcm.mcmc
 import tvcm.vb
 from tvcm import gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
+from tvcm.engines import fit_engine
 from tvcm.errors import NumericalError
-from tvcm.frequentist import WlsFit, fit_wls
-from tvcm.mcmc import (PriorSpec, _ridge_posterior, default_prior, dic, gibbs,
-                       whiten)
+from tvcm.frequentist import WlsFit, fit_wls, gram_stats
+from tvcm.mcmc import (PriorSpec, _dic, _ridge_posterior, default_prior, dic,
+                       gibbs, whiten)
 
 from conftest import single_subject
 
@@ -49,6 +52,9 @@ class TestWhiten:
         Zt, yt = whiten(bundle)
         np.testing.assert_allclose(Zt, 2.0 * bundle.Z)
         np.testing.assert_allclose(yt, [6.0])
+
+    def test_importable_from_mcmc(self):
+        assert whiten is tvcm.frequentist.whiten
 
     def test_wls_equals_ols_on_whitened_rows(self):
         bundle, Zt, yt = _whitened_scenario()
@@ -187,39 +193,58 @@ class TestRidgePosterior:
     def test_statistics_match_definitions(self):
         _, Zt, yt = _whitened_scenario()
         ridge = 1.0 / Zt.shape[0]
-        M, L, mu, r0 = _ridge_posterior(Zt, yt, ridge)
+        stats = gram_stats(Zt, yt, ridge=ridge)
+        M, L, mu, r0 = _ridge_posterior(stats, ridge)
         np.testing.assert_allclose(M, Zt.T @ Zt + ridge * np.eye(Zt.shape[1]))
         np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
         np.testing.assert_allclose(M @ mu, Zt.T @ yt, rtol=1e-9)
         resid = yt - Zt @ mu
         assert r0 == pytest.approx(resid @ resid + ridge * (mu @ mu),
                                    rel=1e-12)
+        # the statistics themselves, about the center mu
+        assert stats.n_obs == Zt.shape[0]
+        np.testing.assert_array_equal(stats.center, mu)
+        np.testing.assert_allclose(stats.cross, Zt.T @ yt, rtol=1e-12)
+        assert stats.resid_sq == pytest.approx(resid @ resid, rel=1e-12)
+        np.testing.assert_allclose(stats.lever, Zt.T @ resid, rtol=1e-12)
 
     def test_failed_factorization_is_numerical_error(self):
         Z = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="Cholesky"):
-            _ridge_posterior(Z, np.ones(3), -1.0)
+            gram_stats(Z, np.ones(3), ridge=-1.0)
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError, match="Z must be"):
-            _ridge_posterior(np.ones((3, 2)), np.ones(2), 1.0)
+            gram_stats(np.ones((3, 2)), np.ones(2), ridge=1.0)
 
     def test_engines_share_the_core(self, monkeypatch):
-        """gibbs, vb_fit and elbo each reach the statistics through one call."""
+        """gibbs, vb_fit and elbo each reach the statistics through one
+        gram_stats call, and one Bayesian fit_engine call followed by DIC
+        from its statistics calls it, and so forms Z~'Z~, exactly once."""
         _, Zt, yt = _whitened_scenario(n=8)
         prior = PriorSpec(2.0, 0.1, 1.0 / Zt.shape[0])
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return _ridge_posterior(*args)
+            return gram_stats(*args, **kwargs)
 
-        monkeypatch.setattr(tvcm.mcmc, "_ridge_posterior", counted)
-        monkeypatch.setattr(tvcm.vb, "_ridge_posterior", counted)
+        for module in (tvcm.frequentist, tvcm.mcmc, tvcm.vb, tvcm.engines):
+            monkeypatch.setattr(module, "gram_stats", counted)
         gibbs(Zt, yt, prior, draws=5, burnin=0)
         post = tvcm.vb.vb_fit(Zt, yt, prior)
         tvcm.vb.elbo(post, Zt, yt, prior)
         assert len(calls) == 3
+
+        data, _ = gen_scenario2(8, np.random.default_rng(11))
+        specs = tuple(make_spec("radial", 2, 1, data.time_domain)
+                      for _ in range(3))
+        for engine in ("gibbs", "vb"):
+            calls.clear()
+            result = fit_engine(data, specs, engine, rng=1, draws=20,
+                                burnin=5)
+            _dic(result.draws, result.stats)
+            assert len(calls) == 1
 
 
 def _loop_gibbs(Z, y, prior, draws, burnin, rng, fixed_sigma2=None):
@@ -306,6 +331,23 @@ class TestOracles:
         ref_value, ref_p = _loop_dic(draws, Zt, yt)
         assert value == pytest.approx(ref_value, rel=1e-9)
         assert abs(p_dic - ref_p) <= 1e-6
+
+    @pytest.mark.parametrize("panel", ["scenario2", "demo"])
+    def test_dic_from_fit_stats_matches_residual_matrix(self, oracle_problems,
+                                                        panel):
+        """DIC from the statistics a fit builds, centred at the ridge
+        solution rather than the draws' mean, against the residual matrix
+        and against the public dic."""
+        Zt, yt, prior = oracle_problems[panel]
+        stats = gram_stats(Zt, yt, ridge=prior.ridge)
+        draws = gibbs(Zt, yt, prior, draws=1000, burnin=100, rng=4)
+        value, p_dic = _dic(draws, stats)
+        ref_value, ref_p = _loop_dic(draws, Zt, yt)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        assert abs(p_dic - ref_p) <= 1e-6
+        pub_value, pub_p = dic(draws, Zt, yt)
+        assert value == pytest.approx(pub_value, rel=1e-12)
+        assert abs(p_dic - pub_p) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
