@@ -129,7 +129,7 @@ def percentile_interval(samples, level: float) -> tuple[float, float]:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot form a percentile interval from zero samples")
-    lo, hi = _central_quantiles(samples.ravel(), level)
+    lo, hi = _central_quantiles(np.sort(samples.ravel()), level)
     return float(lo), float(hi)
 
 
@@ -138,21 +138,21 @@ def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("column intervals need a (n_draws, m) matrix with n_draws >= 1")
-    return _central_quantiles(samples, level)
+    return _central_quantiles(np.sort(samples, axis=0), level)
 
 
-def _central_quantiles(samples: np.ndarray, level: float):
-    """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 from one sort.
+def _central_quantiles(ordered: np.ndarray, level: float):
+    """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 of samples sorted along it.
 
     This is np.quantile's 'linear' method, bit for bit: the virtual index
     (n - 1)q falls between order statistics a <= b with fraction g, and the
     quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A column
     holding a NaN gets NaN.  On draw matrices one sort serving both ends costs
-    less than np.quantile's multi-point partition.
+    less than np.quantile's multi-point partition; a caller that owns a fresh
+    matrix may sort it in place first.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    ordered = np.sort(samples, axis=0)
     n = ordered.shape[0]
     last = ordered[-1]
     tail = (1.0 - level) / 2.0

@@ -13,6 +13,7 @@ and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import scipy
 
 from . import __version__
 from .basis import basis_matrix, make_spec, split_alpha
-from .bootstrap import column_intervals
+from .bootstrap import _central_quantiles
 from .data import ingest_csv
 from .engines import fit_engine
 from .errors import TvcmError
@@ -137,8 +138,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's one parser, built on first use
+
+
+def _check_config_value(action, value, config) -> None:
+    """Raise unless the flag could give value: its int or float type (never a bool), its choices."""
+    kinds = {int: int, float: (int, float)}.get(action.type)
+    if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+        expected = "an integer" if action.type is int else "a number"
+    elif action.choices and value not in action.choices:
+        expected = "one of " + ", ".join(map(str, action.choices))
+    else:
+        return
+    raise ValueError(f"{action.option_strings[0]} must be {expected}, got {value!r} from --config {config}")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    """Layer defaults < config file < explicit flags."""
+    """Layer defaults < config file < explicit flags; config values must suit their flags."""
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -146,10 +162,15 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     opts = dict(_DEFAULTS[args.command])
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in config.items():
         key = key.replace("-", "_")
         if key not in opts and key not in ("seed", "data"):
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
+        # seed has its own rules below, and null may stand for a null default
+        if key in actions and key != "seed" and not (value is None and opts.get(key) is None):
+            _check_config_value(actions[key], value, args.config)
         opts[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -292,7 +313,9 @@ def cmd_fit(opts) -> int:
         bg = basis_matrix(spec, grid)
         est = bg @ blocks[r]
         if result.draws is not None:
-            lo, hi = column_intervals(draw_blocks[r] @ bg.T, level)
+            bands = draw_blocks[r] @ bg.T
+            bands.sort(axis=0)  # the product is fresh: sort it, not a copy
+            lo, hi = _central_quantiles(bands, level)
         else:
             lo = hi = [None] * grid.size
         for g in range(grid.size):
@@ -431,8 +454,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         opts = _resolve(args)
         return _HANDLERS[args.command](opts)

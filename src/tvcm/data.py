@@ -6,6 +6,9 @@ stacked rows: subject-contiguous, time-sorted within each subject, plus the
 per-subject counts n_i that set the 1/(n n_i) weights.  The leading
 regression column is an implicit intercept, so model code sees d+1
 coefficient functions while the stored covariate matrix has d columns.
+
+ingest_csv parses the rows after the header with one np.loadtxt call, and a
+file it rejects with the csv.reader row loop, which names the first bad row.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -175,16 +177,19 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
     needed = [schema.time_col, schema.response_col, *covariate_cols]
     sid_pos = col_pos[schema.subject_col]
     positions = [col_pos[name] for name in needed]
-    rows = list(reader)
+    lines = list(fh)
     try:
-        sids, values = _parse_columns(rows, len(header), sid_pos, positions)
+        raw_ids, values = _load_columns(lines, len(header), sid_pos, positions)
     except ValueError:
-        # A ragged, blank, non-numeric or non-finite row: the row loop skips
-        # blank rows and names the first bad one.
+        # the row loop skips blank rows and names the first bad row or cell
+        rows = csv.reader(lines)
         return _parse_rows(rows, label, header, sid_pos, list(zip(needed, positions)), time_domain)
 
+    # first-seen numbering: equal raw ids strip alike, so only run heads need a lookup
+    heads = np.flatnonzero(np.concatenate(([True], raw_ids[1:] != raw_ids[:-1])))
     first_seen: dict[str, int] = {}
-    codes = np.array([first_seen.setdefault(sid, len(first_seen)) for sid in sids])
+    codes = [first_seen.setdefault(sid.strip(), len(first_seen)) for sid in raw_ids[heads]]
+    codes = np.repeat(codes, np.diff(heads, append=raw_ids.size))
     # lexsort is stable: rows tied in time keep their file order
     values = values[np.lexsort((values[:, 0], codes))]
     return LongitudinalDataset(
@@ -192,27 +197,25 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
     )
 
 
-def _parse_columns(rows, width, sid_pos, positions) -> tuple[list[str], np.ndarray]:
-    """Subject ids and the (n_rows, len(positions)) values of the non-empty rows.
+def _load_columns(lines, width, sid_pos, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Raw subject ids and (n_rows, len(positions)) values from one np.loadtxt call.
 
-    One float pass per column.  Raises ValueError when there are no rows,
-    when any row is ragged or blank, or when any needed cell is not a finite
-    number.
+    Every column has a field, float where needed and str elsewhere, so a ragged
+    row raises ValueError in C, as do a whitespace-only row, a needed cell that
+    is not a finite number, no rows, and an id column that is also a needed one.
     """
-    rows = [row for row in rows if row]
-    if set(map(len, rows)) != {width}:
-        raise ValueError("rows are missing or ragged")
-    n = len(rows)
-    values = np.empty((n, len(positions)))
-    for j, pos in enumerate(positions):
-        values[:, j] = np.fromiter(map(float, map(itemgetter(pos), rows)), float, n)
+    if sid_pos in positions or all(map(str.isspace, lines)):
+        raise ValueError("no data rows, or a numeric id column")
+    dtype = [(str(i), "f8" if i in positions else object) for i in range(width)]
+    table = np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    values = np.column_stack([table[str(pos)] for pos in positions])
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite value")
-    return [row[sid_pos].strip() for row in rows], values
+    return table[str(sid_pos)], values
 
 
 def _parse_rows(rows, label, header, sid_pos, needed, time_domain) -> LongitudinalDataset:
-    """Row-at-a-time parse: the error locator behind _parse_columns and its test oracle.
+    """Row-at-a-time parse: the fallback that locates errors for _load_columns, and its oracle.
 
     needed lists (name, position) for time, response and the covariates.
     """

@@ -13,6 +13,7 @@ from tvcm.bootstrap import (
     REDRAW_FACTOR,
     DrawSource,
     PosteriorDraws,
+    _central_quantiles,
     _replicate_wave,
     _subject_stats,
     bootstrap_fit,
@@ -441,6 +442,26 @@ class TestPercentileInterval:
                     for j in range(samples.shape[1])]
         np.testing.assert_array_equal(lo, [e[0] for e in expected])
         np.testing.assert_array_equal(hi, [e[1] for e in expected])
+
+
+    def test_public_forms_leave_samples_untouched(self):
+        samples = np.random.default_rng(8).standard_normal((300, 5))
+        before = samples.copy()
+        column_intervals(samples, 0.9)
+        percentile_interval(samples, 0.9)
+        percentile_interval(samples[:, 0], 0.9)
+        assert samples.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("level", [0.5, 0.95])
+    def test_in_place_sort_matches_column_form(self, level):
+        """cmd_fit's path: a fresh matrix sorted in place along axis 0."""
+        samples = np.round(np.random.default_rng(9).standard_normal((2000, 40)), 2)
+        samples[:3] = -0.0
+        bands = samples.copy()
+        bands.sort(axis=0)
+        lo, hi = _central_quantiles(bands, level)
+        want = column_intervals(samples, level)
+        assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

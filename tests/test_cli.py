@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from tvcm import gen_scenario1, write_csv
+from tvcm import cli
+from tvcm.basis import BasisSpec, basis_matrix, split_alpha
+from tvcm.bootstrap import column_intervals
 from tvcm.cli import _DEFAULTS, build_parser, main
 
 
@@ -87,6 +90,30 @@ class TestFit:
         assert np.isfinite(fit["dic"]["p_dic"])
         assert "prior" in fit
         assert fit["bootstrap"] is None
+
+    def test_bands_are_draw_curve_intervals(self, data_csv, tmp_path,
+                                            capsys):
+        """curves.csv bands are the column intervals of the draws' curves on
+        the grid (cmd_fit sorts those curves in place)."""
+        out = tmp_path / "bands"
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--engine", "gibbs", "--draws",
+             "300", "--burnin", "50", "--knots", "2", "--grid", "25",
+             "--level", "0.9", "--seed", "6", "--out", str(out)], capsys)
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text())
+        with open(out / "draws.csv", newline="") as fh:
+            values = np.array([float(r["value"]) for r in csv.DictReader(fh)])
+        specs = [BasisSpec.from_dict(d) for d in fit["basis"]]
+        draws = values.reshape(300, -1)[:, :-1]  # the last index is sigma2
+        rows = _read_curves(out)
+        blocks = split_alpha(draws, tuple(s.n_terms for s in specs))
+        for r, (spec, block) in enumerate(zip(specs, blocks)):
+            mine = [row for row in rows if row["coefficient"] == str(r)]
+            grid = np.array([float(row["t"]) for row in mine])
+            lo, hi = column_intervals(np.ascontiguousarray(block) @ basis_matrix(spec, grid).T, 0.9)
+            np.testing.assert_allclose([float(row["lower"]) for row in mine], lo, rtol=1e-12)
+            np.testing.assert_allclose([float(row["upper"]) for row in mine], hi, rtol=1e-12)
 
     def test_vb_close_to_gibbs_curves(self, data_csv, tmp_path, capsys):
         """The two Bayesian engines must produce nearly identical posterior
@@ -449,6 +476,61 @@ class TestOptionsAndErrors:
         assert code == 1
         assert payload["error"] == "ValueError"
         assert named in payload["message"] and repr(value) in payload["message"]
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("fit", "grid", "5", "--grid must be an integer, got '5'"),
+        ("fit", "grid", 5.0, "--grid must be an integer, got 5.0"),
+        ("fit", "draws", True, "--draws must be an integer, got True"),
+        ("fit", "level", False, "--level must be a number, got False"),
+        ("fit", "tol", "1e-6", "--tol must be a number, got '1e-6'"),
+        ("fit", "bandwidth", [2.0], "--bandwidth must be a number, got [2.0]"),
+        ("fit", "family", "bogus", "--family must be one of radial, tpower, got 'bogus'"),
+        ("fit", "engine", None, "--engine must be one of wls, gibbs, vb, got None"),
+        ("select", "kmax", "3", "--kmax must be an integer, got '3'"),
+        ("crossval", "strategy", "grid", "--strategy must be one of auto, full, coordinate, got 'grid'"),
+        ("simulate", "scenario", True, "--scenario must be an integer, got True"),
+        ("simulate", "scenario", 3, "--scenario must be one of 1, 2, got 3"),
+        ("simulate", "level", "low", "--level must be one of weak, medium, high, got 'low'"),
+    ])
+    def test_config_value_type_and_choices(self, data_csv, tmp_path, capsys,
+                                           command, key, value, message):
+        """A config value its flag could not produce is a one-line error
+        naming the option and the config file."""
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = [command, "--config", str(cfg)]
+        if command != "simulate":
+            args += ["--data", str(data_csv)]
+        code, payload = _run(args, capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError",
+                           "message": f"{message} from --config {cfg}"}
+
+    def test_config_numbers_and_null_defaults_accepted(self, data_csv,
+                                                       tmp_path, capsys):
+        """An int passes for a float option, and null for an option whose
+        default is null."""
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({"engine": "wls", "knots": 1, "grid": 10,
+                                   "tol": 1, "bandwidth": None,
+                                   "time_domain": None, "family": "tpower"}))
+        out = tmp_path / "typed-ok"
+        code, _ = _run(["fit", "--data", str(data_csv), "--config", str(cfg),
+                        "--out", str(out)], capsys)
+        assert code == 0
+        options = json.loads((out / "manifest.json").read_text())["options"]
+        assert (options["tol"], options["bandwidth"], options["family"]) == (1, None, "tpower")
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        first = cli._parser()
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: pytest.fail("main built a second parser"))
+        for _ in range(3):
+            code, _ = _run(["fit", "--data", str(tmp_path / "missing.csv"),
+                            "--grid", "0"], capsys)
+            assert code == 1
+        assert cli._parser() is first
 
     def test_seed_env_fallback(self, data_csv, tmp_path, capsys,
                                monkeypatch):

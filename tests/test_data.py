@@ -5,6 +5,7 @@ import io
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def _ingest_both(path, monkeypatch, columnar: bool):
             m.setattr(data_module, "_parse_rows", _columnar_only)
         default = ingest_csv(path)
     with monkeypatch.context() as m:
-        m.setattr(data_module, "_parse_columns", _row_loop_only)
+        m.setattr(data_module, "_load_columns", _row_loop_only)
         loop = ingest_csv(path)
     return default, loop
 
@@ -260,6 +261,113 @@ class TestColumnarParity:
                              by_subject(default, default.covariates)):
             np.testing.assert_array_equal(t, times[sid])
             np.testing.assert_array_equal(x, covariates[sid])
+
+    # spellings NumPy's parser takes give float()'s bits; the rest fall back
+    @pytest.mark.parametrize("cell, columnar", [
+        (" 1.5 ", True), ("\t2\t", True), (".5", True), ("5.", True), ("1E+3", True),
+        ("+1", True), ("-0", True), ("4.9e-324", True), ("1e-320", True), ("1.79e308", True),
+        ("0.1000000000000000055511151231257827", True), ("0." + "3" * 400, True),
+        ("\xa01\u2003", True), ('"2.5"', True),
+        ("1_0", False), ("\u0661\u0662", False), ("\uff11\uff12", False)],
+        ids=lambda value: ascii(value)[1:25] if isinstance(value, str) else None)
+    def test_number_spellings(self, cell, columnar, tmp_path, monkeypatch):
+        path = tmp_path / "cell.csv"
+        path.write_bytes(f"subject,time,y\na,0.5,{cell}\na,0.25,1\n".encode("utf-8"))
+        default, loop = _ingest_both(path, monkeypatch, columnar)
+        _assert_same_bits(default, loop)
+        assert default.responses[1].tobytes() == np.float64(float(cell.strip('"'))).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "subject,time,y\n", "subject,time,y", "subject,time,y\n\n\n", "subject,time,y\r\n\r\n",
+        "subject,time,y\n  \n\t\n", "subject,time,y\n,,\n"])
+    def test_no_data_rows_warn_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDataError, match="no data rows"):
+                ingest_csv(io.StringIO(text))
+
+    def test_blank_rows_warn_nothing(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_parse_rows", _columnar_only)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = ingest_csv(io.StringIO("subject,time,y\n\na,0.1,1\n\r\n\nb,0.2,2\n\n"))
+        assert data.subject_ids == ("a", "b")
+
+    def test_stream_takes_columnar_parse(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_parse_rows", _columnar_only)
+        data = ingest_csv(io.StringIO(
+            'y,subject,time,note\r\n1.5," b ",0.2,"x,\r\ny"\r\n2.5,a,0.1,\r\n3.5,b,0.1,z\r\n'))
+        assert data.subject_ids == ("b", "a")
+        np.testing.assert_array_equal(data.responses, [3.5, 1.5, 2.5])
+
+    def test_id_column_also_numeric_uses_row_loop(self):
+        data = ingest_csv(io.StringIO("t,y\n2,1.0\n1,2.0\n2,3.0\n"),
+                          data_module.CsvSchema(subject_col="t", time_col="t"))
+        assert data.subject_ids == ("2", "1")
+        np.testing.assert_array_equal(data.responses, [1.0, 3.0, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generated_panels_match_row_loop(self, tmp_path_factory, data):
+        text, odd = data.draw(_panels())
+        path = tmp_path_factory.getbasetemp() / "generated_panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        default, loop = _ingest_both(path, pytest.MonkeyPatch, columnar=not odd)
+        _assert_same_bits(default, loop)
+
+
+def _assert_same_bits(a: LongitudinalDataset, b: LongitudinalDataset):
+    _assert_same_dataset(a, b)
+    for name in ("times", "responses", "covariates"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+# subject id cores: commas, quotes, CR and LF, padding, and \x0c and \u2028,
+# which csv and NumPy keep but str.splitlines would break at
+_ID_TEXT = st.text(st.sampled_from(list('ab ,"\n\r\t\x0c#') + ["\u00e9", "\u00a0", "\u2028"]),
+                   min_size=1, max_size=5)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from([".5", "5.", "-0", "1E-3", "+2", "4.9e-324", "0.1000000000000000055511151231257827"]))
+
+
+def _quote(cell: str, force: bool) -> str:
+    if force or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def _panels(draw):
+    """(file text, whether it holds a cell only float() reads) for a random panel.
+
+    Columns come in any order, with up to two covariates and maybe an unused
+    text column; ids repeat with varying padding; rows come in any order, with
+    empty lines between them, CRLF or LF line ends and maybe a byte-order mark.
+    """
+    header = ["subject", "time", "y"] + ["x1", "x2"][:draw(st.integers(0, 2))]
+    header += ["note"] if draw(st.booleans()) else []
+    header = draw(st.permutations(header))
+    cores = draw(st.lists(_ID_TEXT, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+        cells = {"subject": _quote(pad + draw(st.sampled_from(cores)) + pad[:1], draw(st.booleans())),
+                 "note": _quote(draw(_ID_TEXT), False)}
+        for name in ("time", "y", "x1", "x2"):
+            cells[name] = _quote(draw(st.sampled_from(["", " "])) + draw(_NUMBERS), draw(st.booleans()))
+        rows.append([cells[name] for name in header])
+    odd = draw(st.sampled_from([None] * 8 + ["1_0", "\u0661\u0662"]))
+    if odd:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from([i for i, name in enumerate(header) if name not in ("subject", "note")]))] = odd
+    lines = [",".join(header)]
+    for row in draw(st.permutations(rows)):
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(row)]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol])), odd is not None
 
 
 # ---------------------------------------------------------------------------
