@@ -13,11 +13,12 @@ bootstrap_fit therefore computes each subject's weighted Gram block
 A_i'A_i and cross product A_i'y_i once, turns a chunk of draws into a
 matrix of copy counts C, and solves every replicate's normal equations
 (C G)alpha = C c in one batch.  The per-subject statistics are one stacked
-frequentist.GramStats about the full-data solution, so a replicate's are
-their copy-count-weighted sums and its sigma2 comes from GramStats.rss; a
-replicate costs O(n p^2 + p^3) whatever the number of observations.  resample_subjects
-followed by a QR fit_wls is the per-replicate reference path and stays as
-the test oracle.
+frequentist.GramStats about the full-data solution, which fit_gram takes
+from their sums, refusing an infeasible design before any resampling.  A
+replicate's statistics are their copy-count-weighted sums and its sigma2
+comes from GramStats.rss, so it costs O(n p^2 + p^3) whatever the number of
+observations.  resample_subjects followed by a QR fit_wls is the
+per-replicate reference path and stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .basis import DesignBundle, build_design
 from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
-from .frequentist import GramStats, fit_wls, solve_gram, whiten
+from .frequentist import GramStats, fit_gram, solve_gram, whiten
 from .rng import as_generator
 
 REDRAW_FACTOR = 10
@@ -207,7 +208,7 @@ def _subject_stats(bundle, counts: np.ndarray) -> GramStats:
         block_t = block.transpose(0, 2, 1)
         gram[subjects] = block_t @ block
         cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
-    center = np.linalg.solve(gram.sum(axis=0), cross.sum(axis=0))
+    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs)
     resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
     lever = cross - gram @ center
     return GramStats(counts, gram, cross, center, resid_sq, lever)
@@ -257,16 +258,13 @@ def bootstrap_fit(
     attempt in order; each chunk of up to REPLICATE_CHUNK attempts is one
     gen.integers call.  Draws are kept in attempt-index order, and the
     returned draws record the attempts made.  bundle, when given, is the
-    design of (data, specs) that a fit_wls call has already found feasible;
-    without it the design is built and checked here.
+    design of (data, specs), which saves building it again.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen, seed = as_generator(rng)
     if bundle is None:
         bundle = build_design(data, specs)
-        # the full-data fit must be feasible before resampling starts
-        fit_wls(bundle)
     stats = _subject_stats(bundle, data.counts)
 
     n = data.n_subjects

@@ -268,10 +268,16 @@ def _manifest(command, opts, artifacts) -> dict:
     }
 
 
-def cmd_fit(opts) -> int:
-    for name, note in (("boot", ""), ("draws", " (0 means the engine default)"), ("burnin", "")):
+def _check_non_negative(opts, names) -> None:
+    """Raise, naming the option, unless every named count option is non-negative."""
+    for name in names:
         if opts[name] < 0:
+            note = " (0 means the engine default)" if name == "draws" else ""
             raise ValueError(f"--{name} must be non-negative{note}, got {opts[name]}")
+
+
+def cmd_fit(opts) -> int:
+    _check_non_negative(opts, ("boot", "draws", "burnin"))
     if not opts["tol"] > 0:
         raise ValueError(f"--tol must be positive, got {opts['tol']}")
     if opts["grid"] < 1:
@@ -397,6 +403,7 @@ def cmd_select(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
+    _check_non_negative(opts, ("draws", "burnin"))
     report = run_replications(
         scenario=opts["scenario"],
         n=opts["n"],
@@ -420,6 +427,7 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_crossval(opts) -> int:
+    _check_non_negative(opts, ("draws", "burnin"))
     data = _ingest(opts, "crossval")
     counts, specs, _ = _basis(data, opts)
     value = crossval_amse(

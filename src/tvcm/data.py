@@ -152,6 +152,8 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
         header = next(reader)
     except StopIteration:
         raise EmptyDataError(f"{label}: file is empty") from None
+    except csv.Error as exc:
+        raise CsvParseError(f"{label}: row 1 cannot be read: {exc}") from None
     header = [h.strip() for h in header]
     col_pos: dict[str, int] = {}
     for i, name in enumerate(header):
@@ -183,7 +185,11 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
     except ValueError:
         # the row loop skips blank rows and names the first bad row or cell
         rows = csv.reader(lines)
-        return _parse_rows(rows, label, header, sid_pos, list(zip(needed, positions)), time_domain)
+        try:
+            return _parse_rows(rows, label, header, sid_pos, list(zip(needed, positions)), time_domain)
+        except csv.Error as exc:
+            # line_num counts the data lines read, the failing one included, after the header's
+            raise CsvParseError(f"{label}: row {rows.line_num + 1} cannot be read: {exc}") from None
 
     # first-seen numbering: equal raw ids strip alike, so only run heads need a lookup
     heads = np.flatnonzero(np.concatenate(([True], raw_ids[1:] != raw_ids[:-1])))

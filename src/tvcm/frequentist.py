@@ -1,10 +1,10 @@
 """Weighted least squares fitting of the stacked basis regression.
 
-Solves min_alpha (y - Z alpha)' W (y - Z alpha) through a QR factorization
-of sqrt(W) Z; the weighted Gram matrix Z'WZ is never inverted to obtain the
-solution.  The noise variance estimate divides the weighted residual sum of
-squares by N - p, and the weighted hat matrix Z (Z'WZ)^-1 Z'W has trace
-exactly p whenever the fit is feasible.
+Production fits solve min_alpha (y - Z alpha)' W (y - Z alpha) from Gram
+statistics under one singularity rule: fit_gram for one system, solve_gram
+for stacks; the QR fit_wls is their test oracle.  The noise variance
+estimate divides the weighted residual sum of squares by N - p, and the
+weighted hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.
 """
 
 from __future__ import annotations
@@ -132,6 +132,16 @@ def gram_stats(design, response, center=None, ridge: float = 0.0) -> GramStats:
         center = cho_solve((factor, True), cross)
     e = y - Z @ center
     return GramStats(y.size, gram, cross, center, float(e @ e), Z.T @ e)
+
+
+def fit_gram(gram: np.ndarray, cross: np.ndarray, n_obs: int) -> np.ndarray:
+    """The WLS estimate G^-1 c of one system; raises on N <= p or where solve_gram finds G singular."""
+    if n_obs <= cross.size:
+        raise InsufficientDataError(f"{n_obs} observations cannot identify {cross.size} coefficients")
+    feasible, alpha = solve_gram(gram[None], cross[None])
+    if not feasible[0]:
+        raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
+    return alpha[0]
 
 
 def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

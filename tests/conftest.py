@@ -27,6 +27,14 @@ def demo_csv() -> pathlib.Path:
     return path
 
 
+def forbid_qr(monkeypatch) -> None:
+    """Make numpy.linalg.qr raise for the rest of the test: the code under test must not use it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("QR factorisation in a production fit")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+
+
 def single_subject(times, responses, subject_id="s0") -> LongitudinalDataset:
     """One-subject dataset with no covariates beyond the intercept."""
     times = np.asarray(times, dtype=float)

@@ -204,6 +204,25 @@ class TestBootstrapFit:
             bootstrap_fit(data, specs, 4, np.random.default_rng(0))
         assert not isinstance(exc_info.value, BootstrapDegeneracyError)
 
+    def test_base_fit_errors_match_qr_fit(self, demo_csv):
+        """The full-data fit refuses N <= p and the singular demo radial
+        k=4 design with the errors fit_wls raises, before any draw."""
+        tiny = _one_obs_each(3)
+        demo = ingest_csv(demo_csv)
+        cases = [(tiny, (make_spec("tpower", 3, 0, tiny.time_domain),),
+                  InsufficientDataError),
+                 (demo, tuple(make_spec("radial", 2, 4, demo.time_domain)
+                              for _ in range(demo.covariate_dim + 1)),
+                  SingularDesignError)]
+        for data, specs, error in cases:
+            with pytest.raises(error):
+                fit_wls(build_design(data, specs))
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            with pytest.raises(error):
+                bootstrap_fit(data, specs, 4, gen)
+            assert gen.bit_generator.state == state
+
 
 class TestLoopOracle:
     """The batched sufficient-statistics bootstrap against the per-replicate

@@ -17,6 +17,8 @@ from tvcm.basis import BasisSpec, basis_matrix, split_alpha
 from tvcm.bootstrap import column_intervals
 from tvcm.cli import _DEFAULTS, build_parser, main
 
+from conftest import forbid_qr
+
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
@@ -270,6 +272,32 @@ class TestOtherCommands:
                                             newline="")))
             metrics.append([r["metric"] for r in rows])
         assert metrics[0] == metrics[1]
+
+    def test_no_command_runs_qr(self, data_csv, tmp_path, capsys,
+                                monkeypatch):
+        """Every production fit solves from Gram statistics: with QR
+        factorisation disabled, each command and engine still succeeds."""
+        forbid_qr(monkeypatch)
+        data = ["--data", str(data_csv)]
+        sampler = ["--draws", "100", "--burnin", "10"]
+        runs = [["fit", *data, "--engine", "wls", "--knots", "auto",
+                 "--kmax", "3", "--boot", "50", "--out", "wls"],
+                ["select", *data, "--kmax", "3", "--out", "select.json"],
+                ["simulate", "--n", "8", "--reps", "1", "--kmax", "2",
+                 "--engines", "wls,gibbs,vb", *sampler, "--out-prefix", "sim"]]
+        for engine in ("gibbs", "vb"):
+            runs.append(["fit", *data, "--engine", engine, "--knots", "1",
+                         *sampler, "--out", engine])
+        for engine in ("wls", "gibbs", "vb"):
+            runs.append(["crossval", *data, "--engine", engine, "--knots",
+                         "1", "--folds", "3", *sampler,
+                         "--out", f"cv-{engine}.json"])
+        for args in runs:
+            args[-1] = str(tmp_path / args[-1])
+            code, payload = _run(args, capsys)
+            assert code == 0, (args, payload)
+        summary = json.loads((tmp_path / "sim_summary.json").read_text())
+        assert summary["failures"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +575,48 @@ class TestOptionsAndErrors:
         code, payload = _run(["fit", "--data", "/nonexistent/x.csv"], capsys)
         assert code == 1
         assert payload["error"] in ("FileNotFoundError", "OSError")
+
+    @pytest.mark.parametrize("where, row", [("header", 1), ("id", 3)])
+    def test_cell_over_csv_field_limit_is_json_error(self, tmp_path, capsys,
+                                                     where, row):
+        """A cell longer than csv.field_size_limit() is a parse error naming
+        its row, in the header and in the row loop a non-numeric cell
+        sends the file to."""
+        big = "s" * 200_000
+        text = {"header": f"subject,time,y,{big}\na,0,1,2\n",
+                "id": f"subject,time,y\na,0,1\n{big},1,2\nb,x,3\n"}[where]
+        path = tmp_path / f"long-{where}.csv"
+        path.write_text(text)
+        code, payload = _run(["fit", "--data", str(path), "--out",
+                              str(tmp_path / "long-out")], capsys)
+        assert code == 1
+        assert payload["error"] == "CsvParseError"
+        assert payload["message"].startswith(f"{path}: row {row} cannot be read")
+
+    @pytest.mark.parametrize("command", ["simulate", "crossval"])
+    @pytest.mark.parametrize("engine", ["wls", "gibbs"])
+    @pytest.mark.parametrize("args, named", [
+        (["--burnin", "-3"], "--burnin must be non-negative, got -3"),
+        (["--draws", "-5"], "--draws must be non-negative (0 means the "
+                            "engine default), got -5"),
+    ], ids=["burnin", "draws"])
+    def test_count_options_checked_before_any_work(self, tmp_path, capsys,
+                                                   command, engine, args,
+                                                   named):
+        """simulate and crossval check --draws and --burnin as fit does,
+        before reading data (a missing file would be an OSError) or
+        simulating, whatever the engine."""
+        if command == "simulate":
+            head = ["simulate", "--engines", engine,
+                    "--out-prefix", str(tmp_path / "sim")]
+        else:
+            head = ["crossval", "--engine", engine, "--data",
+                    str(tmp_path / "missing.csv"),
+                    "--out", str(tmp_path / "cv.json")]
+        code, payload = _run([*head, *args], capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": named}
+        assert not list(tmp_path.iterdir())
 
     def test_singular_design_is_json_error(self, tmp_path, capsys):
         """Every engine refuses an underdetermined and a collinear design

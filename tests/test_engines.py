@@ -8,9 +8,11 @@ from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
-from tvcm.errors import SingularDesignError
+from tvcm.errors import SingularDesignError, TvcmError
 from tvcm.frequentist import fit_wls, gram_stats
 from tvcm.mcmc import _dic, dic, whiten
+
+from conftest import forbid_qr
 
 
 def _panel(name, demo_csv):
@@ -42,8 +44,8 @@ class TestFitEngine:
         assert result.engine == "wls"
         assert result.draws is None
         assert result.sampling_seconds == 0.0
-        np.testing.assert_array_equal(
-            result.alpha, fit_wls(build_design(data, specs)).alpha_hat)
+        qr = fit_wls(build_design(data, specs)).alpha_hat
+        assert np.abs(result.alpha - qr).max() <= 1e-9 * np.abs(qr).max()
 
     def test_wls_with_bootstrap_draws(self, small_problem):
         data, specs = small_problem
@@ -136,23 +138,27 @@ class TestFitEngine:
         assert abs(p_dic - pub_p) <= 1e-9
 
     def test_wls_carries_no_whitened_design(self, small_problem):
-        """wls keeps no Gram statistics: DIC is for the Bayesian engines."""
+        """wls keeps the same p x p Gram statistics as the Bayesian engines,
+        not the N-row whitened design they were formed from."""
         data, specs = small_problem
-        assert fit_engine(data, specs, "wls", rng=3, draws=10).stats is None
+        result = fit_engine(data, specs, "wls", rng=3, draws=10)
+        z_t, y_t = whiten(build_design(data, specs))
+        fresh = gram_stats(z_t, y_t, ridge=1.0 / y_t.size)
+        for name in ("n_obs", "gram", "cross", "center", "resid_sq", "lever"):
+            value = getattr(result.stats, name)
+            np.testing.assert_array_equal(value, getattr(fresh, name))
+            assert np.ndim(value) == 0 or y_t.size not in np.shape(value)
 
     @pytest.mark.parametrize("panel", ["scenario1", "scenario2",
                                        "demo-tpower", "demo-radial"])
     def test_bayesian_sigma2_matches_qr_fit(self, panel, demo_csv,
                                             monkeypatch):
         """gibbs and vb take sigma2_hat and their prior from the Gram
-        statistics, never from the QR fit, and agree with it to 1e-12."""
+        statistics, never from a QR factorisation, and agree with the QR
+        fit to 1e-12."""
         data, specs = _panel(panel, demo_csv)
         qr = fit_wls(build_design(data, specs))
-
-        def no_qr(bundle):
-            raise AssertionError("fit_wls called for a Bayesian engine")
-
-        monkeypatch.setattr("tvcm.engines.fit_wls", no_qr)
+        forbid_qr(monkeypatch)
         for engine in ("gibbs", "vb"):
             result = fit_engine(data, specs, engine, rng=1, draws=20,
                                 burnin=5)
@@ -161,6 +167,46 @@ class TestFitEngine:
             prior = result.extra["prior"]
             assert prior["b_sigma"] == result.sigma2_hat
             assert prior["ridge"] == 1.0 / qr.n_obs
+
+    @pytest.mark.parametrize("panel", ["scenario1", "scenario2",
+                                       "demo-tpower", "demo-radial"])
+    def test_wls_matches_qr_fit(self, panel, demo_csv, monkeypatch):
+        """The wls estimate comes from the Gram statistics, with no QR
+        factorisation, within 1e-9 of the QR oracle's (relative to the
+        largest coefficient) and sigma2_hat within 1e-12."""
+        data, specs = _panel(panel, demo_csv)
+        qr = fit_wls(build_design(data, specs))
+        forbid_qr(monkeypatch)
+        result = fit_engine(data, specs, "wls")
+        scale = np.abs(qr.alpha_hat).max()
+        assert np.abs(result.alpha - qr.alpha_hat).max() <= 1e-9 * scale
+        assert result.sigma2_hat == pytest.approx(qr.sigma2_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1, 7, 30, 365])
+    @pytest.mark.parametrize("family", ["radial", "tpower"])
+    def test_error_types_match_across_engines(self, demo_csv, scale,
+                                              family):
+        """With the demo panel's weeks rescaled, every engine and the
+        public bootstrap either fit k=4 or refuse it as singular, and all
+        the same way; none breaks down with a NumericalError."""
+        demo = ingest_csv(demo_csv)
+        data = LongitudinalDataset(demo.subject_ids, demo.counts,
+                                   demo.times * scale, demo.responses,
+                                   demo.covariates)
+        specs = tuple(make_spec(family, 2, 4, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        fits = [lambda e=e: fit_engine(data, specs, e, draws=10, burnin=5)
+                for e in ENGINES]
+        fits.append(lambda: bootstrap_fit(data, specs, 5, 0))
+        outcomes = set()
+        for fit in fits:
+            try:
+                fit()
+                outcomes.add(None)
+            except TvcmError as exc:
+                outcomes.add(type(exc))
+        assert len(outcomes) == 1
+        assert outcomes <= {None, SingularDesignError}
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_singular_design_raises_for_every_engine(self, demo_csv,
