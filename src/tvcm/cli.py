@@ -16,11 +16,11 @@ import argparse
 import functools
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import basis_matrix, make_spec, split_alpha
@@ -259,7 +259,8 @@ def _manifest(command, opts, artifacts) -> dict:
         "package": "tvcm",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+        "platform": sys.platform,
         "cpu_count": os.cpu_count(),
         "blas_threads": {v: os.environ.get(v)  # null when unset
                          for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},

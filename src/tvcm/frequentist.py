@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .basis import BasisSpec, DesignBundle, coefficient_curve, split_alpha
 from .errors import InsufficientDataError, NumericalError, SingularDesignError
@@ -76,11 +75,11 @@ def fit_wls(bundle: DesignBundle) -> WlsFit:
         raise SingularDesignError(
             f"weighted Gram matrix condition estimate {cond_r**2:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    alpha = solve_triangular(R, Q.T @ y_t)
+    alpha = np.linalg.solve(R, Q.T @ y_t)
     fitted = Z @ alpha
     residuals = y - fitted
     sigma2 = float(w @ residuals**2) / (n_obs - p)
-    r_inv = solve_triangular(R, np.eye(p))
+    r_inv = np.linalg.inv(R)
     gram_inverse = r_inv @ r_inv.T
     # tr(Z (Z'WZ)^-1 Z'W) = sum of squared rows of sqrt(W) Z R^-1
     hat_trace = float(np.sum((A @ r_inv) ** 2))
@@ -129,9 +128,20 @@ def gram_stats(design, response, center=None, ridge: float = 0.0) -> GramStats:
             factor = np.linalg.cholesky(gram + ridge * np.eye(Z.shape[1]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
-        center = cho_solve((factor, True), cross)
+        linv_t = linv_transpose(factor)
+        center = linv_t @ (linv_t.T @ cross)
     e = y - Z @ center
     return GramStats(y.size, gram, cross, center, float(e @ e), Z.T @ e)
+
+
+def linv_transpose(factor: np.ndarray) -> np.ndarray:
+    """L^-T for a lower-triangular Cholesky factor L, so that (L L')^-1 = L^-T (L^-T)'.
+
+    LU with partial pivoting never pivots on the upper triangle L', so
+    np.linalg.inv runs plain back substitution, which is backward stable
+    (Higham 2002, chapter 8) like a dedicated triangular solve.
+    """
+    return np.linalg.inv(factor.T)
 
 
 def fit_gram(gram: np.ndarray, cross: np.ndarray, n_obs: int) -> np.ndarray:

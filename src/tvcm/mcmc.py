@@ -31,11 +31,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, WlsFit, gram_stats, whiten  # whiten stays importable here
+from .frequentist import GramStats, WlsFit, gram_stats, linv_transpose, whiten  # whiten stays importable here
 from .rng import as_generator
 
 DEFAULT_DRAWS = 2000
@@ -115,8 +114,8 @@ def _gibbs(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=
     M, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
-    # alpha = mu + sigma * L^-T z; precompute (L^-1)' once
-    linv_t = solve_triangular(L, np.eye(p), lower=True).T
+    # alpha = mu + sigma * L^-T z; precompute L^-T once
+    linv_t = linv_transpose(L)
 
     total = draws + burnin
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0

