@@ -1,10 +1,11 @@
 """Command line interface.
 
-Subcommands: fit, select, simulate, crossval.  fit, select and crossval
-share one parent parser and one set of defaults for the model options; fit's
---placement and --bandwidth shape both its knot search and its fitted basis.
-Every option can come from a JSON config file (--config); explicit flags win
-over config values, which win over the built-in defaults.  The master seed
+Subcommands: fit, select, simulate, crossval.  Each option declares its
+default once, on its flag in build_parser; fit, select and crossval share one
+parent parser for the model options.  fit's --placement and --bandwidth shape
+both its knot search and its fitted basis.  Every option can come from a JSON
+config file (--config) whose keys are the command's own flags; explicit flags
+win over config values, which win over the defaults.  The master seed
 resolves from --seed, then the config, then the TVCM_SEED environment
 variable, then 0.  Any handled failure prints a one-line JSON error object
 and exits nonzero.
@@ -23,59 +24,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .basis import basis_matrix, make_spec, split_alpha
+from .basis import BasisFamily, basis_matrix, make_spec, split_alpha
 from .bootstrap import _central_quantiles
 from .data import ingest_csv
-from .engines import fit_engine
+from .engines import ENGINES, fit_engine
 from .errors import TvcmError
 from .mcmc import _dic
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
 
-# defaults of the options on the shared model parser (--data has none)
-_MODEL_DEFAULTS = {"family": "radial", "degree": 2, "kmax": 10, "strategy": "auto", "time_domain": None}
-
-_DEFAULTS = {
-    "fit": {
-        **_MODEL_DEFAULTS,
-        "knots": "auto",
-        "placement": "equal",
-        "bandwidth": None,
-        "engine": "gibbs",
-        "draws": 2000,
-        "burnin": 500,
-        "boot": 0,
-        "tol": 1e-6,
-        "level": 0.95,
-        "grid": 200,
-        "out": ".",
-    },
-    "select": {**_MODEL_DEFAULTS, "out": "select.json"},
-    "simulate": {
-        "scenario": 1,
-        "n": 25,
-        "reps": 50,
-        "engines": "wls",
-        "families": "radial,tpower",
-        "degree": 2,
-        "kmax": 5,
-        "draws": 0,
-        "burnin": 500,
-        "level": "weak",
-        "shape": "exp",
-        "strategy": "auto",
-        "out_prefix": "sim",
-    },
-    "crossval": {
-        **_MODEL_DEFAULTS,
-        "knots": "auto",
-        "folds": 5,
-        "engine": "wls",
-        "draws": 0,
-        "burnin": 500,
-        "out": "crossval.json",
-    },
-}
+FAMILIES = tuple(f.value for f in BasisFamily)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,50 +49,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     model = argparse.ArgumentParser(add_help=False, parents=[common])
     model.add_argument("--data", help="input CSV: subject,time,y,x1,...,xd")
-    model.add_argument("--family", choices=["radial", "tpower"])
-    model.add_argument("--degree", type=int)
-    model.add_argument("--kmax", type=int, help="largest knot count tried by --knots auto")
-    model.add_argument("--strategy", choices=["auto", "full", "coordinate"])
+    model.add_argument("--family", choices=FAMILIES, default="radial")
+    model.add_argument("--degree", type=int, default=2)
+    model.add_argument("--kmax", type=int, default=10, help="largest knot count tried by --knots auto")
+    model.add_argument("--strategy", choices=["auto", "full", "coordinate"], default="auto")
     model.add_argument("--time-domain", help="a,b override for the time domain")
 
     fit = sub.add_parser("fit", parents=[model], help="fit one dataset and write artifacts")
-    fit.add_argument("--knots", help="'auto', a single count, or comma counts per coefficient")
-    fit.add_argument("--placement", choices=["equal", "quantile"])
+    fit.add_argument("--knots", default="auto", help="'auto', a single count, or comma counts per coefficient")
+    fit.add_argument("--placement", choices=["equal", "quantile"], default="equal")
     fit.add_argument("--bandwidth", type=float, help="radial kernel bandwidth override")
-    fit.add_argument("--engine", choices=["wls", "gibbs", "vb"])
-    fit.add_argument("--draws", type=int, help="posterior draws (gibbs/vb)")
-    fit.add_argument("--burnin", type=int)
-    fit.add_argument("--boot", type=int, help="bootstrap replicates when engine=wls")
-    fit.add_argument("--tol", type=float, help="variational convergence tolerance")
-    fit.add_argument("--level", type=float, help="interval level for curves.csv")
-    fit.add_argument("--grid", type=int, help="curve grid size")
-    fit.add_argument("--out", help="output directory")
+    fit.add_argument("--engine", choices=ENGINES, default="gibbs")
+    fit.add_argument("--draws", type=int, default=2000, help="posterior draws (gibbs/vb)")
+    fit.add_argument("--burnin", type=int, default=500)
+    fit.add_argument("--boot", type=int, default=0, help="bootstrap replicates when engine=wls")
+    fit.add_argument("--tol", type=float, default=1e-6, help="variational convergence tolerance")
+    fit.add_argument("--level", type=float, default=0.95, help="interval level for curves.csv")
+    fit.add_argument("--grid", type=int, default=200, help="curve grid size")
+    fit.add_argument("--out", default=".", help="output directory")
 
     sel = sub.add_parser("select", parents=[model], help="knot selection table for one dataset")
-    sel.add_argument("--out")
+    sel.add_argument("--out", default="select.json")
 
     sim = sub.add_parser("simulate", parents=[common], help="replication study on synthetic data")
-    sim.add_argument("--scenario", type=int, choices=[1, 2])
-    sim.add_argument("--n", type=int, help="subjects per replication")
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--engines", help="comma list from wls,gibbs,vb")
-    sim.add_argument("--families", help="comma list from radial,tpower")
-    sim.add_argument("--degree", type=int)
-    sim.add_argument("--kmax", type=int)
-    sim.add_argument("--draws", type=int)
-    sim.add_argument("--burnin", type=int)
-    sim.add_argument("--level", choices=["weak", "medium", "high"])
-    sim.add_argument("--shape", choices=["exp", "trig"])
-    sim.add_argument("--strategy", choices=["auto", "full", "coordinate"])
-    sim.add_argument("--out-prefix")
+    sim.add_argument("--scenario", type=int, choices=[1, 2], default=1)
+    sim.add_argument("--n", type=int, default=25, help="subjects per replication")
+    sim.add_argument("--reps", type=int, default=50)
+    sim.add_argument("--engines", default="wls", help="comma list from wls,gibbs,vb")
+    sim.add_argument("--families", default="radial,tpower", help="comma list from radial,tpower")
+    sim.add_argument("--degree", type=int, default=2)
+    sim.add_argument("--kmax", type=int, default=5)
+    sim.add_argument("--draws", type=int, default=0)
+    sim.add_argument("--burnin", type=int, default=500)
+    sim.add_argument("--level", choices=["weak", "medium", "high"], default="weak")
+    sim.add_argument("--shape", choices=["exp", "trig"], default="exp")
+    sim.add_argument("--strategy", choices=["auto", "full", "coordinate"], default="auto")
+    sim.add_argument("--out-prefix", default="sim")
 
     cv = sub.add_parser("crossval", parents=[model], help="fold-based predictive error")
-    cv.add_argument("--knots", help="'auto', a single count, or comma counts per coefficient")
-    cv.add_argument("--folds", type=int)
-    cv.add_argument("--engine", choices=["wls", "gibbs", "vb"])
-    cv.add_argument("--draws", type=int)
-    cv.add_argument("--burnin", type=int)
-    cv.add_argument("--out")
+    cv.add_argument("--knots", default="auto", help="'auto', a single count, or comma counts per coefficient")
+    cv.add_argument("--folds", type=int, default=5)
+    cv.add_argument("--engine", choices=ENGINES, default="wls")
+    cv.add_argument("--draws", type=int, default=0)
+    cv.add_argument("--burnin", type=int, default=500)
+    cv.add_argument("--out", default="crossval.json")
     return parser
 
 
@@ -153,30 +111,33 @@ def _check_config_value(action, value, config) -> None:
     raise ValueError(f"{action.option_strings[0]} must be {expected}, got {value!r} from --config {config}")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Layer defaults < config file < explicit flags; config values must suit their flags."""
+def _resolve(args: argparse.Namespace, argv: list) -> dict:
+    """Layer defaults < config file < explicit flags; config values must suit their flags.
+
+    The config values pre-fill the namespace the subcommand parser re-reads
+    argv into; argparse sets a default only where the namespace has no value.
+    """
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    opts = dict(_DEFAULTS[args.command])
     sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    parser = sub.choices[args.command]
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    prefill = {}
     for key, value in config.items():
         key = key.replace("-", "_")
-        if key not in opts and key not in ("seed", "data"):
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
         # seed has its own rules below, and null may stand for a null default
-        if key in actions and key != "seed" and not (value is None and opts.get(key) is None):
+        if key != "seed" and not (value is None and actions[key].default is None):
             _check_config_value(actions[key], value, args.config)
-        opts[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        opts[key] = value
-    seed = opts.get("seed")
+        prefill[key] = value
+    opts = vars(parser.parse_args(argv[1:], argparse.Namespace(**prefill)))
+    del opts["config"]
+    seed = opts["seed"]
     source = f"--config {args.config}"
     if seed is None:
         seed, source = os.environ.get("TVCM_SEED", "0"), "TVCM_SEED"
@@ -211,10 +172,10 @@ def _basis(data, opts):
     """Knot counts from --knots (searched when 'auto'), their specs, and the search table or None.
 
     The search and the specs take the same make_spec placement and bandwidth;
-    only fit exposes them, so the other commands get the defaults.
+    only fit exposes them, so the other commands get make_spec's defaults.
     """
     family, degree, raw = opts["family"], opts["degree"], str(opts["knots"]).strip()
-    options = {"placement": opts.get("placement", "equal"), "bandwidth": opts.get("bandwidth")}
+    options = {key: opts[key] for key in ("placement", "bandwidth") if key in opts}
     n_coef, table = data.covariate_dim + 1, None
     if raw == "auto":
         counts, table = knot_search(data, family, degree, opts["kmax"], opts["strategy"], **options)
@@ -269,20 +230,27 @@ def _manifest(command, opts, artifacts) -> dict:
     }
 
 
-def _check_non_negative(opts, names) -> None:
-    """Raise, naming the option, unless every named count option is non-negative."""
-    for name in names:
-        if opts[name] < 0:
+def _check_at_least(opts, **lows) -> None:
+    """Raise, naming the option, unless each named count option is at least its lower bound."""
+    for name, low in lows.items():
+        if opts[name] < low:
+            bound = "non-negative" if low == 0 else f"at least {low}"
             note = " (0 means the engine default)" if name == "draws" else ""
-            raise ValueError(f"--{name} must be non-negative{note}, got {opts[name]}")
+            raise ValueError(f"--{name} must be {bound}{note}, got {opts[name]}")
+
+
+def _comma_list(opts, name, allowed) -> tuple:
+    """The values of a comma-list option, each of which must be one of allowed."""
+    values = tuple(str(opts[name]).split(","))
+    if not set(values) <= set(allowed):
+        raise ValueError(f"--{name} must be a comma list from {','.join(allowed)}, got {opts[name]!r}")
+    return values
 
 
 def cmd_fit(opts) -> int:
-    _check_non_negative(opts, ("boot", "draws", "burnin"))
+    _check_at_least(opts, boot=0, draws=0, burnin=0, grid=1, degree=0, kmax=0)
     if not opts["tol"] > 0:
         raise ValueError(f"--tol must be positive, got {opts['tol']}")
-    if opts["grid"] < 1:
-        raise ValueError(f"--grid must be at least 1, got {opts['grid']}")
     if not 0 < opts["level"] < 1:
         raise ValueError(f"--level must be in (0, 1), got {opts['level']}")
     clock = time.perf_counter
@@ -388,6 +356,7 @@ def cmd_fit(opts) -> int:
 
 
 def cmd_select(opts) -> int:
+    _check_at_least(opts, degree=0, kmax=0)
     data = _ingest(opts, "select")
     best, table = knot_search(data, opts["family"], opts["degree"], opts["kmax"], opts["strategy"])
     payload = {
@@ -404,14 +373,16 @@ def cmd_select(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
-    _check_non_negative(opts, ("draws", "burnin"))
+    _check_at_least(opts, n=1, reps=1, degree=0, kmax=0, draws=0, burnin=0)
+    engines = _comma_list(opts, "engines", ENGINES)
+    families = _comma_list(opts, "families", FAMILIES)
     report = run_replications(
         scenario=opts["scenario"],
         n=opts["n"],
         reps=opts["reps"],
         rng=opts["seed"],
-        engines=tuple(opts["engines"].split(",")),
-        families=tuple(opts["families"].split(",")),
+        engines=engines,
+        families=families,
         degree=opts["degree"],
         k_max=opts["kmax"],
         draws=opts["draws"],
@@ -428,7 +399,7 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_crossval(opts) -> int:
-    _check_non_negative(opts, ("draws", "burnin"))
+    _check_at_least(opts, folds=2, degree=0, kmax=0, draws=0, burnin=0)
     data = _ingest(opts, "crossval")
     counts, specs, _ = _basis(data, opts)
     value = crossval_amse(
@@ -463,9 +434,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(argv)  # the command, --config, --help/--version and bad flags
     try:
-        opts = _resolve(args)
+        opts = _resolve(args, argv)
         return _HANDLERS[args.command](opts)
     except (TvcmError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

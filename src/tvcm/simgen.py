@@ -144,36 +144,28 @@ def gen_scenario2(n: int, rng) -> tuple[LongitudinalDataset, SimTruth]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    betas = scenario2_betas()
     gen, _ = as_generator(rng)
     children = gen.spawn(n)
     m = SCENARIO2_SCHEDULE.size
 
-    times, responses, x_rows = [], [], []
-    truth_blocks: list[list[np.ndarray]] = [[], [], []]
-    for i in range(1, n + 1):
-        child = children[i - 1]
-        keep = _retention_mask(child, m, 0.5)
-        t = SCENARIO2_SCHEDULE[keep]
-        x1 = 1.0 if child.random() < 0.5 else 0.0
-        x2 = 4.0 * child.standard_normal()
+    # each subject's stream draws its mask, x1, x2, then its correlated errors
+    keep, x, eps = np.empty((n, m), dtype=bool), np.empty((n, 2)), []
+    for i, child in enumerate(children):
+        keep[i] = _retention_mask(child, m, 0.5)
+        x[i] = 1.0 if child.random() < 0.5 else 0.0, 4.0 * child.standard_normal()
+        t = SCENARIO2_SCHEDULE[keep[i]]
         gamma = SCENARIO2_ERROR_VAR * np.exp(-np.abs(t[:, None] - t[None, :]))
-        eps = np.linalg.cholesky(gamma) @ child.standard_normal(t.size)
-        curve_vals = [b(t) for b in betas]
-        times.append(t)
-        responses.append(curve_vals[0] + curve_vals[1] * x1 + curve_vals[2] * x2 + eps)
-        x_rows.append((x1, x2))
-        for r in range(3):
-            truth_blocks[r].append(curve_vals[r])
-    counts = [t.size for t in times]
+        eps.append(np.linalg.cholesky(gamma) @ child.standard_normal(t.size))
+    counts = keep.sum(axis=1)
+    t = np.broadcast_to(SCENARIO2_SCHEDULE, keep.shape)[keep]
+    covariates = np.repeat(x, counts, axis=0)
+    curves = tuple(b(t) for b in scenario2_betas())
+    y = curves[0] + curves[1] * covariates[:, 0] + curves[2] * covariates[:, 1] + np.concatenate(eps)
     data = LongitudinalDataset(
-        tuple(map(str, range(1, n + 1))), counts, np.concatenate(times), np.concatenate(responses),
-        np.repeat(np.array(x_rows), counts, axis=0), time_domain=(0.0, 31.0),
+        tuple(map(str, range(1, n + 1))), counts, t, y, covariates, time_domain=(0.0, 31.0)
     )
     params = {"scenario": 2, "n": n, "missing_rate": 0.5}
-    return data, SimTruth(
-        curves=tuple(np.concatenate(blocks) for blocks in truth_blocks), params=params
-    )
+    return data, SimTruth(curves=curves, params=params)
 
 
 @dataclass
@@ -197,27 +189,18 @@ class SimReport:
         return np.asarray(vals, dtype=float)
 
     def summary(self) -> dict:
-        cells = {}
-        seen = []
+        groups = {}  # (engine, basis) -> its rows, in first-seen order
         for row in self.rows:
-            key = (row["engine"], row["basis"])
-            if key not in seen:
-                seen.append(key)
-        for engine, basis in seen:
-            vals = self.metrics(engine, basis)
-            n_fail = sum(
-                1 for r in self.rows if r["engine"] == engine and r["basis"] == basis and r["status"] != "ok"
-            )
-            cell = {"n_ok": int(vals.size), "n_fail": n_fail}
-            if vals.size:
+            groups.setdefault((row["engine"], row["basis"]), []).append(row)
+        cells = {}
+        for (engine, basis), rows in groups.items():
+            ok = [r for r in rows if r["status"] == "ok"]
+            cell = {"n_ok": len(ok), "n_fail": len(rows) - len(ok)}
+            if ok:
+                vals = np.array([r["metric"] for r in ok], dtype=float)
                 q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75], method="linear")
                 cell.update(q1=float(q1), median=float(med), q3=float(q3), mean=float(vals.mean()))
-                millis = [
-                    r["millis"]
-                    for r in self.rows
-                    if r["engine"] == engine and r["basis"] == basis and r["status"] == "ok"
-                ]
-                cell["mean_millis"] = float(np.mean(millis))
+                cell["mean_millis"] = float(np.mean([r["millis"] for r in ok]))
             cells[f"{engine}/{basis}"] = cell
         return {"params": self.params, "failures": self.failures, "cells": cells}
 

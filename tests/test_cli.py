@@ -18,7 +18,7 @@ from tvcm import gen_scenario1, write_csv
 from tvcm import cli
 from tvcm.basis import BasisSpec, basis_matrix, split_alpha
 from tvcm.bootstrap import column_intervals
-from tvcm.cli import _DEFAULTS, build_parser, main
+from tvcm.cli import build_parser, main
 
 from conftest import forbid_qr
 
@@ -624,6 +624,41 @@ class TestOptionsAndErrors:
         assert payload == {"error": "ValueError", "message": named}
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, args, named", [
+        ("fit", ["--kmax", "-1"], "--kmax must be non-negative, got -1"),
+        ("fit", ["--degree", "-1"], "--degree must be non-negative, got -1"),
+        ("select", ["--kmax", "-1"], "--kmax must be non-negative, got -1"),
+        ("select", ["--degree", "-1"], "--degree must be non-negative, got -1"),
+        ("crossval", ["--kmax", "-1"], "--kmax must be non-negative, got -1"),
+        ("crossval", ["--degree", "-1"], "--degree must be non-negative, got -1"),
+        ("crossval", ["--folds", "1"], "--folds must be at least 2, got 1"),
+        ("simulate", ["--kmax", "-1"], "--kmax must be non-negative, got -1"),
+        ("simulate", ["--degree", "-1"], "--degree must be non-negative, got -1"),
+        ("simulate", ["--reps", "0"], "--reps must be at least 1, got 0"),
+        ("simulate", ["--n", "0"], "--n must be at least 1, got 0"),
+        ("simulate", ["--families", "radial,bar"],
+         "--families must be a comma list from radial,tpower, got 'radial,bar'"),
+        ("simulate", ["--engines", "foo"],
+         "--engines must be a comma list from wls,gibbs,vb, got 'foo'"),
+    ], ids=["fit-kmax", "fit-degree", "select-kmax", "select-degree",
+            "crossval-kmax", "crossval-degree", "crossval-folds",
+            "simulate-kmax", "simulate-degree", "simulate-reps", "simulate-n",
+            "simulate-families", "simulate-engines"])
+    def test_out_of_range_options_checked_before_any_work(self, tmp_path,
+                                                          capsys, command,
+                                                          args, named):
+        """Each command names an out-of-range option before reading data (a
+        missing file would be an OSError) or simulating."""
+        if command == "simulate":
+            head = ["simulate", "--out-prefix", str(tmp_path / "sim")]
+        else:
+            head = [command, "--data", str(tmp_path / "missing.csv"),
+                    "--out", str(tmp_path / "out")]
+        code, payload = _run([*head, *args], capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": named}
+        assert not list(tmp_path.iterdir())
+
     def test_singular_design_is_json_error(self, tmp_path, capsys):
         """Every engine refuses an underdetermined and a collinear design
         with the same typed error."""
@@ -686,27 +721,66 @@ class TestOptionsAndErrors:
 
 
 class TestParserDefaults:
-    @staticmethod
-    def _flags(command):
-        parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    _MODEL = {"family": "radial", "degree": 2, "kmax": 10, "strategy": "auto",
+              "time_domain": None, "seed": 0, "data": "panel.csv"}
 
-    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
-    def test_flags_match_defaults(self, command):
-        """Every flag but --config and --seed has a default, and every
-        default has a flag; fit, select and crossval also take --data."""
-        flags = self._flags(command) - {"config", "seed"}
-        data = {"data"} if command != "simulate" else set()
-        assert flags == set(_DEFAULTS[command]) | data
+    @pytest.mark.parametrize("command, expected", [
+        ("fit", {**_MODEL, "knots": "auto", "placement": "equal",
+                 "bandwidth": None, "engine": "gibbs", "draws": 2000,
+                 "burnin": 500, "boot": 0, "tol": 1e-6, "level": 0.95,
+                 "grid": 200, "out": "."}),
+        ("select", {**_MODEL, "out": "select.json"}),
+        ("simulate", {"scenario": 1, "n": 25, "reps": 50, "engines": "wls",
+                      "families": "radial,tpower", "degree": 2, "kmax": 5,
+                      "draws": 0, "burnin": 500, "level": "weak",
+                      "shape": "exp", "strategy": "auto",
+                      "out_prefix": "sim", "seed": 0}),
+        ("crossval", {**_MODEL, "knots": "auto", "folds": 5, "engine": "wls",
+                      "draws": 0, "burnin": 500, "out": "crossval.json"}),
+    ], ids=["fit", "select", "simulate", "crossval"])
+    def test_resolved_defaults(self, monkeypatch, command, expected):
+        """With only its required flags, each command resolves to these
+        options: the defaults the parser declares, the seed and the data."""
+        monkeypatch.delenv("TVCM_SEED", raising=False)
+        argv = [command] + (["--data", "panel.csv"] if "data" in expected else [])
+        args = cli._parser().parse_args(argv)
+        assert cli._resolve(args, argv) == expected
 
     def test_model_options_shared(self):
-        shared = {"data", "family", "degree", "kmax", "strategy", "time_domain"}
+        shared = ["data", "family", "degree", "kmax", "strategy", "time_domain"]
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        defaults = {}
         for command in ("fit", "select", "crossval"):
-            assert shared <= self._flags(command)
-            assert {k: _DEFAULTS[command][k] for k in shared - {"data"}} == {
-                k: _DEFAULTS["fit"][k] for k in shared - {"data"}}
+            parser = sub.choices[command]
+            defaults[command] = [parser.get_default(k) for k in shared]
+            assert set(shared) <= {a.dest for a in parser._actions}
+        assert defaults["select"] == defaults["crossval"] == defaults["fit"]
+
+    def test_simulate_rejects_data_key(self, tmp_path, capsys):
+        """simulate takes no --data flag, so a config may not give one."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"data": "panel.csv"}))
+        code, payload = _run(["simulate", "--config", str(cfg), "--n", "5",
+                              "--reps", "1", "--kmax", "1", "--out-prefix",
+                              str(tmp_path / "sim")], capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": "unknown config key 'data' for command 'simulate'"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+
+    @pytest.mark.parametrize("key", ["config", "help"])
+    def test_config_and_help_keys_rejected(self, data_csv, tmp_path, capsys,
+                                           key):
+        cfg = tmp_path / "meta.json"
+        cfg.write_text(json.dumps({key: "other.json"}))
+        code, payload = _run(["fit", "--data", str(data_csv), "--config",
+                              str(cfg)], capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": f"unknown config key {key!r} for command 'fit'"}
 
     @pytest.mark.parametrize("command", ["select", "crossval"])
     @pytest.mark.parametrize("key", ["placement", "bandwidth"])
