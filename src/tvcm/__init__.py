@@ -17,7 +17,6 @@ from .basis import (
     build_design,
     coefficient_curve,
     default_bandwidth,
-    eval_basis,
     make_spec,
     place_knots_equal,
     place_knots_quantile,
@@ -28,10 +27,8 @@ from .bootstrap import (
     PosteriorDraws,
     bootstrap_fit,
     percentile_interval,
-    resample_subjects,
 )
 from .data import (
-    CsvSchema,
     LongitudinalDataset,
     ingest_csv,
     subject_uniform_weights,
@@ -52,7 +49,7 @@ from .errors import (
     SingularDesignError,
     TvcmError,
 )
-from .frequentist import WlsFit, fit_wls, predict, predict_rows
+from .frequentist import WlsFit, fit_wls, predict_rows
 from .mcmc import PriorSpec, default_prior, dic, gibbs, whiten
 from .selection import amse, crossval_amse, knot_search, made, pcv, pcv_loo
 from .simgen import (
@@ -62,7 +59,6 @@ from .simgen import (
     gen_scenario2,
     run_replications,
     scenario1_beta0,
-    scenario1_correlation_bounds,
     scenario2_betas,
 )
-from .vb import VariationalPosterior, elbo, vb_fit, vb_sample
+from .vb import VariationalPosterior, vb_fit, vb_sample

@@ -31,8 +31,8 @@ class BasisFamily(str, Enum):
 class BasisSpec:
     """Configuration of one coefficient function's expansion.
 
-    bandwidth is required (positive) for the radial family and must be None
-    for the truncated power family.
+    bandwidth is required (positive and finite) for the radial family and
+    must be None for the truncated power family.
     """
 
     family: BasisFamily
@@ -53,8 +53,10 @@ class BasisSpec:
             raise ValueError(f"knots must be strictly increasing, got {knots}")
         object.__setattr__(self, "knots", knots)
         if family is BasisFamily.RADIAL:
-            if self.bandwidth is None or not (float(self.bandwidth) > 0):
-                raise ValueError("radial basis requires a positive bandwidth")
+            if self.bandwidth is None or not 0 < float(self.bandwidth) < np.inf:
+                raise ValueError(
+                    f"radial basis requires a positive finite bandwidth, got {self.bandwidth}"
+                )
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         else:
             if self.bandwidth is not None:
@@ -172,11 +174,6 @@ def basis_matrix(spec: BasisSpec, times) -> np.ndarray:
             else:
                 cols.append(np.where(shifted > 0, shifted, 0.0) ** spec.degree)
     return np.column_stack(cols)
-
-
-def eval_basis(spec: BasisSpec, t: float) -> np.ndarray:
-    """Basis row at a single time point."""
-    return basis_matrix(spec, [t])[0]
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ def _parse_domain(value):
         a, b = (float(v) for v in parts)
     except (TypeError, ValueError):
         raise ValueError(f"--time-domain must be two numbers a,b, got {value!r}") from None
+    if not np.isfinite([a, b]).all():
+        raise ValueError(f"--time-domain bounds must be finite, got {value!r}")
     return a, b
 
 
@@ -251,6 +253,8 @@ def cmd_fit(opts) -> int:
     _check_at_least(opts, boot=0, draws=0, burnin=0, grid=1, degree=0, kmax=0)
     if not opts["tol"] > 0:
         raise ValueError(f"--tol must be positive, got {opts['tol']}")
+    if opts["bandwidth"] is not None and not 0 < opts["bandwidth"] < np.inf:
+        raise ValueError(f"--bandwidth must be positive and finite, got {opts['bandwidth']}")
     if not 0 < opts["level"] < 1:
         raise ValueError(f"--level must be in (0, 1), got {opts['level']}")
     clock = time.perf_counter

@@ -81,6 +81,8 @@ class LongitudinalDataset:
             domain = (t_min, t_max)
         else:
             domain = (float(domain[0]), float(domain[1]))
+            if not np.isfinite(domain).all():
+                raise DataError(f"time domain {domain} must have finite bounds")
             if domain[0] > t_min or domain[1] < t_max:
                 raise DataError(
                     f"time domain {domain} does not cover observed times [{t_min}, {t_max}]"
@@ -111,42 +113,24 @@ class LongitudinalDataset:
         return np.repeat(np.arange(self.n_subjects), self.counts)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names for CSV ingestion.
-
-    covariate_cols None means autodetect: every column named x1, x2, ...
-    taken in numeric order.
-    """
-
-    subject_col: str = "subject"
-    time_col: str = "time"
-    response_col: str = "y"
-    covariate_cols: tuple[str, ...] | None = None
-
-
-def ingest_csv(
-    path,
-    schema: CsvSchema | None = None,
-    time_domain: tuple[float, float] | None = None,
-) -> LongitudinalDataset:
+def ingest_csv(path, time_domain: tuple[float, float] | None = None) -> LongitudinalDataset:
     """Read a long-format CSV into a LongitudinalDataset.
 
-    Expected header: subject,time,y,x1,...,xd (names configurable through
-    schema); a name may appear only once.  Rows may arrive in any order;
-    observations are grouped by subject and stably sorted by time.  The time
-    domain defaults to the observed min/max unless overridden.  Accepts a
-    path, read as UTF-8 with or without a byte-order mark, or an open text
-    stream.  Error messages count rows as file lines, header included.
+    Expected header: subject,time,y,x1,...,xd, in any column order; other
+    columns are ignored and a name may appear only once.  Rows may arrive in
+    any order; observations are grouped by subject and stably sorted by time.
+    The time domain defaults to the observed min/max unless overridden.
+    Accepts a path, read as UTF-8 with or without a byte-order mark, or an
+    open text stream.  Error messages count rows as file lines, header
+    included.
     """
     if hasattr(path, "read"):
-        return _parse_csv(path, getattr(path, "name", "<stream>"), schema, time_domain)
+        return _parse_csv(path, getattr(path, "name", "<stream>"), time_domain)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return _parse_csv(fh, str(path), schema, time_domain)
+        return _parse_csv(fh, str(path), time_domain)
 
 
-def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
-    schema = schema or CsvSchema()
+def _parse_csv(fh, label, time_domain) -> LongitudinalDataset:
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -161,23 +145,14 @@ def _parse_csv(fh, label, schema, time_domain) -> LongitudinalDataset:
         if name and name in col_pos:
             raise SchemaError(f"{label}: column {name!r} appears more than once in the header")
         col_pos[name] = i
-    for required in (schema.subject_col, schema.time_col, schema.response_col):
+    for required in ("subject", "time", "y"):
         if required not in col_pos:
             raise SchemaError(f"{label}: missing required column {required!r}")
-    if schema.covariate_cols is None:
-        detected = []
-        for name in header:
-            m = _COVARIATE_PATTERN.match(name)
-            if m:
-                detected.append((int(m.group(1)), name))
-        covariate_cols = tuple(name for _, name in sorted(detected))
-    else:
-        covariate_cols = tuple(schema.covariate_cols)
-        for name in covariate_cols:
-            if name not in col_pos:
-                raise SchemaError(f"{label}: missing covariate column {name!r}")
-    needed = [schema.time_col, schema.response_col, *covariate_cols]
-    sid_pos = col_pos[schema.subject_col]
+    # covariates are the columns x1, x2, ... taken in numeric order
+    detected = sorted((int(m.group(1)), m.group(0))
+                      for m in map(_COVARIATE_PATTERN.match, header) if m)
+    needed = ["time", "y", *(name for _, name in detected)]
+    sid_pos = col_pos["subject"]
     positions = [col_pos[name] for name in needed]
     lines = list(fh)
     try:
@@ -208,10 +183,10 @@ def _load_columns(lines, width, sid_pos, positions) -> tuple[np.ndarray, np.ndar
 
     Every column has a field, float where needed and str elsewhere, so a ragged
     row raises ValueError in C, as do a whitespace-only row, a needed cell that
-    is not a finite number, no rows, and an id column that is also a needed one.
+    is not a finite number, and no rows.
     """
-    if sid_pos in positions or all(map(str.isspace, lines)):
-        raise ValueError("no data rows, or a numeric id column")
+    if all(map(str.isspace, lines)):
+        raise ValueError("no data rows")
     dtype = [(str(i), "f8" if i in positions else object) for i in range(width)]
     table = np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
     values = np.column_stack([table[str(pos)] for pos in positions])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBundle, coefficient_curve, split_alpha
+from .basis import BasisSpec, DesignBundle, basis_matrix, split_alpha
 from .errors import InsufficientDataError, NumericalError, SingularDesignError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
@@ -37,23 +37,10 @@ class WlsFit:
     residuals: np.ndarray
     gram_inverse: np.ndarray
     hat_trace: float
-    block_dims: tuple[int, ...]
 
     @property
     def n_obs(self) -> int:
         return self.fitted.size
-
-    @property
-    def n_params(self) -> int:
-        return self.alpha_hat.size
-
-    def to_dict(self) -> dict:
-        blocks = split_alpha(self.alpha_hat, self.block_dims)
-        return {
-            "alpha": {str(r): blocks[r].tolist() for r in range(len(blocks))},
-            "sigma2": self.sigma2_hat,
-            "hat_trace": self.hat_trace,
-        }
 
 
 def whiten(bundle: DesignBundle) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +77,6 @@ def fit_wls(bundle: DesignBundle) -> WlsFit:
         residuals=residuals,
         gram_inverse=gram_inverse,
         hat_trace=hat_trace,
-        block_dims=bundle.block_dims,
     )
 
 
@@ -212,23 +198,8 @@ def _certified(gram: np.ndarray) -> bool:
     return True
 
 
-def predict(alpha, specs, covariates, t: float) -> float:
-    """Response surface x' beta(t) for one covariate vector (leading 1 included)."""
-    specs = tuple(specs)
-    covariates = np.asarray(covariates, dtype=float)
-    if covariates.shape != (len(specs),):
-        raise ValueError(f"covariates must have length {len(specs)} (including the intercept 1)")
-    blocks = split_alpha(alpha, tuple(s.n_terms for s in specs))
-    total = 0.0
-    for r, spec in enumerate(specs):
-        total += covariates[r] * float(coefficient_curve(spec, blocks[r], [t])[0])
-    return total
-
-
 def predict_rows(alpha, specs: tuple[BasisSpec, ...], x_rows, times) -> np.ndarray:
     """Vectorized predictions for stacked rows; x_rows excludes the intercept column."""
-    from .basis import basis_matrix
-
     x_rows = np.asarray(x_rows, dtype=float)
     times = np.asarray(times, dtype=float)
     specs = tuple(specs)

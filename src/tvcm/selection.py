@@ -21,8 +21,8 @@ alpha = G_S^-1 c_S and, since tr(A) = p for any feasible fit,
 PCV = (s - c_S'alpha) / (1 - p/N)^2.
 Candidates are scored in batches: those sharing a parameter count p gather
 their (B, p, p) Gram blocks with one fancy index and are solved by one
-solve_gram call.  The per-candidate QR path (_candidate_pcv: build_design,
-fit_wls, pcv) stays as the test oracle, as does pcv_loo.
+solve_gram call.  The per-candidate QR path (build_design, fit_wls, pcv;
+candidate_pcv in tests/oracles.py) stays as the test oracle, as does pcv_loo.
 """
 
 from __future__ import annotations
@@ -91,18 +91,6 @@ def pcv_loo(data: LongitudinalDataset, specs) -> float:
         pred = float(Z[idx] @ fit.alpha_hat)
         total += weights[idx] * (y[idx] - pred) ** 2
     return total
-
-
-def _candidate_pcv(data, family, degree, combo, weights, bandwidth=None, placement="equal"):
-    """Trace-form criterion of one candidate by a full QR refit; the oracle for knot_search."""
-    try:
-        specs = tuple(make_spec(family, degree, k, data.time_domain, bandwidth,
-                                placement=placement, times=data.times) for k in combo)
-        bundle = build_design(data, specs, weights)
-        fit = fit_wls(bundle)
-    except (SingularDesignError, InsufficientDataError, KnotError):
-        return float("inf")
-    return pcv(bundle, fit)
 
 
 def _statistics_criterion(
@@ -309,7 +297,6 @@ def crossval_amse(
     engine: str = "wls",
     draws: int = 0,
     burnin: int = 500,
-    tol: float = 1e-6,
 ) -> float:
     """Predictive mean squared error over a random observation-level partition.
 
@@ -335,9 +322,7 @@ def crossval_amse(
         train_idx = np.setdiff1d(perm, fold)
         try:
             train = _take_rows(data, train_idx)
-            result = fit_engine(
-                train, specs, engine, rng=fold_rngs[f], draws=draws, burnin=burnin, tol=tol
-            )
+            result = fit_engine(train, specs, engine, rng=fold_rngs[f], draws=draws, burnin=burnin)
         except (SingularDesignError, InsufficientDataError, DataError) as exc:
             raise SelectionError(f"fold {f} is infeasible: {exc}") from exc
         preds = predict_rows(result.alpha, specs, all_x[fold], all_times[fold])

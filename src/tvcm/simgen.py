@@ -37,7 +37,6 @@ class SimTruth:
     """True coefficient curves tabulated at the generated design points."""
 
     curves: tuple[np.ndarray, ...]
-    params: dict
 
     def ranges(self) -> tuple[float, ...]:
         """Range (max - min) of each true curve over the observed design points."""
@@ -50,14 +49,6 @@ def scenario1_beta0(shape: str):
     if shape == "trig":
         return lambda t: 1.0 + np.cos(2.0 * np.pi * t) + np.sin(2.0 * np.pi * t)
     raise ValueError(f"unknown scenario 1 shape {shape!r}; expected 'exp' or 'trig'")
-
-
-def scenario1_correlation_bounds(level: str) -> tuple[float, float]:
-    """Range of the within-subject process correlation implied by a variance level."""
-    sigma0_sq = SCENARIO1_LEVELS[level]
-    s = SCENARIO1_SIGMA2
-    denom = sigma0_sq + 2.0 * s
-    return (sigma0_sq - s) / denom, (sigma0_sq + s) / denom
 
 
 def _retention_mask(child: np.random.Generator, size: int, missing_rate: float) -> np.ndarray:
@@ -114,17 +105,7 @@ def gen_scenario1(
         tuple(map(str, range(1, n + 1))), counts, t, truth + process + eps,
         np.empty((t.size, 0)), time_domain=(0.0, 1.0),
     )
-    params = {
-        "scenario": 1,
-        "n": n,
-        "m": m,
-        "missing_rate": missing_rate,
-        "level": level,
-        "shape": shape,
-        "sigma0_sq": SCENARIO1_LEVELS[level],
-        "sigma_sq": SCENARIO1_SIGMA2,
-    }
-    return data, SimTruth(curves=(truth,), params=params)
+    return data, SimTruth(curves=(truth,))
 
 
 def scenario2_betas() -> tuple:
@@ -164,8 +145,7 @@ def gen_scenario2(n: int, rng) -> tuple[LongitudinalDataset, SimTruth]:
     data = LongitudinalDataset(
         tuple(map(str, range(1, n + 1))), counts, t, y, covariates, time_domain=(0.0, 31.0)
     )
-    params = {"scenario": 2, "n": n, "missing_rate": 0.5}
-    return data, SimTruth(curves=curves, params=params)
+    return data, SimTruth(curves=curves)
 
 
 @dataclass
@@ -183,10 +163,6 @@ class SimReport:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow({k: row[k] for k in fields})
-
-    def metrics(self, engine: str, basis: str) -> np.ndarray:
-        vals = [r["metric"] for r in self.rows if r["engine"] == engine and r["basis"] == basis and r["status"] == "ok"]
-        return np.asarray(vals, dtype=float)
 
     def summary(self) -> dict:
         groups = {}  # (engine, basis) -> its rows, in first-seen order

@@ -12,7 +12,7 @@ the scalar recursion
 
 and V* = (b_prev/a*) M^-1 is formed once, after the last sweep.
 
-The objective, which elbo evaluates at any state, is
+The objective, which elbo in tests/oracles.py evaluates at any state, is
 
     -(N log 2pi + p log(1/ridge) - p) / 2 + a_sigma log b_sigma - lgamma(a_sigma)
     + a* (1 + log b* - 2 psi(a*)) + lgamma(a*) + 2 (log b* - psi(a*))
@@ -103,24 +103,6 @@ def _objective_constant(n_obs: int, p: int, prior: PriorSpec, a_star: float) -> 
         - math.lgamma(prior.a_sigma)
         - 2.0 * (a_star + 1.0) * _digamma(a_star)
         + math.lgamma(a_star)
-    )
-
-
-def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorSpec) -> float:
-    """Objective value at an arbitrary variational state."""
-    M, _, mu, r0 = _ridge_posterior(gram_stats(Z, y, ridge=prior.ridge), prior.ridge)
-    a_star, b_star, d = post.a_star, post.b_star, post.m_star - mu
-    # ||y~ - Z~ m||^2 + ridge ||m||^2 = r0 + (m - mu)' M (m - mu), since M mu = Z~'y~
-    bracket = prior.b_sigma + 0.5 * (r0 + d @ (M @ d) + np.einsum("ij,ji->", M, post.V_star))
-    sign, logdet_v = np.linalg.slogdet(post.V_star)
-    if sign <= 0:
-        raise NumericalError("V_star must be positive definite for the objective")
-    return float(
-        _objective_constant(np.shape(Z)[0], mu.size, prior, a_star)
-        + (a_star + 2.0) * np.log(b_star)
-        + a_star
-        + 0.5 * logdet_v
-        - (a_star / b_star) * bracket
     )
 
 

@@ -16,7 +16,6 @@ from tvcm.basis import (
     build_design,
     coefficient_curve,
     default_bandwidth,
-    eval_basis,
     make_spec,
     place_knots_equal,
     place_knots_quantile,
@@ -144,36 +143,36 @@ class TestEvaluation:
         of bandwidth, and the polynomial part is (1, t, t^2)."""
         for h in (0.1, 0.25, 3.0):
             spec = BasisSpec(BasisFamily.RADIAL, 2, (0.5,), h)
-            np.testing.assert_allclose(eval_basis(spec, 0.5),
+            np.testing.assert_allclose(basis_matrix(spec, [0.5])[0],
                                        [1.0, 0.5, 0.25, 1.0])
 
     def test_radial_one_bandwidth_away(self):
         spec = BasisSpec(BasisFamily.RADIAL, 0, (0.5,), 0.25)
-        np.testing.assert_allclose(eval_basis(spec, 0.75),
+        np.testing.assert_allclose(basis_matrix(spec, [0.75])[0],
                                    [1.0, math.exp(-1.0)])
 
     def test_radial_kernel_symmetry(self):
         # knot and offsets chosen exactly representable so |t - kappa| matches
         spec = BasisSpec(BasisFamily.RADIAL, 1, (0.5,), 0.25)
         for delta in (0.0625, 0.125, 0.375):
-            left = eval_basis(spec, 0.5 - delta)[-1]
-            right = eval_basis(spec, 0.5 + delta)[-1]
+            left = basis_matrix(spec, [0.5 - delta])[0][-1]
+            right = basis_matrix(spec, [0.5 + delta])[0][-1]
             assert left == right
 
     def test_tpower_above_knot(self):
         spec = BasisSpec(BasisFamily.TPOWER, 2, (0.5,), None)
-        np.testing.assert_allclose(eval_basis(spec, 0.7),
+        np.testing.assert_allclose(basis_matrix(spec, [0.7])[0],
                                    [1.0, 0.7, 0.49, 0.2**2])
 
     def test_tpower_below_knot(self):
         spec = BasisSpec(BasisFamily.TPOWER, 2, (0.5,), None)
-        np.testing.assert_allclose(eval_basis(spec, 0.3), [1.0, 0.3, 0.09, 0.0])
+        np.testing.assert_allclose(basis_matrix(spec, [0.3])[0], [1.0, 0.3, 0.09, 0.0])
 
     def test_tpower_degree_zero_is_right_continuous_step(self):
         spec = BasisSpec(BasisFamily.TPOWER, 0, (0.5,), None)
-        assert eval_basis(spec, 0.5 - 1e-12)[-1] == 0.0
-        assert eval_basis(spec, 0.5)[-1] == 1.0
-        assert eval_basis(spec, 0.7)[-1] == 1.0
+        assert basis_matrix(spec, [0.5 - 1e-12])[0][-1] == 0.0
+        assert basis_matrix(spec, [0.5])[0][-1] == 1.0
+        assert basis_matrix(spec, [0.7])[0][-1] == 1.0
 
     def test_tpower_smoothness_at_knot(self):
         """Degree-g hinge terms keep g-1 continuous derivatives across the
@@ -184,7 +183,7 @@ class TestEvaluation:
             spec = BasisSpec(BasisFamily.TPOWER, g, (kappa,), None)
 
             def hinge(t):
-                return eval_basis(spec, t)[-1]
+                return basis_matrix(spec, [t])[0][-1]
 
             # value continuous
             assert abs(hinge(kappa + eps) - hinge(kappa - eps)) < 1e-5 ** (g - 1)
@@ -209,7 +208,7 @@ class TestEvaluation:
         t = np.linspace(0.0, 1.0, 9)
         M = basis_matrix(spec, t)
         for i, ti in enumerate(t):
-            np.testing.assert_array_equal(M[i], eval_basis(spec, ti))
+            np.testing.assert_array_equal(M[i], basis_matrix(spec, [ti])[0])
 
 
 # ---------------------------------------------------------------------------

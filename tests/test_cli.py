@@ -438,7 +438,7 @@ class TestOptionsAndErrors:
         assert code == 1
         assert payload == {
             "error": "ValueError",
-            "message": "radial basis requires a positive bandwidth"}
+            "message": "--bandwidth must be positive and finite, got 0.0"}
 
     @pytest.mark.parametrize("args, named", [
         (["--time-domain", "0,1,2"], "--time-domain must be two numbers a,b, got '0,1,2'"),
@@ -640,10 +640,19 @@ class TestOptionsAndErrors:
          "--families must be a comma list from radial,tpower, got 'radial,bar'"),
         ("simulate", ["--engines", "foo"],
          "--engines must be a comma list from wls,gibbs,vb, got 'foo'"),
+        ("fit", ["--bandwidth", "nan"], "--bandwidth must be positive and finite, got nan"),
+        ("fit", ["--bandwidth", "0"], "--bandwidth must be positive and finite, got 0.0"),
+        ("fit", ["--bandwidth", "-3"], "--bandwidth must be positive and finite, got -3.0"),
+        ("fit", ["--bandwidth", "inf"], "--bandwidth must be positive and finite, got inf"),
+        ("fit", ["--time-domain", "nan,200"], "--time-domain bounds must be finite, got 'nan,200'"),
+        ("select", ["--time-domain=-inf,200"], "--time-domain bounds must be finite, got '-inf,200'"),
+        ("crossval", ["--time-domain", "0,inf"], "--time-domain bounds must be finite, got '0,inf'"),
     ], ids=["fit-kmax", "fit-degree", "select-kmax", "select-degree",
             "crossval-kmax", "crossval-degree", "crossval-folds",
             "simulate-kmax", "simulate-degree", "simulate-reps", "simulate-n",
-            "simulate-families", "simulate-engines"])
+            "simulate-families", "simulate-engines", "fit-bandwidth-nan",
+            "fit-bandwidth-zero", "fit-bandwidth-negative", "fit-bandwidth-inf",
+            "fit-domain-nan", "select-domain-minus-inf", "crossval-domain-inf"])
     def test_out_of_range_options_checked_before_any_work(self, tmp_path,
                                                           capsys, command,
                                                           args, named):

@@ -300,12 +300,6 @@ class TestColumnarParity:
         assert data.subject_ids == ("b", "a")
         np.testing.assert_array_equal(data.responses, [3.5, 1.5, 2.5])
 
-    def test_id_column_also_numeric_uses_row_loop(self):
-        data = ingest_csv(io.StringIO("t,y\n2,1.0\n1,2.0\n2,3.0\n"),
-                          data_module.CsvSchema(subject_col="t", time_col="t"))
-        assert data.subject_ids == ("2", "1")
-        np.testing.assert_array_equal(data.responses, [1.0, 3.0, 2.0])
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_generated_panels_match_row_loop(self, tmp_path_factory, data):
@@ -473,6 +467,12 @@ class TestContainers:
     def test_reversed_domain_rejected(self):
         with pytest.raises(DataError, match="does not cover"):
             _dataset("a", [1], [0.5], time_domain=(1.0, 0.0))
+
+    @pytest.mark.parametrize("domain", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_non_finite_domain_rejected(self, domain):
+        """nan compares False with every time, so only a finiteness check stops it."""
+        with pytest.raises(DataError, match="finite bounds"):
+            _dataset("a", [2], [0.2, 0.7], time_domain=domain)
 
     def test_derived_sizes(self):
         data = _dataset("abc", [2, 3, 1], np.arange(6.0), covariates=np.zeros((6, 2)))

@@ -10,8 +10,8 @@ from tvcm import LongitudinalDataset, frequentist, gen_scenario2
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
-from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_stats, predict,
-                              predict_rows, solve_gram)
+from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_stats, predict_rows,
+                              solve_gram)
 
 from conftest import exact_response_dataset, single_subject
 
@@ -103,18 +103,13 @@ class TestFitWls:
             fit = fit_wls(build_design(data, specs))
             np.testing.assert_allclose(fit.hat_trace, 12.0, atol=1e-8)
 
-    def test_to_dict_blocks(self):
-        _, fit = _intercept_fit()
-        payload = fit.to_dict()
-        assert payload["sigma2"] == fit.sigma2_hat
-        np.testing.assert_allclose(payload["alpha"]["0"], [2.0])
-
 
 class TestPrediction:
     def test_intercept_curve_extraction(self):
         _, fit = _intercept_fit()
         spec = make_spec("tpower", 0, 0, (0.2, 0.8))
-        assert predict(fit.alpha_hat, (spec,), [1.0], 0.4) == pytest.approx(2.0)
+        got = predict_rows(fit.alpha_hat, (spec,), np.empty((1, 0)), [0.4])
+        assert got[0] == pytest.approx(2.0)
 
     def test_training_rows_reproduced_when_noiseless(self):
         data, _ = gen_scenario2(10, np.random.default_rng(5))
@@ -140,14 +135,14 @@ class TestPrediction:
         kappa = specs[0].knots[0]
         row = np.array([1.0, t, np.exp(-(((t - kappa) / h) ** 2))])
         expected = row @ a0 + x1 * (row @ a1) + x2 * (row @ a2)
-        got = predict(fit.alpha_hat, specs, [1.0, x1, x2], t)
-        assert got == pytest.approx(expected, rel=1e-12)
+        got = predict_rows(fit.alpha_hat, specs, [[x1, x2]], [t])
+        assert got[0] == pytest.approx(expected, rel=1e-12)
 
     def test_covariate_length_checked(self):
         _, fit = _intercept_fit()
         spec = make_spec("tpower", 0, 0, (0.2, 0.8))
         with pytest.raises(ValueError):
-            predict(fit.alpha_hat, (spec,), [1.0, 2.0], 0.4)
+            predict_rows(fit.alpha_hat, (spec,), [[2.0]], [0.4])
 
 
 class TestGramStats:

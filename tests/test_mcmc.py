@@ -19,6 +19,7 @@ from tvcm.frequentist import WlsFit, fit_wls, gram_stats
 from tvcm.mcmc import (PriorSpec, _dic, _ridge_posterior, default_prior, dic,
                        gibbs, whiten)
 
+import oracles
 from conftest import single_subject
 
 
@@ -68,7 +69,7 @@ class TestPriorSpec:
     def test_default_prior_mapping(self):
         """a_sigma = 2, b_sigma = sigma2_hat, ridge = 1/N."""
         fit = WlsFit(np.zeros(2), 0.25, np.zeros(100), np.zeros(100),
-                     np.eye(2), 2.0, (2,))
+                     np.eye(2), 2.0)
         prior = default_prior(fit)
         assert prior.a_sigma == 2.0
         assert prior.b_sigma == 0.25
@@ -81,7 +82,7 @@ class TestPriorSpec:
 
     def test_noiseless_fit_floors_scale(self):
         fit = WlsFit(np.zeros(2), 0.0, np.zeros(10), np.zeros(10),
-                     np.eye(2), 2.0, (2,))
+                     np.eye(2), 2.0)
         with pytest.warns(UserWarning):
             prior = default_prior(fit)
         assert prior.b_sigma > 0
@@ -229,11 +230,11 @@ class TestRidgePosterior:
             calls.append(args)
             return gram_stats(*args, **kwargs)
 
-        for module in (tvcm.frequentist, tvcm.mcmc, tvcm.vb, tvcm.engines):
+        for module in (tvcm.frequentist, tvcm.mcmc, tvcm.vb, tvcm.engines, oracles):
             monkeypatch.setattr(module, "gram_stats", counted)
         gibbs(Zt, yt, prior, draws=5, burnin=0)
         post = tvcm.vb.vb_fit(Zt, yt, prior)
-        tvcm.vb.elbo(post, Zt, yt, prior)
+        oracles.elbo(post, Zt, yt, prior)
         assert len(calls) == 3
 
         data, _ = gen_scenario2(8, np.random.default_rng(11))

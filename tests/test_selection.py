@@ -18,7 +18,6 @@ from tvcm.basis import build_design, make_spec
 from tvcm.errors import SelectionError
 from tvcm.frequentist import WlsFit, fit_wls, solve_gram
 from tvcm.selection import (
-    _candidate_pcv,
     _statistics_criterion,
     _take_rows,
     _walk_grid,
@@ -31,6 +30,7 @@ from tvcm.selection import (
 )
 
 from conftest import by_subject, single_subject
+from oracles import candidate_pcv
 
 
 def _random_intercept_panel(gen, n=50, m=30, b_sd=0.3, noise_sd=0.05):
@@ -108,8 +108,7 @@ class TestPcv:
                                                data.time_domain),))
         fit = fit_wls(bundle)
         saturated = WlsFit(fit.alpha_hat, fit.sigma2_hat, fit.fitted,
-                           fit.residuals, fit.gram_inverse, 3.0,
-                           fit.block_dims)
+                           fit.residuals, fit.gram_inverse, 3.0)
         assert pcv(bundle, saturated) == float("inf")
 
     def test_argmin_invariant_to_weight_scaling(self):
@@ -247,7 +246,7 @@ class TestKnotSearch:
         combos = [(0, 1), (0, 0), (1, 0), (1, 1)]
         got = _statistics_criterion(data, "radial", 0, 1)(combos)
         weights = subject_uniform_weights(data)
-        want = [_candidate_pcv(data, "radial", 0, c, weights) for c in combos]
+        want = [candidate_pcv(data, "radial", 0, c, weights) for c in combos]
         assert np.isfinite(got[1])
         assert got[1] == pytest.approx(want[1], rel=1e-9)
         assert got[0] == got[2] == got[3] == want[0] == float("inf")
@@ -259,7 +258,7 @@ class TestKnotSearch:
         combos = [(3,), (0,), (2,), (1,)]
         got = _statistics_criterion(data, "radial", 1, 3)(combos)
         weights = subject_uniform_weights(data)
-        want = [_candidate_pcv(data, "radial", 1, c, weights) for c in combos]
+        want = [candidate_pcv(data, "radial", 1, c, weights) for c in combos]
         assert got[0] == got[2] == float("inf")
         np.testing.assert_allclose(got[1::2], want[1::2], rtol=1e-9)
 
@@ -282,7 +281,7 @@ class TestKnotSearchOracle:
 
     @pytest.fixture(scope="class")
     def qr_scores(self):
-        """Memo of _candidate_pcv per (panel, family, combo), shared by the
+        """Memo of candidate_pcv per (panel, family, combo), shared by the
         tests that walk the grid with the QR oracle."""
         return {}
 
@@ -294,7 +293,7 @@ class TestKnotSearchOracle:
         def criterion(combo):
             key = (panel, family, combo)
             if key not in qr_scores:
-                qr_scores[key] = _candidate_pcv(data, family, 2, combo, weights)
+                qr_scores[key] = candidate_pcv(data, family, 2, combo, weights)
             return qr_scores[key]
 
         return criterion
@@ -364,7 +363,7 @@ class TestKnotSearchOracle:
         weights = subject_uniform_weights(data)
         best, table = knot_search(data, family, 2, k_max, "full", **options)
         oracle_best, oracle_table = _walk_grid(
-            lambda combos: [_candidate_pcv(data, family, 2, c, weights, **options)
+            lambda combos: [candidate_pcv(data, family, 2, c, weights, **options)
                             for c in combos],
             data.covariate_dim + 1, k_max, "full")
         assert best == oracle_best
@@ -394,7 +393,7 @@ class TestKnotSearchOracle:
         infeasible = {tuple(row["k"]) for row in table
                       if not np.isfinite(row["pcv"])}
         oracle = {tuple(row["k"]) for row in table
-                  if not np.isfinite(_candidate_pcv(data, "radial", 2,
+                  if not np.isfinite(candidate_pcv(data, "radial", 2,
                                                     tuple(row["k"]), weights))}
         assert len(table) == 216
         assert len(infeasible) == 85

@@ -11,7 +11,6 @@ from tvcm.simgen import (
     SCENARIO2_ERROR_VAR,
     SCENARIO2_SCHEDULE,
     scenario1_beta0,
-    scenario1_correlation_bounds,
     scenario2_betas,
 )
 
@@ -112,14 +111,6 @@ class TestScenario1:
     def test_level_table(self):
         assert SCENARIO1_LEVELS == {"weak": 0.01, "medium": 0.04,
                                     "high": 0.09}
-
-    def test_correlation_bounds(self):
-        np.testing.assert_allclose(scenario1_correlation_bounds("weak"),
-                                   (0.0, 2 / 3))
-        np.testing.assert_allclose(scenario1_correlation_bounds("medium"),
-                                   (0.5, 5 / 6))
-        np.testing.assert_allclose(scenario1_correlation_bounds("high"),
-                                   (8 / 11, 10 / 11))
 
     def test_pointwise_variance_against_closed_form(self):
         """Monte Carlo variance of the response at fixed design points must
@@ -289,7 +280,7 @@ class TestRunReplications:
                                   degree=2, k_max=1)
         cell = report.summary()["cells"]["wls/radial"]
         assert cell["n_ok"] == 3
-        vals = report.metrics("wls", "radial")
+        vals = [row["metric"] for row in report.rows]
         assert cell["q1"] <= cell["median"] <= cell["q3"]
         assert cell["median"] == pytest.approx(float(np.median(vals)))
 
