@@ -237,17 +237,22 @@ def build_design(
                 raise KnotError(
                     f"knot {kappa} of coefficient {r} lies outside the time domain [{a}, {b}]"
                 )
-    t = data.times
     x = np.column_stack([np.ones(data.n_obs), data.covariates]) if d else np.ones((data.n_obs, 1))
-    blocks = [x[:, [r]] * basis_matrix(spec, t) for r, spec in enumerate(specs)]
-    Z = np.concatenate(blocks, axis=1)
+    bases: dict[BasisSpec, np.ndarray] = {}  # equal specs (one knot count for all) share one evaluation
+    block_dims = tuple(spec.n_terms for spec in specs)
+    offsets = np.cumsum((0,) + block_dims)
+    Z = np.empty((data.n_obs, offsets[-1]))
+    for r, spec in enumerate(specs):
+        if spec not in bases:
+            bases[spec] = basis_matrix(spec, data.times)
+        np.multiply(x[:, [r]], bases[spec], out=Z[:, offsets[r] : offsets[r + 1]])
     if weights is None:
         weights = subject_uniform_weights(data)
     return DesignBundle(
         Z=Z,
         y=data.responses,
         weights=weights,
-        block_dims=tuple(spec.n_terms for spec in specs),
+        block_dims=block_dims,
         specs=specs,
     )
 

@@ -99,13 +99,13 @@ class PosteriorDraws:
         The bytes are those of csv.writer with repr floats: \\r\\n line ends and
         no quoting, which repr of a finite float never needs.
         """
-        p = self.n_params
-        # "{0},0,{1!r}\r\n{0},1,{2!r}\r\n...": the p + 1 rows of one draw
-        row = "".join(f"{{0}},{j},{{{j + 1}!r}}\r\n" for j in range(p + 1))
+        # ["0,%r\r\n", "1,%r\r\n", ...]: draw b's p + 1 rows are "b," joined with these
+        rows = [f"{j},%r\r\n" for j in range(self.n_params + 1)]
         values = np.column_stack([self.alpha_draws, self.sigma2_draws]).tolist()
         with open(path, "w", newline="") as fh:
             fh.write("draw,param_index,value\r\n")
-            fh.write("".join(row.format(b, *draw) for b, draw in enumerate(values)))
+            fh.write("".join((f"{b}," + f"{b},".join(rows)) % tuple(draw)
+                             for b, draw in enumerate(values)))
 
     def summary(self, level: float = 0.95) -> dict:
         """Means and central intervals for every parameter."""

@@ -171,8 +171,11 @@ def _parse_csv(fh, label, time_domain) -> LongitudinalDataset:
     first_seen: dict[str, int] = {}
     codes = [first_seen.setdefault(sid.strip(), len(first_seen)) for sid in raw_ids[heads]]
     codes = np.repeat(codes, np.diff(heads, append=raw_ids.size))
-    # lexsort is stable: rows tied in time keep their file order
-    values = values[np.lexsort((values[:, 0], codes))]
+    # rows already grouped in first-seen order and time-sorted within each subject keep
+    # their order, as the stable lexsort below would leave them (ties keep file order)
+    step, rise = np.diff(codes), np.diff(values[:, 0])
+    if not np.all((step > 0) | ((step == 0) & (rise >= 0))):
+        values = values[np.lexsort((values[:, 0], codes))]
     return LongitudinalDataset(
         tuple(first_seen), np.bincount(codes), values[:, 0], values[:, 1], values[:, 2:], time_domain
     )

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcm import LongitudinalDataset
+from tvcm import LongitudinalDataset, gen_scenario2
+from tvcm import basis as basis_module
 from tvcm.basis import (
     BasisFamily,
     BasisSpec,
@@ -24,6 +25,7 @@ from tvcm.basis import (
 from tvcm.errors import KnotError
 
 from conftest import single_subject
+from oracles import stacked_design
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,28 @@ class TestBuildDesign:
         expected = sum(k + g + 1 for g, k in shapes)
         assert bundle.Z.shape == (6, expected)
         assert bundle.block_dims == tuple(k + g + 1 for g, k in shapes)
+
+    @pytest.mark.parametrize("specs", [
+        (("tpower", 2, 4),) * 3,
+        (("radial", 2, 3), ("radial", 1, 0), ("radial", 2, 3)),
+        (("tpower", 0, 3), ("tpower", 0, 0), ("tpower", 0, 3)),
+        (("radial", 2, 5),),
+    ], ids=["repeated", "distinct", "tpower-degree-0", "no-covariates"])
+    def test_matches_stacked_products(self, specs, monkeypatch):
+        """Bit for bit the concatenated products, with one basis evaluation per distinct spec."""
+        data, _ = gen_scenario2(30, np.random.default_rng(5))
+        if len(specs) == 1:
+            data = LongitudinalDataset(data.subject_ids, data.counts, data.times,
+                                       data.responses, np.empty((data.n_obs, 0)))
+        specs = tuple(make_spec(f, g, k, data.time_domain) for f, g, k in specs)
+        calls = []
+        evaluate = basis_module.basis_matrix
+        monkeypatch.setattr(basis_module, "basis_matrix",
+                            lambda spec, t: (calls.append(spec), evaluate(spec, t))[1])
+        Z = build_design(data, specs).Z
+        assert len(calls) == len(set(specs))
+        want = stacked_design(data, specs)
+        assert Z.shape == want.shape and Z.tobytes() == want.tobytes()
 
 
 class TestAlphaBlocks:

@@ -525,17 +525,21 @@ class TestPosteriorDraws:
         assert lines[1] == "0,0,0.0"
         assert lines[3] == "0,2,1.0"
 
-    @pytest.mark.parametrize("source", ["bootstrap", "gibbs", "awkward"])
+    @pytest.mark.parametrize("source", ["bootstrap", "gibbs", "awkward", "gibbs-large"])
     def test_csv_matches_row_writer(self, source, tmp_path):
         """to_csv writes the bytes of the csv.writer row loop."""
         data, _ = gen_scenario1(30, np.random.default_rng(2))
-        specs = (make_spec("radial", 2, 1, data.time_domain),)
+        specs, n_draws = (make_spec("radial", 2, 1, data.time_domain),), 40
+        if source == "gibbs-large":
+            # the benchmark's size: 2,000 draws of 21 coefficients and sigma2
+            data, _ = gen_scenario2(60, np.random.default_rng(2))
+            specs, n_draws = (make_spec("tpower", 2, 4, data.time_domain),) * 3, 2000
         if source == "bootstrap":
             draws = bootstrap_fit(data, specs, 25, 4)
-        elif source == "gibbs":
+        elif source.startswith("gibbs"):
             bundle = build_design(data, specs)
             z_t, y_t = whiten(bundle)
-            draws = gibbs(z_t, y_t, default_prior(fit_wls(bundle)), draws=40,
+            draws = gibbs(z_t, y_t, default_prior(fit_wls(bundle)), draws=n_draws,
                           burnin=5, rng=4)
         else:
             # values whose repr is in exponent form, signed zero, extremes

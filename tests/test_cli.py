@@ -21,6 +21,7 @@ from tvcm.bootstrap import column_intervals
 from tvcm.cli import build_parser, main
 
 from conftest import forbid_qr
+from oracles import write_curves_rows
 
 
 @pytest.fixture(scope="module")
@@ -139,17 +140,20 @@ class TestFit:
         assert gap < 0.02 * scale
 
     def test_fit_json_stage_timings(self, data_csv, tmp_path, capsys):
-        out = tmp_path / "timed"
-        code, _ = _run(
-            ["fit", "--data", str(data_csv), "--engine", "wls", "--boot", "20",
-             "--knots", "auto", "--kmax", "2", "--grid", "20", "--seed", "4",
-             "--out", str(out)], capsys)
-        assert code == 0
-        timings = json.loads((out / "fit.json").read_text())["timings"]
-        assert sorted(timings) == ["fit", "ingest", "intervals", "select", "write"]
-        for stage, seconds in timings.items():
-            assert isinstance(seconds, float), stage
-            assert np.isfinite(seconds) and seconds >= 0.0, stage
+        for engine, options in (("wls", ["--boot", "20"]),
+                                ("gibbs", ["--draws", "50", "--burnin", "10"])):
+            out = tmp_path / engine
+            code, _ = _run(
+                ["fit", "--data", str(data_csv), "--engine", engine, *options,
+                 "--knots", "auto", "--kmax", "2", "--grid", "20", "--seed", "4",
+                 "--out", str(out)], capsys)
+            assert code == 0
+            timings = json.loads((out / "fit.json").read_text())["timings"]
+            assert sorted(timings) == ["dic", "fit", "ingest", "intervals", "select", "write"]
+            for stage, seconds in timings.items():
+                assert isinstance(seconds, float), stage
+                assert np.isfinite(seconds) and seconds >= 0.0, stage
+            assert (timings["dic"] > 0.0) == (engine == "gibbs")  # wls computes no DIC
 
     def test_manifest_records_cpus_and_blas_threads(self, data_csv, tmp_path,
                                                    capsys, monkeypatch):
@@ -216,6 +220,42 @@ class TestFit:
             fit.pop("timings")
             payloads.append(fit)
         assert payloads[0] == payloads[1]
+
+
+class TestCurvesWriter:
+    """cli._write_curves writes the bytes of the row-at-a-time oracle."""
+
+    @pytest.mark.parametrize("options, bounds", [
+        (["--engine", "wls"], False),
+        (["--engine", "wls", "--boot", "30"], True),
+        (["--engine", "gibbs", "--draws", "100", "--burnin", "10"], True),
+    ], ids=["wls", "wls-boot", "gibbs"])
+    def test_fit_matches_row_writer(self, data_csv, tmp_path, capsys, monkeypatch,
+                                    options, bounds):
+        calls = []
+        write = cli._write_curves
+        monkeypatch.setattr(cli, "_write_curves",
+                            lambda *args: (calls.append(args), write(*args)))
+        out = tmp_path / "fit"
+        code, _ = _run(["fit", "--data", str(data_csv), *options, "--knots", "2",
+                        "--grid", "37", "--seed", "5", "--out", str(out)], capsys)
+        assert code == 0 and len(calls) == 1
+        _, grid, curves = calls[0]
+        # without draws the bounds are None and their cells empty
+        assert all((lo is not None) == bounds for _, lo, _ in curves)
+        write_curves_rows(tmp_path / "loop.csv", grid, curves)
+        assert (out / "curves.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("bounds", [True, False], ids=["bounds", "no-bounds"])
+    def test_awkward_values(self, tmp_path, bounds):
+        """Signed zero, exponent-form reprs and a subnormal format as repr does."""
+        grid = np.array([-0.0, 1e-05, 1e16, 5e-324])
+        est = np.array([5e-324, -0.0, 1e-05, -1e16])
+        lo, hi = (-est, 2 * est) if bounds else (None, None)
+        curves = [(est, lo, hi), (grid.copy(), lo, hi)]
+        cli._write_curves(tmp_path / "fast.csv", grid, curves)
+        write_curves_rows(tmp_path / "loop.csv", grid, curves)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +523,13 @@ class TestOptionsAndErrors:
     @pytest.mark.parametrize("args, named", [
         (["--draws", "-5"], "--draws"), (["--burnin", "-3"], "--burnin"),
         (["--tol", "0"], "--tol"),
+        (["--family", "tpower", "--bandwidth", "5"],
+         "--bandwidth 5.0 given, but family 'tpower' takes none"),
     ])
     def test_sampler_options_checked_before_ingest(self, tmp_path, capsys,
                                                    engine, args, named):
-        """A missing data file would be an OSError; the bad option is
-        reported instead, whatever the engine."""
+        """A missing data file would be an OSError; the bad option or
+        option pair is reported instead, whatever the engine."""
         code, payload = _run(
             ["fit", "--data", str(tmp_path / "missing.csv"), "--engine",
              engine, "--out", str(tmp_path / "bad"), *args], capsys)

@@ -262,6 +262,23 @@ class TestColumnarParity:
             np.testing.assert_array_equal(t, times[sid])
             np.testing.assert_array_equal(x, covariates[sid])
 
+    @pytest.mark.parametrize("rows, ordered", [
+        ("a,0.1,1\na,0.2,2\nb,0.1,3\nb,0.3,4\nc,0.0,5\n", True),
+        ("a,0.1,1\na,0.2,2\nb,0.3,3\nb,0.1,4\nc,0.0,5\n", False),
+        ("a,0.1,1\nb,0.2,2\na,0.3,3\nc,0.0,4\n", False),
+        ("a,0.5,1\na,0.5,2\nb,0.2,3\nb,0.2,4\nb,0.4,5\n", True),
+    ], ids=["in-order", "one-subject-decreasing", "subject-reappears", "tied-times"])
+    def test_row_order_matches_row_loop(self, rows, ordered, tmp_path, monkeypatch):
+        """Rows already grouped and time-sorted skip the lexsort; every panel parses as the loop does."""
+        path = tmp_path / "panel.csv"
+        path.write_text("subject,time,y\n" + rows)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: (sorts.append(keys), lexsort(keys))[1])
+        default, loop = _ingest_both(path, monkeypatch, columnar=True)
+        assert len(sorts) == (0 if ordered else 1)  # the row loop never calls it
+        _assert_same_bits(default, loop)
+
     # spellings NumPy's parser takes give float()'s bits; the rest fall back
     @pytest.mark.parametrize("cell, columnar", [
         (" 1.5 ", True), ("\t2\t", True), (".5", True), ("5.", True), ("1E+3", True),
