@@ -145,28 +145,36 @@ def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
 def _central_quantiles(ordered: np.ndarray, level: float):
     """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 of samples sorted along it.
 
-    This is np.quantile's 'linear' method, bit for bit: the virtual index
-    (n - 1)q falls between order statistics a <= b with fraction g, and the
-    quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A column
-    holding a NaN gets NaN.  On draw matrices one sort serving both ends costs
-    less than np.quantile's multi-point partition; a caller that owns a fresh
-    matrix may sort it in place first.
+    On draw matrices one sort serving both ends costs less than np.quantile's
+    multi-point partition; a caller that owns a fresh matrix may sort it in
+    place first.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    tail = (1.0 - level) / 2.0
+    return tuple(_sorted_quantiles(ordered, (tail, 1.0 - tail)))
+
+
+def _sorted_quantiles(ordered: np.ndarray, probs) -> list:
+    """The quantiles at probs along axis 0 of samples sorted along it.
+
+    This is np.quantile's 'linear' method, bit for bit: the virtual index
+    (n - 1)q falls between order statistics a <= b with fraction g, and the
+    quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A column
+    holding a NaN gets NaN.
+    """
     n = ordered.shape[0]
     last = ordered[-1]
-    tail = (1.0 - level) / 2.0
-    ends = []
-    for q in (tail, 1.0 - tail):
+    values = []
+    for q in probs:
         index = (n - 1) * q
         below = math.floor(index)
         a, b = ordered[min(below, n - 1)], ordered[min(below + 1, n - 1)]
         g = index - below
         diff = b - a
         value = b - diff * (1 - g) if g >= 0.5 else a + diff * g
-        ends.append(np.where(np.isnan(last), last, value))
-    return ends[0], ends[1]
+        values.append(np.where(np.isnan(last), last, value))
+    return values
 
 
 def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> LongitudinalDataset:

@@ -242,10 +242,13 @@ def _check_at_least(opts, **lows) -> None:
 
 
 def _comma_list(opts, name, allowed) -> tuple:
-    """The values of a comma-list option, each of which must be one of allowed."""
+    """The values of a comma-list option, each one of allowed and none repeated."""
     values = tuple(str(opts[name]).split(","))
     if not set(values) <= set(allowed):
         raise ValueError(f"--{name} must be a comma list from {','.join(allowed)}, got {opts[name]!r}")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"--{name} lists {repeated[0]} more than once, got {opts[name]!r}")
     return values
 
 
@@ -413,8 +416,9 @@ def cmd_simulate(opts) -> int:
     )
     prefix = opts["out_prefix"]
     report.to_csv(f"{prefix}_report.csv")
-    _write_json(f"{prefix}_summary.json", report.summary())
-    print(json.dumps(_json_safe(report.summary())))
+    summary = report.summary()
+    _write_json(f"{prefix}_summary.json", summary)
+    print(json.dumps(_json_safe(summary)))
     return 0
 
 

@@ -4,8 +4,11 @@ Given a dataset and basis specs, fit_engine produces a point estimate of the
 stacked coefficients plus optional draws, timing only the inference stage
 (bootstrap replicates, sampler iterations including burn-in, or variational
 optimization plus sampling) so the engines can be compared on equal terms.
-Every engine builds one frequentist.GramStats, which fit_gram's estimate,
-sigma2_hat (GramStats.rss), the sampler or VB fit, and DIC all read.
+The engine-independent prefix is base_fit: the design, one whitened ridge
+frequentist.GramStats, fit_gram's estimate and sigma2_hat (GramStats.rss).
+The sampler or VB fit and DIC read the same statistics.  A caller fitting
+several engines to one design, as simgen.run_replications does, builds the
+BaseFit once and passes it to each fit_engine call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import build_design
+from .basis import DesignBundle, build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
 from .frequentist import GramStats, fit_gram, gram_stats, whiten
@@ -38,6 +41,27 @@ class EngineResult:
     stats: GramStats | None = None
 
 
+@dataclass(frozen=True)
+class BaseFit:
+    """What every engine reads: the design, its whitened ridge statistics, the WLS fit."""
+
+    bundle: DesignBundle
+    # centred at the ridge solution for calibrated_prior's ridge 1/N
+    stats: GramStats
+    alpha_hat: np.ndarray
+    # the WLS noise variance estimate (N - p denominator) that calibrates the priors
+    sigma2_hat: float
+
+
+def base_fit(data: LongitudinalDataset, specs) -> BaseFit:
+    """The engine-independent prefix of fit_engine; raises as fit_gram does."""
+    bundle = build_design(data, specs)
+    n_obs, p = bundle.Z.shape
+    stats = gram_stats(*whiten(bundle), ridge=1.0 / n_obs)
+    alpha_hat = fit_gram(stats.gram, stats.cross, n_obs)
+    return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (n_obs - p))
+
+
 def fit_engine(
     data: LongitudinalDataset,
     specs,
@@ -46,28 +70,29 @@ def fit_engine(
     draws: int = 0,
     burnin: int = DEFAULT_BURNIN,
     tol: float = DEFAULT_TOL,
+    base: BaseFit | None = None,
 ) -> EngineResult:
-    """Fit one engine; draws=0 means the engine default (none for wls)."""
+    """Fit one engine; draws=0 means the engine default (none for wls).
+
+    base, when given, must be base_fit(data, specs); it is built here otherwise.
+    """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if draws < 0:
         raise ValueError(f"draws must be non-negative (0 means the engine default), got {draws}")
-    bundle = build_design(data, specs)
-    n_obs, p = bundle.Z.shape
-    # centred at the ridge solution for calibrated_prior's ridge 1/N
-    stats = gram_stats(*whiten(bundle), ridge=1.0 / n_obs)
-    alpha_hat = fit_gram(stats.gram, stats.cross, n_obs)
-    sigma2_hat = float(stats.rss(alpha_hat)) / (n_obs - p)
+    if base is None:
+        base = base_fit(data, specs)
+    stats, alpha_hat, sigma2_hat = base.stats, base.alpha_hat, base.sigma2_hat
     if engine == "wls":
         if draws == 0:
             return EngineResult("wls", alpha_hat, sigma2_hat, None, 0.0, stats=stats)
         start = time.perf_counter()
-        boot = bootstrap_fit(data, specs, draws, rng, bundle=bundle)
+        boot = bootstrap_fit(data, specs, draws, rng, bundle=base.bundle)
         elapsed = time.perf_counter() - start
         tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
         return EngineResult("wls", alpha_hat, sigma2_hat, boot, elapsed, {"bootstrap": tries}, stats=stats)
 
-    prior = calibrated_prior(sigma2_hat, n_obs)
+    prior = calibrated_prior(sigma2_hat, stats.n_obs)
     n_draws = draws if draws > 0 else DEFAULT_DRAWS
     extra = {"prior": prior.to_dict()}
     start = time.perf_counter()

@@ -21,12 +21,19 @@ variance rate needs no pass over the rows:
 
 with r0 = ||y~ - Z~ mu||^2 + ridge ||mu||^2 computed once, so one iteration
 costs O(p^2) whatever N is.  All variates are pregenerated, so a fixed seed
-fixes the chain.  M, mu and r0 come from one frequentist.GramStats centred at
-mu, and DIC scores draws with GramStats.rss.
+fixes the chain.  The draw is alpha_t = mu + sigma_t L^-T z_t with M = L L',
+and no L^-T z_t depends on the chain: one stacked product computes them all
+into the draws buffer before the loop, and iteration t scales row t by
+sigma_t and adds mu in place, while the variance rate runs on Python floats.
+The chain is bit for bit that of one matrix-vector product per iteration
+(gibbs_rows in tests/oracles.py).  M, mu and r0 come from one
+frequentist.GramStats centred at mu, and DIC scores draws with
+GramStats.rss.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -123,15 +130,22 @@ def _gibbs(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=
     normals = gen.standard_normal((total, p))
     alpha_out = np.empty((total, p))
     sigma2_out = np.empty(total)
-    alpha = mu
-    sigma2 = fixed_sigma2
-    for t in range(total):
-        if fixed_sigma2 is None:
+    # every L^-T z_t in one stacked product; iteration t turns row t into its draw in place
+    np.matmul(linv_t, normals[..., None], out=alpha_out[..., None])
+    if fixed_sigma2 is not None:
+        sigma2_out[:] = fixed_sigma2
+        alpha_out *= math.sqrt(fixed_sigma2)
+        alpha_out += mu
+    else:
+        b_sigma, r0 = prior.b_sigma, float(r0)
+        alpha = mu
+        for t, gamma in enumerate(gammas.tolist()):
             d = alpha - mu
-            sigma2 = (prior.b_sigma + 0.5 * (r0 + d @ (M @ d))) / gammas[t]
-        alpha = mu + np.sqrt(sigma2) * (linv_t @ normals[t])
-        alpha_out[t] = alpha
-        sigma2_out[t] = sigma2
+            sigma2 = (b_sigma + 0.5 * (r0 + float(d @ (M @ d)))) / gamma
+            alpha = alpha_out[t]
+            alpha *= math.sqrt(sigma2)
+            alpha += mu
+            sigma2_out[t] = sigma2
     if not (np.all(np.isfinite(alpha_out)) and np.all(np.isfinite(sigma2_out))):
         raise NumericalError("sampler produced non-finite draws")
     return PosteriorDraws(

@@ -9,6 +9,11 @@ for scenario 1), redrawing the mask for any subject left with no visits.
 
 Per-subject variates come from RNG substreams spawned off the master
 generator, so subject i's data do not change when n grows.
+
+run_replications fits every engine to each replicate and basis family.  The
+engine-independent work (design, whitened statistics, WLS estimate and
+sigma2_hat) is one engines.base_fit per family, shared by its engines, so a
+wls row's millis covers the bootstrap alone.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisFamily, coefficient_curve, make_spec, split_alpha
+from .bootstrap import _sorted_quantiles
 from .data import LongitudinalDataset
-from .engines import fit_engine
+from .engines import base_fit, fit_engine
 from .errors import TvcmError
 from .rng import as_generator
 from .selection import amse, knot_search, made
@@ -174,8 +180,10 @@ class SimReport:
             cell = {"n_ok": len(ok), "n_fail": len(rows) - len(ok)}
             if ok:
                 vals = np.array([r["metric"] for r in ok], dtype=float)
-                q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75], method="linear")
-                cell.update(q1=float(q1), median=float(med), q3=float(q3), mean=float(vals.mean()))
+                mean = float(vals.mean())  # before the sort, which would change the summation order
+                vals.sort()
+                q1, med, q3 = _sorted_quantiles(vals, (0.25, 0.5, 0.75))
+                cell.update(q1=float(q1), median=float(med), q3=float(q3), mean=mean)
                 cell["mean_millis"] = float(np.mean([r["millis"] for r in ok]))
             cells[f"{engine}/{basis}"] = cell
         return {"params": self.params, "failures": self.failures, "cells": cells}
@@ -230,12 +238,20 @@ def run_replications(
                     rows.append(_fail_row(rep, master_seed, engine, family, type(exc).__name__))
                 failures += len(engines)
                 continue
+            try:
+                base = base_fit(data, specs)
+            except TvcmError as exc:
+                for engine in engines:
+                    child.spawn(1)  # each engine's stream, as a fit would take, so later cells keep theirs
+                    rows.append(_fail_row(rep, master_seed, engine, family, type(exc).__name__))
+                failures += len(engines)
+                continue
             for engine in engines:
                 engine_rng = child.spawn(1)[0]
                 try:
                     start = time.perf_counter()
                     result = fit_engine(
-                        data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin
+                        data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin, base=base
                     )
                     millis = 1000.0 * (
                         result.sampling_seconds if engine != "wls" else time.perf_counter() - start

@@ -2,20 +2,23 @@
 
 candidate_pcv scores one knot-search candidate by a full QR refit, elbo
 evaluates the variational objective at any state from its definition,
-stacked_design builds the design block by block, and write_curves_rows writes
-curves.csv a row at a time.  The library keeps only the fast paths:
+stacked_design builds the design block by block, write_curves_rows writes
+curves.csv a row at a time, and gibbs_rows runs the sampler one matrix-vector
+product per iteration.  The library keeps only the fast paths:
 knot_search's shared Gram statistics, vb_fit's closed-form trace,
-build_design's shared basis evaluations and cli._write_curves's column
-templates.
+build_design's shared basis evaluations, cli._write_curves's column
+templates and mcmc._gibbs's stacked L^-T z_t.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from tvcm.basis import basis_matrix, build_design, make_spec
+from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.errors import InsufficientDataError, KnotError, NumericalError, SingularDesignError
-from tvcm.frequentist import fit_wls, gram_stats
+from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose
 from tvcm.mcmc import PriorSpec, _ridge_posterior
+from tvcm.rng import as_generator
 from tvcm.selection import pcv
 from tvcm.vb import VariationalPosterior, _objective_constant
 
@@ -71,3 +74,40 @@ def write_curves_rows(path, grid, curves) -> None:
             lo_s = "" if lo is None else repr(float(lo))
             hi_s = "" if hi is None else repr(float(hi))
             fh.write(f"{r},{float(t)!r},{float(est)!r},{lo_s},{hi_s}\n")
+
+
+def gibbs_rows(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
+    """mcmc._gibbs with one L^-T z_t product and one NumPy rate per iteration; its bit-for-bit oracle."""
+    if draws < 1 or burnin < 0:
+        raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
+    if fixed_sigma2 is not None and not fixed_sigma2 > 0:
+        raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
+    M, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    n_obs, p = stats.n_obs, mu.size
+    gen, seed = as_generator(rng)
+    # alpha = mu + sigma * L^-T z; precompute L^-T once
+    linv_t = linv_transpose(L)
+
+    total = draws + burnin
+    a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
+    gammas = gen.standard_gamma(a_star, size=total)
+    normals = gen.standard_normal((total, p))
+    alpha_out = np.empty((total, p))
+    sigma2_out = np.empty(total)
+    alpha = mu
+    sigma2 = fixed_sigma2
+    for t in range(total):
+        if fixed_sigma2 is None:
+            d = alpha - mu
+            sigma2 = (prior.b_sigma + 0.5 * (r0 + d @ (M @ d))) / gammas[t]
+        alpha = mu + np.sqrt(sigma2) * (linv_t @ normals[t])
+        alpha_out[t] = alpha
+        sigma2_out[t] = sigma2
+    if not (np.all(np.isfinite(alpha_out)) and np.all(np.isfinite(sigma2_out))):
+        raise NumericalError("sampler produced non-finite draws")
+    return PosteriorDraws(
+        alpha_draws=alpha_out[burnin:],
+        sigma2_draws=sigma2_out[burnin:],
+        source=DrawSource.GIBBS,
+        seed=seed,
+    )

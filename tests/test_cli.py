@@ -682,6 +682,10 @@ class TestOptionsAndErrors:
          "--families must be a comma list from radial,tpower, got 'radial,bar'"),
         ("simulate", ["--engines", "foo"],
          "--engines must be a comma list from wls,gibbs,vb, got 'foo'"),
+        ("simulate", ["--engines", "wls,wls", "--families", "radial,radial", "--reps", "1"],
+         "--engines lists wls more than once, got 'wls,wls'"),
+        ("simulate", ["--families", "radial,tpower,radial"],
+         "--families lists radial more than once, got 'radial,tpower,radial'"),
         ("fit", ["--bandwidth", "nan"], "--bandwidth must be positive and finite, got nan"),
         ("fit", ["--bandwidth", "0"], "--bandwidth must be positive and finite, got 0.0"),
         ("fit", ["--bandwidth", "-3"], "--bandwidth must be positive and finite, got -3.0"),
@@ -692,7 +696,8 @@ class TestOptionsAndErrors:
     ], ids=["fit-kmax", "fit-degree", "select-kmax", "select-degree",
             "crossval-kmax", "crossval-degree", "crossval-folds",
             "simulate-kmax", "simulate-degree", "simulate-reps", "simulate-n",
-            "simulate-families", "simulate-engines", "fit-bandwidth-nan",
+            "simulate-families", "simulate-engines", "simulate-engines-repeated",
+            "simulate-families-repeated", "fit-bandwidth-nan",
             "fit-bandwidth-zero", "fit-bandwidth-negative", "fit-bandwidth-inf",
             "fit-domain-nan", "select-domain-minus-inf", "crossval-domain-inf"])
     def test_out_of_range_options_checked_before_any_work(self, tmp_path,

@@ -16,8 +16,8 @@ from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.engines import fit_engine
 from tvcm.errors import NumericalError
 from tvcm.frequentist import WlsFit, fit_wls, gram_stats
-from tvcm.mcmc import (PriorSpec, _dic, _ridge_posterior, default_prior, dic,
-                       gibbs, whiten)
+from tvcm.mcmc import (PriorSpec, _dic, _gibbs, _ridge_posterior,
+                       default_prior, dic, gibbs, whiten)
 
 import oracles
 from conftest import single_subject
@@ -324,6 +324,22 @@ class TestOracles:
         if fixed_sigma2 is not None:
             # the same arithmetic on the same variates: equal to the bit
             np.testing.assert_array_equal(got.alpha_draws, alpha)
+
+    @pytest.mark.parametrize("panel", ["scenario2", "demo"])
+    @pytest.mark.parametrize("fixed_sigma2", [None, 0.5])
+    def test_gibbs_equals_per_iteration_kernel(self, oracle_problems, panel,
+                                               fixed_sigma2):
+        """The stacked L^-T z_t and the Python-float rate give the chain of
+        one matrix-vector product per iteration, bit for bit."""
+        Zt, yt, prior = oracle_problems[panel]
+        if fixed_sigma2 is not None:
+            fixed_sigma2 *= prior.b_sigma
+        stats = gram_stats(Zt, yt, ridge=prior.ridge)
+        got = _gibbs(stats, prior, 400, 100, 19, fixed_sigma2)
+        want = oracles.gibbs_rows(stats, prior, 400, 100, 19, fixed_sigma2)
+        assert got.alpha_draws.tobytes() == want.alpha_draws.tobytes()
+        assert got.sigma2_draws.tobytes() == want.sigma2_draws.tobytes()
+        assert got.seed == want.seed
 
     @pytest.mark.parametrize("panel", ["scenario2", "demo"])
     def test_triangular_inverses_match_scipy(self, oracle_problems, panel):

@@ -4,12 +4,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tvcm.simgen
 from tvcm import gen_scenario1, gen_scenario2, run_replications
+from tvcm.engines import fit_engine
+from tvcm.errors import SingularDesignError
 from tvcm.simgen import (
     SCENARIO1_LEVELS,
     SCENARIO1_SIGMA2,
     SCENARIO2_ERROR_VAR,
     SCENARIO2_SCHEDULE,
+    SimReport,
     scenario1_beta0,
     scenario2_betas,
 )
@@ -284,6 +288,23 @@ class TestRunReplications:
         assert cell["q1"] <= cell["median"] <= cell["q3"]
         assert cell["median"] == pytest.approx(float(np.median(vals)))
 
+    def test_summary_quantiles_are_numpy_linear(self):
+        """Quartiles and median from one sort equal np.quantile's 'linear'
+        method bit for bit, and the mean is that of the rows in order, for
+        every cell size from 1 to 60, with ties and signed zeros."""
+        gen = np.random.default_rng(12)
+        for size in range(1, 61):
+            vals = gen.standard_normal(size)
+            vals[gen.random(size) < 0.2] = 0.25
+            vals[gen.random(size) < 0.1] = -0.0
+            rows = [{"engine": "wls", "basis": "radial", "metric": float(v),
+                     "millis": 1.0, "status": "ok"} for v in vals]
+            cell = SimReport(rows, {}).summary()["cells"]["wls/radial"]
+            want = np.quantile(vals, [0.25, 0.5, 0.75], method="linear")
+            got = np.array([cell["q1"], cell["median"], cell["q3"]])
+            assert got.tobytes() == want.tobytes(), size
+            assert cell["mean"] == float(vals.mean())
+
     def test_metric_definitions_by_scenario(self):
         """Scenario 1 scores the intercept curve squared error; scenario 2
         scores the range-scaled absolute deviation of all three curves."""
@@ -295,3 +316,59 @@ class TestRunReplications:
                               degree=2, k_max=1)
         assert r1.params["metric"] == "amse"
         assert r2.params["metric"] == "made"
+
+
+def _strip_millis(rows):
+    return [{k: v for k, v in row.items() if k != "millis"} for row in rows]
+
+
+class TestSharedBaseFit:
+    """run_replications builds each family's base fit once for all its
+    engines; the oracle is fit_engine building its own for every engine."""
+
+    @pytest.fixture
+    def per_engine(self, monkeypatch):
+        def without_base(*args, base, **kwargs):
+            return fit_engine(*args, **kwargs)
+
+        def run(**kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(tvcm.simgen, "fit_engine", without_base)
+                return run_replications(**kwargs)
+        return run
+
+    @pytest.mark.parametrize("scenario, n", [(1, 12), (2, 10)])
+    def test_rows_equal_per_engine_fits(self, per_engine, scenario, n):
+        kwargs = dict(scenario=scenario, n=n, reps=2, rng=4,
+                      engines=("wls", "gibbs", "vb"),
+                      families=("radial", "tpower"), k_max=2, draws=30,
+                      burnin=10)
+        shared = run_replications(**kwargs)
+        oracle = per_engine(**kwargs)
+        assert shared.failures == oracle.failures == 0
+        assert _strip_millis(shared.rows) == _strip_millis(oracle.rows)
+        assert len(shared.rows) == 12
+
+    def test_failed_base_fit_keeps_later_streams(self, monkeypatch):
+        """A family whose base fit raises records one failed row per engine
+        with the error's type; each engine still takes its stream, so the
+        next family's Bayesian rows match a run where nothing failed."""
+        kwargs = dict(scenario=1, n=12, reps=1, rng=6,
+                      engines=("wls", "gibbs", "vb"),
+                      families=("radial", "tpower"), k_max=2, draws=30,
+                      burnin=10)
+        clean = run_replications(**kwargs)
+        real = tvcm.simgen.base_fit
+
+        def failing_radial(data, specs):
+            if specs[0].family.value == "radial":
+                raise SingularDesignError("patched")
+            return real(data, specs)
+
+        monkeypatch.setattr(tvcm.simgen, "base_fit", failing_radial)
+        report = run_replications(**kwargs)
+        assert report.failures == 3
+        assert [(r["engine"], r["basis"], r["status"]) for r in report.rows[:3]] == [
+            (e, "radial", "SingularDesignError") for e in ("wls", "gibbs", "vb")]
+        assert all(np.isnan(r["metric"]) for r in report.rows[:3])
+        assert _strip_millis(report.rows[3:]) == _strip_millis(clean.rows[3:])
