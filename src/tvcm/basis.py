@@ -237,7 +237,7 @@ def build_design(
                 raise KnotError(
                     f"knot {kappa} of coefficient {r} lies outside the time domain [{a}, {b}]"
                 )
-    x = np.column_stack([np.ones(data.n_obs), data.covariates]) if d else np.ones((data.n_obs, 1))
+    x = np.column_stack([np.ones(data.n_obs), data.covariates])
     bases: dict[BasisSpec, np.ndarray] = {}  # equal specs (one knot count for all) share one evaluation
     block_dims = tuple(spec.n_terms for spec in specs)
     offsets = np.cumsum((0,) + block_dims)

@@ -103,6 +103,6 @@ def fit_engine(
         post = _vb_fit(stats, prior, tol=tol, max_iters=DEFAULT_MAX_ITERS)
         out = vb_sample(post, n_draws, rng)
         point = post.m_star
-        extra.update(posterior=post.to_dict(), converged=post.converged)
+        extra["posterior"] = post.to_dict()
     elapsed = time.perf_counter() - start
     return EngineResult(engine, point, sigma2_hat, out, elapsed, extra, stats=stats)

@@ -11,15 +11,15 @@ Per-subject variates come from RNG substreams spawned off the master
 generator, so subject i's data do not change when n grows.
 
 run_replications fits every engine to each replicate and basis family.  The
-engine-independent work (design, whitened statistics, WLS estimate and
-sigma2_hat) is one engines.base_fit per family, shared by its engines, so a
-wls row's millis covers the bootstrap alone.
+knot search and one engines.base_fit run once per family for all its engines.
+A row's millis is 1000 * EngineResult.sampling_seconds, so a wls row times
+the bootstrap alone (0.0 without draws).  A family whose set-up fails still
+advances every engine's RNG stream, so later rows keep their numbers.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +160,17 @@ class SimReport:
 
     rows: list
     params: dict
-    failures: int = 0
+
+    @property
+    def failures(self) -> int:
+        return sum(row["status"] != "ok" for row in self.rows)
 
     def to_csv(self, path) -> None:
         fields = ["rep", "seed", "engine", "basis", "knots", "metric", "millis", "status"]
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row[k] for k in fields})
+            writer.writerows(self.rows)
 
     def summary(self) -> dict:
         groups = {}  # (engine, basis) -> its rows, in first-seen order
@@ -208,78 +210,56 @@ def run_replications(
 
     The metric is the averaged squared error of the intercept curve for
     scenario 1 and the range-scaled mean absolute deviation over all three
-    curves for scenario 2.  millis times the inference stage only.  A failed
-    cell is recorded with its error type and the run continues.
+    curves for scenario 2.  millis is 1000 * EngineResult.sampling_seconds:
+    the bootstrap for wls (0.0 without draws), else the sampler or VB.  A
+    TvcmError in a family's set-up (knot search, specs, base fit) fails all
+    its engines, one in an engine's fit or score fails that engine; the row
+    records the error type and the run continues.  Every engine takes its
+    RNG stream even when its family failed, so other rows do not change.
     """
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     gen, master_seed = as_generator(rng)
-    rep_children = gen.spawn(reps)
     families = [BasisFamily(f).value for f in families]
 
     rows = []
-    failures = 0
-    for rep in range(reps):
-        child = rep_children[rep]
+    for rep, child in enumerate(gen.spawn(reps)):
         if scenario == 1:
             data, truth = gen_scenario1(n, child, level=level, shape=shape)
         else:
             data, truth = gen_scenario2(n, child)
-        counts = data.counts
-        times = data.times
         for family in families:
+            setup_error = None
             try:
                 k_best = knot_search(data, family, degree, k_max, strategy)[0]
                 specs = tuple(make_spec(family, degree, k, data.time_domain) for k in k_best)
-            except TvcmError as exc:
-                for engine in engines:
-                    rows.append(_fail_row(rep, master_seed, engine, family, type(exc).__name__))
-                failures += len(engines)
-                continue
-            try:
                 base = base_fit(data, specs)
             except TvcmError as exc:
-                for engine in engines:
-                    child.spawn(1)  # each engine's stream, as a fit would take, so later cells keep theirs
-                    rows.append(_fail_row(rep, master_seed, engine, family, type(exc).__name__))
-                failures += len(engines)
-                continue
+                setup_error = type(exc).__name__
             for engine in engines:
-                engine_rng = child.spawn(1)[0]
-                try:
-                    start = time.perf_counter()
-                    result = fit_engine(
-                        data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin, base=base
-                    )
-                    millis = 1000.0 * (
-                        result.sampling_seconds if engine != "wls" else time.perf_counter() - start
-                    )
-                    blocks = split_alpha(result.alpha, tuple(s.n_terms for s in specs))
-                    estimates = [
-                        coefficient_curve(specs[r], blocks[r], times) for r in range(len(specs))
-                    ]
-                    if scenario == 1:
-                        metric = amse(truth.curves[0], estimates[0], counts)
-                    else:
-                        metric = made(truth.curves, estimates, counts, truth.ranges())
-                except TvcmError as exc:
-                    rows.append(_fail_row(rep, master_seed, engine, family, type(exc).__name__))
-                    failures += 1
-                    continue
-                rows.append(
-                    {
-                        "rep": rep,
-                        "seed": master_seed,
-                        "engine": engine,
-                        "basis": str(family),
-                        "knots": "|".join(str(k) for k in k_best),
-                        "metric": metric,
-                        "millis": millis,
-                        "status": "ok",
-                    }
-                )
+                engine_rng = child.spawn(1)[0]  # taken even when the family failed
+                status, metric, millis = setup_error, float("nan"), float("nan")
+                if status is None:
+                    try:
+                        result = fit_engine(
+                            data, specs, engine, rng=engine_rng, draws=draws, burnin=burnin, base=base
+                        )
+                        blocks = split_alpha(result.alpha, tuple(s.n_terms for s in specs))
+                        fits = [coefficient_curve(s, b, data.times) for s, b in zip(specs, blocks)]
+                        if scenario == 1:
+                            metric = amse(truth.curves[0], fits[0], data.counts)
+                        else:
+                            metric = made(truth.curves, fits, data.counts, truth.ranges())
+                        status, millis = "ok", 1000.0 * result.sampling_seconds
+                    except TvcmError as exc:
+                        status = type(exc).__name__
+                knots = "|".join(str(k) for k in k_best) if status == "ok" else ""
+                rows.append(dict(
+                    rep=rep, seed=master_seed, engine=engine, basis=family, knots=knots,
+                    metric=metric, millis=millis, status=status,
+                ))
     params = {
         "scenario": scenario,
         "n": n,
@@ -295,17 +275,4 @@ def run_replications(
     }
     if scenario == 1:
         params.update(level=level, shape=shape)
-    return SimReport(rows=rows, params=params, failures=failures)
-
-
-def _fail_row(rep, seed, engine, family, status):
-    return {
-        "rep": rep,
-        "seed": seed,
-        "engine": engine,
-        "basis": str(family),
-        "knots": "",
-        "metric": float("nan"),
-        "millis": float("nan"),
-        "status": status,
-    }
+    return SimReport(rows=rows, params=params)

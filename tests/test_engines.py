@@ -92,8 +92,8 @@ class TestFitEngine:
         data, specs = small_problem
         result = fit_engine(data, specs, "vb", rng=4, draws=300)
         assert result.draws.source is DrawSource.VARIATIONAL
-        assert result.extra["converged"] is True
         post = result.extra["posterior"]
+        assert post["converged"] is True
         np.testing.assert_allclose(result.alpha, post["m_star"])
 
     def test_gibbs_and_vb_agree_on_point_estimates(self, small_problem):

@@ -7,7 +7,7 @@ import pytest
 import tvcm.simgen
 from tvcm import gen_scenario1, gen_scenario2, run_replications
 from tvcm.engines import fit_engine
-from tvcm.errors import SingularDesignError
+from tvcm.errors import SelectionError, SingularDesignError
 from tvcm.simgen import (
     SCENARIO1_LEVELS,
     SCENARIO1_SIGMA2,
@@ -255,6 +255,8 @@ class TestRunReplications:
         assert len(lines) == 2
 
     def test_row_grid_covers_engines_and_bases(self):
+        """millis is 1000 * sampling_seconds, which a wls fit without draws
+        leaves at 0.0, so its rows read exactly 0.0."""
         report = run_replications(scenario=1, n=8, reps=2, rng=5,
                                   engines=("wls",),
                                   families=("radial", "tpower"), degree=2,
@@ -264,7 +266,7 @@ class TestRunReplications:
         for row in report.rows:
             assert row["status"] == "ok"
             assert row["metric"] >= 0.0
-            assert row["millis"] >= 0.0
+            assert row["millis"] == 0.0
 
     def test_failures_recorded_not_raised(self):
         """One subject cannot support a degree-25 polynomial, so every cell
@@ -349,26 +351,32 @@ class TestSharedBaseFit:
         assert _strip_millis(shared.rows) == _strip_millis(oracle.rows)
         assert len(shared.rows) == 12
 
-    def test_failed_base_fit_keeps_later_streams(self, monkeypatch):
-        """A family whose base fit raises records one failed row per engine
-        with the error's type; each engine still takes its stream, so the
-        next family's Bayesian rows match a run where nothing failed."""
+    @pytest.mark.parametrize("stage, error", [
+        ("knot_search", SelectionError), ("base_fit", SingularDesignError)])
+    def test_failed_base_fit_keeps_later_streams(self, monkeypatch, stage,
+                                                  error):
+        """A family whose knot search or base fit raises records one failed
+        row per engine with the error's type; each engine still takes its
+        stream, so the next family's Bayesian rows match a run where
+        nothing failed."""
         kwargs = dict(scenario=1, n=12, reps=1, rng=6,
                       engines=("wls", "gibbs", "vb"),
                       families=("radial", "tpower"), k_max=2, draws=30,
                       burnin=10)
         clean = run_replications(**kwargs)
-        real = tvcm.simgen.base_fit
+        real = getattr(tvcm.simgen, stage)
 
-        def failing_radial(data, specs):
-            if specs[0].family.value == "radial":
-                raise SingularDesignError("patched")
-            return real(data, specs)
+        def failing_radial(data, arg, *args, **kwargs):
+            family = arg if stage == "knot_search" else arg[0].family
+            if family == "radial":
+                raise error("patched")
+            return real(data, arg, *args, **kwargs)
 
-        monkeypatch.setattr(tvcm.simgen, "base_fit", failing_radial)
+        monkeypatch.setattr(tvcm.simgen, stage, failing_radial)
         report = run_replications(**kwargs)
         assert report.failures == 3
+        assert report.failures == sum(r["status"] != "ok" for r in report.rows)
         assert [(r["engine"], r["basis"], r["status"]) for r in report.rows[:3]] == [
-            (e, "radial", "SingularDesignError") for e in ("wls", "gibbs", "vb")]
+            (e, "radial", error.__name__) for e in ("wls", "gibbs", "vb")]
         assert all(np.isnan(r["metric"]) for r in report.rows[:3])
         assert _strip_millis(report.rows[3:]) == _strip_millis(clean.rows[3:])
