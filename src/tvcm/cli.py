@@ -269,6 +269,63 @@ def _write_curves(path, grid, curves) -> None:
             fh.write("".join(map(row.__mod__, zip(*columns))))
 
 
+def _check_out_dir(path) -> None:
+    """Raise, naming --out, unless path is a directory or can be made one with its missing parents."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not path or not os.path.isdir(head):
+        raise ValueError(f"--out {path!r} is not a directory and cannot be made one")
+
+
+def _check_out_file(flag, path) -> None:
+    """Raise, naming flag, unless path names a file in an existing directory."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"{flag} {path!r}: directory {folder!r} does not exist")
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} does not name a file")
+
+
+def _intervals(specs, result, grid, level):
+    """Each coefficient's (estimate, lower, upper) on grid, and the draws' summary.
+
+    lower and upper are None, and so is the summary, without draws.
+    """
+    dims = tuple(s.n_terms for s in specs)
+    blocks = split_alpha(result.alpha, dims)
+    if result.draws is None:
+        return [(basis_matrix(spec, grid) @ b, None, None) for spec, b in zip(specs, blocks)], None
+    curves = []
+    for spec, b, draws in zip(specs, blocks, split_alpha(result.draws.alpha_draws, dims)):
+        bg = basis_matrix(spec, grid)
+        bands = np.ascontiguousarray(draws) @ bg.T
+        bands.sort(axis=0)  # the product is fresh: sort it, not a copy
+        curves.append((bg @ b, *_central_quantiles(bands, level)))
+    return curves, result.draws.summary(level)
+
+
+def _posterior_fields(result) -> dict:
+    """fit.json's prior, DIC and (vb only) variational posterior of a gibbs or vb fit."""
+    dic_value, p_dic = _dic(result.draws, result.stats)
+    fields = {"prior": result.extra.get("prior"), "dic": {"dic": dic_value, "p_dic": p_dic}}
+    if result.engine == "vb":
+        fields["vb"] = {k: v for k, v in result.extra["posterior"].items() if k != "m_star"}
+    return fields
+
+
+def _write_fit_artifacts(out_dir, grid, curves, result, summary) -> list:
+    """Write curves.csv and, with draws, draws.csv and draws_summary.json; return every artifact name."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_curves(os.path.join(out_dir, "curves.csv"), grid, curves)
+    artifacts = ["fit.json", "curves.csv", "manifest.json"]
+    if result.draws is not None:
+        result.draws.to_csv(os.path.join(out_dir, "draws.csv"))
+        _write_json(os.path.join(out_dir, "draws_summary.json"), summary)
+        artifacts += ["draws.csv", "draws_summary.json"]
+    return sorted(artifacts)
+
+
 def cmd_fit(opts) -> int:
     _check_at_least(opts, boot=0, draws=0, burnin=0, grid=1, degree=0, kmax=0)
     if not opts["tol"] > 0:
@@ -279,50 +336,29 @@ def cmd_fit(opts) -> int:
         raise ValueError(f"--bandwidth {opts['bandwidth']} given, but family 'tpower' takes none")
     if not 0 < opts["level"] < 1:
         raise ValueError(f"--level must be in (0, 1), got {opts['level']}")
-    clock = time.perf_counter
-    t_start = clock()
-    data = _ingest(opts, "fit")
-    t_ingest = clock()
-    counts, specs, table = _basis(data, opts)
-    t_select = clock()
-    engine = opts["engine"]
-    n_draws = opts["boot"] if engine == "wls" else opts["draws"]
-    result = fit_engine(
-        data,
-        specs,
-        engine,
-        rng=opts["seed"],
-        draws=n_draws,
-        burnin=opts["burnin"],
-        tol=opts["tol"],
-    )
-    t_fit = clock()
+    _check_out_dir(opts["out"])
+    engine, level, out_dir = opts["engine"], opts["level"], opts["out"]
+    timings = {}  # seconds per stage, in stage order; only fit.json's assembly goes untimed
 
-    out_dir = opts["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = ["fit.json", "curves.csv", "manifest.json"]
+    def stage(name, run, *args, **kwargs):
+        start = time.perf_counter()
+        value = run(*args, **kwargs)
+        timings[name] = time.perf_counter() - start
+        return value
 
-    a, b = data.time_domain
-    grid = np.linspace(a, b, opts["grid"])
-    block_dims = tuple(s.n_terms for s in specs)
-    blocks = split_alpha(result.alpha, block_dims)
-    level = opts["level"]
-    if result.draws is not None:
-        draw_blocks = [np.ascontiguousarray(b) for b in split_alpha(result.draws.alpha_draws, block_dims)]
-    curves = []  # (estimate, lower, upper) on the grid per coefficient; no bounds without draws
-    for r, spec in enumerate(specs):
-        bg = basis_matrix(spec, grid)
-        est = bg @ blocks[r]
-        if result.draws is not None:
-            bands = draw_blocks[r] @ bg.T
-            bands.sort(axis=0)  # the product is fresh: sort it, not a copy
-            curves.append((est, *_central_quantiles(bands, level)))
-        else:
-            curves.append((est, None, None))
-    summary = result.draws.summary(level) if result.draws is not None else None
-    t_intervals = clock()
-
-    fit_payload = {
+    data = stage("ingest", _ingest, opts, "fit")
+    counts, specs, table = stage("select", _basis, data, opts)
+    result = stage("fit", fit_engine, data, specs, engine, rng=opts["seed"],
+                   draws=opts["boot"] if engine == "wls" else opts["draws"],
+                   burnin=opts["burnin"], tol=opts["tol"])
+    grid = np.linspace(*data.time_domain, opts["grid"])
+    curves, summary = stage("intervals", _intervals, specs, result, grid, level)
+    timings["dic"], posterior = 0.0, {}  # wls has no posterior and computes no DIC
+    if engine != "wls":
+        posterior = stage("dic", _posterior_fields, result)
+    artifacts = stage("write", _write_fit_artifacts, out_dir, grid, curves, result, summary)
+    blocks = split_alpha(result.alpha, tuple(s.n_terms for s in specs))
+    _write_json(os.path.join(out_dir, "fit.json"), {
         "engine": engine,
         "seed": opts["seed"],
         "data": opts["data"],
@@ -338,48 +374,21 @@ def cmd_fit(opts) -> int:
         },
         # bootstrap attempts, singular redraws included, for wls with --boot; null otherwise
         "bootstrap": result.extra.get("bootstrap"),
-        "alpha": {str(r): blocks[r].tolist() for r in range(len(blocks))},
-        "sigma2": result.sigma2_hat,
+        "alpha": {str(r): b.tolist() for r, b in enumerate(blocks)},
+        "sigma2": result.sigma2_hat if engine == "wls" else float(result.draws.sigma2_draws.mean()),
         "wls_sigma2": result.sigma2_hat,
         "sampling_seconds": result.sampling_seconds,
-    }
-    t_dic = 0.0
-    if engine in ("gibbs", "vb"):
-        t_dic_start = clock()
-        dic_value, p_dic = _dic(result.draws, result.stats)
-        t_dic = clock() - t_dic_start
-        fit_payload["sigma2"] = float(result.draws.sigma2_draws.mean())
-        fit_payload["prior"] = result.extra.get("prior")
-        fit_payload["dic"] = {"dic": dic_value, "p_dic": p_dic}
-        if engine == "vb":
-            posterior = dict(result.extra["posterior"])
-            posterior.pop("m_star", None)
-            fit_payload["vb"] = posterior
-
-    t_write_start = clock()
-    _write_curves(os.path.join(out_dir, "curves.csv"), grid, curves)
-    if result.draws is not None:
-        result.draws.to_csv(os.path.join(out_dir, "draws.csv"))
-        _write_json(os.path.join(out_dir, "draws_summary.json"), summary)
-        artifacts += ["draws.csv", "draws_summary.json"]
-    t_write = clock()
-    # seconds per stage; dic is 0.0 for wls, and only this payload's assembly goes untimed
-    fit_payload["timings"] = {
-        "ingest": t_ingest - t_start,
-        "select": t_select - t_ingest,
-        "fit": t_fit - t_select,
-        "intervals": t_intervals - t_fit,
-        "dic": t_dic,
-        "write": t_write - t_write_start,
-    }
-    _write_json(os.path.join(out_dir, "fit.json"), fit_payload)
-    _write_json(os.path.join(out_dir, "manifest.json"), _manifest("fit", opts, sorted(artifacts)))
-    print(json.dumps({"status": "ok", "out": out_dir, "artifacts": sorted(artifacts)}))
+        **posterior,
+        "timings": timings,
+    })
+    _write_json(os.path.join(out_dir, "manifest.json"), _manifest("fit", opts, artifacts))
+    print(json.dumps({"status": "ok", "out": out_dir, "artifacts": artifacts}))
     return 0
 
 
 def cmd_select(opts) -> int:
     _check_at_least(opts, degree=0, kmax=0)
+    _check_out_file("--out", opts["out"])
     data = _ingest(opts, "select")
     best, table = knot_search(data, opts["family"], opts["degree"], opts["kmax"], opts["strategy"])
     payload = {
@@ -399,6 +408,9 @@ def cmd_simulate(opts) -> int:
     _check_at_least(opts, n=1, reps=1, degree=0, kmax=0, draws=0, burnin=0)
     engines = _comma_list(opts, "engines", ENGINES)
     families = _comma_list(opts, "families", FAMILIES)
+    prefix = opts["out_prefix"]
+    for suffix in ("_report.csv", "_summary.json"):
+        _check_out_file("--out-prefix", prefix + suffix)
     report = run_replications(
         scenario=opts["scenario"],
         n=opts["n"],
@@ -414,7 +426,6 @@ def cmd_simulate(opts) -> int:
         shape=opts["shape"],
         strategy=opts["strategy"],
     )
-    prefix = opts["out_prefix"]
     report.to_csv(f"{prefix}_report.csv")
     summary = report.summary()
     _write_json(f"{prefix}_summary.json", summary)
@@ -424,6 +435,7 @@ def cmd_simulate(opts) -> int:
 
 def cmd_crossval(opts) -> int:
     _check_at_least(opts, folds=2, degree=0, kmax=0, draws=0, burnin=0)
+    _check_out_file("--out", opts["out"])
     data = _ingest(opts, "crossval")
     counts, specs, _ = _basis(data, opts)
     value = crossval_amse(

@@ -21,6 +21,7 @@ import numpy as np
 from .basis import DesignBundle, build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
+from .errors import NumericalError
 from .frequentist import GramStats, fit_gram, gram_stats, whiten
 from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, _gibbs, calibrated_prior
 from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, _vb_fit, vb_sample
@@ -54,10 +55,19 @@ class BaseFit:
 
 
 def base_fit(data: LongitudinalDataset, specs) -> BaseFit:
-    """The engine-independent prefix of fit_engine; raises as fit_gram does."""
+    """The engine-independent prefix of fit_engine; raises as fit_gram does.
+
+    A ridge factorisation that fails gets fit_gram's verdict on the raw Gram
+    matrix, so the error type does not depend on the time unit.
+    """
     bundle = build_design(data, specs)
     n_obs, p = bundle.Z.shape
-    stats = gram_stats(*whiten(bundle), ridge=1.0 / n_obs)
+    design, response = whiten(bundle)
+    try:
+        stats = gram_stats(design, response, ridge=1.0 / n_obs)
+    except NumericalError:
+        fit_gram(design.T @ design, design.T @ response, n_obs)
+        raise
     alpha_hat = fit_gram(stats.gram, stats.cross, n_obs)
     return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (n_obs - p))
 

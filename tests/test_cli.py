@@ -155,6 +155,41 @@ class TestFit:
                 assert np.isfinite(seconds) and seconds >= 0.0, stage
             assert (timings["dic"] > 0.0) == (engine == "gibbs")  # wls computes no DIC
 
+    @pytest.mark.parametrize("engine, options, posterior", [
+        ("wls", [], []),
+        ("wls", ["--boot", "20"], []),
+        ("gibbs", ["--draws", "50", "--burnin", "10"], ["prior", "dic"]),
+        ("vb", ["--draws", "50"], ["prior", "dic", "vb"]),
+    ], ids=["wls-fixed", "wls-boot", "gibbs", "vb"])
+    def test_fit_json_layout(self, data_csv, tmp_path, capsys, engine,
+                             options, posterior):
+        """fit.json keeps its key order, top level and timings; sigma2 is
+        wls_sigma2 for wls and the posterior mean otherwise.  A missing
+        parent of --out is made."""
+        out = tmp_path / "new" / engine
+        code, _ = _run(
+            ["fit", "--data", str(data_csv), "--engine", engine, *options,
+             "--knots", "1", "--grid", "10", "--seed", "5", "--out", str(out)],
+            capsys)
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert list(fit) == [
+            "engine", "seed", "data", "n_subjects", "n_obs", "level", "basis",
+            "knot_counts", "selection", "bootstrap", "alpha", "sigma2",
+            "wls_sigma2", "sampling_seconds", *posterior, "timings"]
+        assert list(fit["timings"]) == ["ingest", "select", "fit", "intervals",
+                                        "dic", "write"]
+        if engine == "wls":
+            assert fit["timings"]["dic"] == 0.0
+            assert fit["sigma2"] == fit["wls_sigma2"]
+        else:
+            with open(out / "draws.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            p = str(sum(map(len, fit["alpha"].values())))  # sigma2's index
+            sigma2 = np.array([float(v) for _, j, v in rows if j == p])
+            assert sigma2.size == 50
+            assert fit["sigma2"] == float(sigma2.mean())
+
     def test_manifest_records_cpus_and_blas_threads(self, data_csv, tmp_path,
                                                    capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -714,6 +749,39 @@ class TestOptionsAndErrors:
         assert code == 1
         assert payload == {"error": "ValueError", "message": named}
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, args, named", [
+        ("fit", ["--out", "{tmp}/file"], "--out '{tmp}/file' is not a directory and cannot be made one"),
+        ("fit", ["--out", "{tmp}/file/run"],
+         "--out '{tmp}/file/run' is not a directory and cannot be made one"),
+        ("fit", ["--out", ""], "--out '' is not a directory and cannot be made one"),
+        ("select", ["--out", "{tmp}/missing/select.json"],
+         "--out '{tmp}/missing/select.json': directory '{tmp}/missing' does not exist"),
+        ("select", ["--out", "{tmp}"], "--out '{tmp}' does not name a file"),
+        ("select", ["--out", ""], "--out '' does not name a file"),
+        ("crossval", ["--out", "{tmp}/missing/cv.json"],
+         "--out '{tmp}/missing/cv.json': directory '{tmp}/missing' does not exist"),
+        ("simulate", ["--out-prefix", "{tmp}/missing/sim", "--reps", "1"],
+         "--out-prefix '{tmp}/missing/sim_report.csv': directory '{tmp}/missing' does not exist"),
+    ], ids=["fit-file", "fit-under-file", "fit-empty", "select-missing-dir",
+            "select-dir", "select-empty", "crossval-missing-dir",
+            "simulate-missing-dir"])
+    def test_unwritable_outputs_checked_before_any_work(self, tmp_path,
+                                                        capsys, command,
+                                                        args, named):
+        """Each command names an output path it cannot write before reading
+        data (a missing file would be an OSError) or simulating, and writes
+        nothing."""
+        (tmp_path / "file").write_text("kept\n")
+        tmp = str(tmp_path)
+        head = [command]
+        if command != "simulate":
+            head += ["--data", str(tmp_path / "missing.csv")]
+        code, payload = _run([*head, *(a.format(tmp=tmp) for a in args)], capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": named.format(tmp=tmp)}
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_singular_design_is_json_error(self, tmp_path, capsys):
         """Every engine refuses an underdetermined and a collinear design

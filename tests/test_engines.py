@@ -182,18 +182,23 @@ class TestFitEngine:
         assert np.abs(result.alpha - qr.alpha_hat).max() <= 1e-9 * scale
         assert result.sigma2_hat == pytest.approx(qr.sigma2_hat, rel=1e-12)
 
-    @pytest.mark.parametrize("scale", [1, 7, 30, 365])
+    @pytest.mark.parametrize("scale, degree, knots", [
+        (1, 2, 4), (7, 2, 4), (30, 2, 4), (365, 2, 4),
+        (1, 12, 2), (7, 12, 2), (30, 12, 2), (365, 12, 2),
+    ], ids=["1", "7", "30", "365", "1-degree12", "7-degree12",
+            "30-degree12", "365-degree12"])
     @pytest.mark.parametrize("family", ["radial", "tpower"])
     def test_error_types_match_across_engines(self, demo_csv, scale,
-                                              family):
+                                              degree, knots, family):
         """With the demo panel's weeks rescaled, every engine and the
-        public bootstrap either fit k=4 or refuse it as singular, and all
-        the same way; none breaks down with a NumericalError."""
+        public bootstrap either fit the design or refuse it as singular,
+        and all the same way; none breaks down with a NumericalError, not
+        even at degree 12, where the ridge factorisation fails in weeks."""
         demo = ingest_csv(demo_csv)
         data = LongitudinalDataset(demo.subject_ids, demo.counts,
                                    demo.times * scale, demo.responses,
                                    demo.covariates)
-        specs = tuple(make_spec(family, 2, 4, data.time_domain)
+        specs = tuple(make_spec(family, degree, knots, data.time_domain)
                       for _ in range(data.covariate_dim + 1))
         fits = [lambda e=e: fit_engine(data, specs, e, draws=10, burnin=5)
                 for e in ENGINES]
