@@ -1,10 +1,11 @@
 """Weighted least squares fitting of the stacked basis regression.
 
 Production fits solve min_alpha (y - Z alpha)' W (y - Z alpha) from Gram
-statistics under one singularity rule: fit_gram for one system, solve_gram
-for stacks; the QR fit_wls is their test oracle.  The noise variance
-estimate divides the weighted residual sum of squares by N - p, and the
-weighted hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.
+statistics under one singularity rule, gram_feasible: fit_gram for one
+system, solve_gram for stacks; the QR fit_wls is their test oracle.  The
+noise variance estimate divides the weighted residual sum of squares by
+N - p, and the weighted hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when
+feasible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import InsufficientDataError, NumericalError, SingularDesignError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
-# Gram matrices per Cholesky call in solve_gram's feasibility certificate; it bounds
+# Gram matrices per Cholesky call in gram_feasible's certificate; it bounds
 # the shifted copy and the factor, and was no slower than whole 200-matrix stacks.
 CERTIFY_CHUNK = 32
 
@@ -143,11 +144,28 @@ def fit_gram(gram: np.ndarray, cross: np.ndarray, n_obs: int) -> np.ndarray:
 def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve stacked normal equations G alpha = c under fit_wls's singularity rule.
 
-    gram has shape (B, p, p) and cross (B, p).  Returns (feasible, alpha):
-    a system is feasible when its smallest eigenvalue is positive and
+    gram has shape (B, p, p) and cross (B, p).  Returns (feasible, alpha)
+    with feasible from gram_feasible and alpha NaN where infeasible.  The
+    solve is LU on G whichever feasibility test ran, so alpha does not
+    depend on the test; unlike an eigendecomposition, LU's accuracy does not
+    suffer from badly scaled columns such as t^2 on a wide time domain.
+    """
+    feasible = gram_feasible(gram)
+    if feasible.all():
+        return feasible, np.linalg.solve(gram, cross[..., None])[..., 0]
+    alpha = np.full(cross.shape, np.nan)
+    alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
+    return feasible, alpha
+
+
+def gram_feasible(gram: np.ndarray) -> np.ndarray:
+    """fit_wls's singularity rule on a (B, p, p) stack of Gram matrices, as a (B,) mask.
+
+    A matrix is feasible when its smallest eigenvalue is positive and
     cond(G) = lambda_max / lambda_min stays within CONDITION_LIMIT, which is
-    the test fit_wls applies to cond(R)^2.  alpha is NaN where infeasible,
-    and a member with a NaN or inf entry is infeasible.
+    the test fit_wls applies to cond(R)^2; a member with a NaN or inf entry
+    is infeasible.  solve_gram and the knot-search scorer both decide
+    feasibility here.
 
     Most stacks pass without an eigendecomposition: batched Cholesky
     factorisations of G_b - s_b I with s_b = 2 tr(G_b) / CONDITION_LIMIT
@@ -156,23 +174,17 @@ def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndar
     is backward stable (Higham 2002, section 10.1), so roundoff cannot
     certify a member the eigenvalue test would reject.  When a
     factorisation fails anywhere, the whole stack takes the eigenvalue test.
-    The solve itself is LU on G whichever test ran, so alpha does not depend
-    on the test; unlike an eigendecomposition, LU's accuracy does not suffer
-    from badly scaled columns such as t^2 on a wide time domain.
     """
     finite = np.isfinite(gram).all(axis=(-2, -1))
     if finite.all():
         if _certified(gram):
-            return finite, np.linalg.solve(gram, cross[..., None])[..., 0]
+            return finite
     else:
         # LAPACK's answer on NaN or inf is arbitrary; a zero matrix fails the test
         gram = np.where(finite[:, None, None], gram, 0.0)
     lam = np.linalg.eigvalsh(gram)
     lo, hi = lam[..., 0], lam[..., -1]
-    feasible = (lo > 0) & (hi <= CONDITION_LIMIT * lo)
-    alpha = np.full(cross.shape, np.nan)
-    alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
-    return feasible, alpha
+    return (lo > 0) & (hi <= CONDITION_LIMIT * lo)
 
 
 def _certified(gram: np.ndarray) -> bool:

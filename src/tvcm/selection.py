@@ -12,17 +12,21 @@ with A the weighted hat matrix, which needs a single fit per candidate.
 Both forms are provided; the brute evaluator keeps the full-data weights
 when refitting without one observation.
 
-knot_search never refits.  It builds the weighted design once over the union
-of the columns any candidate can use: for each coefficient r, the polynomial
-part plus the knot columns of every count k in 0..k_max, each from make_spec
-as the fit builds it (the default radial bandwidth depends on k).  From
-G = A'A, c = A'y~ and s = y~'y~ each candidate is a column subset S, with
-alpha = G_S^-1 c_S and, since tr(A) = p for any feasible fit,
-PCV = (s - c_S'alpha) / (1 - p/N)^2.
-Candidates are scored in batches: those sharing a parameter count p gather
-their (B, p, p) Gram blocks with one fancy index and are solved by one
-solve_gram call.  The per-candidate QR path (build_design, fit_wls, pcv;
-candidate_pcv in tests/oracles.py) stays as the test oracle, as does pcv_loo.
+knot_search never refits.  It builds the whitened design A once over the
+union of the columns any candidate can use: for each coefficient r, the
+polynomial part plus the knot columns of every count k in 0..k_max, each
+from make_spec as the fit builds it (the default radial bandwidth depends
+on k).  With G = A'A, c = A'y~ and s = y~'y~, each candidate is a column
+subset S, and the Cholesky factor L of its bordered block
+[[G_S, c_S], [c_S', 2s]] has last pivot L_pp^2 = 2s - c_S'G_S^-1 c_S =
+s + wrss (Furnival and Wilson 1974, "Regressions by leaps and bounds"), so
+no solve is needed.  Since tr(A) = p for any feasible fit,
+PCV = wrss / (1 - p/N)^2.  Candidates sharing a parameter count p are
+scored in batches: one fancy index gathers their (B, p+1, p+1) bordered
+blocks, gram_feasible applies fit_wls's singularity rule to the leading
+p x p blocks, and one batched Cholesky factors the feasible ones.  The
+per-candidate QR path (build_design, fit_wls, pcv; candidate_pcv in
+tests/oracles.py) stays as the test oracle, as does pcv_loo.
 """
 
 from __future__ import annotations
@@ -41,15 +45,25 @@ from .errors import (
     SelectionError,
     SingularDesignError,
 )
-from .frequentist import WlsFit, fit_wls, predict_rows, solve_gram
+from .frequentist import WlsFit, fit_wls, gram_feasible, predict_rows
 from .rng import as_generator
 
 MAX_SWEEPS = 100
 # full enumeration is the default up to this many covariates and candidate knot counts
 FULL_GRID_MAX_COVARIATES = 2
 FULL_GRID_MAX_K = 10
-# candidates solved together; bounds the gathered Gram blocks at chunk x p x p
+# candidates scored together; bounds the gathered bordered blocks at chunk x (p+1) x (p+1)
 CANDIDATE_CHUNK = 256
+# A weighted RSS of at most WRSS_ROUNDOFF (p + 1) s scores 0.  The bordered
+# factor is exact for M + dM with |dM| <= gamma_{p+1} |L||L'|, gamma_n ~ n eps / 2
+# (Higham 2002, Theorem 10.3).  The last diagonal entry of |L||L'| is
+# sum_j L_pj^2 = 2s, so that entry alone moves the last pivot squared by up to
+# (p + 1) eps s, and squaring the pivot adds eps s / 2.  The rest of the last row
+# and G_S move it by as much again when the fit is well conditioned, hence the
+# factor 2: on noise-free scenario panels (40 seeds each, radial and tpower) the
+# largest RSS before the cut was 1.25 (p + 1) eps s.  Without the cut roundoff
+# decides between the exact fits; with it they tie at 0 and grid order decides.
+WRSS_ROUNDOFF = 2.0 * float(np.finfo(float).eps)
 
 
 def pcv(bundle: DesignBundle, fit: WlsFit) -> float:
@@ -98,14 +112,19 @@ def _statistics_criterion(
 ):
     """Batch scorer: trace-form criteria of a list of knot-count tuples from one set of statistics.
 
-    The weighted design A is built once over the union of candidate columns:
-    coefficient r's polynomial columns plus its knot columns for every
-    placeable count k, each count's spec coming from make_spec.  columns[r][k]
-    lists the positions of r's block with k knots, polynomial part first as
-    build_design orders them; a count whose knots cannot be placed is absent.
+    The whitened union design is built by rows, one per column, with y~ as
+    the last row: coefficient r's polynomial rows, then its knot rows for
+    each placeable count k in order, each count's spec coming from make_spec,
+    so a candidate's rows in ascending order are build_design's columns.
+    member[r, k] marks the rows of r's block with k knots and the y~ row; a
+    count whose knots cannot be placed marks only the y~ row.  One product
+    of the rows with themselves gives the bordered statistics
+    [[G, c], [c', s + shift]].
     """
     t = data.times
-    x = np.column_stack([np.ones(data.n_obs), data.covariates])
+    n_obs = data.n_obs
+    sw = np.sqrt(subject_uniform_weights(data))
+    x = np.column_stack([np.ones(n_obs), data.covariates]) * sw[:, None]
     n_coef = x.shape[1]
     n_poly = degree + 1
     specs = {}
@@ -115,49 +134,73 @@ def _statistics_criterion(
                                  placement=placement, times=t)
         except KnotError:
             continue
-    design = np.empty((data.n_obs, n_coef * (n_poly + sum(k for k in specs))))
-    columns: list[dict[int, np.ndarray]] = [{} for _ in range(n_coef)]
-    width = 0
-    # the block of k = 0 is the polynomial part that every other count shares
+    block = n_poly + sum(specs)
+    width = n_coef * block
+    rows = np.empty((width + 1, n_obs))
+    member = np.zeros((n_coef, k_max + 1, width + 1), dtype=bool)
+    member[..., width] = True
+    placeable = np.zeros(k_max + 1, dtype=bool)
+    # the k = 0 basis is the polynomial part that every other count shares
+    start = 0
     for k, spec in specs.items():
-        basis = basis_matrix(spec, t)[:, n_poly if k else 0 :]
+        basis = basis_matrix(spec, t)[:, n_poly if k else 0 :].T
         for r in range(n_coef):
-            block = np.arange(width, width + basis.shape[1])
-            columns[r][k] = np.concatenate([columns[r][0], block]) if k else block
-            design[:, block] = x[:, [r]] * basis
-            width += basis.shape[1]
-    sw = np.sqrt(subject_uniform_weights(data))
-    design *= sw[:, None]
-    response = data.responses * sw
-    gram = design.T @ design
-    cross = design.T @ response
-    total = float(response @ response)
-    n_obs = data.n_obs
+            lo = r * block + start
+            rows[lo : lo + len(basis)] = basis * x[:, r]
+            member[r, k, r * block : r * block + n_poly] = True
+            member[r, k, lo : lo + len(basis)] = True
+        placeable[k] = True
+        start += len(basis)
+    rows[width] = data.responses * sw
+    stats = rows @ rows.T
+    total = stats[width, width]
+    # corner s + shift: the last pivot squared is shift + wrss >= shift > 0, with
+    # shift = s but 1 for an all-zero response, whose corner would otherwise be 0
+    shift = total if total > 0 else 1.0
+    stats[width, width] += shift
+    axes = np.arange(n_coef)
 
     def criterion(combos: list[tuple[int, ...]]) -> list[float]:
-        values = [float("inf")] * len(combos)
-        # candidates that can be fitted, grouped by parameter count p
-        groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for i, combo in enumerate(combos):
-            if any(k not in columns[r] for r, k in enumerate(combo)):
-                continue
-            idx = np.concatenate([columns[r][k] for r, k in enumerate(combo)])
-            if idx.size < n_obs:
-                groups.setdefault(idx.size, []).append((i, idx))
-        for p, members in groups.items():
-            for lo in range(0, len(members), CANDIDATE_CHUNK):
-                chunk = members[lo : lo + CANDIDATE_CHUNK]
-                idx = np.array([cols for _, cols in chunk])
-                feasible, alpha = solve_gram(gram[idx[:, :, None], idx[:, None, :]], cross[idx])
-                for (i, cols), ok, coef in zip(chunk, feasible, alpha):
-                    if ok:
-                        # s - c'alpha can round below zero on an exact fit; a per-row
-                        # dot keeps every value equal to the one-candidate solve
-                        wrss = max(total - float(cross[cols] @ coef), 0.0)
-                        values[i] = wrss / (1.0 - p / n_obs) ** 2
-        return values
+        if not combos:
+            return []
+        ks = np.array(combos)
+        mask = member[axes, ks].any(axis=1)
+        size = mask.sum(axis=1)
+        values = np.full(len(combos), np.inf)
+        # candidates that can be fitted, grouped by parameter count p = size - 1
+        fits = placeable[ks].all(axis=1) & (size <= n_obs)
+        for size_p in np.unique(size[fits]):
+            p = int(size_p) - 1
+            group = np.flatnonzero(fits & (size == size_p))
+            for lo in range(0, len(group), CANDIDATE_CHUNK):
+                chunk = group[lo : lo + CANDIDATE_CHUNK]
+                idx = np.nonzero(mask[chunk])[1].reshape(len(chunk), p + 1)
+                bordered = stats[idx[:, :, None], idx[:, None, :]]
+                feasible = gram_feasible(bordered[:, :p, :p])
+                wrss = _bordered_wrss(bordered[feasible], shift)
+                wrss[wrss <= WRSS_ROUNDOFF * (p + 1) * total] = 0.0
+                values[chunk[feasible]] = wrss / (1.0 - p / n_obs) ** 2
+        return values.tolist()
 
     return criterion
+
+
+def _bordered_wrss(bordered: np.ndarray, shift: float) -> np.ndarray:
+    """wrss = L_pp^2 - shift from the Cholesky factors of a (B, p+1, p+1) bordered stack.
+
+    A member whose factor fails scores inf: only roundoff beyond the margin
+    of gram_feasible's rule, which its Gram block passed, can do that.
+    """
+    try:
+        pivot = np.linalg.cholesky(bordered)[:, -1, -1]
+    except np.linalg.LinAlgError:
+        pivot = np.full(len(bordered), np.inf)
+        for b, matrix in enumerate(bordered):
+            try:
+                pivot[b] = np.linalg.cholesky(matrix)[-1, -1]
+            except np.linalg.LinAlgError:
+                continue
+    return pivot**2 - shift
 
 
 def _walk_grid(criterion, n_coef: int, k_max: int, strategy: str):

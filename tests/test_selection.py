@@ -1,10 +1,15 @@
 """Model selection: trace criterion, knot search, error metrics, CV."""
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tvcm import (
     LongitudinalDataset,
@@ -15,9 +20,10 @@ from tvcm import (
 )
 from tvcm import selection
 from tvcm.basis import build_design, make_spec
-from tvcm.errors import SelectionError
-from tvcm.frequentist import WlsFit, fit_wls, solve_gram
+from tvcm.errors import SelectionError, TvcmError
+from tvcm.frequentist import WlsFit, fit_wls, gram_feasible
 from tvcm.selection import (
+    _bordered_wrss,
     _statistics_criterion,
     _take_rows,
     _walk_grid,
@@ -29,7 +35,7 @@ from tvcm.selection import (
     pcv_loo,
 )
 
-from conftest import by_subject, single_subject
+from conftest import REPO_ROOT, by_subject, exact_response_dataset, single_subject
 from oracles import candidate_pcv
 
 
@@ -262,6 +268,42 @@ class TestKnotSearch:
         assert got[0] == got[2] == float("inf")
         np.testing.assert_allclose(got[1::2], want[1::2], rtol=1e-9)
 
+    def test_zero_response_picks_no_knots(self):
+        """y = 0 leaves s = 0: every feasible candidate scores 0 and the
+        first in grid order wins, with or without covariates."""
+        for data in (_quadratic_subjects(),
+                     gen_scenario2(30, np.random.default_rng(4))[0]):
+            data = dataclasses.replace(data, responses=np.zeros(data.n_obs))
+            n_coef = data.covariate_dim + 1
+            for strategy in ("full", "coordinate"):
+                best, table = knot_search(data, "radial", 2, 2, strategy)
+                assert best == (0,) * n_coef
+                assert {row["pcv"] for row in table} <= {0.0, float("inf")}
+
+    @pytest.mark.parametrize("generate, n", [(gen_scenario1, 50), (gen_scenario2, 100)],
+                             ids=["scenario1", "scenario2"])
+    @pytest.mark.parametrize("strategy", ["full", "coordinate"])
+    def test_exact_quadratic_picks_no_knots(self, generate, n, strategy):
+        """Responses equal to the panel's quadratic WLS fit: every feasible
+        candidate fits them exactly, so roundoff alone separates the
+        criteria until the cut scores them 0 and (0, ..., 0) wins."""
+        for family in ("radial", "tpower"):
+            for i in range(10):
+                data = generate(n, np.random.default_rng(i))[0]
+                specs = (make_spec(family, 2, 0, data.time_domain),) * (data.covariate_dim + 1)
+                weights = subject_uniform_weights(data)
+                alpha = fit_wls(build_design(data, specs, weights)).alpha_hat
+                exact = exact_response_dataset(data, specs, alpha)
+                assert knot_search(exact, family, 2, 5, strategy)[0] == (0,) * len(specs), i
+
+    def test_failed_bordered_factor_scores_infinite(self):
+        """[[1, 1], [1, 4]] with shift 2 leaves wrss = 4 - 1 - 2 = 1; a
+        zero Gram block fails its factor and scores inf without taking its
+        stack-mate with it."""
+        good = np.array([[1.0, 1.0], [1.0, 4.0]])
+        bad = np.array([[0.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_allclose(_bordered_wrss(np.stack([good, bad]), 2.0), [1.0, np.inf])
+
     def test_unknown_strategy(self):
         data = _quadratic_subjects()
         with pytest.raises(ValueError):
@@ -335,15 +377,15 @@ class TestKnotSearchOracle:
     def test_small_chunks_give_the_same_search(self, panels, monkeypatch):
         batches = []
 
-        def counting_solve(gram, cross):
+        def counting_feasible(gram):
             batches.append(len(gram))
-            return solve_gram(gram, cross)
+            return gram_feasible(gram)
 
         for panel in ("scenario2", "demo"):
             data = panels[panel]
             want = knot_search(data, "radial", 2, 4, "full")
             monkeypatch.setattr(selection, "CANDIDATE_CHUNK", 3)
-            monkeypatch.setattr(selection, "solve_gram", counting_solve)
+            monkeypatch.setattr(selection, "gram_feasible", counting_feasible)
             assert knot_search(data, "radial", 2, 4, "full") == want
             monkeypatch.undo()
         assert max(batches) == 3
@@ -398,6 +440,91 @@ class TestKnotSearchOracle:
         assert len(table) == 216
         assert len(infeasible) == 85
         assert infeasible == oracle
+
+
+@st.composite
+def _degenerate_panels(draw):
+    """Panels of 1-6 subjects with constant, tied or spread times on a scale
+    of 1e-3 to 1e3, constant or varying covariates, and zero, constant or
+    varying responses."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    n_obs = sum(counts)
+
+    def floats(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n_obs, max_size=n_obs)))
+
+    times = draw(st.sampled_from(["constant", "tied", "spread"]))
+    if times == "constant":
+        raw = np.full(n_obs, draw(st.floats(0.0, 1.0)))
+    elif times == "tied":
+        raw = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                     min_size=n_obs, max_size=n_obs)))
+    else:
+        raw = floats(0.0, 1.0)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    t = np.concatenate([np.sort(part) for part in np.split(raw, np.cumsum(counts)[:-1])])
+
+    def column(kind):
+        if kind == "zero":
+            return np.zeros(n_obs)
+        if kind == "constant":
+            return np.full(n_obs, draw(st.floats(-2.0, 2.0)))
+        return floats(-2.0, 2.0)
+
+    d = draw(st.integers(0, 2))
+    x = np.column_stack([column(draw(st.sampled_from(["constant", "varying"])))
+                         for _ in range(d)]) if d else np.empty((n_obs, 0))
+    y = column(draw(st.sampled_from(["zero", "constant", "varying"])))
+    return LongitudinalDataset([f"s{i}" for i in range(len(counts))], counts,
+                               t * scale, y, x)
+
+
+def _selection_golden_script():
+    path = REPO_ROOT / "scripts" / "make_selection_golden.py"
+    spec = importlib.util.spec_from_file_location("make_selection_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_searches_select_the_pinned_knots(demo_csv):
+    """Each search in tests/golden/selection.json, written by
+    scripts/make_selection_golden.py, selects the recorded knots from as
+    many candidates, as many of them infeasible."""
+    want = json.loads((REPO_ROOT / "tests" / "golden" / "selection.json").read_text())
+    assert _selection_golden_script().selection_records() == want
+
+
+class TestKnotSearchProperties:
+    @seed(22)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=_degenerate_panels(), family=st.sampled_from(["radial", "tpower"]),
+           degree=st.integers(0, 2), k_max=st.integers(0, 3),
+           strategy=st.sampled_from(["full", "coordinate"]))
+    def test_degenerate_panels(self, data, family, degree, k_max, strategy):
+        """A table or a typed error, never an untyped one.  Finite criteria
+        are non-negative, the pick minimizes the table, and finite values
+        agree with the QR refits within 1e-8 of the larger of the value and
+        s / (1 - p/N)^2, s the weighted response sum of squares.  A purely
+        relative tolerance fails on exact fits, where both paths return
+        roundoff (the search 4e-12, the QR refit 7e-29 on one panel)."""
+        try:
+            best, table = knot_search(data, family, degree, k_max, strategy)
+        except TvcmError:
+            return
+        values = {tuple(row["k"]): row["pcv"] for row in table}
+        assert values[best] == min(values.values())
+        weights = subject_uniform_weights(data)
+        total = float(weights @ data.responses**2)
+        for combo, value in values.items():
+            if not np.isfinite(value):
+                continue
+            assert value >= 0
+            want = candidate_pcv(data, family, degree, combo, weights)
+            if np.isfinite(want):
+                p = sum(combo) + len(combo) * (degree + 1)
+                floor = total / (1.0 - p / data.n_obs) ** 2
+                assert value == pytest.approx(want, rel=1e-8, abs=1e-8 * floor), combo
 
 
 # ---------------------------------------------------------------------------
