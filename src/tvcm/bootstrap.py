@@ -9,16 +9,14 @@ master generator, right after attempt j - 1's.
 
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
-bootstrap_fit therefore computes each subject's weighted Gram block
-A_i'A_i and cross product A_i'y_i once, turns a chunk of draws into a
-matrix of copy counts C, and solves every replicate's normal equations
-(C G)alpha = C c in one batch.  The per-subject statistics are one stacked
-frequentist.GramStats about the full-data solution, which fit_gram takes
-from their sums, refusing an infeasible design before any resampling.  A
-replicate's statistics are their copy-count-weighted sums and its sigma2
-comes from GramStats.rss, so it costs O(n p^2 + p^3) whatever the number of
-observations.  resample_subjects followed by a QR fit_wls is the
-per-replicate reference path and stays as the test oracle.
+bootstrap_fit therefore computes each subject's whitened statistics once,
+as one stacked frequentist.GramStats about the full-data solution
+(_subject_stats, which refuses an infeasible design before any resampling),
+and fits a chunk of replicates with _weighted_fits, the weighted-sum kernel
+that cross-validation shares: here the weights are copy counts.  A
+replicate costs O(n p^2 + p^3) whatever the number of observations.
+resample_subjects followed by a QR fit_wls is the per-replicate reference
+path and stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .frequentist import GramStats, fit_gram, solve_gram, whiten
 from .rng import as_generator
 
 REDRAW_FACTOR = 10
-# replicates drawn and solved together; bounds the scratch arrays at chunk x n and chunk x p x p
+# replicates, or crossval folds, solved together; bounds the scratch arrays at chunk x n and chunk x p x p
 REPLICATE_CHUNK = 256
 
 
@@ -196,12 +194,12 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
     )
 
 
-def _subject_stats(bundle, counts: np.ndarray) -> GramStats:
-    """Per-subject GramStats about the full-data solution alpha0, stacked over subjects.
+def _subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
+    """Per-subject GramStats about center (default: fit_gram's full-data solution), stacked over subjects.
 
     With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
-    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A alpha0, resid_sq[i]
-    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] alpha0.
+    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A center, resid_sq[i]
+    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] center.
     """
     design, response = whiten(bundle)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -216,39 +214,34 @@ def _subject_stats(bundle, counts: np.ndarray) -> GramStats:
         block_t = block.transpose(0, 2, 1)
         gram[subjects] = block_t @ block
         cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
-    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs)
+    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs) if center is None else center
     resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
     lever = cross - gram @ center
     return GramStats(counts, gram, cross, center, resid_sq, lever)
 
 
-def _replicate_wave(stats: GramStats, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit one bootstrap replicate per row of picks; returns (feasible, alpha, sigma2).
+def _weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
+    """Solve every regression sum_i weights[b, i] stats[i] - less[b]; returns (sums, feasible, alpha, sigma2).
 
-    Row b of picks holds the n subject indices of attempt b, as
-    resample_subjects draws them.  n is unchanged, so every drawn copy keeps
-    its weight 1/(n n_i) and a replicate's statistics are the
-    copy-count-weighted sums of the subjects', all about the full-data alpha0.
-    That center sits near every alpha_b, so the weighted residual sum of
-    squares from rss does not cancel to noise on a near-exact fit.  Roundoff
-    below zero is clamped.
+    n_obs holds the row counts.  The sums keep the per-subject center, which
+    sits near every solution, so sigma2 from rss does not cancel to noise on a
+    near-exact fit; roundoff below zero is clamped.  Infeasible rows get NaN.
     """
-    rows, n = picks.shape
+    rows, n = weights.shape
     p = stats.center.size
-    # one bincount over row-offset picks counts the copies of every attempt
-    offset = picks + n * np.arange(rows)[:, None]
-    copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-    gram = (copies @ stats.gram.reshape(n, p * p)).reshape(rows, p, p)
-    reps = GramStats(copies @ stats.n_obs, gram, copies @ stats.cross, stats.center,
-                     copies @ stats.resid_sq, copies @ stats.lever)
-    feasible, alpha = solve_gram(reps.gram, reps.cross)
-    feasible &= reps.n_obs > p
+    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p), weights @ stats.cross,
+                     stats.center, weights @ stats.resid_sq, weights @ stats.lever)
+    if less is not None:
+        sums = GramStats(n_obs, sums.gram - less.gram, sums.cross - less.cross, stats.center,
+                         sums.resid_sq - less.resid_sq, sums.lever - less.lever)
+    feasible, alpha = solve_gram(sums.gram, sums.cross)
+    feasible &= n_obs > p
     alpha[~feasible] = np.nan
     # infeasible rows are scored at the center, so the whole chunk is scored without copying G
-    wrss = reps.rss(np.where(feasible[:, None], alpha, stats.center))
+    wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))
     sigma2 = np.full(rows, np.nan)
-    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (reps.n_obs[feasible] - p)
-    return feasible, alpha, sigma2
+    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
+    return sums, feasible, alpha, sigma2
 
 
 def bootstrap_fit(
@@ -283,7 +276,10 @@ def bootstrap_fit(
         wave_end = attempts + min(n_draws - found, cap - attempts)
         while attempts < wave_end:
             rows = min(REPLICATE_CHUNK, wave_end - attempts)
-            feasible, alpha, sigma2 = _replicate_wave(stats, gen.integers(0, n, size=(rows, n)))
+            # one bincount over row-offset picks counts the copies of every attempt
+            offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
+            copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
+            _, feasible, alpha, sigma2 = _weighted_fits(stats, copies, copies @ stats.n_obs)
             alphas.append(alpha[feasible])
             sigma2s.append(sigma2[feasible])
             found += int(feasible.sum())

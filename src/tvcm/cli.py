@@ -29,7 +29,7 @@ from .bootstrap import _central_quantiles
 from .data import ingest_csv
 from .engines import ENGINES, fit_engine
 from .errors import TvcmError
-from .mcmc import _dic
+from .mcmc import DEFAULT_BURNIN, _dic
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--bandwidth", type=float, help="radial kernel bandwidth override")
     fit.add_argument("--engine", choices=ENGINES, default="gibbs")
     fit.add_argument("--draws", type=int, default=2000, help="posterior draws (gibbs/vb)")
-    fit.add_argument("--burnin", type=int, default=500)
+    fit.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     fit.add_argument("--boot", type=int, default=0, help="bootstrap replicates when engine=wls")
     fit.add_argument("--tol", type=float, default=1e-6, help="variational convergence tolerance")
     fit.add_argument("--level", type=float, default=0.95, help="interval level for curves.csv")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--degree", type=int, default=2)
     sim.add_argument("--kmax", type=int, default=5)
     sim.add_argument("--draws", type=int, default=0)
-    sim.add_argument("--burnin", type=int, default=500)
+    sim.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     sim.add_argument("--level", choices=["weak", "medium", "high"], default="weak")
     sim.add_argument("--shape", choices=["exp", "trig"], default="exp")
     sim.add_argument("--strategy", choices=["auto", "full", "coordinate"], default="auto")
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--knots", default="auto", help="'auto', a single count, or comma counts per coefficient")
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--engine", choices=ENGINES, default="wls")
-    cv.add_argument("--draws", type=int, default=0)
-    cv.add_argument("--burnin", type=int, default=500)
+    cv.add_argument("--draws", type=int, default=0, help="posterior draws per fold (gibbs/vb); wls draws nothing")
+    cv.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     cv.add_argument("--out", default="crossval.json")
     return parser
 
@@ -437,6 +437,8 @@ def cmd_crossval(opts) -> int:
     _check_at_least(opts, folds=2, degree=0, kmax=0, draws=0, burnin=0)
     _check_out_file("--out", opts["out"])
     data = _ingest(opts, "crossval")
+    if opts["folds"] > data.n_obs:
+        raise ValueError(f"--folds must be at most the {data.n_obs} observations, got {opts['folds']}")
     counts, specs, _ = _basis(data, opts)
     value = crossval_amse(
         data,

@@ -46,7 +46,7 @@ class EngineResult:
 class BaseFit:
     """What every engine reads: the design, its whitened ridge statistics, the WLS fit."""
 
-    bundle: DesignBundle
+    bundle: DesignBundle | None  # None for a cross-validation fold, which has no design
     # centred at the ridge solution for calibrated_prior's ridge 1/N
     stats: GramStats
     alpha_hat: np.ndarray
@@ -84,7 +84,7 @@ def fit_engine(
 ) -> EngineResult:
     """Fit one engine; draws=0 means the engine default (none for wls).
 
-    base, when given, must be base_fit(data, specs); it is built here otherwise.
+    base, when given, replaces base_fit(data, specs); it is built here otherwise.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

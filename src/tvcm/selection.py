@@ -1,4 +1,5 @@
-"""Knot selection by predictive cross-validation and fit-quality metrics.
+"""Knot selection by predictive cross-validation, fit-quality metrics, and
+K-fold cross-validation of a fixed basis (crossval_amse; wls draws nothing).
 
 The fast selection criterion replaces the leave-one-out sum
 
@@ -36,16 +37,12 @@ import itertools
 import numpy as np
 
 from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
+from .bootstrap import REPLICATE_CHUNK, _subject_stats, _weighted_fits
 from .data import LongitudinalDataset, subject_uniform_weights
-from .engines import fit_engine
-from .errors import (
-    DataError,
-    InsufficientDataError,
-    KnotError,
-    SelectionError,
-    SingularDesignError,
-)
-from .frequentist import WlsFit, fit_wls, gram_feasible, predict_rows
+from .engines import BaseFit, fit_engine
+from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
+from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, whiten
+from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 
 MAX_SWEEPS = 100
@@ -315,59 +312,63 @@ def made(truths, estimates, counts, ranges) -> float:
     return total
 
 
-def _take_rows(data: LongitudinalDataset, keep: np.ndarray) -> LongitudinalDataset:
-    """Dataset restricted to the kept stacked-row indices; empty subjects drop out."""
-    keep_mask = np.zeros(data.n_obs, dtype=bool)
-    keep_mask[keep] = True
-    kept = np.bincount(data.subject_index[keep_mask], minlength=data.n_subjects)
-    if not kept.any():
-        raise DataError("no subjects left after removing held-out rows")
-    return LongitudinalDataset(
-        tuple(sid for sid, k in zip(data.subject_ids, kept) if k),
-        kept[kept > 0],
-        data.times[keep_mask],
-        data.responses[keep_mask],
-        data.covariates[keep_mask],
-        data.time_domain,
-    )
-
-
-def crossval_amse(
-    data: LongitudinalDataset,
-    specs,
-    n_folds: int,
-    rng=0,
-    engine: str = "wls",
-    draws: int = 0,
-    burnin: int = 500,
-) -> float:
+def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine: str = "wls",
+                  draws: int = 0, burnin: int = DEFAULT_BURNIN) -> float:
     """Predictive mean squared error over a random observation-level partition.
 
     Observations (not subjects) are split into n_folds folds; each training
     fit recomputes the subject-uniform weights on the reduced data, and
     held-out points score unweighted squared error.  n_folds = N is
-    leave-one-out.
+    leave-one-out.  wls draws nothing, whatever draws says; gibbs and vb run
+    fit_engine on each fold.  No fold is rebuilt: bootstrap._weighted_fits
+    solves sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
+    weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
+    for n' training subjects and n_i' training rows, or 0 for a subject the
+    fold empties.  per_fold_crossval in tests/oracles.py is the oracle.
     """
-    n_obs = data.n_obs
+    n_obs, n = data.n_obs, data.n_subjects
     if not 2 <= n_folds <= n_obs:
         raise ValueError(f"n_folds must be in [2, {n_obs}], got {n_folds}")
     gen, _ = as_generator(rng)
     perm = gen.permutation(n_obs)
-    folds = np.array_split(perm, n_folds)
-    fold_rngs = gen.spawn(n_folds)
-
+    fold_rngs = gen.spawn(n_folds) if engine != "wls" else None  # wls reads no stream
     specs = tuple(specs)
-    all_times = data.times
-    all_x = data.covariates
-    all_y = data.responses
-    total = 0.0
-    for f, fold in enumerate(folds):
-        train_idx = np.setdiff1d(perm, fold)
-        try:
-            train = _take_rows(data, train_idx)
-            result = fit_engine(train, specs, engine, rng=fold_rngs[f], draws=draws, burnin=burnin)
-        except (SingularDesignError, InsufficientDataError, DataError) as exc:
-            raise SelectionError(f"fold {f} is infeasible: {exc}") from exc
-        preds = predict_rows(result.alpha, specs, all_x[fold], all_times[fold])
-        total += float(np.sum((all_y[fold] - preds) ** 2))
+    bundle = build_design(data, specs)
+    design, response = whiten(bundle)
+    stats = _subject_stats(bundle, data.counts, np.linalg.lstsq(design, response, rcond=None)[0])
+    # [a_j, y~_j, e_j]: one outer product gives a row's Gram, cross, lever and squared residual
+    rows = np.column_stack([design, response, response - design @ stats.center])
+    # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
+    sizes = n_obs // n_folds + (np.arange(n_folds) < n_obs % n_folds)
+    live = np.arange(sizes[0]) < sizes[:, None]
+    at = np.zeros(live.shape, dtype=np.intp)
+    at[live] = perm
+    owners, p, total = data.subject_index[at], bundle.n_params, 0.0
+    for lo in range(0, n_folds, REPLICATE_CHUNK):
+        span = slice(lo, lo + REPLICATE_CHUNK)
+        idx, mask, owner = at[span], live[span], owners[span]
+        folds = len(idx)
+        held = np.bincount((np.arange(folds)[:, None] * n + owner)[mask], minlength=folds * n)
+        kept = data.counts - held.reshape(folds, n)
+        n_train = np.count_nonzero(kept, axis=1)[:, None]
+        ratio = np.divide(n * data.counts, n_train * kept, out=np.zeros(kept.shape), where=kept > 0)
+        outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
+        less = GramStats(None, outer[:, :p, :p], outer[:, :p, p], stats.center, outer[:, -1, -1], outer[:, :p, -1])
+        sums, feasible, alpha, _ = _weighted_fits(stats, ratio, n_obs - sizes[span], less)
+        for b in range(folds):
+            n_fit, gram, cross = int(sums.n_obs[b]), sums.gram[b], sums.cross[b]
+            if not feasible[b]:
+                try:  # fit_gram applies the rule that failed and names it
+                    fit_gram(gram, cross, n_fit)
+                except (SingularDesignError, InsufficientDataError) as exc:
+                    raise SelectionError(f"fold {lo + b} is infeasible: {exc}") from exc
+            if engine != "wls":
+                # base_fit's statistics, recentred at the ridge solution for the prior's ridge 1/N
+                fold = GramStats(n_fit, gram, cross, stats.center, sums.resid_sq[b], sums.lever[b])
+                mu = np.linalg.solve(gram + np.eye(p) / n_fit, cross)
+                fold = GramStats(n_fit, gram, cross, mu, fold.rss(mu), cross - gram @ mu)
+                base = BaseFit(None, fold, alpha[b], float(fold.rss(alpha[b])) / (n_fit - p))
+                alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
+        preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
+        total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))
     return total / n_obs

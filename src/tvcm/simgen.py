@@ -29,6 +29,7 @@ from .bootstrap import _sorted_quantiles
 from .data import LongitudinalDataset
 from .engines import base_fit, fit_engine
 from .errors import TvcmError
+from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 from .selection import amse, knot_search, made
 
@@ -201,7 +202,7 @@ def run_replications(
     degree: int = 2,
     k_max: int = 5,
     draws: int = 0,
-    burnin: int = 500,
+    burnin: int = DEFAULT_BURNIN,
     level: str = "weak",
     shape: str = "exp",
     strategy: str = "auto",

@@ -3,11 +3,13 @@
 candidate_pcv scores one knot-search candidate by a full QR refit, elbo
 evaluates the variational objective at any state from its definition,
 stacked_design builds the design block by block, write_curves_rows writes
-curves.csv a row at a time, and gibbs_rows runs the sampler one matrix-vector
-product per iteration.  The library keeps only the fast paths:
-knot_search's shared Gram statistics, vb_fit's closed-form trace,
+curves.csv a row at a time, gibbs_rows runs the sampler one matrix-vector
+product per iteration, and per_fold_crossval rebuilds and refits every
+cross-validation fold's training dataset.  The library keeps only the fast
+paths: knot_search's shared Gram statistics, vb_fit's closed-form trace,
 build_design's shared basis evaluations, cli._write_curves's column
-templates and mcmc._gibbs's stacked L^-T z_t.
+templates, mcmc._gibbs's stacked L^-T z_t and crossval_amse's per-subject
+statistics.
 """
 from __future__ import annotations
 
@@ -15,9 +17,18 @@ import numpy as np
 
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
-from tvcm.errors import InsufficientDataError, KnotError, NumericalError, SingularDesignError
-from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose
-from tvcm.mcmc import PriorSpec, _ridge_posterior
+from tvcm.data import LongitudinalDataset
+from tvcm.engines import fit_engine
+from tvcm.errors import (
+    DataError,
+    InsufficientDataError,
+    KnotError,
+    NumericalError,
+    SelectionError,
+    SingularDesignError,
+)
+from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose, predict_rows
+from tvcm.mcmc import DEFAULT_BURNIN, PriorSpec, _ridge_posterior
 from tvcm.rng import as_generator
 from tvcm.selection import pcv
 from tvcm.vb import VariationalPosterior, _objective_constant
@@ -111,3 +122,47 @@ def gibbs_rows(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sig
         source=DrawSource.GIBBS,
         seed=seed,
     )
+
+
+def take_rows(data: LongitudinalDataset, keep: np.ndarray) -> LongitudinalDataset:
+    """Dataset restricted to the kept stacked-row indices; empty subjects drop out."""
+    keep_mask = np.zeros(data.n_obs, dtype=bool)
+    keep_mask[keep] = True
+    kept = np.bincount(data.subject_index[keep_mask], minlength=data.n_subjects)
+    if not kept.any():
+        raise DataError("no subjects left after removing held-out rows")
+    return LongitudinalDataset(
+        tuple(sid for sid, k in zip(data.subject_ids, kept) if k),
+        kept[kept > 0],
+        data.times[keep_mask],
+        data.responses[keep_mask],
+        data.covariates[keep_mask],
+        data.time_domain,
+    )
+
+
+def per_fold_crossval(data, specs, n_folds, rng=0, engine="wls", draws=0, burnin=DEFAULT_BURNIN) -> float:
+    """crossval_amse by rebuilding each fold's training dataset and design and refitting it.
+
+    The same permutation, folds and per-fold generators as crossval_amse;
+    wls takes no draws, as crossval_amse's wls folds draw nothing.
+    """
+    n_obs = data.n_obs
+    if not 2 <= n_folds <= n_obs:
+        raise ValueError(f"n_folds must be in [2, {n_obs}], got {n_folds}")
+    gen, _ = as_generator(rng)
+    perm = gen.permutation(n_obs)
+    folds = np.array_split(perm, n_folds)
+    fold_rngs = gen.spawn(n_folds)
+    specs = tuple(specs)
+    total = 0.0
+    for f, fold in enumerate(folds):
+        try:
+            train = take_rows(data, np.setdiff1d(perm, fold))
+            result = fit_engine(train, specs, engine, rng=fold_rngs[f],
+                                draws=0 if engine == "wls" else draws, burnin=burnin)
+        except (SingularDesignError, InsufficientDataError, DataError) as exc:
+            raise SelectionError(f"fold {f} is infeasible: {exc}") from exc
+        preds = predict_rows(result.alpha, specs, data.covariates[fold], data.times[fold])
+        total += float(np.sum((data.responses[fold] - preds) ** 2))
+    return total / n_obs

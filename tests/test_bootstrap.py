@@ -14,8 +14,8 @@ from tvcm.bootstrap import (
     DrawSource,
     PosteriorDraws,
     _central_quantiles,
-    _replicate_wave,
     _subject_stats,
+    _weighted_fits,
     bootstrap_fit,
     column_intervals,
     percentile_interval,
@@ -57,6 +57,13 @@ def _loop_bootstrap(data, specs, n_draws, seed):
             hits.append((attempts + offset, fit.alpha_hat, fit.sigma2_hat))
         attempts += wave
     return hits, attempts
+
+
+def _replicate_wave(stats, picks):
+    """bootstrap_fit's fits of the attempts in a pick matrix: _weighted_fits
+    with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
+    copies = np.stack([np.bincount(row, minlength=picks.shape[1]) for row in picks]).astype(float)
+    return _weighted_fits(stats, copies, copies @ stats.n_obs)[1:]
 
 
 def _feasible_attempts(data, specs, seed, n_attempts):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tvcm
-from tvcm import gen_scenario1, write_csv
+from tvcm import gen_scenario1, ingest_csv, write_csv
 from tvcm import cli
 from tvcm.basis import BasisSpec, basis_matrix, split_alpha
 from tvcm.bootstrap import column_intervals
@@ -321,6 +321,22 @@ class TestOtherCommands:
             ["crossval", "--data", str(data_csv), "--folds", "4", "--knots",
              "1", "--seed", "5", "--out", str(out)], capsys)
         assert again["amse"] == payload["amse"]
+
+    @pytest.mark.parametrize("extra", [1, 5000], ids=["one-above", "far-above"])
+    def test_folds_above_observations_named(self, data_csv, tmp_path, capsys,
+                                            extra):
+        """--folds above the panel's N observations fails naming --folds,
+        after ingest but before any knot search or fit, and writes nothing."""
+        n_obs = ingest_csv(data_csv).n_obs
+        folds = n_obs + extra
+        code, payload = _run(
+            ["crossval", "--data", str(data_csv), "--folds", str(folds),
+             "--out", str(tmp_path / "cv.json")], capsys)
+        assert code == 1
+        assert payload == {
+            "error": "ValueError",
+            "message": f"--folds must be at most the {n_obs} observations, got {folds}"}
+        assert not list(tmp_path.iterdir())
 
     def test_simulate_report_and_summary(self, tmp_path, capsys):
         prefix = tmp_path / "sim"

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from tvcm import (
 )
 from tvcm import selection
 from tvcm.basis import build_design, make_spec
-from tvcm.errors import SelectionError, TvcmError
+from tvcm.errors import KnotError, SelectionError, SingularDesignError, TvcmError
 from tvcm.frequentist import WlsFit, fit_wls, gram_feasible
 from tvcm.selection import (
     _bordered_wrss,
     _statistics_criterion,
-    _take_rows,
     _walk_grid,
     amse,
     crossval_amse,
@@ -36,7 +36,7 @@ from tvcm.selection import (
 )
 
 from conftest import REPO_ROOT, by_subject, exact_response_dataset, single_subject
-from oracles import candidate_pcv
+from oracles import candidate_pcv, per_fold_crossval, take_rows
 
 
 def _random_intercept_panel(gen, n=50, m=30, b_sd=0.3, noise_sd=0.05):
@@ -596,7 +596,7 @@ class TestCrossval:
         keep = np.random.default_rng(4).permutation(data.n_obs)[:12]
         mask = np.zeros(data.n_obs, dtype=bool)
         mask[keep] = True
-        train = _take_rows(data, keep)
+        train = take_rows(data, keep)
         expected = [(sid, m) for sid, m in zip(data.subject_ids,
                                                by_subject(data, mask)) if m.any()]
         assert len(expected) < data.n_subjects  # some subject drops out
@@ -652,3 +652,139 @@ class TestCrossval:
             crossval_amse(data, specs, 1, rng=0)
         with pytest.raises(ValueError):
             crossval_amse(data, specs, data.n_obs + 1, rng=0)
+
+    def test_wls_draws_nothing(self, monkeypatch):
+        """wls folds read the statistics' solution: no bootstrap, whatever draws says."""
+        data, _ = gen_scenario1(10, np.random.default_rng(2), m=6)
+        specs = (make_spec("radial", 2, 1, data.time_domain),)
+        want = crossval_amse(data, specs, 4, rng=9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("crossval ran a bootstrap")
+
+        monkeypatch.setattr("tvcm.engines.bootstrap_fit", refuse)
+        assert crossval_amse(data, specs, 4, rng=9, draws=50) == want
+
+    def test_unknown_engine_rejected(self):
+        data = _quadratic_subjects()
+        specs = (make_spec("radial", 2, 0, data.time_domain),)
+        with pytest.raises(ValueError, match="unknown engine"):
+            crossval_amse(data, specs, 3, rng=0, engine="mle")
+
+
+def _crossval_both(data, specs, n_folds, **kwargs):
+    """(crossval_amse, per_fold_crossval) on the same arguments."""
+    return (crossval_amse(data, specs, n_folds, **kwargs),
+            per_fold_crossval(data, specs, n_folds, **kwargs))
+
+
+# few draws: the sampler's cost, not its length, is what the comparison exercises
+_ENGINE_ARGS = {"wls": {}, "gibbs": {"draws": 20, "burnin": 5}, "vb": {"draws": 1}}
+
+
+class TestCrossvalOracle:
+    """crossval_amse against the per-fold rebuild in tests/oracles.py, within 1e-10 relative."""
+
+    @pytest.mark.parametrize("engine", ["wls", "gibbs", "vb"])
+    def test_demo_panel_five_folds(self, demo_csv, engine):
+        data = ingest_csv(demo_csv)
+        specs = tuple(make_spec("tpower", 2, 2, data.time_domain)
+                      for _ in range(data.covariate_dim + 1))
+        fast, slow = _crossval_both(data, specs, 5, rng=6, engine=engine, **_ENGINE_ARGS[engine])
+        assert fast == pytest.approx(slow, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("engine", ["wls", "gibbs", "vb"])
+    @pytest.mark.parametrize("folds", [5, "loo"])
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_scenarios(self, scenario, folds, engine):
+        if scenario == 1:
+            data, _ = gen_scenario1(8, np.random.default_rng(5), m=8)
+            specs = (make_spec("radial", 2, 2, data.time_domain),)
+        else:
+            data, _ = gen_scenario2(5, np.random.default_rng(5))
+            specs = tuple(make_spec("tpower", 2, 1, data.time_domain) for _ in range(3))
+        n_folds = data.n_obs if folds == "loo" else 5
+        fast, slow = _crossval_both(data, specs, n_folds, rng=3, engine=engine,
+                                    **_ENGINE_ARGS[engine])
+        assert fast == pytest.approx(slow, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("engine", ["wls", "gibbs", "vb"])
+    def test_fold_that_empties_a_subject(self, engine):
+        """Single-visit subjects leave the training set with their fold, so
+        n' falls and every other subject's weight ratio changes."""
+        data, _ = gen_scenario1(12, np.random.default_rng(11), m=3)
+        specs = (make_spec("tpower", 1, 0, data.time_domain),)
+        perm = np.random.default_rng(4).permutation(data.n_obs)
+        emptied = [np.sum(np.bincount(data.subject_index[fold], minlength=data.n_subjects)
+                          == data.counts) for fold in np.array_split(perm, 4)]
+        assert min(emptied) >= 1
+        fast, slow = _crossval_both(data, specs, 4, rng=4, engine=engine, **_ENGINE_ARGS[engine])
+        assert fast == pytest.approx(slow, rel=1e-10, abs=0.0)
+
+    def test_infeasible_fold_index_matches(self):
+        """Fold 0 trains and fold 1 cannot: both paths name fold 1 with the same cause."""
+        data, _ = gen_scenario1(3, np.random.default_rng(0), m=4)
+        specs = (make_spec("tpower", 2, 0, data.time_domain),)
+        with pytest.raises(SelectionError) as fast:
+            crossval_amse(data, specs, 3, rng=0)
+        with pytest.raises(SelectionError) as slow:
+            per_fold_crossval(data, specs, 3, rng=0)
+        assert str(fast.value) == str(slow.value)
+        assert str(fast.value).startswith("fold 1 is infeasible: weighted Gram matrix condition")
+        assert isinstance(fast.value.__cause__, SingularDesignError)
+
+    @seed(23)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=_degenerate_panels(), family=st.sampled_from(["radial", "tpower"]),
+           degree=st.integers(0, 2), knots=st.integers(0, 2), folds=st.integers(2, 30),
+           engine=st.sampled_from(["wls", "vb"]), rng=st.integers(0, 3))
+    def test_degenerate_panels(self, data, family, degree, knots, folds, engine, rng):
+        """Both paths give the same typed error, the same fold named, or AMSE
+        within 1e-10 of the larger of the value and the mean squared
+        response: exact fits score roundoff on both paths."""
+        if data.n_obs < 2:
+            return
+        try:
+            specs = tuple(make_spec(family, degree, knots, data.time_domain, times=data.times)
+                          for _ in range(data.covariate_dim + 1))
+        except KnotError:
+            return
+
+        def outcome(run):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # calibrated_prior's zero-variance warning
+                    return "ok", run(data, specs, min(folds, data.n_obs), rng=rng,
+                                     engine=engine, draws=1)
+            except TvcmError as exc:
+                return type(exc).__name__, str(exc)
+
+        fast, slow = outcome(crossval_amse), outcome(per_fold_crossval)
+        assert fast[0] == slow[0]
+        if fast[0] != "ok":
+            assert fast[1] == slow[1]
+            return
+        scale = float(data.responses @ data.responses) / data.n_obs
+        assert fast[1] == pytest.approx(slow[1], rel=1e-10, abs=1e-10 * scale)
+
+
+def _crossval_golden_script():
+    path = REPO_ROOT / "scripts" / "make_crossval_golden.py"
+    spec = importlib.util.spec_from_file_location("make_crossval_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_crossval_matches_golden(demo_csv):
+    """Each run in tests/golden/crossval.json, written by
+    scripts/make_crossval_golden.py from the per-fold rebuild, gives the
+    recorded AMSE within 1e-10 relative or the recorded SelectionError."""
+    want = json.loads((REPO_ROOT / "tests" / "golden" / "crossval.json").read_text())
+    got = _crossval_golden_script().crossval_records()
+    assert got.keys() == want.keys()
+    for key, record in want.items():
+        if "error" in record:
+            assert got[key] == record, key
+        else:
+            assert got[key]["amse"] == pytest.approx(record["amse"], rel=1e-10, abs=0.0), key
