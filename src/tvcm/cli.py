@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--knots", default="auto", help="'auto', a single count, or comma counts per coefficient")
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--engine", choices=ENGINES, default="wls")
-    cv.add_argument("--draws", type=int, default=0, help="posterior draws per fold (gibbs/vb); wls draws nothing")
+    cv.add_argument("--draws", type=int, default=0,
+                    help="posterior draws per fold (gibbs only; wls and vb draw nothing)")
     cv.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     cv.add_argument("--out", default="crossval.json")
     return parser

@@ -1,5 +1,6 @@
 """Knot selection by predictive cross-validation, fit-quality metrics, and
-K-fold cross-validation of a fixed basis (crossval_amse; wls draws nothing).
+K-fold cross-validation of a fixed basis (crossval_amse; wls and vb read
+each fold's solution from its summed statistics and draw nothing).
 
 The fast selection criterion replaces the leave-one-out sum
 
@@ -39,7 +40,7 @@ import numpy as np
 from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
 from .bootstrap import REPLICATE_CHUNK, _subject_stats, _weighted_fits
 from .data import LongitudinalDataset, subject_uniform_weights
-from .engines import BaseFit, fit_engine
+from .engines import ENGINES, BaseFit, fit_engine
 from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
 from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, whiten
 from .mcmc import DEFAULT_BURNIN
@@ -319,19 +320,29 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     Observations (not subjects) are split into n_folds folds; each training
     fit recomputes the subject-uniform weights on the reduced data, and
     held-out points score unweighted squared error.  n_folds = N is
-    leave-one-out.  wls draws nothing, whatever draws says; gibbs and vb run
-    fit_engine on each fold.  No fold is rebuilt: bootstrap._weighted_fits
-    solves sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
+    leave-one-out.  No fold is rebuilt: bootstrap._weighted_fits solves
+    sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
-    fold empties.  per_fold_crossval in tests/oracles.py is the oracle.
+    fold empties.  A wls fold's point is that solution; a vb fold's is the
+    ridge solution mu = (G + I/N')^-1 c of the same sums, which is VB's m*
+    exactly (vb's module docstring), so wls and vb draw nothing and read no
+    stream, whatever draws says.  Only gibbs runs fit_engine on each fold,
+    with its own stream, and takes the chain mean.  An unknown engine or a
+    negative draws or burnin raises ValueError before any fold work.
+    per_fold_crossval in tests/oracles.py is the oracle.
     """
     n_obs, n = data.n_obs, data.n_subjects
     if not 2 <= n_folds <= n_obs:
         raise ValueError(f"n_folds must be in [2, {n_obs}], got {n_folds}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    for name, value in (("draws", draws), ("burnin", burnin)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     gen, _ = as_generator(rng)
     perm = gen.permutation(n_obs)
-    fold_rngs = gen.spawn(n_folds) if engine != "wls" else None  # wls reads no stream
+    fold_rngs = gen.spawn(n_folds) if engine == "gibbs" else None  # wls and vb read no stream
     specs = tuple(specs)
     bundle = build_design(data, specs)
     design, response = whiten(bundle)
@@ -355,20 +366,23 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
         outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
         less = GramStats(None, outer[:, :p, :p], outer[:, :p, p], stats.center, outer[:, -1, -1], outer[:, :p, -1])
         sums, feasible, alpha, _ = _weighted_fits(stats, ratio, n_obs - sizes[span], less)
-        for b in range(folds):
+        for b in np.flatnonzero(~feasible):
+            try:  # fit_gram applies the rule that failed and names it
+                fit_gram(sums.gram[b], sums.cross[b], int(sums.n_obs[b]))
+            except (SingularDesignError, InsufficientDataError) as exc:
+                raise SelectionError(f"fold {lo + b} is infeasible: {exc}") from exc
+        if engine != "wls":
+            # each fold's ridge solution for the prior's ridge 1/N': vb's m*, the centre gibbs samples about
+            mu = np.linalg.solve(sums.gram + np.eye(p) / sums.n_obs[:, None, None], sums.cross[..., None])[..., 0]
+        if engine == "vb":
+            alpha = mu
+        for b in range(folds) if engine == "gibbs" else ():
+            # base_fit's statistics, recentred at mu
             n_fit, gram, cross = int(sums.n_obs[b]), sums.gram[b], sums.cross[b]
-            if not feasible[b]:
-                try:  # fit_gram applies the rule that failed and names it
-                    fit_gram(gram, cross, n_fit)
-                except (SingularDesignError, InsufficientDataError) as exc:
-                    raise SelectionError(f"fold {lo + b} is infeasible: {exc}") from exc
-            if engine != "wls":
-                # base_fit's statistics, recentred at the ridge solution for the prior's ridge 1/N
-                fold = GramStats(n_fit, gram, cross, stats.center, sums.resid_sq[b], sums.lever[b])
-                mu = np.linalg.solve(gram + np.eye(p) / n_fit, cross)
-                fold = GramStats(n_fit, gram, cross, mu, fold.rss(mu), cross - gram @ mu)
-                base = BaseFit(None, fold, alpha[b], float(fold.rss(alpha[b])) / (n_fit - p))
-                alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
+            fold = GramStats(n_fit, gram, cross, stats.center, sums.resid_sq[b], sums.lever[b])
+            fold = GramStats(n_fit, gram, cross, mu[b], fold.rss(mu[b]), cross - gram @ mu[b])
+            base = BaseFit(None, fold, alpha[b], float(fold.rss(alpha[b])) / (n_fit - p))
+            alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
         preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
         total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))
     return total / n_obs

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import pathlib
@@ -20,7 +21,7 @@ from tvcm.basis import BasisSpec, basis_matrix, split_alpha
 from tvcm.bootstrap import column_intervals
 from tvcm.cli import build_parser, main
 
-from conftest import forbid_qr
+from conftest import REPO_ROOT, forbid_qr
 from oracles import write_curves_rows
 
 
@@ -935,3 +936,30 @@ class TestParserDefaults:
         assert payload == {
             "error": "ValueError",
             "message": f"unknown config key {key!r} for command {command!r}"}
+
+
+def _close(got, want) -> bool:
+    """Floats within 1e-9 relative (1e-12 absolute near zero); other values equal and of one type."""
+    if isinstance(want, float) and isinstance(got, float):
+        return got == pytest.approx(want, rel=1e-9, abs=1e-12, nan_ok=True)
+    return type(got) is type(want) and got == want
+
+
+def test_artifacts_match_golden(demo_csv, tmp_path):
+    """Every artifact of the runs in tests/golden/artifacts.json, written by
+    scripts/make_artifact_golden.py, has the recorded fingerprint: the same
+    keys, integers, booleans and nulls equal, floats within 1e-9 relative
+    (1e-12 absolute).  That is loose enough for a change of BLAS summation
+    order, and a number that moves by more fails the test."""
+    path = REPO_ROOT / "scripts" / "make_artifact_golden.py"
+    spec = importlib.util.spec_from_file_location("make_artifact_golden", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    want = json.loads((REPO_ROOT / "tests" / "golden" / "artifacts.json").read_text())
+    got = script.artifact_records(tmp_path)
+    assert got.keys() == want.keys()
+    for name, record in want.items():
+        assert got[name].keys() == record.keys(), name
+        moved = {key: (got[name][key], value) for key, value in record.items()
+                 if not _close(got[name][key], value)}
+        assert not moved, f"{name}: {moved}"

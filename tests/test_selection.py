@@ -654,22 +654,42 @@ class TestCrossval:
             crossval_amse(data, specs, data.n_obs + 1, rng=0)
 
     def test_wls_draws_nothing(self, monkeypatch):
-        """wls folds read the statistics' solution: no bootstrap, whatever draws says."""
+        """wls and vb folds read their points from the fold statistics: no
+        fit_engine call (so no bootstrap), VB fit, VB draws or spawned
+        stream, whatever draws says, and the same AMSE as without the patches."""
         data, _ = gen_scenario1(10, np.random.default_rng(2), m=6)
         specs = (make_spec("radial", 2, 1, data.time_domain),)
-        want = crossval_amse(data, specs, 4, rng=9)
+        runs = [(engine, folds) for engine in ("wls", "vb") for folds in (4, data.n_obs)]
+        want = [crossval_amse(data, specs, folds, rng=9, engine=engine) for engine, folds in runs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("crossval ran a bootstrap")
+            raise AssertionError("crossval ran an engine")
 
-        monkeypatch.setattr("tvcm.engines.bootstrap_fit", refuse)
-        assert crossval_amse(data, specs, 4, rng=9, draws=50) == want
+        for target in ("tvcm.selection.fit_engine", "tvcm.engines._vb_fit", "tvcm.engines.vb_sample"):
+            monkeypatch.setattr(target, refuse)
+        for (engine, folds), value in zip(runs, want):
+            gen = np.random.default_rng(9)
+            assert crossval_amse(data, specs, folds, rng=gen, engine=engine, draws=50) == value
+            assert gen.bit_generator.seed_seq.n_children_spawned == 0
 
-    def test_unknown_engine_rejected(self):
+    def test_unknown_engine_rejected(self, demo_csv):
+        """A bad engine, draws or burnin raises ValueError before any fold
+        work, even where fold 0 is infeasible (demo panel, radial, 3 knots)."""
         data = _quadratic_subjects()
         specs = (make_spec("radial", 2, 0, data.time_domain),)
         with pytest.raises(ValueError, match="unknown engine"):
             crossval_amse(data, specs, 3, rng=0, engine="mle")
+        demo = ingest_csv(demo_csv)
+        infeasible = tuple(make_spec("radial", 2, 3, demo.time_domain, times=demo.times)
+                           for _ in range(demo.covariate_dim + 1))
+        with pytest.raises(SelectionError, match="fold 0 is infeasible"):
+            crossval_amse(demo, infeasible, 5, rng=0)
+        with pytest.raises(ValueError, match="unknown engine 'mle'"):
+            crossval_amse(demo, infeasible, 5, rng=0, engine="mle")
+        for engine in ("wls", "gibbs", "vb"):
+            for name in ("draws", "burnin"):
+                with pytest.raises(ValueError, match=f"{name} must be non-negative, got -5"):
+                    crossval_amse(demo, infeasible, 5, rng=0, engine=engine, **{name: -5})
 
 
 def _crossval_both(data, specs, n_folds, **kwargs):
