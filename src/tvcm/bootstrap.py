@@ -9,14 +9,13 @@ master generator, right after attempt j - 1's.
 
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
-bootstrap_fit therefore computes each subject's whitened statistics once,
-as one stacked frequentist.GramStats about the full-data solution
-(_subject_stats, which refuses an infeasible design before any resampling),
-and fits a chunk of replicates with _weighted_fits, the weighted-sum kernel
-that cross-validation shares: here the weights are copy counts.  A
-replicate costs O(n p^2 + p^3) whatever the number of observations.
-resample_subjects followed by a QR fit_wls is the per-replicate reference
-path and stays as the test oracle.
+bootstrap_fit therefore stacks each subject's whitened statistics once with
+frequentist.subject_stats, which refuses an infeasible design before any
+resampling, and frequentist.weighted_fits solves STACK_CHUNK replicates at
+a time with copy counts as weights.  A replicate costs O(n p^2 + p^3)
+whatever the number of observations.  resample_subjects followed by a QR
+fit_wls is the per-replicate reference path and stays as the test oracle.
+Intervals come from central_quantiles and sorted_quantiles.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ from enum import Enum
 
 import numpy as np
 
+from . import frequentist
 from .basis import DesignBundle, build_design
 from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
-from .frequentist import GramStats, fit_gram, solve_gram, whiten
 from .rng import as_generator
 
 REDRAW_FACTOR = 10
-# replicates, or crossval folds, solved together; bounds the scratch arrays at chunk x n and chunk x p x p
-REPLICATE_CHUNK = 256
 
 
 class DrawSource(str, Enum):
@@ -128,7 +125,7 @@ def percentile_interval(samples, level: float) -> tuple[float, float]:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot form a percentile interval from zero samples")
-    lo, hi = _central_quantiles(np.sort(samples.ravel()), level)
+    lo, hi = central_quantiles(np.sort(samples.ravel()), level)
     return float(lo), float(hi)
 
 
@@ -137,10 +134,10 @@ def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("column intervals need a (n_draws, m) matrix with n_draws >= 1")
-    return _central_quantiles(np.sort(samples, axis=0), level)
+    return central_quantiles(np.sort(samples, axis=0), level)
 
 
-def _central_quantiles(ordered: np.ndarray, level: float):
+def central_quantiles(ordered: np.ndarray, level: float):
     """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 of samples sorted along it.
 
     On draw matrices one sort serving both ends costs less than np.quantile's
@@ -150,10 +147,10 @@ def _central_quantiles(ordered: np.ndarray, level: float):
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     tail = (1.0 - level) / 2.0
-    return tuple(_sorted_quantiles(ordered, (tail, 1.0 - tail)))
+    return tuple(sorted_quantiles(ordered, (tail, 1.0 - tail)))
 
 
-def _sorted_quantiles(ordered: np.ndarray, probs) -> list:
+def sorted_quantiles(ordered: np.ndarray, probs) -> list:
     """The quantiles at probs along axis 0 of samples sorted along it.
 
     This is np.quantile's 'linear' method, bit for bit: the virtual index
@@ -194,56 +191,6 @@ def resample_subjects(data: LongitudinalDataset, rng: np.random.Generator) -> Lo
     )
 
 
-def _subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
-    """Per-subject GramStats about center (default: fit_gram's full-data solution), stacked over subjects.
-
-    With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
-    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A center, resid_sq[i]
-    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] center.
-    """
-    design, response = whiten(bundle)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    p = bundle.n_params
-    gram = np.empty((counts.size, p, p))
-    cross = np.empty((counts.size, p))
-    # one stacked matmul over all subjects with the same visit count
-    for n_i in np.unique(counts):
-        subjects = np.flatnonzero(counts == n_i)
-        rows = starts[subjects, None] + np.arange(n_i)
-        block = design[rows]
-        block_t = block.transpose(0, 2, 1)
-        gram[subjects] = block_t @ block
-        cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
-    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs) if center is None else center
-    resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
-    lever = cross - gram @ center
-    return GramStats(counts, gram, cross, center, resid_sq, lever)
-
-
-def _weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
-    """Solve every regression sum_i weights[b, i] stats[i] - less[b]; returns (sums, feasible, alpha, sigma2).
-
-    n_obs holds the row counts.  The sums keep the per-subject center, which
-    sits near every solution, so sigma2 from rss does not cancel to noise on a
-    near-exact fit; roundoff below zero is clamped.  Infeasible rows get NaN.
-    """
-    rows, n = weights.shape
-    p = stats.center.size
-    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p), weights @ stats.cross,
-                     stats.center, weights @ stats.resid_sq, weights @ stats.lever)
-    if less is not None:
-        sums = GramStats(n_obs, sums.gram - less.gram, sums.cross - less.cross, stats.center,
-                         sums.resid_sq - less.resid_sq, sums.lever - less.lever)
-    feasible, alpha = solve_gram(sums.gram, sums.cross)
-    feasible &= n_obs > p
-    alpha[~feasible] = np.nan
-    # infeasible rows are scored at the center, so the whole chunk is scored without copying G
-    wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))
-    sigma2 = np.full(rows, np.nan)
-    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
-    return sums, feasible, alpha, sigma2
-
-
 def bootstrap_fit(
     data: LongitudinalDataset,
     specs,
@@ -256,8 +203,8 @@ def bootstrap_fit(
     Attempts run in waves of one replicate per still-missing draw.  Attempt
     j takes the next n subject indices from the master generator itself, so
     the draws equal those of resample_subjects(data, gen) called once per
-    attempt in order; each chunk of up to REPLICATE_CHUNK attempts is one
-    gen.integers call.  Draws are kept in attempt-index order, and the
+    attempt in order; each chunk of up to frequentist.STACK_CHUNK attempts is
+    one gen.integers call.  Draws are kept in attempt-index order, and the
     returned draws record the attempts made.  bundle, when given, is the
     design of (data, specs), which saves building it again.
     """
@@ -266,7 +213,7 @@ def bootstrap_fit(
     gen, seed = as_generator(rng)
     if bundle is None:
         bundle = build_design(data, specs)
-    stats = _subject_stats(bundle, data.counts)
+    stats = frequentist.subject_stats(bundle, data.counts)
 
     n = data.n_subjects
     cap = REDRAW_FACTOR * n_draws
@@ -275,11 +222,11 @@ def bootstrap_fit(
     while found < n_draws and attempts < cap:
         wave_end = attempts + min(n_draws - found, cap - attempts)
         while attempts < wave_end:
-            rows = min(REPLICATE_CHUNK, wave_end - attempts)
+            rows = min(frequentist.STACK_CHUNK, wave_end - attempts)
             # one bincount over row-offset picks counts the copies of every attempt
             offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
             copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-            _, feasible, alpha, sigma2 = _weighted_fits(stats, copies, copies @ stats.n_obs)
+            _, feasible, alpha, sigma2 = frequentist.weighted_fits(stats, copies, copies @ stats.n_obs)
             alphas.append(alpha[feasible])
             sigma2s.append(sigma2[feasible])
             found += int(feasible.sum())

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisFamily, basis_matrix, make_spec, split_alpha
-from .bootstrap import _central_quantiles
+from .bootstrap import central_quantiles
 from .data import ingest_csv
 from .engines import ENGINES, fit_engine
 from .errors import TvcmError
-from .mcmc import DEFAULT_BURNIN, _dic
+from .mcmc import DEFAULT_BURNIN, dic_from_stats
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
 
@@ -302,13 +302,13 @@ def _intervals(specs, result, grid, level):
         bg = basis_matrix(spec, grid)
         bands = np.ascontiguousarray(draws) @ bg.T
         bands.sort(axis=0)  # the product is fresh: sort it, not a copy
-        curves.append((bg @ b, *_central_quantiles(bands, level)))
+        curves.append((bg @ b, *central_quantiles(bands, level)))
     return curves, result.draws.summary(level)
 
 
 def _posterior_fields(result) -> dict:
     """fit.json's prior, DIC and (vb only) variational posterior of a gibbs or vb fit."""
-    dic_value, p_dic = _dic(result.draws, result.stats)
+    dic_value, p_dic = dic_from_stats(result.draws, result.stats)
     fields = {"prior": result.extra.get("prior"), "dic": {"dic": dic_value, "p_dic": p_dic}}
     if result.engine == "vb":
         fields["vb"] = {k: v for k, v in result.extra["posterior"].items() if k != "m_star"}

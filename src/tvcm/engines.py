@@ -6,9 +6,9 @@ stacked coefficients plus optional draws, timing only the inference stage
 optimization plus sampling) so the engines can be compared on equal terms.
 The engine-independent prefix is base_fit: the design, one whitened ridge
 frequentist.GramStats, fit_gram's estimate and sigma2_hat (GramStats.rss).
-The sampler or VB fit and DIC read the same statistics.  A caller fitting
-several engines to one design, as simgen.run_replications does, builds the
-BaseFit once and passes it to each fit_engine call.
+mcmc.gibbs_from_stats, vb.vb_fit_from_stats and DIC read the same statistics.
+A caller fitting several engines to one design, as simgen.run_replications
+does, builds the BaseFit once and passes it to each fit_engine call.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
 from .errors import NumericalError
 from .frequentist import GramStats, fit_gram, gram_stats, whiten
-from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, _gibbs, calibrated_prior
-from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, _vb_fit, vb_sample
+from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, calibrated_prior, gibbs_from_stats
+from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, vb_fit_from_stats, vb_sample
 
 ENGINES = ("wls", "gibbs", "vb")
 
@@ -107,10 +107,10 @@ def fit_engine(
     extra = {"prior": prior.to_dict()}
     start = time.perf_counter()
     if engine == "gibbs":
-        out = _gibbs(stats, prior, draws=n_draws, burnin=burnin, rng=rng)
+        out = gibbs_from_stats(stats, prior, draws=n_draws, burnin=burnin, rng=rng)
         point = out.alpha_draws.mean(axis=0)
     else:
-        post = _vb_fit(stats, prior, tol=tol, max_iters=DEFAULT_MAX_ITERS)
+        post = vb_fit_from_stats(stats, prior, tol=tol, max_iters=DEFAULT_MAX_ITERS)
         out = vb_sample(post, n_draws, rng)
         point = post.m_star
         extra["posterior"] = post.to_dict()

@@ -5,7 +5,8 @@ statistics under one singularity rule, gram_feasible: fit_gram for one
 system, solve_gram for stacks; the QR fit_wls is their test oracle.  The
 noise variance estimate divides the weighted residual sum of squares by
 N - p, and the weighted hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when
-feasible.
+feasible.  Every engine reads the Gram-statistics kernel here: GramStats,
+ridge_posterior, subject_stats and weighted_fits, STACK_CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ CONDITION_LIMIT = 1e12
 # Gram matrices per Cholesky call in gram_feasible's certificate; it bounds
 # the shifted copy and the factor, and was no slower than whole 200-matrix stacks.
 CERTIFY_CHUNK = 32
+# replicates, or crossval folds, weighted_fits solves together; bounds scratch at chunk x n and chunk x p x p
+STACK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,63 @@ def _certified(gram: np.ndarray) -> bool:
         if not np.isfinite(factor).all():
             return False
     return True
+
+
+def ridge_posterior(stats: GramStats, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """M, its Cholesky factor L, mu and r0 of mcmc's module docstring, from gram_stats(Z, y, ridge=ridge)."""
+    M = stats.gram + ridge * np.eye(stats.center.size)
+    mu = stats.center
+    return M, np.linalg.cholesky(M), mu, stats.resid_sq + ridge * (mu @ mu)
+
+
+def subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
+    """Per-subject GramStats about center (default: fit_gram's full-data solution), stacked over subjects.
+
+    With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
+    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A center, resid_sq[i]
+    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] center.
+    """
+    design, response = whiten(bundle)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    p = bundle.n_params
+    gram = np.empty((counts.size, p, p))
+    cross = np.empty((counts.size, p))
+    # one stacked matmul over all subjects with the same visit count
+    for n_i in np.unique(counts):
+        subjects = np.flatnonzero(counts == n_i)
+        rows = starts[subjects, None] + np.arange(n_i)
+        block = design[rows]
+        block_t = block.transpose(0, 2, 1)
+        gram[subjects] = block_t @ block
+        cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
+    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs) if center is None else center
+    resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
+    lever = cross - gram @ center
+    return GramStats(counts, gram, cross, center, resid_sq, lever)
+
+
+def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
+    """Solve every regression sum_i weights[b, i] stats[i] - less[b]; returns (sums, feasible, alpha, sigma2).
+
+    n_obs holds the row counts.  The sums keep the per-subject center, which
+    sits near every solution, so sigma2 from rss does not cancel to noise on a
+    near-exact fit; roundoff below zero is clamped.  Infeasible rows get NaN.
+    """
+    rows, n = weights.shape
+    p = stats.center.size
+    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p), weights @ stats.cross,
+                     stats.center, weights @ stats.resid_sq, weights @ stats.lever)
+    if less is not None:
+        sums = GramStats(n_obs, sums.gram - less.gram, sums.cross - less.cross, stats.center,
+                         sums.resid_sq - less.resid_sq, sums.lever - less.lever)
+    feasible, alpha = solve_gram(sums.gram, sums.cross)
+    feasible &= n_obs > p
+    alpha[~feasible] = np.nan
+    # infeasible rows are scored at the center, so the whole chunk is scored without copying G
+    wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))
+    sigma2 = np.full(rows, np.nan)
+    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
+    return sums, feasible, alpha, sigma2
 
 
 def predict_rows(alpha, specs: tuple[BasisSpec, ...], x_rows, times) -> np.ndarray:

@@ -26,9 +26,9 @@ and no L^-T z_t depends on the chain: one stacked product computes them all
 into the draws buffer before the loop, and iteration t scales row t by
 sigma_t and adds mu in place, while the variance rate runs on Python floats.
 The chain is bit for bit that of one matrix-vector product per iteration
-(gibbs_rows in tests/oracles.py).  M, mu and r0 come from one
-frequentist.GramStats centred at mu, and DIC scores draws with
-GramStats.rss.
+(gibbs_rows in tests/oracles.py).  gibbs_from_stats runs on one GramStats
+centred at mu, whose M, L, mu and r0 frequentist.ridge_posterior forms, and
+dic_from_stats scores draws with GramStats.rss; gibbs and dic wrap them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, WlsFit, gram_stats, linv_transpose, whiten  # whiten stays importable here
+from .frequentist import GramStats, WlsFit, gram_stats, linv_transpose, ridge_posterior, whiten  # re-exports whiten
 from .rng import as_generator
 
 DEFAULT_DRAWS = 2000
@@ -87,13 +87,6 @@ def calibrated_prior(sigma2_hat: float, n_obs: int) -> PriorSpec:
     return PriorSpec(a_sigma=2.0, b_sigma=sigma2_hat, ridge=1.0 / n_obs)
 
 
-def _ridge_posterior(stats: GramStats, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """M, its Cholesky factor L, mu and r0 of the module docstring, from gram_stats(Z, y, ridge=ridge)."""
-    M = stats.gram + ridge * np.eye(stats.center.size)
-    mu = stats.center
-    return M, np.linalg.cholesky(M), mu, stats.resid_sq + ridge * (mu @ mu)
-
-
 def gibbs(
     Z: np.ndarray,
     y: np.ndarray,
@@ -109,16 +102,16 @@ def gibbs(
     fixed_sigma2 pins the variance and skips its update, which makes the
     alpha draws independent samples from the exact Normal conditional.
     """
-    return _gibbs(gram_stats(Z, y, ridge=prior.ridge), prior, draws, burnin, rng, fixed_sigma2)
+    return gibbs_from_stats(gram_stats(Z, y, ridge=prior.ridge), prior, draws, burnin, rng, fixed_sigma2)
 
 
-def _gibbs(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
+def gibbs_from_stats(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
     """gibbs on statistics centred at the ridge solution for prior.ridge."""
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    M, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    M, L, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
     # alpha = mu + sigma * L^-T z; precompute L^-T once
@@ -164,10 +157,10 @@ def dic(draws: PosteriorDraws, Z: np.ndarray, y: np.ndarray) -> tuple[float, flo
     means.  Returns (dic, p_dic).  The statistics are centred at the mean
     alpha_bar, so a chain with no spread has p_DIC exactly 0.
     """
-    return _dic(draws, gram_stats(Z, y, center=draws.alpha_draws.mean(axis=0)))
+    return dic_from_stats(draws, gram_stats(Z, y, center=draws.alpha_draws.mean(axis=0)))
 
 
-def _dic(draws: PosteriorDraws, stats: GramStats) -> tuple[float, float]:
+def dic_from_stats(draws: PosteriorDraws, stats: GramStats) -> tuple[float, float]:
     """dic with every residual sum of squares from stats.rss, for any center."""
     sigma2 = draws.sigma2_draws
     if np.any(sigma2 <= 0):

@@ -1,6 +1,6 @@
 """Knot selection by predictive cross-validation, fit-quality metrics, and
-K-fold cross-validation of a fixed basis (crossval_amse; wls and vb read
-each fold's solution from its summed statistics and draw nothing).
+K-fold cross-validation of a fixed basis (crossval_amse, through
+frequentist.weighted_fits; wls and vb folds draw nothing).
 
 The fast selection criterion replaces the leave-one-out sum
 
@@ -37,12 +37,12 @@ import itertools
 
 import numpy as np
 
+from . import frequentist
 from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
-from .bootstrap import REPLICATE_CHUNK, _subject_stats, _weighted_fits
 from .data import LongitudinalDataset, subject_uniform_weights
 from .engines import ENGINES, BaseFit, fit_engine
 from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
-from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, whiten
+from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, subject_stats, weighted_fits, whiten
 from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 
@@ -320,7 +320,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     Observations (not subjects) are split into n_folds folds; each training
     fit recomputes the subject-uniform weights on the reduced data, and
     held-out points score unweighted squared error.  n_folds = N is
-    leave-one-out.  No fold is rebuilt: bootstrap._weighted_fits solves
+    leave-one-out.  No fold is rebuilt: frequentist.weighted_fits solves
     sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
@@ -346,7 +346,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     specs = tuple(specs)
     bundle = build_design(data, specs)
     design, response = whiten(bundle)
-    stats = _subject_stats(bundle, data.counts, np.linalg.lstsq(design, response, rcond=None)[0])
+    stats = subject_stats(bundle, data.counts, np.linalg.lstsq(design, response, rcond=None)[0])
     # [a_j, y~_j, e_j]: one outer product gives a row's Gram, cross, lever and squared residual
     rows = np.column_stack([design, response, response - design @ stats.center])
     # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
@@ -355,8 +355,8 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     at = np.zeros(live.shape, dtype=np.intp)
     at[live] = perm
     owners, p, total = data.subject_index[at], bundle.n_params, 0.0
-    for lo in range(0, n_folds, REPLICATE_CHUNK):
-        span = slice(lo, lo + REPLICATE_CHUNK)
+    for lo in range(0, n_folds, frequentist.STACK_CHUNK):
+        span = slice(lo, lo + frequentist.STACK_CHUNK)
         idx, mask, owner = at[span], live[span], owners[span]
         folds = len(idx)
         held = np.bincount((np.arange(folds)[:, None] * n + owner)[mask], minlength=folds * n)
@@ -365,7 +365,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
         ratio = np.divide(n * data.counts, n_train * kept, out=np.zeros(kept.shape), where=kept > 0)
         outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
         less = GramStats(None, outer[:, :p, :p], outer[:, :p, p], stats.center, outer[:, -1, -1], outer[:, :p, -1])
-        sums, feasible, alpha, _ = _weighted_fits(stats, ratio, n_obs - sizes[span], less)
+        sums, feasible, alpha, _ = weighted_fits(stats, ratio, n_obs - sizes[span], less)
         for b in np.flatnonzero(~feasible):
             try:  # fit_gram applies the rule that failed and names it
                 fit_gram(sums.gram[b], sums.cross[b], int(sums.n_obs[b]))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisFamily, coefficient_curve, make_spec, split_alpha
-from .bootstrap import _sorted_quantiles
+from .bootstrap import sorted_quantiles
 from .data import LongitudinalDataset
 from .engines import base_fit, fit_engine
 from .errors import TvcmError
@@ -185,7 +185,7 @@ class SimReport:
                 vals = np.array([r["metric"] for r in ok], dtype=float)
                 mean = float(vals.mean())  # before the sort, which would change the summation order
                 vals.sort()
-                q1, med, q3 = _sorted_quantiles(vals, (0.25, 0.5, 0.75))
+                q1, med, q3 = sorted_quantiles(vals, (0.25, 0.5, 0.75))
                 cell.update(q1=float(q1), median=float(med), q3=float(q3), mean=mean)
                 cell["mean_millis"] = float(np.mean([r["millis"] for r in ok]))
             cells[f"{engine}/{basis}"] = cell

@@ -3,14 +3,14 @@
 Approximates the posterior of (alpha, sigma2) by q(alpha) q(sigma2) with
 q(alpha) = N(m*, V*) and q(sigma2) = InvGamma(a*, b*), the mean-field
 linear regression of Ormerod & Wand (2010, Am. Stat. 64).  With M, mu and
-r0 as in the Gibbs sampler, the coordinate updates V* <- (b*/a*) M^-1 and
-m* <- (a*/b*) V* Z~'y~ give m* = mu and tr(M V*) = p b*/a* from the first
-sweep on, and a* = a_sigma + N/2 + p/2 never changes.  A sweep is therefore
-the scalar recursion
+r0 from frequentist.ridge_posterior, the coordinate updates V* <- (b*/a*)
+M^-1 and m* <- (a*/b*) V* Z~'y~ give m* = mu and tr(M V*) = p b*/a* from
+the first sweep on, and a* = a_sigma + N/2 + p/2 never changes.  A sweep is
+therefore the scalar recursion
 
     b*  <-  b_sigma + (r0 + p b_prev / a*) / 2
 
-and V* = (b_prev/a*) M^-1 is formed once, after the last sweep.
+and vb_fit_from_stats forms V* = (b_prev/a*) M^-1 once, after the last sweep.
 
 The objective, which elbo in tests/oracles.py evaluates at any state, is
 
@@ -34,8 +34,8 @@ import numpy as np
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, gram_stats, linv_transpose
-from .mcmc import PriorSpec, _ridge_posterior
+from .frequentist import GramStats, gram_stats, linv_transpose, ridge_posterior
+from .mcmc import PriorSpec
 from .rng import as_generator
 
 DEFAULT_TOL = 1e-6
@@ -114,14 +114,14 @@ def vb_fit(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VariationalPosterior:
     """Run coordinate ascent from b* = b_sigma until the objective gain drops below tol."""
-    return _vb_fit(gram_stats(Z, y, ridge=prior.ridge), prior, tol, max_iters)
+    return vb_fit_from_stats(gram_stats(Z, y, ridge=prior.ridge), prior, tol, max_iters)
 
 
-def _vb_fit(stats: GramStats, prior: PriorSpec, tol: float, max_iters: int) -> VariationalPosterior:
+def vb_fit_from_stats(stats: GramStats, prior: PriorSpec, tol: float, max_iters: int) -> VariationalPosterior:
     """vb_fit on statistics centred at the ridge solution for prior.ridge."""
     if tol <= 0 or max_iters < 1:
         raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
-    _, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    _, L, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
     # a* (1 + log b*) - (a*/b*) bracket = a* log b* once the bracket is b*

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import os
 import pathlib
 
@@ -25,6 +27,16 @@ def demo_csv() -> pathlib.Path:
     if not path.exists():
         pytest.skip("bundled demo CSV missing; run scripts/make_demo_data.py")
     return path
+
+
+@functools.cache
+def golden_script():
+    """scripts/make_goldens.py as a module: the golden tests rerun its record builders."""
+    path = REPO_ROOT / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def forbid_qr(monkeypatch) -> None:

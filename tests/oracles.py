@@ -6,10 +6,13 @@ stacked_design builds the design block by block, write_curves_rows writes
 curves.csv a row at a time, gibbs_rows runs the sampler one matrix-vector
 product per iteration, and per_fold_crossval rebuilds and refits every
 cross-validation fold's training dataset.  The library keeps only the fast
-paths: knot_search's shared Gram statistics, vb_fit's closed-form trace,
-build_design's shared basis evaluations, cli._write_curves's column
-templates, mcmc._gibbs's stacked L^-T z_t and crossval_amse's per-subject
-statistics.
+paths: knot_search's shared Gram statistics, vb.vb_fit_from_stats's
+closed-form trace, build_design's shared basis evaluations,
+cli._write_curves's column templates, mcmc.gibbs_from_stats's stacked
+L^-T z_t, and crossval_amse's per-subject statistics, which
+frequentist.subject_stats builds and frequentist.weighted_fits sums and
+solves.  gibbs_rows and elbo read M, L, mu and r0 from
+frequentist.ridge_posterior, as the library does.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ from tvcm.errors import (
     SelectionError,
     SingularDesignError,
 )
-from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose, predict_rows
-from tvcm.mcmc import DEFAULT_BURNIN, PriorSpec, _ridge_posterior
+from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose, predict_rows, ridge_posterior
+from tvcm.mcmc import DEFAULT_BURNIN, PriorSpec
 from tvcm.rng import as_generator
 from tvcm.selection import pcv
 from tvcm.vb import VariationalPosterior, _objective_constant
@@ -48,7 +51,7 @@ def candidate_pcv(data, family, degree, combo, weights, bandwidth=None, placemen
 
 def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorSpec) -> float:
     """Objective value at an arbitrary variational state."""
-    M, _, mu, r0 = _ridge_posterior(gram_stats(Z, y, ridge=prior.ridge), prior.ridge)
+    M, _, mu, r0 = ridge_posterior(gram_stats(Z, y, ridge=prior.ridge), prior.ridge)
     a_star, b_star, d = post.a_star, post.b_star, post.m_star - mu
     # ||y~ - Z~ m||^2 + ridge ||m||^2 = r0 + (m - mu)' M (m - mu), since M mu = Z~'y~
     bracket = prior.b_sigma + 0.5 * (r0 + d @ (M @ d) + np.einsum("ij,ji->", M, post.V_star))
@@ -88,12 +91,12 @@ def write_curves_rows(path, grid, curves) -> None:
 
 
 def gibbs_rows(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
-    """mcmc._gibbs with one L^-T z_t product and one NumPy rate per iteration; its bit-for-bit oracle."""
+    """mcmc.gibbs_from_stats with one L^-T z_t product and one NumPy rate per iteration; its bit-for-bit oracle."""
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    M, L, mu, r0 = _ridge_posterior(stats, prior.ridge)
+    M, L, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
     # alpha = mu + sigma * L^-T z; precompute L^-T once

@@ -1,6 +1,7 @@
 """The library's public surface and the benchmark tracer's view of it."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -48,3 +49,26 @@ def test_tracer_targets_resolve(monkeypatch):
         for part in attr.split("."):
             assert hasattr(target, part), f"{module_name}.{attr}"
             target = getattr(target, part)
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    """No tvcm module imports an underscore name from another tvcm module, or
+    reads one off a tvcm module it imported: modules share only public names.
+    Dunders such as __version__ are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    crossings = []
+    for path in sorted((REPO_ROOT / "src" / "tvcm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").split(".")[0] == "tvcm")]
+        crossings += [f"{path.name} imports {alias.name}" for node in imports
+                      for alias in node.names if private(alias.name)]
+        # `from . import frequentist` binds a module; frequentist._name would cross too
+        modules = {alias.asname or alias.name for node in imports
+                   if node.module in (None, "tvcm") for alias in node.names}
+        crossings += [f"{path.name} reads {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules and private(node.attr)]
+    assert not crossings

@@ -6,17 +6,15 @@ import csv
 import numpy as np
 import pytest
 
-import tvcm.bootstrap
+import tvcm.frequentist
 from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import (
     REDRAW_FACTOR,
     DrawSource,
     PosteriorDraws,
-    _central_quantiles,
-    _subject_stats,
-    _weighted_fits,
     bootstrap_fit,
+    central_quantiles,
     column_intervals,
     percentile_interval,
     resample_subjects,
@@ -26,8 +24,9 @@ from tvcm.errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from tvcm.frequentist import fit_wls
+from tvcm.frequentist import fit_wls, subject_stats, weighted_fits
 from tvcm.mcmc import default_prior, gibbs, whiten
+from tvcm.selection import crossval_amse
 
 from conftest import by_subject, exact_response_dataset
 
@@ -60,15 +59,15 @@ def _loop_bootstrap(data, specs, n_draws, seed):
 
 
 def _replicate_wave(stats, picks):
-    """bootstrap_fit's fits of the attempts in a pick matrix: _weighted_fits
+    """bootstrap_fit's fits of the attempts in a pick matrix: weighted_fits
     with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
     copies = np.stack([np.bincount(row, minlength=picks.shape[1]) for row in picks]).astype(float)
-    return _weighted_fits(stats, copies, copies @ stats.n_obs)[1:]
+    return weighted_fits(stats, copies, copies @ stats.n_obs)[1:]
 
 
 def _feasible_attempts(data, specs, seed, n_attempts):
     """Attempt indices the batched path accepts, over one pick matrix."""
-    stats = _subject_stats(build_design(data, specs), data.counts)
+    stats = subject_stats(build_design(data, specs), data.counts)
     n = data.n_subjects
     picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
     feasible, _, _ = _replicate_wave(stats, picks)
@@ -287,16 +286,27 @@ class TestLoopOracle:
             assert _picks(data, resample_subjects(data, gen)) == row.tolist()
 
     def test_chunking_leaves_draws_unchanged(self, monkeypatch):
-        """REPLICATE_CHUNK bounds scratch memory only: chunks of 3 draw and
-        keep exactly what one chunk per wave does."""
+        """frequentist.STACK_CHUNK bounds scratch memory only.  The bootstrap
+        in chunks of 3 draws and keeps exactly what one chunk per wave does,
+        and crossval_amse in chunks of 3 folds gives the default chunk's AMSE
+        for wls and vb, 5-fold and leave-one-out, within 1e-12 relative: only
+        the order of the cross-chunk sum changes."""
         data = _one_obs_each(6)
         specs = (make_spec("tpower", 4, 0, data.time_domain),)
-        whole = bootstrap_fit(data, specs, 10, 0)
-        monkeypatch.setattr(tvcm.bootstrap, "REPLICATE_CHUNK", 3)
-        chunked = bootstrap_fit(data, specs, 10, 0)
+        panel, _ = gen_scenario1(12, np.random.default_rng(5), m=5)
+        panel_specs = (make_spec("radial", 2, 1, panel.time_domain),)
+        runs = [(engine, folds) for engine in ("wls", "vb") for folds in (5, panel.n_obs)]
+
+        def crossval():
+            return [crossval_amse(panel, panel_specs, folds, rng=4, engine=engine) for engine, folds in runs]
+
+        whole, whole_amse = bootstrap_fit(data, specs, 10, 0), crossval()
+        monkeypatch.setattr(tvcm.frequentist, "STACK_CHUNK", 3)
+        chunked, chunked_amse = bootstrap_fit(data, specs, 10, 0), crossval()
         np.testing.assert_array_equal(chunked.alpha_draws, whole.alpha_draws)
         np.testing.assert_array_equal(chunked.sigma2_draws, whole.sigma2_draws)
         assert chunked.attempts == whole.attempts
+        assert chunked_amse == pytest.approx(whole_amse, rel=1e-12, abs=0.0)
 
 
 def _exact_sigma2(data, specs, seed, alpha):
@@ -313,7 +323,7 @@ def _exact_sigma2(data, specs, seed, alpha):
 
 def _loop_subject_blocks(bundle, counts):
     """Each subject's Gram block and cross product from its own two small
-    matmuls: the per-subject loop that _subject_stats batches by visit count."""
+    matmuls: the per-subject loop that subject_stats batches by visit count."""
     sw = np.sqrt(bundle.weights)
     design, response = bundle.Z * sw[:, None], bundle.y * sw
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -344,7 +354,7 @@ class TestSubjectStats:
             specs = (make_spec("tpower", 1, 0, data.time_domain),)
         assert panel == "one-visit" or np.unique(data.counts).size > 1
         bundle = build_design(data, specs)
-        stats = _subject_stats(bundle, data.counts)
+        stats = subject_stats(bundle, data.counts)
         gram, cross = _loop_subject_blocks(bundle, data.counts)
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
                                    atol=1e-14 * np.abs(gram).max())
@@ -369,7 +379,7 @@ class TestCenteredSigma2:
             data = ingest_csv(request.getfixturevalue("demo_csv"))
             specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
                           for _ in range(data.covariate_dim + 1))
-        stats = _subject_stats(build_design(data, specs), data.counts)
+        stats = subject_stats(build_design(data, specs), data.counts)
         n = data.n_subjects
         picks = np.random.default_rng(3).integers(0, n, size=(25, n))
         feasible, alpha, sigma2 = _replicate_wave(stats, picks)
@@ -384,7 +394,7 @@ class TestCenteredSigma2:
         alpha_star = np.random.default_rng(5).standard_normal(
             build_design(base, specs).n_params)
         clean = exact_response_dataset(base, specs, alpha_star)
-        stats = _subject_stats(build_design(clean, specs), clean.counts)
+        stats = subject_stats(build_design(clean, specs), clean.counts)
         picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
         feasible, alpha, sigma2 = _replicate_wave(stats, picks)
         exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]
@@ -485,7 +495,7 @@ class TestPercentileInterval:
         samples[:3] = -0.0
         bands = samples.copy()
         bands.sort(axis=0)
-        lo, hi = _central_quantiles(bands, level)
+        lo, hi = central_quantiles(bands, level)
         want = column_intervals(samples, level)
         assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
 

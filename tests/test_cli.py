@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.util
 import json
 import os
 import pathlib
@@ -21,7 +20,7 @@ from tvcm.basis import BasisSpec, basis_matrix, split_alpha
 from tvcm.bootstrap import column_intervals
 from tvcm.cli import build_parser, main
 
-from conftest import REPO_ROOT, forbid_qr
+from conftest import REPO_ROOT, forbid_qr, golden_script
 from oracles import write_curves_rows
 
 
@@ -947,16 +946,12 @@ def _close(got, want) -> bool:
 
 def test_artifacts_match_golden(demo_csv, tmp_path):
     """Every artifact of the runs in tests/golden/artifacts.json, written by
-    scripts/make_artifact_golden.py, has the recorded fingerprint: the same
-    keys, integers, booleans and nulls equal, floats within 1e-9 relative
-    (1e-12 absolute).  That is loose enough for a change of BLAS summation
-    order, and a number that moves by more fails the test."""
-    path = REPO_ROOT / "scripts" / "make_artifact_golden.py"
-    spec = importlib.util.spec_from_file_location("make_artifact_golden", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    scripts/make_goldens.py, has the recorded fingerprint: the same keys,
+    integers, booleans and nulls equal, floats within 1e-9 relative (1e-12
+    absolute).  That is loose enough for a change of BLAS summation order,
+    and a number that moves by more fails the test."""
     want = json.loads((REPO_ROOT / "tests" / "golden" / "artifacts.json").read_text())
-    got = script.artifact_records(tmp_path)
+    got = golden_script().artifact_records(tmp_path)
     assert got.keys() == want.keys()
     for name, record in want.items():
         assert got[name].keys() == record.keys(), name

@@ -10,7 +10,7 @@ from tvcm.bootstrap import DrawSource, bootstrap_fit
 from tvcm.engines import ENGINES, fit_engine
 from tvcm.errors import SingularDesignError, TvcmError
 from tvcm.frequentist import fit_wls, gram_stats
-from tvcm.mcmc import _dic, dic, whiten
+from tvcm.mcmc import dic, dic_from_stats, whiten
 
 from conftest import forbid_qr
 
@@ -124,14 +124,14 @@ class TestFitEngine:
         for name in ("n_obs", "gram", "cross", "center", "resid_sq", "lever"):
             np.testing.assert_array_equal(getattr(result.stats, name),
                                           getattr(fresh, name))
-        assert _dic(result.draws, result.stats) == _dic(result.draws, fresh)
+        assert dic_from_stats(result.draws, result.stats) == dic_from_stats(result.draws, fresh)
 
     @pytest.mark.parametrize("engine", ["gibbs", "vb"])
     def test_dic_from_fit_stats_equals_public_dic(self, demo_csv, engine):
         data, specs = _panel("demo-tpower", demo_csv)
         result = fit_engine(data, specs, engine, rng=4, draws=1000,
                             burnin=100)
-        value, p_dic = _dic(result.draws, result.stats)
+        value, p_dic = dic_from_stats(result.draws, result.stats)
         pub_value, pub_p = dic(result.draws,
                                *whiten(build_design(data, specs)))
         assert value == pytest.approx(pub_value, rel=1e-12)

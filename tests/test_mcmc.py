@@ -15,9 +15,9 @@ from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.engines import fit_engine
 from tvcm.errors import NumericalError
-from tvcm.frequentist import WlsFit, fit_wls, gram_stats
-from tvcm.mcmc import (PriorSpec, _dic, _gibbs, _ridge_posterior,
-                       default_prior, dic, gibbs, whiten)
+from tvcm.frequentist import WlsFit, fit_wls, gram_stats, ridge_posterior
+from tvcm.mcmc import (PriorSpec, default_prior, dic, dic_from_stats, gibbs, gibbs_from_stats,
+                       whiten)
 
 import oracles
 from conftest import single_subject
@@ -195,7 +195,7 @@ class TestRidgePosterior:
         _, Zt, yt = _whitened_scenario()
         ridge = 1.0 / Zt.shape[0]
         stats = gram_stats(Zt, yt, ridge=ridge)
-        M, L, mu, r0 = _ridge_posterior(stats, ridge)
+        M, L, mu, r0 = ridge_posterior(stats, ridge)
         np.testing.assert_allclose(M, Zt.T @ Zt + ridge * np.eye(Zt.shape[1]))
         np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
         np.testing.assert_allclose(M @ mu, Zt.T @ yt, rtol=1e-9)
@@ -244,7 +244,7 @@ class TestRidgePosterior:
             calls.clear()
             result = fit_engine(data, specs, engine, rng=1, draws=20,
                                 burnin=5)
-            _dic(result.draws, result.stats)
+            dic_from_stats(result.draws, result.stats)
             assert len(calls) == 1
 
 
@@ -335,7 +335,7 @@ class TestOracles:
         if fixed_sigma2 is not None:
             fixed_sigma2 *= prior.b_sigma
         stats = gram_stats(Zt, yt, ridge=prior.ridge)
-        got = _gibbs(stats, prior, 400, 100, 19, fixed_sigma2)
+        got = gibbs_from_stats(stats, prior, 400, 100, 19, fixed_sigma2)
         want = oracles.gibbs_rows(stats, prior, 400, 100, 19, fixed_sigma2)
         assert got.alpha_draws.tobytes() == want.alpha_draws.tobytes()
         assert got.sigma2_draws.tobytes() == want.sigma2_draws.tobytes()
@@ -381,7 +381,7 @@ class TestOracles:
         Zt, yt, prior = oracle_problems[panel]
         stats = gram_stats(Zt, yt, ridge=prior.ridge)
         draws = gibbs(Zt, yt, prior, draws=1000, burnin=100, rng=4)
-        value, p_dic = _dic(draws, stats)
+        value, p_dic = dic_from_stats(draws, stats)
         ref_value, ref_p = _loop_dic(draws, Zt, yt)
         assert value == pytest.approx(ref_value, rel=1e-9)
         assert abs(p_dic - ref_p) <= 1e-6

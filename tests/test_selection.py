@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import itertools
 import json
 import warnings
@@ -35,7 +34,7 @@ from tvcm.selection import (
     pcv_loo,
 )
 
-from conftest import REPO_ROOT, by_subject, exact_response_dataset, single_subject
+from conftest import REPO_ROOT, by_subject, exact_response_dataset, golden_script, single_subject
 from oracles import candidate_pcv, per_fold_crossval, take_rows
 
 
@@ -479,20 +478,12 @@ def _degenerate_panels(draw):
                                t * scale, y, x)
 
 
-def _selection_golden_script():
-    path = REPO_ROOT / "scripts" / "make_selection_golden.py"
-    spec = importlib.util.spec_from_file_location("make_selection_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_searches_select_the_pinned_knots(demo_csv):
     """Each search in tests/golden/selection.json, written by
-    scripts/make_selection_golden.py, selects the recorded knots from as
-    many candidates, as many of them infeasible."""
+    scripts/make_goldens.py, selects the recorded knots from as many
+    candidates, as many of them infeasible."""
     want = json.loads((REPO_ROOT / "tests" / "golden" / "selection.json").read_text())
-    assert _selection_golden_script().selection_records() == want
+    assert golden_script().selection_records() == want
 
 
 class TestKnotSearchProperties:
@@ -665,7 +656,7 @@ class TestCrossval:
         def refuse(*args, **kwargs):
             raise AssertionError("crossval ran an engine")
 
-        for target in ("tvcm.selection.fit_engine", "tvcm.engines._vb_fit", "tvcm.engines.vb_sample"):
+        for target in ("tvcm.selection.fit_engine", "tvcm.engines.vb_fit_from_stats", "tvcm.engines.vb_sample"):
             monkeypatch.setattr(target, refuse)
         for (engine, folds), value in zip(runs, want):
             gen = np.random.default_rng(9)
@@ -788,20 +779,12 @@ class TestCrossvalOracle:
         assert fast[1] == pytest.approx(slow[1], rel=1e-10, abs=1e-10 * scale)
 
 
-def _crossval_golden_script():
-    path = REPO_ROOT / "scripts" / "make_crossval_golden.py"
-    spec = importlib.util.spec_from_file_location("make_crossval_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_crossval_matches_golden(demo_csv):
     """Each run in tests/golden/crossval.json, written by
-    scripts/make_crossval_golden.py from the per-fold rebuild, gives the
-    recorded AMSE within 1e-10 relative or the recorded SelectionError."""
+    scripts/make_goldens.py from the per-fold rebuild, gives the recorded
+    AMSE within 1e-10 relative or the recorded SelectionError."""
     want = json.loads((REPO_ROOT / "tests" / "golden" / "crossval.json").read_text())
-    got = _crossval_golden_script().crossval_records()
+    got = golden_script().crossval_records()
     assert got.keys() == want.keys()
     for key, record in want.items():
         if "error" in record:
