@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import platform
+import re
 import sys
 import time
 
@@ -474,6 +475,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # joined to its option, a value such as -1,130 or -1e-05 is no flag to argparse (-h is the only short one)
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if re.fullmatch("--[^=]+", flag) and re.fullmatch("-[^-].*", value) and value != "-h":
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     args = _parser().parse_args(argv)  # the command, --config, --help/--version and bad flags
     try:
         opts = _resolve(args, argv)

@@ -4,8 +4,9 @@ Given a dataset and basis specs, fit_engine produces a point estimate of the
 stacked coefficients plus optional draws, timing only the inference stage
 (bootstrap replicates, sampler iterations including burn-in, or variational
 optimization plus sampling) so the engines can be compared on equal terms.
-The engine-independent prefix is base_fit: the design, one whitened ridge
-frequentist.GramStats, fit_gram's estimate and sigma2_hat (GramStats.rss).
+The engine-independent prefix is base_fit: the design, one whitened
+frequentist.GramStats, the WLS estimate (its center plus fit_gram's step)
+and sigma2_hat (GramStats.rss).
 mcmc.gibbs_from_stats, vb.vb_fit_from_stats and DIC read the same statistics.
 A caller fitting several engines to one design, as simgen.run_replications
 does, builds the BaseFit once and passes it to each fit_engine call.
@@ -21,7 +22,6 @@ import numpy as np
 from .basis import DesignBundle, build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
-from .errors import NumericalError
 from .frequentist import GramStats, fit_gram, gram_stats, whiten
 from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, calibrated_prior, gibbs_from_stats
 from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, vb_fit_from_stats, vb_sample
@@ -38,16 +38,15 @@ class EngineResult:
     draws: PosteriorDraws | None
     sampling_seconds: float
     extra: dict = field(default_factory=dict)
-    # the whitened fit's statistics about the ridge solution, read by DIC
+    # the whitened fit's statistics, read by DIC
     stats: GramStats | None = None
 
 
 @dataclass(frozen=True)
 class BaseFit:
-    """What every engine reads: the design, its whitened ridge statistics, the WLS fit."""
+    """What every engine reads: the design, its whitened statistics, the WLS fit."""
 
     bundle: DesignBundle | None  # None for a cross-validation fold, which has no design
-    # centred at the ridge solution for calibrated_prior's ridge 1/N
     stats: GramStats
     alpha_hat: np.ndarray
     # the WLS noise variance estimate (N - p denominator) that calibrates the priors
@@ -55,20 +54,11 @@ class BaseFit:
 
 
 def base_fit(data: LongitudinalDataset, specs) -> BaseFit:
-    """The engine-independent prefix of fit_engine; raises as fit_gram does.
-
-    A ridge factorisation that fails gets fit_gram's verdict on the raw Gram
-    matrix, so the error type does not depend on the time unit.
-    """
+    """The engine-independent prefix of fit_engine; raises as fit_gram does."""
     bundle = build_design(data, specs)
     n_obs, p = bundle.Z.shape
-    design, response = whiten(bundle)
-    try:
-        stats = gram_stats(design, response, ridge=1.0 / n_obs)
-    except NumericalError:
-        fit_gram(design.T @ design, design.T @ response, n_obs)
-        raise
-    alpha_hat = fit_gram(stats.gram, stats.cross, n_obs)
+    stats = gram_stats(*whiten(bundle))
+    alpha_hat = stats.center + fit_gram(stats.gram, stats.lever, n_obs)
     return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (n_obs - p))
 
 

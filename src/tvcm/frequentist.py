@@ -88,13 +88,13 @@ def fit_wls(bundle: DesignBundle) -> WlsFit:
 class GramStats:
     """Whitened regression statistics about a center, read by the bootstrap, gibbs, vb and DIC.
 
-    gram is Z~'Z~, cross Z~'y~ and n_obs the row count; with e = y~ - Z~ center,
-    resid_sq is e'e and lever Z~'e.  Leading axes stack regressions sharing the center.
+    gram is Z~'Z~ and n_obs the row count; with e = y~ - Z~ center, resid_sq
+    is e'e and lever Z~'e.  Any center serves, since every fit is a step from
+    it.  Leading axes stack regressions sharing the center.
     """
 
     n_obs: int | np.ndarray
     gram: np.ndarray
-    cross: np.ndarray
     center: np.ndarray
     resid_sq: float | np.ndarray
     lever: np.ndarray
@@ -107,58 +107,49 @@ class GramStats:
         return self.resid_sq - 2.0 * d_lever + d_gram_d
 
 
-def gram_stats(design, response, center=None, ridge: float = 0.0) -> GramStats:
-    """GramStats of one whitened regression, by default about (Z~'Z~ + ridge I)^-1 Z~'y~ by Cholesky."""
+def gram_stats(design, response, center=None) -> GramStats:
+    """GramStats of one whitened regression, by default about lstsq's solution of (G + I/N) b = Z~'y~.
+
+    lstsq answers singular systems too; a non-finite G gets the center 0,
+    which gram_feasible refuses.
+    """
     Z, y = np.ascontiguousarray(design, dtype=float), np.ascontiguousarray(response, dtype=float)
     if Z.ndim != 2 or y.shape != (Z.shape[0],):
         raise ValueError("Z must be (N, p) and y must be length N")
-    gram, cross = Z.T @ Z, Z.T @ y
+    n_obs, p = Z.shape
+    gram = Z.T @ Z
     if center is None:
-        try:
-            factor = np.linalg.cholesky(gram + ridge * np.eye(Z.shape[1]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
-        linv_t = linv_transpose(factor)
-        center = linv_t @ (linv_t.T @ cross)
+        ridged = gram + np.eye(p) / n_obs
+        center = np.linalg.lstsq(ridged, Z.T @ y, rcond=None)[0] if np.isfinite(ridged).all() else np.zeros(p)
     e = y - Z @ center
-    return GramStats(y.size, gram, cross, center, float(e @ e), Z.T @ e)
+    return GramStats(n_obs, gram, center, float(e @ e), Z.T @ e)
 
 
-def linv_transpose(factor: np.ndarray) -> np.ndarray:
-    """L^-T for a lower-triangular Cholesky factor L, so that (L L')^-1 = L^-T (L^-T)'.
-
-    LU with partial pivoting never pivots on the upper triangle L', so
-    np.linalg.inv runs plain back substitution, which is backward stable
-    (Higham 2002, chapter 8) like a dedicated triangular solve.
-    """
-    return np.linalg.inv(factor.T)
-
-
-def fit_gram(gram: np.ndarray, cross: np.ndarray, n_obs: int) -> np.ndarray:
-    """The WLS estimate G^-1 c of one system; raises on N <= p or where solve_gram finds G singular."""
-    if n_obs <= cross.size:
-        raise InsufficientDataError(f"{n_obs} observations cannot identify {cross.size} coefficients")
-    feasible, alpha = solve_gram(gram[None], cross[None])
+def fit_gram(gram: np.ndarray, lever: np.ndarray, n_obs: int) -> np.ndarray:
+    """The WLS step G^-1 Z~'e from a GramStats center; raises on N <= p or where solve_gram finds G singular."""
+    if n_obs <= lever.size:
+        raise InsufficientDataError(f"{n_obs} observations cannot identify {lever.size} coefficients")
+    feasible, step = solve_gram(gram[None], lever[None])
     if not feasible[0]:
         raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
-    return alpha[0]
+    return step[0]
 
 
-def solve_gram(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stacked normal equations G alpha = c under fit_wls's singularity rule.
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve stacked normal equations G x = b under fit_wls's singularity rule.
 
-    gram has shape (B, p, p) and cross (B, p).  Returns (feasible, alpha)
-    with feasible from gram_feasible and alpha NaN where infeasible.  The
-    solve is LU on G whichever feasibility test ran, so alpha does not
-    depend on the test; unlike an eigendecomposition, LU's accuracy does not
-    suffer from badly scaled columns such as t^2 on a wide time domain.
+    gram has shape (B, p, p) and rhs (B, p).  Returns (feasible, x) with
+    feasible from gram_feasible and x NaN where infeasible.  The solve is LU
+    on G whichever feasibility test ran, so x does not depend on the test;
+    unlike an eigendecomposition, LU's accuracy does not suffer from badly
+    scaled columns such as t^2 on a wide time domain.
     """
     feasible = gram_feasible(gram)
     if feasible.all():
-        return feasible, np.linalg.solve(gram, cross[..., None])[..., 0]
-    alpha = np.full(cross.shape, np.nan)
-    alpha[feasible] = np.linalg.solve(gram[feasible], cross[feasible][..., None])[..., 0]
-    return feasible, alpha
+        return feasible, np.linalg.solve(gram, rhs[..., None])[..., 0]
+    x = np.full(rhs.shape, np.nan)
+    x[feasible] = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
+    return feasible, x
 
 
 def gram_feasible(gram: np.ndarray) -> np.ndarray:
@@ -213,19 +204,37 @@ def _certified(gram: np.ndarray) -> bool:
     return True
 
 
-def ridge_posterior(stats: GramStats, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """M, its Cholesky factor L, mu and r0 of mcmc's module docstring, from gram_stats(Z, y, ridge=ridge)."""
-    M = stats.gram + ridge * np.eye(stats.center.size)
-    mu = stats.center
-    return M, np.linalg.cholesky(M), mu, stats.resid_sq + ridge * (mu @ mu)
+def ridge_posterior(stats: GramStats, ridge) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M, L^-T with M = L L', mu and r0 of mcmc's module docstring, for each stacked regression and its ridge.
+
+    From the center c, mu = c + M^-1 rhs with rhs = Z~'e - ridge c is one
+    step of iterative refinement (Higham 2002, section 12.1), and
+    r0 = e'e + ridge c'c - rhs' M^-1 rhs.  Raises NumericalError when M has
+    no Cholesky factor.
+    """
+    ridge = np.asarray(ridge, dtype=float)
+    center = stats.center
+    M = stats.gram + ridge[..., None, None] * np.eye(center.size)
+    try:
+        factor = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization of the ridge Gram matrix failed: {exc}") from exc
+    # LU never pivots on the upper triangle L', so inv runs back substitution,
+    # backward stable (Higham 2002, chapter 8) like a dedicated triangular solve
+    linv_t = np.linalg.inv(factor.swapaxes(-1, -2))
+    # w = L^-1 rhs, so M^-1 rhs = L^-T w and rhs' M^-1 rhs = w'w
+    w = linv_t.swapaxes(-1, -2) @ (stats.lever - ridge[..., None] * center)[..., None]
+    mu = center + (linv_t @ w)[..., 0]
+    r0 = stats.resid_sq + ridge * (center @ center) - (w * w).sum(axis=(-2, -1))
+    return M, linv_t, mu, r0
 
 
 def subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
-    """Per-subject GramStats about center (default: fit_gram's full-data solution), stacked over subjects.
+    """Per-subject GramStats about center (default: the full-data WLS solution), stacked over subjects.
 
     With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
-    and cross[i] are A_i'A_i and A_i'y_i; with e = y~ - A center, resid_sq[i]
-    is e_i'e_i and lever[i] is A_i'e_i = cross[i] - gram[i] center.
+    is A_i'A_i; with e = y~ - A center, resid_sq[i] is e_i'e_i and lever[i]
+    is A_i'e_i = A_i'y_i - gram[i] center.
     """
     design, response = whiten(bundle)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -242,26 +251,27 @@ def subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
         cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
     center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs) if center is None else center
     resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
-    lever = cross - gram @ center
-    return GramStats(counts, gram, cross, center, resid_sq, lever)
+    return GramStats(counts, gram, center, resid_sq, cross - gram @ center)
 
 
 def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
     """Solve every regression sum_i weights[b, i] stats[i] - less[b]; returns (sums, feasible, alpha, sigma2).
 
     n_obs holds the row counts.  The sums keep the per-subject center, which
-    sits near every solution, so sigma2 from rss does not cancel to noise on a
+    sits near every solution: each alpha is the center plus a step solved
+    from the summed lever, and sigma2 from rss does not cancel to noise on a
     near-exact fit; roundoff below zero is clamped.  Infeasible rows get NaN.
     """
     rows, n = weights.shape
     p = stats.center.size
-    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p), weights @ stats.cross,
+    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p),
                      stats.center, weights @ stats.resid_sq, weights @ stats.lever)
     if less is not None:
-        sums = GramStats(n_obs, sums.gram - less.gram, sums.cross - less.cross, stats.center,
+        sums = GramStats(n_obs, sums.gram - less.gram, stats.center,
                          sums.resid_sq - less.resid_sq, sums.lever - less.lever)
-    feasible, alpha = solve_gram(sums.gram, sums.cross)
+    feasible, step = solve_gram(sums.gram, sums.lever)
     feasible &= n_obs > p
+    alpha = stats.center + step
     alpha[~feasible] = np.nan
     # infeasible rows are scored at the center, so the whole chunk is scored without copying G
     wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))

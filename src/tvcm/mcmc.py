@@ -26,8 +26,8 @@ and no L^-T z_t depends on the chain: one stacked product computes them all
 into the draws buffer before the loop, and iteration t scales row t by
 sigma_t and adds mu in place, while the variance rate runs on Python floats.
 The chain is bit for bit that of one matrix-vector product per iteration
-(gibbs_rows in tests/oracles.py).  gibbs_from_stats runs on one GramStats
-centred at mu, whose M, L, mu and r0 frequentist.ridge_posterior forms, and
+(gibbs_rows in tests/oracles.py).  gibbs_from_stats takes M, L^-T, mu and r0
+from frequentist.ridge_posterior on a GramStats about any center, and
 dic_from_stats scores draws with GramStats.rss; gibbs and dic wrap them.
 """
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, WlsFit, gram_stats, linv_transpose, ridge_posterior, whiten  # re-exports whiten
+from .frequentist import GramStats, WlsFit, gram_stats, ridge_posterior, whiten  # re-exports whiten
 from .rng import as_generator
 
 DEFAULT_DRAWS = 2000
@@ -102,20 +102,19 @@ def gibbs(
     fixed_sigma2 pins the variance and skips its update, which makes the
     alpha draws independent samples from the exact Normal conditional.
     """
-    return gibbs_from_stats(gram_stats(Z, y, ridge=prior.ridge), prior, draws, burnin, rng, fixed_sigma2)
+    return gibbs_from_stats(gram_stats(Z, y), prior, draws, burnin, rng, fixed_sigma2)
 
 
 def gibbs_from_stats(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sigma2=None) -> PosteriorDraws:
-    """gibbs on statistics centred at the ridge solution for prior.ridge."""
+    """gibbs on the regression's statistics about any center."""
     if draws < 1 or burnin < 0:
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    M, L, mu, r0 = ridge_posterior(stats, prior.ridge)
+    # alpha = mu + sigma * L^-T z
+    M, linv_t, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
-    # alpha = mu + sigma * L^-T z; precompute L^-T once
-    linv_t = linv_transpose(L)
 
     total = draws + burnin
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0

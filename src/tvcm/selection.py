@@ -50,8 +50,6 @@ MAX_SWEEPS = 100
 # full enumeration is the default up to this many covariates and candidate knot counts
 FULL_GRID_MAX_COVARIATES = 2
 FULL_GRID_MAX_K = 10
-# candidates scored together; bounds the gathered bordered blocks at chunk x (p+1) x (p+1)
-CANDIDATE_CHUNK = 256
 # A weighted RSS of at most WRSS_ROUNDOFF (p + 1) s scores 0.  The bordered
 # factor is exact for M + dM with |dM| <= gamma_{p+1} |L||L'|, gamma_n ~ n eps / 2
 # (Higham 2002, Theorem 10.3).  The last diagonal entry of |L||L'| is
@@ -170,8 +168,9 @@ def _statistics_criterion(
         for size_p in np.unique(size[fits]):
             p = int(size_p) - 1
             group = np.flatnonzero(fits & (size == size_p))
-            for lo in range(0, len(group), CANDIDATE_CHUNK):
-                chunk = group[lo : lo + CANDIDATE_CHUNK]
+            # frequentist.STACK_CHUNK bounds the gathered bordered blocks at chunk x (p+1) x (p+1)
+            for lo in range(0, len(group), frequentist.STACK_CHUNK):
+                chunk = group[lo : lo + frequentist.STACK_CHUNK]
                 idx = np.nonzero(mask[chunk])[1].reshape(len(chunk), p + 1)
                 bordered = stats[idx[:, :, None], idx[:, None, :]]
                 feasible = gram_feasible(bordered[:, :p, :p])
@@ -324,13 +323,14 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
-    fold empties.  A wls fold's point is that solution; a vb fold's is the
-    ridge solution mu = (G + I/N')^-1 c of the same sums, which is VB's m*
-    exactly (vb's module docstring), so wls and vb draw nothing and read no
-    stream, whatever draws says.  Only gibbs runs fit_engine on each fold,
-    with its own stream, and takes the chain mean.  An unknown engine or a
-    negative draws or burnin raises ValueError before any fold work.
-    per_fold_crossval in tests/oracles.py is the oracle.
+    fold empties.  A wls fold's point is that solution; a vb fold's is
+    frequentist.ridge_posterior's mu for the prior's ridge 1/N' on the same
+    sums, which is VB's m* exactly (vb's module docstring), so wls and vb
+    draw nothing and read no stream, whatever draws says.  Only gibbs runs
+    fit_engine on each fold, on those sums, with its own stream, and takes
+    the chain mean.  An unknown engine or a negative draws or burnin raises
+    ValueError before any fold work.  per_fold_crossval in tests/oracles.py
+    is the oracle.
     """
     n_obs, n = data.n_obs, data.n_subjects
     if not 2 <= n_folds <= n_obs:
@@ -347,8 +347,8 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     bundle = build_design(data, specs)
     design, response = whiten(bundle)
     stats = subject_stats(bundle, data.counts, np.linalg.lstsq(design, response, rcond=None)[0])
-    # [a_j, y~_j, e_j]: one outer product gives a row's Gram, cross, lever and squared residual
-    rows = np.column_stack([design, response, response - design @ stats.center])
+    # [a_j, e_j]: one outer product gives a row's Gram, lever and squared residual
+    rows = np.column_stack([design, response - design @ stats.center])
     # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
     sizes = n_obs // n_folds + (np.arange(n_folds) < n_obs % n_folds)
     live = np.arange(sizes[0]) < sizes[:, None]
@@ -364,24 +364,18 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
         n_train = np.count_nonzero(kept, axis=1)[:, None]
         ratio = np.divide(n * data.counts, n_train * kept, out=np.zeros(kept.shape), where=kept > 0)
         outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
-        less = GramStats(None, outer[:, :p, :p], outer[:, :p, p], stats.center, outer[:, -1, -1], outer[:, :p, -1])
-        sums, feasible, alpha, _ = weighted_fits(stats, ratio, n_obs - sizes[span], less)
+        less = GramStats(None, outer[:, :p, :p], stats.center, outer[:, p, p], outer[:, :p, p])
+        sums, feasible, alpha, sigma2 = weighted_fits(stats, ratio, n_obs - sizes[span], less)
         for b in np.flatnonzero(~feasible):
             try:  # fit_gram applies the rule that failed and names it
-                fit_gram(sums.gram[b], sums.cross[b], int(sums.n_obs[b]))
+                fit_gram(sums.gram[b], sums.lever[b], int(sums.n_obs[b]))
             except (SingularDesignError, InsufficientDataError) as exc:
                 raise SelectionError(f"fold {lo + b} is infeasible: {exc}") from exc
-        if engine != "wls":
-            # each fold's ridge solution for the prior's ridge 1/N': vb's m*, the centre gibbs samples about
-            mu = np.linalg.solve(sums.gram + np.eye(p) / sums.n_obs[:, None, None], sums.cross[..., None])[..., 0]
         if engine == "vb":
-            alpha = mu
+            alpha = frequentist.ridge_posterior(sums, 1.0 / sums.n_obs)[2]
         for b in range(folds) if engine == "gibbs" else ():
-            # base_fit's statistics, recentred at mu
-            n_fit, gram, cross = int(sums.n_obs[b]), sums.gram[b], sums.cross[b]
-            fold = GramStats(n_fit, gram, cross, stats.center, sums.resid_sq[b], sums.lever[b])
-            fold = GramStats(n_fit, gram, cross, mu[b], fold.rss(mu[b]), cross - gram @ mu[b])
-            base = BaseFit(None, fold, alpha[b], float(fold.rss(alpha[b])) / (n_fit - p))
+            fold = GramStats(int(sums.n_obs[b]), sums.gram[b], stats.center, sums.resid_sq[b], sums.lever[b])
+            base = BaseFit(None, fold, alpha[b], float(sigma2[b]))
             alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
         preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
         total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))

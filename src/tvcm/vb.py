@@ -20,8 +20,8 @@ The objective, which elbo in tests/oracles.py evaluates at any state, is
                                   + tr(M V*)) / 2 ]
 
 where psi is the digamma function.  At the state a sweep just produced the
-bracket equals b* and log det(V*) = p log(b_prev/a*) - 2 sum log L_ii, with
-L the Cholesky factor of M, so elbo_trace records the closed form
+bracket equals b* and log det(V*) = p log(b_prev/a*) + 2 sum log (L^-T)_ii,
+with L the Cholesky factor of M, so elbo_trace records the closed form
 const + (a* + 2) log b* + (p/2) log(b_prev/a*).
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .bootstrap import DrawSource, PosteriorDraws
 from .errors import NumericalError
-from .frequentist import GramStats, gram_stats, linv_transpose, ridge_posterior
+from .frequentist import GramStats, gram_stats, ridge_posterior
 from .mcmc import PriorSpec
 from .rng import as_generator
 
@@ -114,18 +114,18 @@ def vb_fit(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VariationalPosterior:
     """Run coordinate ascent from b* = b_sigma until the objective gain drops below tol."""
-    return vb_fit_from_stats(gram_stats(Z, y, ridge=prior.ridge), prior, tol, max_iters)
+    return vb_fit_from_stats(gram_stats(Z, y), prior, tol, max_iters)
 
 
 def vb_fit_from_stats(stats: GramStats, prior: PriorSpec, tol: float, max_iters: int) -> VariationalPosterior:
-    """vb_fit on statistics centred at the ridge solution for prior.ridge."""
+    """vb_fit on the regression's statistics about any center."""
     if tol <= 0 or max_iters < 1:
         raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, {max_iters}")
-    _, L, mu, r0 = ridge_posterior(stats, prior.ridge)
+    _, linv_t, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
     # a* (1 + log b*) - (a*/b*) bracket = a* log b* once the bracket is b*
-    const = _objective_constant(n_obs, p, prior, a_star) - np.sum(np.log(np.diag(L)))
+    const = _objective_constant(n_obs, p, prior, a_star) + np.sum(np.log(np.diag(linv_t)))
     b_star = prior.b_sigma
     trace: list[float] = []
     converged = False
@@ -138,7 +138,6 @@ def vb_fit_from_stats(stats: GramStats, prior: PriorSpec, tol: float, max_iters:
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             converged = True
             break
-    linv_t = linv_transpose(L)
     return VariationalPosterior(
         m_star=mu,
         V_star=(b_prev / a_star) * (linv_t @ linv_t.T),

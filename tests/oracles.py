@@ -11,8 +11,9 @@ closed-form trace, build_design's shared basis evaluations,
 cli._write_curves's column templates, mcmc.gibbs_from_stats's stacked
 L^-T z_t, and crossval_amse's per-subject statistics, which
 frequentist.subject_stats builds and frequentist.weighted_fits sums and
-solves.  gibbs_rows and elbo read M, L, mu and r0 from
-frequentist.ridge_posterior, as the library does.
+solves.  gibbs_rows and elbo read M, L^-T, mu and r0 from
+frequentist.ridge_posterior on statistics about any center, as the library
+does.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from tvcm.errors import (
     SelectionError,
     SingularDesignError,
 )
-from tvcm.frequentist import GramStats, fit_wls, gram_stats, linv_transpose, predict_rows, ridge_posterior
+from tvcm.frequentist import GramStats, fit_wls, gram_stats, predict_rows, ridge_posterior
 from tvcm.mcmc import DEFAULT_BURNIN, PriorSpec
 from tvcm.rng import as_generator
 from tvcm.selection import pcv
@@ -51,7 +52,7 @@ def candidate_pcv(data, family, degree, combo, weights, bandwidth=None, placemen
 
 def elbo(post: VariationalPosterior, Z: np.ndarray, y: np.ndarray, prior: PriorSpec) -> float:
     """Objective value at an arbitrary variational state."""
-    M, _, mu, r0 = ridge_posterior(gram_stats(Z, y, ridge=prior.ridge), prior.ridge)
+    M, _, mu, r0 = ridge_posterior(gram_stats(Z, y), prior.ridge)
     a_star, b_star, d = post.a_star, post.b_star, post.m_star - mu
     # ||y~ - Z~ m||^2 + ridge ||m||^2 = r0 + (m - mu)' M (m - mu), since M mu = Z~'y~
     bracket = prior.b_sigma + 0.5 * (r0 + d @ (M @ d) + np.einsum("ij,ji->", M, post.V_star))
@@ -96,11 +97,10 @@ def gibbs_rows(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sig
         raise ValueError(f"need draws >= 1 and burnin >= 0, got {draws}, {burnin}")
     if fixed_sigma2 is not None and not fixed_sigma2 > 0:
         raise ValueError(f"fixed_sigma2 must be positive, got {fixed_sigma2}")
-    M, L, mu, r0 = ridge_posterior(stats, prior.ridge)
+    # alpha = mu + sigma * L^-T z
+    M, linv_t, mu, r0 = ridge_posterior(stats, prior.ridge)
     n_obs, p = stats.n_obs, mu.size
     gen, seed = as_generator(rng)
-    # alpha = mu + sigma * L^-T z; precompute L^-T once
-    linv_t = linv_transpose(L)
 
     total = draws + burnin
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0

@@ -358,7 +358,8 @@ class TestSubjectStats:
         gram, cross = _loop_subject_blocks(bundle, data.counts)
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
                                    atol=1e-14 * np.abs(gram).max())
-        np.testing.assert_allclose(stats.cross, cross, rtol=1e-14,
+        lever = cross - gram @ stats.center
+        np.testing.assert_allclose(stats.lever, lever, rtol=1e-14,
                                    atol=1e-14 * np.abs(cross).max())
 
 

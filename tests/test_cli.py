@@ -2,18 +2,25 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvcm
+import tvcm.errors
 from tvcm import gen_scenario1, ingest_csv, write_csv
 from tvcm import cli
 from tvcm.basis import BasisSpec, basis_matrix, split_alpha
@@ -766,6 +773,27 @@ class TestOptionsAndErrors:
         assert payload == {"error": "ValueError", "message": named}
         assert not list(tmp_path.iterdir())
 
+    def test_negative_time_domain_bound_parses_as_a_value(self, demo_csv,
+                                                          tmp_path, capsys):
+        """--time-domain -1,130 reaches the domain parser as --time-domain=-1,130
+        does, and writes the same select.json; fit, select and crossval each
+        name a non-finite bound given either way."""
+        outs = []
+        for form in (["--time-domain", "-1,130"], ["--time-domain=-1,130"], []):
+            outs.append(tmp_path / f"select{len(outs)}.json")
+            code, _ = _run(["select", "--data", str(demo_csv), "--kmax", "2",
+                            *form, "--out", str(outs[-1])], capsys)
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() != outs[2].read_bytes()
+        for command in ("fit", "select", "crossval"):
+            out = tmp_path / ("run" if command == "fit" else f"{command}.json")
+            code, payload = _run([command, "--data", str(demo_csv), "--time-domain",
+                                  "-inf,130", "--out", str(out)], capsys)
+            assert code == 1
+            assert payload == {"error": "ValueError",
+                               "message": "--time-domain bounds must be finite, got '-inf,130'"}
+
     @pytest.mark.parametrize("command, args, named", [
         ("fit", ["--out", "{tmp}/file"], "--out '{tmp}/file' is not a directory and cannot be made one"),
         ("fit", ["--out", "{tmp}/file/run"],
@@ -958,3 +986,86 @@ def test_artifacts_match_golden(demo_csv, tmp_path):
         moved = {key: (got[name][key], value) for key, value in record.items()
                  if not _close(got[name][key], value)}
         assert not moved, f"{name}: {moved}"
+
+
+# ---------------------------------------------------------------------------
+# Any small panel and any options within their flags' types
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _cli_runs(draw):
+    """(csv text, command, its arguments) for a 1-6 subject panel whose times
+    may tie or be constant on a scale of 1e-3 to 1e3, with constant
+    covariates possible, and options of each flag's type for fit, select and
+    crossval, the time domain's lower bound possibly negative."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    n_obs, n_cov = sum(counts), draw(st.integers(0, 2))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    ticks = st.integers(0, 5) if draw(st.booleans()) else st.just(1)
+    times = [scale * draw(ticks) for _ in range(n_obs)]
+    cells = st.floats(-5, 5, allow_nan=False, width=16)
+    columns = [draw(st.lists(cells, min_size=n_obs, max_size=n_obs))]
+    for _ in range(n_cov):
+        columns.append([draw(cells)] * n_obs if draw(st.booleans())
+                       else draw(st.lists(cells, min_size=n_obs, max_size=n_obs)))
+    subjects = [f"s{i}" for i, c in enumerate(counts) for _ in range(c)]
+    header = ",".join(["subject", "time", "y"] + [f"x{j + 1}" for j in range(n_cov)])
+    rows = [",".join([sid, repr(t), *(repr(col[r]) for col in columns)])
+            for r, (sid, t) in enumerate(zip(subjects, times))]
+    command = draw(st.sampled_from(["fit", "select", "crossval"]))
+    # now and then one option falls outside its range, as a typo would
+    typo = draw(st.sampled_from(["--degree", "--kmax", "--draws", "--burnin", "--boot", "--grid", "--folds",
+                                 "--level", "--bandwidth"])) if draw(st.integers(0, 9)) == 9 else None
+
+    def option(flag, low, high, values=st.integers):
+        return [flag, repr(low - 1 if flag == typo else draw(values(low, high)))]
+
+    family = draw(st.sampled_from(["radial", "tpower"]))
+    args = ["--family", family, *option("--degree", 0, 3), *option("--kmax", 0, 3),
+            "--strategy", draw(st.sampled_from(["auto", "full", "coordinate"])),
+            "--seed", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        low, high = -draw(st.integers(0, 3)), draw(st.integers(4, 7))
+        args += ["--time-domain", f"{scale * low!r},{scale * high!r}"]
+    knots = st.one_of(st.integers(0, 3).map(str), st.just("auto"),
+                      st.lists(st.integers(0, 2).map(str), min_size=1, max_size=3).map(",".join))
+    if command == "fit":
+        args += ["--engine", draw(st.sampled_from(["wls", "gibbs", "vb"])), "--knots", draw(knots),
+                 "--placement", draw(st.sampled_from(["equal", "quantile"])), *option("--draws", 0, 30),
+                 *option("--burnin", 0, 10), *option("--boot", 0, 20), *option("--grid", 1, 12),
+                 *option("--level", 0.05, 0.95, st.floats)]
+        if family == "radial" and draw(st.booleans()) or typo == "--bandwidth":
+            args += option("--bandwidth", 1e-5, 10.0, st.floats)
+    elif command == "crossval":
+        args += ["--engine", draw(st.sampled_from(["wls", "gibbs", "vb"])), "--knots", draw(knots),
+                 *option("--folds", 2, 8), *option("--draws", 0, 10), *option("--burnin", 0, 5)]
+    return "\n".join([header, *rows]) + "\n", command, args
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(run=_cli_runs())
+def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
+    """fit, select and crossval either succeed (fit with finite alpha and
+    sigma2) or exit 1 with one JSON line naming a TvcmError, or a ValueError
+    that names a --flag: never a traceback or another exception type."""
+    text, command, args = run
+    folder = tmp_path_factory.mktemp("panel")
+    (folder / "panel.csv").write_text(text)
+    out = folder / ("fit" if command == "fit" else f"{command}.json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # calibrated_prior's zero-variance warning, overflow
+        code = main([command, "--data", str(folder / "panel.csv"), *args, "--out", str(out)])
+    [line] = stdout.getvalue().splitlines()
+    payload = json.loads(line)
+    if code == 0:
+        if command == "fit":
+            fit = json.loads((out / "fit.json").read_text())
+            values = [v for block in fit["alpha"].values() for v in block] + [fit["sigma2"]]
+            assert all(isinstance(v, float) and np.isfinite(v) for v in values), fit
+        return
+    assert code == 1
+    error = getattr(tvcm.errors, payload["error"], None)
+    typed = isinstance(error, type) and issubclass(error, tvcm.errors.TvcmError)
+    assert typed or (payload["error"] == "ValueError" and re.search(r"--[a-z]", payload["message"])), payload

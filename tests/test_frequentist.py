@@ -10,8 +10,8 @@ from tvcm import LongitudinalDataset, frequentist, gen_scenario2
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
-from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_stats, predict_rows,
-                              solve_gram)
+from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_feasible, gram_stats,
+                              predict_rows, solve_gram)
 
 from conftest import exact_response_dataset, single_subject
 
@@ -162,10 +162,21 @@ class TestGramStats:
     def test_default_center_is_ridge_solution(self):
         rng = np.random.default_rng(6)
         Z, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
-        stats = gram_stats(Z, y, ridge=0.5)
-        np.testing.assert_allclose((Z.T @ Z + 0.5 * np.eye(3)) @ stats.center,
+        stats = gram_stats(Z, y)
+        np.testing.assert_allclose((Z.T @ Z + np.eye(3) / 30) @ stats.center,
                                    Z.T @ y, rtol=1e-12)
         assert stats.rss(stats.center) == stats.resid_sq
+
+    def test_default_center_never_raises(self):
+        """A singular Gram matrix gets a finite default center, and one that
+        overflows gets the center 0, which gram_feasible then refuses."""
+        t = np.linspace(1.0, 2.0, 6)
+        singular = gram_stats(np.column_stack([t, t, t**2]), t)
+        assert np.isfinite(singular.center).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = gram_stats(np.column_stack([np.ones(6), 1e200 * t]), t)
+        np.testing.assert_array_equal(overflow.center, 0.0)
+        assert not gram_feasible(overflow.gram[None])[0]
 
     def test_stacked_rss_with_zero_d_rows(self):
         """Subject statistics summed with copy counts, as a bootstrap
@@ -183,8 +194,8 @@ class TestGramStats:
             stacked = np.array([getattr(s, name) for s in subjects])
             return np.tensordot(copies, stacked, axes=1)
 
-        reps = GramStats(summed("n_obs"), summed("gram"), summed("cross"),
-                         center, summed("resid_sq"), summed("lever"))
+        reps = GramStats(summed("n_obs"), summed("gram"), center,
+                         summed("resid_sq"), summed("lever"))
         betas = rng.standard_normal((3, p))
         betas[1] = center
         expected = []

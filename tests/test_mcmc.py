@@ -15,7 +15,7 @@ from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.engines import fit_engine
 from tvcm.errors import NumericalError
-from tvcm.frequentist import WlsFit, fit_wls, gram_stats, ridge_posterior
+from tvcm.frequentist import WlsFit, fit_gram, fit_wls, gram_stats, ridge_posterior
 from tvcm.mcmc import (PriorSpec, default_prior, dic, dic_from_stats, gibbs, gibbs_from_stats,
                        whiten)
 
@@ -194,29 +194,53 @@ class TestRidgePosterior:
     def test_statistics_match_definitions(self):
         _, Zt, yt = _whitened_scenario()
         ridge = 1.0 / Zt.shape[0]
-        stats = gram_stats(Zt, yt, ridge=ridge)
-        M, L, mu, r0 = ridge_posterior(stats, ridge)
-        np.testing.assert_allclose(M, Zt.T @ Zt + ridge * np.eye(Zt.shape[1]))
+        stats = gram_stats(Zt, yt)
+        M, linv_t, mu, r0 = ridge_posterior(stats, ridge)
+        p = Zt.shape[1]
+        np.testing.assert_allclose(M, Zt.T @ Zt + ridge * np.eye(p))
+        np.testing.assert_array_equal(linv_t, np.triu(linv_t))
+        L = np.linalg.inv(linv_t.T)
         np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
         np.testing.assert_allclose(M @ mu, Zt.T @ yt, rtol=1e-9)
         resid = yt - Zt @ mu
         assert r0 == pytest.approx(resid @ resid + ridge * (mu @ mu),
                                    rel=1e-12)
-        # the statistics themselves, about the center mu
+        # the statistics themselves, about the default center
         assert stats.n_obs == Zt.shape[0]
-        np.testing.assert_array_equal(stats.center, mu)
-        np.testing.assert_allclose(stats.cross, Zt.T @ yt, rtol=1e-12)
+        resid = yt - Zt @ stats.center
         assert stats.resid_sq == pytest.approx(resid @ resid, rel=1e-12)
         np.testing.assert_allclose(stats.lever, Zt.T @ resid, rtol=1e-12)
+
+    def test_any_center_gives_the_same_posterior(self, oracle_problems):
+        """Statistics about gram_stats's default center, the WLS solution
+        and a random point near it give ridge_posterior the same M, mu and
+        r0 within 1e-10 relative, vb_fit_from_stats the same m*, and
+        gibbs_from_stats at one seed draws within 1e-9 of the largest draw."""
+        Zt, yt, prior = oracle_problems["demo"]
+        default = gram_stats(Zt, yt)
+        wls = default.center + fit_gram(default.gram, default.lever, yt.size)
+        near = wls * (1.0 + 1e-3 * np.random.default_rng(3).standard_normal(wls.size))
+
+        def fits(stats):
+            M, _, mu, r0 = ridge_posterior(stats, prior.ridge)
+            m_star = tvcm.vb.vb_fit_from_stats(stats, prior, 1e-6, 500).m_star
+            draws = gibbs_from_stats(stats, prior, 200, 50, 5).alpha_draws
+            return M, mu, np.atleast_1d(r0), m_star, draws
+
+        want = fits(default)
+        for center in (wls, near):
+            got = fits(gram_stats(Zt, yt, center))
+            for g, w, rel in zip(got, want, (1e-10,) * 4 + (1e-9,)):
+                assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
 
     def test_failed_factorization_is_numerical_error(self):
         Z = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="Cholesky"):
-            gram_stats(Z, np.ones(3), ridge=-1.0)
+            ridge_posterior(gram_stats(Z, np.ones(3)), -1.0)
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError, match="Z must be"):
-            gram_stats(np.ones((3, 2)), np.ones(2), ridge=1.0)
+            gram_stats(np.ones((3, 2)), np.ones(2))
 
     def test_engines_share_the_core(self, monkeypatch):
         """gibbs, vb_fit and elbo each reach the statistics through one
@@ -255,9 +279,9 @@ def _loop_gibbs(Z, y, prior, draws, burnin, rng, fixed_sigma2=None):
     n_obs, p = Z.shape
     M = Z.T @ Z + prior.ridge * np.eye(p)
     L = np.linalg.cholesky(M)
-    # the library's L^-T and its center L^-T (L^-1 Z'y), computed by SciPy
+    # the library's L^-T, computed by SciPy, and the library's mu
     linv_t = np.ascontiguousarray(solve_triangular(L.T, np.eye(p)))
-    mu = linv_t @ (linv_t.T @ (Z.T @ y))
+    mu = ridge_posterior(gram_stats(Z, y), prior.ridge)[2]
     total = draws + burnin
     a_star = prior.a_sigma + n_obs / 2.0 + p / 2.0
     gammas = gen.standard_gamma(a_star, size=total)
@@ -334,7 +358,7 @@ class TestOracles:
         Zt, yt, prior = oracle_problems[panel]
         if fixed_sigma2 is not None:
             fixed_sigma2 *= prior.b_sigma
-        stats = gram_stats(Zt, yt, ridge=prior.ridge)
+        stats = gram_stats(Zt, yt)
         got = gibbs_from_stats(stats, prior, 400, 100, 19, fixed_sigma2)
         want = oracles.gibbs_rows(stats, prior, 400, 100, 19, fixed_sigma2)
         assert got.alpha_draws.tobytes() == want.alpha_draws.tobytes()
@@ -343,10 +367,12 @@ class TestOracles:
 
     @pytest.mark.parametrize("panel", ["scenario2", "demo"])
     def test_triangular_inverses_match_scipy(self, oracle_problems, panel):
-        """L^-T and V* from NumPy's inverse of L' agree with SciPy's
-        triangular and Cholesky solves to 1e-13 relative.  The ridge center
-        gets 1e-12: with cond(M) near 1e10 here, cho_solve itself sits 1e-13
-        to 7e-13 from a 40-digit solution, and the two differ by up to 2.3e-13."""
+        """L^-T, mu and V* from NumPy's inverse of L' agree with SciPy's
+        triangular and Cholesky solves to 1e-13 relative.  mu, a step from
+        gram_stats's center, is checked against cho_solve refined by one step
+        with residuals from the rows: with cond(M) near 1e10 here, cho_solve
+        alone sits 1.1e-12 to 3.2e-12 from a long-double solution, mu and the
+        refined cho_solve within 1e-14."""
         Zt, yt, prior = oracle_problems[panel]
         p = Zt.shape[1]
         L = np.linalg.cholesky(Zt.T @ Zt + prior.ridge * np.eye(p))
@@ -354,10 +380,11 @@ class TestOracles:
         def assert_close(got, ref, rel=1e-13):
             assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
-        assert_close(tvcm.frequentist.linv_transpose(L),
-                     solve_triangular(L.T, np.eye(p)))
-        center = gram_stats(Zt, yt, ridge=prior.ridge).center
-        assert_close(center, cho_solve((L, True), Zt.T @ yt), rel=1e-12)
+        _, linv_t, mu, _ = ridge_posterior(gram_stats(Zt, yt), prior.ridge)
+        assert_close(linv_t, solve_triangular(L.T, np.eye(p)))
+        ref = cho_solve((L, True), Zt.T @ yt)
+        ref += cho_solve((L, True), Zt.T @ (yt - Zt @ ref) - prior.ridge * ref)
+        assert_close(mu, ref)
         # one sweep leaves V* = (b_sigma / a*) M^-1
         post = tvcm.vb.vb_fit(Zt, yt, prior, max_iters=1)
         assert_close(post.V_star, (prior.b_sigma / post.a_star)
@@ -375,11 +402,11 @@ class TestOracles:
     @pytest.mark.parametrize("panel", ["scenario2", "demo"])
     def test_dic_from_fit_stats_matches_residual_matrix(self, oracle_problems,
                                                         panel):
-        """DIC from the statistics a fit builds, centred at the ridge
-        solution rather than the draws' mean, against the residual matrix
-        and against the public dic."""
+        """DIC from the statistics a fit builds, about gram_stats's default
+        center rather than the draws' mean, against the residual matrix and
+        against the public dic."""
         Zt, yt, prior = oracle_problems[panel]
-        stats = gram_stats(Zt, yt, ridge=prior.ridge)
+        stats = gram_stats(Zt, yt)
         draws = gibbs(Zt, yt, prior, draws=1000, burnin=100, rng=4)
         value, p_dic = dic_from_stats(draws, stats)
         ref_value, ref_p = _loop_dic(draws, Zt, yt)

@@ -18,10 +18,12 @@ from tvcm import (
     ingest_csv,
     subject_uniform_weights,
 )
-from tvcm import selection
+from tvcm import frequentist, selection
 from tvcm.basis import build_design, make_spec
 from tvcm.errors import KnotError, SelectionError, SingularDesignError, TvcmError
-from tvcm.frequentist import WlsFit, fit_wls, gram_feasible
+from tvcm.frequentist import GramStats, WlsFit, fit_wls, gram_feasible, ridge_posterior
+from tvcm.mcmc import calibrated_prior
+from tvcm.vb import vb_fit_from_stats
 from tvcm.selection import (
     _bordered_wrss,
     _statistics_criterion,
@@ -383,7 +385,7 @@ class TestKnotSearchOracle:
         for panel in ("scenario2", "demo"):
             data = panels[panel]
             want = knot_search(data, "radial", 2, 4, "full")
-            monkeypatch.setattr(selection, "CANDIDATE_CHUNK", 3)
+            monkeypatch.setattr(frequentist, "STACK_CHUNK", 3)
             monkeypatch.setattr(selection, "gram_feasible", counting_feasible)
             assert knot_search(data, "radial", 2, 4, "full") == want
             monkeypatch.undo()
@@ -662,6 +664,32 @@ class TestCrossval:
             gen = np.random.default_rng(9)
             assert crossval_amse(data, specs, folds, rng=gen, engine=engine, draws=50) == value
             assert gen.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_vb_fold_point_is_m_star(self, demo_csv, monkeypatch):
+        """A vb fold's point, from one ridge_posterior call on the stacked
+        fold sums, equals vb_fit_from_stats's m* on that fold's statistics
+        alone, bit for bit."""
+        demo = ingest_csv(demo_csv)
+        scenario, _ = gen_scenario1(10, np.random.default_rng(2), m=6)
+        problems = [(demo, tuple(make_spec("tpower", 2, 2, demo.time_domain)
+                                 for _ in range(demo.covariate_dim + 1)), 5),
+                    (scenario, (make_spec("radial", 2, 1, scenario.time_domain),), scenario.n_obs)]
+        for data, specs, n_folds in problems:
+            calls = []
+
+            def recorded(stats, ridge):
+                calls.append((stats, ridge_posterior(stats, ridge)))
+                return calls[-1][1]
+
+            monkeypatch.setattr(frequentist, "ridge_posterior", recorded)
+            crossval_amse(data, specs, n_folds, rng=9, engine="vb")
+            monkeypatch.undo()
+            [(sums, (_, _, points, _))] = calls
+            assert points.shape == (n_folds, sum(spec.n_terms for spec in specs))
+            for b, point in enumerate(points):
+                fold = GramStats(int(sums.n_obs[b]), sums.gram[b], sums.center, sums.resid_sq[b], sums.lever[b])
+                post = vb_fit_from_stats(fold, calibrated_prior(1.0, fold.n_obs), 1e-6, 500)
+                assert post.m_star.tobytes() == point.tobytes()
 
     def test_unknown_engine_rejected(self, demo_csv):
         """A bad engine, draws or burnin raises ValueError before any fold
