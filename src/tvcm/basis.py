@@ -94,8 +94,8 @@ def place_knots_equal(domain: tuple[float, float], k: int) -> tuple[float, ...]:
     if k == 0:
         return ()
     a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise KnotError(f"degenerate time domain {domain} cannot hold {k} knots")
+    if not 0 < b - a < np.inf:
+        raise KnotError(f"time domain {domain} cannot hold {k} knots: its width b - a must be positive and finite")
     return tuple(a + (b - a) * l / (k + 1) for l in range(1, k + 1))
 
 
@@ -110,17 +110,17 @@ def place_knots_quantile(times, k: int) -> tuple[float, ...]:
         raise KnotError("need at least two observation times for quantile knots")
     probs = np.arange(1, k + 1) / (k + 1)
     knots = np.quantile(times, probs, method="linear")
-    if np.any(np.diff(knots) <= 0):
+    if np.any(knots[1:] <= knots[:-1]):
         raise KnotError(f"tied quantile knots for k={k}; reduce k or use equal spacing")
     return tuple(float(v) for v in knots)
 
 
 def default_bandwidth(domain: tuple[float, float], k: int) -> float:
-    """Kernel bandwidth matched to the equal knot spacing, (b-a)/(k+1)."""
-    a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        return 1.0
-    return (b - a) / (k + 1)
+    """Kernel bandwidth matched to the equal knot spacing, (b-a)/(k+1); 1 on a degenerate domain."""
+    width = float(domain[1]) - float(domain[0])
+    if width == np.inf:
+        raise KnotError(f"time domain {domain} is too wide for a radial bandwidth: b - a overflows")
+    return width / (k + 1) if width > 0 else 1.0
 
 
 def make_spec(

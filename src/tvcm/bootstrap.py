@@ -10,11 +10,12 @@ master generator, right after attempt j - 1's.
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
 bootstrap_fit therefore stacks each subject's whitened statistics once with
-frequentist.subject_stats, which refuses an infeasible design before any
-resampling, and frequentist.weighted_fits solves STACK_CHUNK replicates at
-a time with copy counts as weights.  A replicate costs O(n p^2 + p^3)
-whatever the number of observations.  resample_subjects followed by a QR
-fit_wls is the per-replicate reference path and stays as the test oracle.
+frequentist.subject_stats about base_fit's alpha_hat, whose solve refuses an
+infeasible design before any resampling, and frequentist.weighted_fits
+solves STACK_CHUNK replicates at a time as steps from it, with copy counts
+as weights.  A replicate costs O(n p^2 + p^3) whatever the number of
+observations.  resample_subjects followed by a QR fit_wls is the
+per-replicate reference path and stays as the test oracle.
 Intervals come from central_quantiles and sorted_quantiles.
 """
 
@@ -27,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from . import frequentist
-from .basis import DesignBundle, build_design
 from .data import LongitudinalDataset
 from .errors import BootstrapDegeneracyError
 from .rng import as_generator
@@ -196,7 +196,7 @@ def bootstrap_fit(
     specs,
     n_draws: int,
     rng,
-    bundle: DesignBundle | None = None,
+    base: frequentist.BaseFit | None = None,
 ) -> PosteriorDraws:
     """Collect n_draws successful replicate fits.
 
@@ -205,15 +205,15 @@ def bootstrap_fit(
     the draws equal those of resample_subjects(data, gen) called once per
     attempt in order; each chunk of up to frequentist.STACK_CHUNK attempts is
     one gen.integers call.  Draws are kept in attempt-index order, and the
-    returned draws record the attempts made.  bundle, when given, is the
-    design of (data, specs), which saves building it again.
+    returned draws record the attempts made.  base, when given, is
+    frequentist.base_fit(data, specs), which is built here otherwise.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen, seed = as_generator(rng)
-    if bundle is None:
-        bundle = build_design(data, specs)
-    stats = frequentist.subject_stats(bundle, data.counts)
+    if base is None:
+        base = frequentist.base_fit(data, specs)
+    stats = frequentist.subject_stats(base.bundle, data.counts, base.alpha_hat)
 
     n = data.n_subjects
     cap = REDRAW_FACTOR * n_draws

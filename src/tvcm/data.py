@@ -72,7 +72,7 @@ class LongitudinalDataset:
             arrays[name] = arr
         times = arrays["times"]
         index = np.repeat(np.arange(len(ids)), counts)
-        unsorted = np.flatnonzero((np.diff(times) < 0) & (index[1:] == index[:-1]))
+        unsorted = np.flatnonzero((times[1:] < times[:-1]) & (index[1:] == index[:-1]))
         if unsorted.size:
             raise DataError(f"subject {ids[index[unsorted[0]]]!r} times are not sorted")
         t_min, t_max = float(times.min()), float(times.max())
@@ -173,8 +173,8 @@ def _parse_csv(fh, label, time_domain) -> LongitudinalDataset:
     codes = np.repeat(codes, np.diff(heads, append=raw_ids.size))
     # rows already grouped in first-seen order and time-sorted within each subject keep
     # their order, as the stable lexsort below would leave them (ties keep file order)
-    step, rise = np.diff(codes), np.diff(values[:, 0])
-    if not np.all((step > 0) | ((step == 0) & (rise >= 0))):
+    step, t = np.diff(codes), values[:, 0]
+    if not np.all((step > 0) | ((step == 0) & (t[1:] >= t[:-1]))):
         values = values[np.lexsort((values[:, 0], codes))]
     return LongitudinalDataset(
         tuple(first_seen), np.bincount(codes), values[:, 0], values[:, 1], values[:, 2:], time_domain

@@ -4,12 +4,11 @@ Given a dataset and basis specs, fit_engine produces a point estimate of the
 stacked coefficients plus optional draws, timing only the inference stage
 (bootstrap replicates, sampler iterations including burn-in, or variational
 optimization plus sampling) so the engines can be compared on equal terms.
-The engine-independent prefix is base_fit: the design, one whitened
-frequentist.GramStats, the WLS estimate (its center plus fit_gram's step)
-and sigma2_hat (GramStats.rss).
-mcmc.gibbs_from_stats, vb.vb_fit_from_stats and DIC read the same statistics.
-A caller fitting several engines to one design, as simgen.run_replications
-does, builds the BaseFit once and passes it to each fit_engine call.
+The engine-independent prefix is frequentist.base_fit, the one full-data
+WLS fit, which the bootstrap steps from and whose statistics the Gibbs, VB
+and DIC code read; no engine solves it again.  A caller fitting several
+engines to one design, as simgen.run_replications does, builds the BaseFit
+once and passes it to each fit_engine call.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DesignBundle, build_design
 from .bootstrap import PosteriorDraws, bootstrap_fit
 from .data import LongitudinalDataset
-from .frequentist import GramStats, fit_gram, gram_stats, whiten
+from .frequentist import BaseFit, GramStats, base_fit
 from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, calibrated_prior, gibbs_from_stats
 from .vb import DEFAULT_MAX_ITERS, DEFAULT_TOL, vb_fit_from_stats, vb_sample
 
@@ -33,33 +31,12 @@ ENGINES = ("wls", "gibbs", "vb")
 class EngineResult:
     engine: str
     alpha: np.ndarray
-    # the WLS noise variance estimate (N - p denominator) that calibrates the priors
-    sigma2_hat: float
+    sigma2_hat: float  # base_fit's WLS noise variance estimate, which calibrates the priors
     draws: PosteriorDraws | None
     sampling_seconds: float
     extra: dict = field(default_factory=dict)
     # the whitened fit's statistics, read by DIC
     stats: GramStats | None = None
-
-
-@dataclass(frozen=True)
-class BaseFit:
-    """What every engine reads: the design, its whitened statistics, the WLS fit."""
-
-    bundle: DesignBundle | None  # None for a cross-validation fold, which has no design
-    stats: GramStats
-    alpha_hat: np.ndarray
-    # the WLS noise variance estimate (N - p denominator) that calibrates the priors
-    sigma2_hat: float
-
-
-def base_fit(data: LongitudinalDataset, specs) -> BaseFit:
-    """The engine-independent prefix of fit_engine; raises as fit_gram does."""
-    bundle = build_design(data, specs)
-    n_obs, p = bundle.Z.shape
-    stats = gram_stats(*whiten(bundle))
-    alpha_hat = stats.center + fit_gram(stats.gram, stats.lever, n_obs)
-    return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (n_obs - p))
 
 
 def fit_engine(
@@ -87,7 +64,7 @@ def fit_engine(
         if draws == 0:
             return EngineResult("wls", alpha_hat, sigma2_hat, None, 0.0, stats=stats)
         start = time.perf_counter()
-        boot = bootstrap_fit(data, specs, draws, rng, bundle=base.bundle)
+        boot = bootstrap_fit(data, specs, draws, rng, base=base)
         elapsed = time.perf_counter() - start
         tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
         return EngineResult("wls", alpha_hat, sigma2_hat, boot, elapsed, {"bootstrap": tries}, stats=stats)

@@ -2,11 +2,12 @@
 
 Production fits solve min_alpha (y - Z alpha)' W (y - Z alpha) from Gram
 statistics under one singularity rule, gram_feasible: fit_gram for one
-system, solve_gram for stacks; the QR fit_wls is their test oracle.  The
-noise variance estimate divides the weighted residual sum of squares by
-N - p, and the weighted hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when
-feasible.  Every engine reads the Gram-statistics kernel here: GramStats,
-ridge_posterior, subject_stats and weighted_fits, STACK_CHUNK at a time.
+system, solve_gram for stacks; the QR fit_wls is their test oracle, and its
+hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit
+solves the full-data fit once, a step from gram_stats's center, with
+sigma2_hat = GramStats.rss / (N - p); nothing solves it again.  Every
+engine reads its GramStats, and the bootstrap centres subject_stats at its
+alpha_hat; ridge_posterior and weighted_fits work STACK_CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBundle, basis_matrix, split_alpha
+from .basis import BasisSpec, DesignBundle, basis_matrix, build_design, split_alpha
 from .errors import InsufficientDataError, NumericalError, SingularDesignError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
@@ -100,11 +101,14 @@ class GramStats:
     lever: np.ndarray
 
     def rss(self, beta) -> np.ndarray:
-        """||y~ - Z~ beta||^2 = e'e - 2 d'Z~'e + d'Z~'Z~ d with d = beta - center, exact for any center."""
+        """||y~ - Z~ beta||^2 = e'e - 2 d'Z~'e + d'Z~'Z~ d with d = beta - center, exact for any center.
+
+        On a near-exact fit the sum is roundoff of either sign; below zero it is clamped to 0.
+        """
         d = beta - self.center
         d_lever = np.einsum("...j,...j->...", d, self.lever)
         d_gram_d = np.einsum("...j,...j->...", d, (self.gram @ d[..., None])[..., 0])
-        return self.resid_sq - 2.0 * d_lever + d_gram_d
+        return np.maximum(self.resid_sq - 2.0 * d_lever + d_gram_d, 0.0)
 
 
 def gram_stats(design, response, center=None) -> GramStats:
@@ -133,6 +137,24 @@ def fit_gram(gram: np.ndarray, lever: np.ndarray, n_obs: int) -> np.ndarray:
     if not feasible[0]:
         raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
     return step[0]
+
+
+@dataclass(frozen=True)
+class BaseFit:
+    """What every engine reads: the design, its whitened statistics, the WLS fit."""
+
+    bundle: DesignBundle | None  # None for a cross-validation fold, which has no design
+    stats: GramStats
+    alpha_hat: np.ndarray
+    sigma2_hat: float  # the WLS noise variance estimate, which calibrates the priors
+
+
+def base_fit(data, specs) -> BaseFit:
+    """The full-data WLS fit: one design, its GramStats, and alpha_hat as fit_gram's step from their center."""
+    bundle = build_design(data, specs)
+    stats = gram_stats(*whiten(bundle))
+    alpha_hat = stats.center + fit_gram(stats.gram, stats.lever, stats.n_obs)
+    return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (stats.n_obs - bundle.n_params))
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,18 +251,19 @@ def ridge_posterior(stats: GramStats, ridge) -> tuple[np.ndarray, np.ndarray, np
     return M, linv_t, mu, r0
 
 
-def subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
-    """Per-subject GramStats about center (default: the full-data WLS solution), stacked over subjects.
+def subject_stats(bundle, counts: np.ndarray, center) -> GramStats:
+    """Per-subject GramStats about center, stacked over subjects.
 
     With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
     is A_i'A_i; with e = y~ - A center, resid_sq[i] is e_i'e_i and lever[i]
-    is A_i'e_i = A_i'y_i - gram[i] center.
+    is A_i'e_i.
     """
     design, response = whiten(bundle)
+    resid = response - design @ center
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     p = bundle.n_params
     gram = np.empty((counts.size, p, p))
-    cross = np.empty((counts.size, p))
+    lever = np.empty((counts.size, p))
     # one stacked matmul over all subjects with the same visit count
     for n_i in np.unique(counts):
         subjects = np.flatnonzero(counts == n_i)
@@ -248,10 +271,8 @@ def subject_stats(bundle, counts: np.ndarray, center=None) -> GramStats:
         block = design[rows]
         block_t = block.transpose(0, 2, 1)
         gram[subjects] = block_t @ block
-        cross[subjects] = (block_t @ response[rows][..., None])[..., 0]
-    center = fit_gram(gram.sum(axis=0), cross.sum(axis=0), bundle.n_obs) if center is None else center
-    resid_sq = np.add.reduceat((response - design @ center) ** 2, starts)
-    return GramStats(counts, gram, center, resid_sq, cross - gram @ center)
+        lever[subjects] = (block_t @ resid[rows][..., None])[..., 0]
+    return GramStats(counts, gram, center, np.add.reduceat(resid**2, starts), lever)
 
 
 def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
@@ -260,7 +281,7 @@ def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats 
     n_obs holds the row counts.  The sums keep the per-subject center, which
     sits near every solution: each alpha is the center plus a step solved
     from the summed lever, and sigma2 from rss does not cancel to noise on a
-    near-exact fit; roundoff below zero is clamped.  Infeasible rows get NaN.
+    near-exact fit.  Infeasible rows get NaN.
     """
     rows, n = weights.shape
     p = stats.center.size
@@ -276,7 +297,7 @@ def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats 
     # infeasible rows are scored at the center, so the whole chunk is scored without copying G
     wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))
     sigma2 = np.full(rows, np.nan)
-    sigma2[feasible] = np.maximum(wrss[feasible], 0.0) / (n_obs[feasible] - p)
+    sigma2[feasible] = wrss[feasible] / (n_obs[feasible] - p)
     return sums, feasible, alpha, sigma2
 
 

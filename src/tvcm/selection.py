@@ -40,7 +40,7 @@ import numpy as np
 from . import frequentist
 from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_spec
 from .data import LongitudinalDataset, subject_uniform_weights
-from .engines import ENGINES, BaseFit, fit_engine
+from .engines import ENGINES, fit_engine
 from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
 from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, subject_stats, weighted_fits, whiten
 from .mcmc import DEFAULT_BURNIN
@@ -129,7 +129,8 @@ def _statistics_criterion(
             specs[k] = make_spec(family, degree, k, data.time_domain, bandwidth,
                                  placement=placement, times=t)
         except KnotError:
-            continue
+            if k == 0:  # only an overflowing domain width stops k = 0, and then every count
+                raise
     block = n_poly + sum(specs)
     width = n_coef * block
     rows = np.empty((width + 1, n_obs))
@@ -323,14 +324,14 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
-    fold empties.  A wls fold's point is that solution; a vb fold's is
-    frequentist.ridge_posterior's mu for the prior's ridge 1/N' on the same
-    sums, which is VB's m* exactly (vb's module docstring), so wls and vb
-    draw nothing and read no stream, whatever draws says.  Only gibbs runs
-    fit_engine on each fold, on those sums, with its own stream, and takes
-    the chain mean.  An unknown engine or a negative draws or burnin raises
-    ValueError before any fold work.  per_fold_crossval in tests/oracles.py
-    is the oracle.
+    fold empties, all about gram_stats's default center, which never raises.
+    A wls fold's point is that solution; a vb fold's is ridge_posterior's mu
+    for the prior's ridge 1/N' on the same sums, VB's m* exactly (vb's module
+    docstring), so wls and vb draw nothing and read no stream, whatever draws
+    says.  Only gibbs runs fit_engine on each fold, on those sums, with its
+    own stream, and takes the chain mean.  An unknown engine or a negative
+    draws or burnin raises ValueError before any fold work.
+    per_fold_crossval in tests/oracles.py is the oracle.
     """
     n_obs, n = data.n_obs, data.n_subjects
     if not 2 <= n_folds <= n_obs:
@@ -346,7 +347,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     specs = tuple(specs)
     bundle = build_design(data, specs)
     design, response = whiten(bundle)
-    stats = subject_stats(bundle, data.counts, np.linalg.lstsq(design, response, rcond=None)[0])
+    stats = subject_stats(bundle, data.counts, frequentist.gram_stats(design, response).center)
     # [a_j, e_j]: one outer product gives a row's Gram, lever and squared residual
     rows = np.column_stack([design, response - design @ stats.center])
     # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
@@ -375,7 +376,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
             alpha = frequentist.ridge_posterior(sums, 1.0 / sums.n_obs)[2]
         for b in range(folds) if engine == "gibbs" else ():
             fold = GramStats(int(sums.n_obs[b]), sums.gram[b], stats.center, sums.resid_sq[b], sums.lever[b])
-            base = BaseFit(None, fold, alpha[b], float(sigma2[b]))
+            base = frequentist.BaseFit(None, fold, alpha[b], float(sigma2[b]))
             alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
         preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
         total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))

@@ -11,7 +11,7 @@ Per-subject variates come from RNG substreams spawned off the master
 generator, so subject i's data do not change when n grows.
 
 run_replications fits every engine to each replicate and basis family.  The
-knot search and one engines.base_fit run once per family for all its engines.
+knot search and one base_fit run once per family for all its engines.
 A row's millis is 1000 * EngineResult.sampling_seconds, so a wls row times
 the bootstrap alone (0.0 without draws).  A family whose set-up fails still
 advances every engine's RNG stream, so later rows keep their numbers.
@@ -27,8 +27,9 @@ import numpy as np
 from .basis import BasisFamily, coefficient_curve, make_spec, split_alpha
 from .bootstrap import sorted_quantiles
 from .data import LongitudinalDataset
-from .engines import base_fit, fit_engine
+from .engines import fit_engine
 from .errors import TvcmError
+from .frequentist import base_fit
 from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 from .selection import amse, knot_search, made

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestKnotPlacement:
         assert default_bandwidth((0.0, 1.0), 3) == 0.25
         assert default_bandwidth((0.0, 120.0), 4) == 24.0
         assert default_bandwidth((0.5, 0.5), 3) == 1.0
+
+    def test_quantile_knots_far_apart_warn_nothing(self):
+        """Knots whose difference overflows are ordered by comparing neighbours."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert place_knots_quantile([-1e308] * 3 + [1e308] * 3, 2) == (-1e308, 1e308)
+
+    def test_overflowing_domain_width_is_knot_error(self):
+        """Finite bounds whose width b - a overflows: equal knots and the
+        default radial bandwidth raise KnotError naming the domain."""
+        domain = (-1e308, 1e308)
+        builds = (lambda: place_knots_equal(domain, 1), lambda: default_bandwidth(domain, 0),
+                  lambda: make_spec("radial", 0, 0, domain))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in builds:
+                with pytest.raises(KnotError, match=r"time domain \(-1e\+308, 1e\+308\)"):
+                    build()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +287,7 @@ class TestBuildDesign:
         with pytest.raises(KnotError):
             build_design(data, (spec,))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
                     min_size=1, max_size=4))
     def test_column_count_property(self, shapes):

@@ -24,7 +24,7 @@ from tvcm.errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from tvcm.frequentist import fit_wls, subject_stats, weighted_fits
+from tvcm.frequentist import base_fit, fit_wls, subject_stats, weighted_fits
 from tvcm.mcmc import default_prior, gibbs, whiten
 from tvcm.selection import crossval_amse
 
@@ -67,7 +67,8 @@ def _replicate_wave(stats, picks):
 
 def _feasible_attempts(data, specs, seed, n_attempts):
     """Attempt indices the batched path accepts, over one pick matrix."""
-    stats = subject_stats(build_design(data, specs), data.counts)
+    stats = subject_stats(build_design(data, specs), data.counts,
+                          base_fit(data, specs).alpha_hat)
     n = data.n_subjects
     picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
     feasible, _, _ = _replicate_wave(stats, picks)
@@ -354,7 +355,7 @@ class TestSubjectStats:
             specs = (make_spec("tpower", 1, 0, data.time_domain),)
         assert panel == "one-visit" or np.unique(data.counts).size > 1
         bundle = build_design(data, specs)
-        stats = subject_stats(bundle, data.counts)
+        stats = subject_stats(bundle, data.counts, base_fit(data, specs).alpha_hat)
         gram, cross = _loop_subject_blocks(bundle, data.counts)
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
                                    atol=1e-14 * np.abs(gram).max())
@@ -380,7 +381,8 @@ class TestCenteredSigma2:
             data = ingest_csv(request.getfixturevalue("demo_csv"))
             specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
                           for _ in range(data.covariate_dim + 1))
-        stats = subject_stats(build_design(data, specs), data.counts)
+        stats = subject_stats(build_design(data, specs), data.counts,
+                              base_fit(data, specs).alpha_hat)
         n = data.n_subjects
         picks = np.random.default_rng(3).integers(0, n, size=(25, n))
         feasible, alpha, sigma2 = _replicate_wave(stats, picks)
@@ -395,7 +397,8 @@ class TestCenteredSigma2:
         alpha_star = np.random.default_rng(5).standard_normal(
             build_design(base, specs).n_params)
         clean = exact_response_dataset(base, specs, alpha_star)
-        stats = subject_stats(build_design(clean, specs), clean.counts)
+        stats = subject_stats(build_design(clean, specs), clean.counts,
+                              base_fit(clean, specs).alpha_hat)
         picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
         feasible, alpha, sigma2 = _replicate_wave(stats, picks)
         exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]

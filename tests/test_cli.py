@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 import tvcm
 import tvcm.errors
-from tvcm import gen_scenario1, ingest_csv, write_csv
+from tvcm import gen_scenario1, gen_scenario2, ingest_csv, write_csv
 from tvcm import cli
-from tvcm.basis import BasisSpec, basis_matrix, split_alpha
+from tvcm.basis import BasisSpec, basis_matrix, build_design, make_spec, split_alpha
 from tvcm.bootstrap import column_intervals
 from tvcm.cli import build_parser, main
 
-from conftest import REPO_ROOT, forbid_qr, golden_script
+from conftest import REPO_ROOT, exact_response_dataset, forbid_qr, golden_script
 from oracles import write_curves_rows
 
 
@@ -245,6 +245,22 @@ class TestFit:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["selection"] is None
         assert fit["bootstrap"] is None
+
+    def test_noiseless_panels_write_sigma2_at_least_zero(self, tmp_path, capsys):
+        """Responses the default basis fits exactly leave a weighted RSS of
+        roundoff; fit.json's sigma2 is clamped at 0, never below."""
+        for seed in range(12):
+            path = tmp_path / f"panel{seed}.csv"
+            write_csv(gen_scenario2(30, np.random.default_rng(seed))[0], path)
+            data = ingest_csv(path)
+            specs = tuple(make_spec("radial", 2, 2, data.time_domain) for _ in range(3))
+            alpha = np.random.default_rng(seed).standard_normal(build_design(data, specs).n_params)
+            write_csv(exact_response_dataset(data, specs, alpha), path)
+            out = tmp_path / f"fit{seed}"
+            code, _ = _run(["fit", "--data", str(path), "--engine", "wls", "--knots", "2",
+                            "--out", str(out)], capsys)
+            assert code == 0
+            assert 0.0 <= json.loads((out / "fit.json").read_text())["sigma2"] <= 1e-15, seed
 
     def test_deterministic_fit_json(self, data_csv, tmp_path, capsys):
         """Everything except the wall-clock timing fields must be identical
@@ -844,6 +860,35 @@ class TestOptionsAndErrors:
                 assert code == 1
                 assert payload["error"] == error, (name, engine, payload)
 
+    def test_domain_too_wide_is_typed_error(self, tmp_path, capsys):
+        """Finite times whose span b - a overflows: select warns nothing
+        and names the domain with a typed error."""
+        path = tmp_path / "wide.csv"
+        path.write_text("subject,time,y\na,-1e308,1.0\na,1e308,2.0\nb,-1e308,0.5\nb,1e308,1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = _run(["select", "--data", str(path), "--degree", "0", "--kmax", "1",
+                                  "--out", str(tmp_path / "select.json")], capsys)
+        assert code == 1
+        assert payload["error"] == "KnotError"
+        assert "time domain (-1e+308, 1e+308) is too wide" in payload["message"]
+
+    def test_overflowing_crossval_prints_one_line(self, tmp_path):
+        """A degree-2 design on times near 1e200 overflows; every engine's
+        crossval exits 1 with one typed JSON line and nothing else on fd 1."""
+        rows = [f"s{i},{(j + 1) * 1e200!r},{(i + j) % 3 * 0.5!r}" for i in range(6) for j in range(4)]
+        path = tmp_path / "huge.csv"
+        path.write_text("subject,time,y\n" + "\n".join(rows) + "\n")
+        for engine in ("wls", "gibbs", "vb"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tvcm.cli", "crossval", "--data", str(path), "--degree", "2",
+                 "--knots", "0", "--engine", engine, "--out", str(tmp_path / "crossval.json")],
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 1, proc.stderr
+            [line] = proc.stdout.splitlines()
+            error = getattr(tvcm.errors, json.loads(line)["error"], None)
+            assert isinstance(error, type) and issubclass(error, tvcm.errors.TvcmError), line
+
     def test_module_entry_point(self, data_csv, tmp_path):
         """One true subprocess run through the installed console script."""
         out = tmp_path / "subproc"
@@ -996,12 +1041,13 @@ def test_artifacts_match_golden(demo_csv, tmp_path):
 @st.composite
 def _cli_runs(draw):
     """(csv text, command, its arguments) for a 1-6 subject panel whose times
-    may tie or be constant on a scale of 1e-3 to 1e3, with constant
-    covariates possible, and options of each flag's type for fit, select and
-    crossval, the time domain's lower bound possibly negative."""
+    may tie or be constant on a scale of 1e-3 to 1e3, or of 1e155 to 1e300,
+    where powers of degree 2 and up overflow, with constant covariates
+    possible, and options of each flag's type for fit, select and crossval,
+    the time domain's lower bound possibly negative."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     n_obs, n_cov = sum(counts), draw(st.integers(0, 2))
-    scale = 10.0 ** draw(st.integers(-3, 3))
+    scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.integers(155, 300)))
     ticks = st.integers(0, 5) if draw(st.booleans()) else st.just(1)
     times = [scale * draw(ticks) for _ in range(n_obs)]
     cells = st.floats(-5, 5, allow_nan=False, width=16)
@@ -1047,7 +1093,7 @@ def _cli_runs(draw):
 @given(run=_cli_runs())
 def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
     """fit, select and crossval either succeed (fit with finite alpha and
-    sigma2) or exit 1 with one JSON line naming a TvcmError, or a ValueError
+    sigma2 >= 0) or exit 1 with one JSON line naming a TvcmError, or a ValueError
     that names a --flag: never a traceback or another exception type."""
     text, command, args = run
     folder = tmp_path_factory.mktemp("panel")
@@ -1064,6 +1110,7 @@ def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
             fit = json.loads((out / "fit.json").read_text())
             values = [v for block in fit["alpha"].values() for v in block] + [fit["sigma2"]]
             assert all(isinstance(v, float) and np.isfinite(v) for v in values), fit
+            assert fit["sigma2"] >= 0, fit
         return
     assert code == 1
     error = getattr(tvcm.errors, payload["error"], None)

@@ -10,8 +10,8 @@ from tvcm import LongitudinalDataset, frequentist, gen_scenario2
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
-from tvcm.frequentist import (CONDITION_LIMIT, GramStats, fit_wls, gram_feasible, gram_stats,
-                              predict_rows, solve_gram)
+from tvcm.frequentist import (CONDITION_LIMIT, GramStats, base_fit, fit_wls, gram_feasible,
+                              gram_stats, predict_rows, solve_gram)
 
 from conftest import exact_response_dataset, single_subject
 
@@ -209,6 +209,21 @@ class TestGramStats:
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         assert got[1] == reps.resid_sq[1]
         np.testing.assert_array_equal(reps.n_obs, copies @ counts)
+
+
+class TestBaseFit:
+    def test_noiseless_sigma2_is_not_negative(self):
+        """On panels the model fits exactly, rss(alpha_hat) is roundoff of
+        either sign; sigma2_hat clamps it at 0, as weighted_fits does."""
+        for seed in range(10):
+            data, _ = gen_scenario2(30, np.random.default_rng(seed))
+            for family in ("radial", "tpower"):
+                for k in (0, 2, 4):
+                    specs = tuple(make_spec(family, 2, k, data.time_domain) for _ in range(3))
+                    alpha = np.random.default_rng(100 + seed).standard_normal(
+                        build_design(data, specs).n_params)
+                    fit = base_fit(exact_response_dataset(data, specs, alpha), specs)
+                    assert 0.0 <= fit.sigma2_hat <= 1e-15, (seed, family, k)
 
 
 def _eig_solve_gram(gram, cross):

@@ -254,7 +254,7 @@ class TestRidgePosterior:
             calls.append(args)
             return gram_stats(*args, **kwargs)
 
-        for module in (tvcm.frequentist, tvcm.mcmc, tvcm.vb, tvcm.engines, oracles):
+        for module in (tvcm.frequentist, tvcm.mcmc, tvcm.vb, oracles):
             monkeypatch.setattr(module, "gram_stats", counted)
         gibbs(Zt, yt, prior, draws=5, burnin=0)
         post = tvcm.vb.vb_fit(Zt, yt, prior)
