@@ -13,9 +13,10 @@ rerun the record builders below in process and compare against the files.
   tests/test_selection.py checks the knots exactly.
 - crossval.json: one crossval_amse call on the demo panel at degree 2 and
   seed 0, 5-fold and leave-one-out: radial with 2 knots per coefficient
-  under the wls and vb engines, and tpower with 3 knots under wls.  It keeps
-  the AMSE, or for radial with 3 knots, whose first fold is infeasible, the
-  SelectionError message.  The file is written from the per-fold rebuild,
+  under the wls and vb engines, and tpower with 3 knots under wls; and
+  5-fold only, at 500 draws, radial with 2 knots and tpower with 3 under
+  gibbs.  It keeps the AMSE, or for radial with 3 knots, whose first fold
+  is infeasible, the SelectionError message.  The file is written from the per-fold rebuild,
   per_fold_crossval in tests/oracles.py, and tests/test_selection.py checks
   crossval_amse against it within 1e-10 relative.
 - artifacts.json: one in-process tvcm command at seed 0 per run: fit on the
@@ -101,7 +102,10 @@ def selection_records() -> dict:
 # --- crossval.json ----------------------------------------------------------
 
 # (family, knots per coefficient, engines); radial with 3 knots fails at fold 0
-CROSSVAL_RUNS = (("radial", 2, ("wls", "vb")), ("tpower", 3, ("wls",)), ("radial", 3, ("wls",)))
+CROSSVAL_RUNS = (("radial", 2, ("wls", "vb")), ("tpower", 3, ("wls",)), ("radial", 3, ("wls",)),
+                 ("radial", 2, ("gibbs",)), ("tpower", 3, ("gibbs",)))
+# gibbs runs 5-fold only, at these draws (leave-one-out would run a chain per row)
+GIBBS_DRAWS = 500
 
 
 def crossval_records(amse=crossval_amse) -> dict:
@@ -113,8 +117,11 @@ def crossval_records(amse=crossval_amse) -> dict:
                       for _ in range(data.covariate_dim + 1))
         for folds, label in ((5, "5"), (data.n_obs, "loo")):
             for engine in engines:
+                if engine == "gibbs" and label == "loo":
+                    continue
+                draws = GIBBS_DRAWS if engine == "gibbs" else 0
                 try:
-                    record = {"amse": amse(data, specs, folds, rng=SEED, engine=engine)}
+                    record = {"amse": amse(data, specs, folds, rng=SEED, engine=engine, draws=draws)}
                 except SelectionError as exc:
                     record = {"error": str(exc)}
                 records[f"{family}-k{knots}/{label}/{engine}"] = record

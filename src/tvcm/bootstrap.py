@@ -11,11 +11,12 @@ Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
 bootstrap_fit therefore stacks each subject's whitened statistics once with
 frequentist.subject_stats about base_fit's alpha_hat, whose solve refuses an
-infeasible design before any resampling, and frequentist.weighted_fits
-solves STACK_CHUNK replicates at a time as steps from it, with copy counts
-as weights.  A replicate costs O(n p^2 + p^3) whatever the number of
-observations.  resample_subjects followed by a QR fit_wls is the
-per-replicate reference path and stays as the test oracle.
+infeasible design before any resampling; frequentist.weighted_sums sums them
+for STACK_CHUNK replicates at a time, with copy counts as weights, and
+frequentist.solve_stats solves the stack as steps from alpha_hat.  A
+replicate costs O(n p^2 + p^3) whatever the number of observations.
+resample_subjects followed by a QR fit_wls is the per-replicate reference
+path and stays as the test oracle.
 Intervals come from central_quantiles and sorted_quantiles.
 """
 
@@ -226,7 +227,8 @@ def bootstrap_fit(
             # one bincount over row-offset picks counts the copies of every attempt
             offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
             copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-            _, feasible, alpha, sigma2 = frequentist.weighted_fits(stats, copies, copies @ stats.n_obs)
+            sums = frequentist.weighted_sums(stats, copies, copies @ stats.n_obs)
+            feasible, alpha, sigma2 = frequentist.solve_stats(sums)
             alphas.append(alpha[feasible])
             sigma2s.append(sigma2[feasible])
             found += int(feasible.sum())

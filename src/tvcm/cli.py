@@ -29,7 +29,7 @@ from .basis import BasisFamily, basis_matrix, make_spec, split_alpha
 from .bootstrap import central_quantiles
 from .data import ingest_csv
 from .engines import ENGINES, fit_engine
-from .errors import TvcmError
+from .errors import KnotError, TvcmError
 from .mcmc import DEFAULT_BURNIN, dic_from_stats
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
@@ -350,6 +350,8 @@ def cmd_fit(opts) -> int:
 
     data = stage("ingest", _ingest, opts, "fit")
     counts, specs, table = stage("select", _basis, data, opts)
+    if not data.time_domain[1] - data.time_domain[0] < np.inf:  # np.linspace would give nan and inf
+        raise KnotError(f"time domain {data.time_domain} is too wide for a curve grid: b - a overflows")
     result = stage("fit", fit_engine, data, specs, engine, rng=opts["seed"],
                    draws=opts["boot"] if engine == "wls" else opts["draws"],
                    burnin=opts["burnin"], tol=opts["tol"])

@@ -69,7 +69,7 @@ def fit_engine(
         tries = {"attempts": boot.attempts, "redraws": boot.attempts - boot.n_draws}
         return EngineResult("wls", alpha_hat, sigma2_hat, boot, elapsed, {"bootstrap": tries}, stats=stats)
 
-    prior = calibrated_prior(sigma2_hat, stats.n_obs)
+    prior = calibrated_prior(sigma2_hat, stats.n_obs, stats.rss(0.0))
     n_draws = draws if draws > 0 else DEFAULT_DRAWS
     extra = {"prior": prior.to_dict()}
     start = time.perf_counter()

@@ -1,13 +1,13 @@
 """Weighted least squares fitting of the stacked basis regression.
 
-Production fits solve min_alpha (y - Z alpha)' W (y - Z alpha) from Gram
-statistics under one singularity rule, gram_feasible: fit_gram for one
-system, solve_gram for stacks; the QR fit_wls is their test oracle, and its
-hat matrix Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit
-solves the full-data fit once, a step from gram_stats's center, with
-sigma2_hat = GramStats.rss / (N - p); nothing solves it again.  Every
-engine reads its GramStats, and the bootstrap centres subject_stats at its
-alpha_hat; ridge_posterior and weighted_fits work STACK_CHUNK at a time.
+Production fits solve min_alpha (y - Z alpha)' W (y - Z alpha) from a stack
+of GramStats in one function, solve_stats, under N > p and one singularity
+rule, gram_feasible; the QR fit_wls is its test oracle, and its hat matrix
+Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit solves the
+full-data fit once, a step from gram_stats's center; nothing solves it
+again.  Every engine reads its GramStats, and the bootstrap solves
+weighted_sums of subject_stats centred at its alpha_hat; ridge_posterior
+and weighted_sums work STACK_CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, DesignBundle, basis_matrix, build_design, split_alpha
-from .errors import InsufficientDataError, NumericalError, SingularDesignError
+from .errors import InsufficientDataError, NumericalError, SingularDesignError, TvcmError
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
 # Gram matrices per Cholesky call in gram_feasible's certificate; it bounds
 # the shifted copy and the factor, and was no slower than whole 200-matrix stacks.
 CERTIFY_CHUNK = 32
-# replicates, or crossval folds, weighted_fits solves together; bounds scratch at chunk x n and chunk x p x p
+# replicates, or crossval folds, solved as one stack; bounds scratch at chunk x n and chunk x p x p
 STACK_CHUNK = 256
 
 
@@ -32,8 +32,8 @@ STACK_CHUNK = 256
 class WlsFit:
     """Weighted least squares solution and its reusable byproducts.
 
-    gram_inverse is (Z'WZ)^-1, the covariance of alpha_hat over sigma2 (no
-    engine reads it); hat_trace, the weighted hat matrix's trace, feeds pcv.
+    gram_inverse is (Z'WZ)^-1, the covariance of alpha_hat over sigma2, which
+    default_prior reads; hat_trace, the weighted hat matrix's trace, feeds pcv.
     """
 
     alpha_hat: np.ndarray
@@ -110,6 +110,11 @@ class GramStats:
         d_gram_d = np.einsum("...j,...j->...", d, (self.gram @ d[..., None])[..., 0])
         return np.maximum(self.resid_sq - 2.0 * d_lever + d_gram_d, 0.0)
 
+    def __getitem__(self, index) -> GramStats:
+        """The stacked regressions at index, about the same center; stats[None] stacks one regression."""
+        return GramStats(np.asarray(self.n_obs)[index], self.gram[index], self.center,
+                         np.asarray(self.resid_sq)[index], self.lever[index])
+
 
 def gram_stats(design, response, center=None) -> GramStats:
     """GramStats of one whitened regression, by default about lstsq's solution of (G + I/N) b = Z~'y~.
@@ -129,14 +134,30 @@ def gram_stats(design, response, center=None) -> GramStats:
     return GramStats(n_obs, gram, center, float(e @ e), Z.T @ e)
 
 
-def fit_gram(gram: np.ndarray, lever: np.ndarray, n_obs: int) -> np.ndarray:
-    """The WLS step G^-1 Z~'e from a GramStats center; raises on N <= p or where solve_gram finds G singular."""
-    if n_obs <= lever.size:
-        raise InsufficientDataError(f"{n_obs} observations cannot identify {lever.size} coefficients")
-    feasible, step = solve_gram(gram[None], lever[None])
-    if not feasible[0]:
-        raise SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
-    return step[0]
+def solve_stats(stats: GramStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a (B,) stack of regressions; returns (feasible, alpha, sigma2), NaN where infeasible.
+
+    A member is feasible when N > p and gram_feasible passes G.  alpha is the
+    center plus G^-1 Z~'e by LU, whose accuracy, unlike an eigendecomposition's,
+    does not suffer from badly scaled columns such as t^2 on a wide time
+    domain; sigma2 = rss(alpha) / (N - p) does not cancel to noise on a near-exact fit.
+    """
+    n_obs, p = np.asarray(stats.n_obs), stats.center.size
+    feasible = gram_feasible(stats.gram) & (n_obs > p)
+    # solved and scored in place; the feasible members are gathered only when one fails
+    solved = stats if feasible.all() else stats[feasible]
+    alpha = np.full(stats.lever.shape, np.nan)
+    sigma2 = np.full(n_obs.shape, np.nan)
+    alpha[feasible] = solved.center + np.linalg.solve(solved.gram, solved.lever[..., None])[..., 0]
+    sigma2[feasible] = solved.rss(alpha[feasible]) / (solved.n_obs - p)
+    return feasible, alpha, sigma2
+
+
+def infeasible_error(n_obs: int, p: int) -> TvcmError:
+    """What a regression of n_obs rows and p coefficients that solve_stats finds infeasible raises."""
+    if n_obs <= p:
+        return InsufficientDataError(f"{n_obs} observations cannot identify {p} coefficients")
+    return SingularDesignError(f"weighted Gram matrix condition exceeds {CONDITION_LIMIT:.1e}")
 
 
 @dataclass(frozen=True)
@@ -150,28 +171,13 @@ class BaseFit:
 
 
 def base_fit(data, specs) -> BaseFit:
-    """The full-data WLS fit: one design, its GramStats, and alpha_hat as fit_gram's step from their center."""
+    """The full-data WLS fit: one design, its GramStats, and alpha_hat as solve_stats's step from their center."""
     bundle = build_design(data, specs)
     stats = gram_stats(*whiten(bundle))
-    alpha_hat = stats.center + fit_gram(stats.gram, stats.lever, stats.n_obs)
-    return BaseFit(bundle, stats, alpha_hat, float(stats.rss(alpha_hat)) / (stats.n_obs - bundle.n_params))
-
-
-def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stacked normal equations G x = b under fit_wls's singularity rule.
-
-    gram has shape (B, p, p) and rhs (B, p).  Returns (feasible, x) with
-    feasible from gram_feasible and x NaN where infeasible.  The solve is LU
-    on G whichever feasibility test ran, so x does not depend on the test;
-    unlike an eigendecomposition, LU's accuracy does not suffer from badly
-    scaled columns such as t^2 on a wide time domain.
-    """
-    feasible = gram_feasible(gram)
-    if feasible.all():
-        return feasible, np.linalg.solve(gram, rhs[..., None])[..., 0]
-    x = np.full(rhs.shape, np.nan)
-    x[feasible] = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
-    return feasible, x
+    feasible, alpha, sigma2 = solve_stats(stats[None])
+    if not feasible[0]:
+        raise infeasible_error(stats.n_obs, bundle.n_params)
+    return BaseFit(bundle, stats, alpha[0], float(sigma2[0]))
 
 
 def gram_feasible(gram: np.ndarray) -> np.ndarray:
@@ -180,7 +186,7 @@ def gram_feasible(gram: np.ndarray) -> np.ndarray:
     A matrix is feasible when its smallest eigenvalue is positive and
     cond(G) = lambda_max / lambda_min stays within CONDITION_LIMIT, which is
     the test fit_wls applies to cond(R)^2; a member with a NaN or inf entry
-    is infeasible.  solve_gram and the knot-search scorer both decide
+    is infeasible.  solve_stats and the knot-search scorer both decide
     feasibility here.
 
     Most stacks pass without an eigendecomposition: batched Cholesky
@@ -275,30 +281,12 @@ def subject_stats(bundle, counts: np.ndarray, center) -> GramStats:
     return GramStats(counts, gram, center, np.add.reduceat(resid**2, starts), lever)
 
 
-def weighted_fits(stats: GramStats, weights: np.ndarray, n_obs, less: GramStats | None = None):
-    """Solve every regression sum_i weights[b, i] stats[i] - less[b]; returns (sums, feasible, alpha, sigma2).
-
-    n_obs holds the row counts.  The sums keep the per-subject center, which
-    sits near every solution: each alpha is the center plus a step solved
-    from the summed lever, and sigma2 from rss does not cancel to noise on a
-    near-exact fit.  Infeasible rows get NaN.
-    """
+def weighted_sums(stats: GramStats, weights: np.ndarray, n_obs) -> GramStats:
+    """The regressions sum_i weights[b, i] stats[i] about stats's center, stacked over b, with n_obs rows."""
     rows, n = weights.shape
     p = stats.center.size
-    sums = GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p),
+    return GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p),
                      stats.center, weights @ stats.resid_sq, weights @ stats.lever)
-    if less is not None:
-        sums = GramStats(n_obs, sums.gram - less.gram, stats.center,
-                         sums.resid_sq - less.resid_sq, sums.lever - less.lever)
-    feasible, step = solve_gram(sums.gram, sums.lever)
-    feasible &= n_obs > p
-    alpha = stats.center + step
-    alpha[~feasible] = np.nan
-    # infeasible rows are scored at the center, so the whole chunk is scored without copying G
-    wrss = sums.rss(np.where(feasible[:, None], alpha, stats.center))
-    sigma2 = np.full(rows, np.nan)
-    sigma2[feasible] = wrss[feasible] / (n_obs[feasible] - p)
-    return sums, feasible, alpha, sigma2
 
 
 def predict_rows(alpha, specs: tuple[BasisSpec, ...], x_rows, times) -> np.ndarray:

@@ -47,7 +47,8 @@ from .rng import as_generator
 DEFAULT_DRAWS = 2000
 DEFAULT_BURNIN = 500
 
-# a noiseless base fit cannot calibrate the variance prior; substitute this floor
+# a noiseless base fit cannot calibrate the variance prior; calibrated_prior
+# substitutes eps y~'y~ / N, or this floor for an all-zero response
 B_SIGMA_FLOOR = 1e-8
 
 
@@ -71,19 +72,23 @@ class PriorSpec:
 
 
 def default_prior(fit: WlsFit) -> PriorSpec:
-    """Data-calibrated prior from a WLS fit; see calibrated_prior."""
-    return calibrated_prior(fit.sigma2_hat, fit.n_obs)
+    """Data-calibrated prior from a WLS fit; WlsFit keeps no weights, so y~'y~ = alpha'Z~'Z~alpha + wrss."""
+    alpha = fit.alpha_hat
+    response_sq = alpha @ np.linalg.solve(fit.gram_inverse, alpha) + (fit.n_obs - alpha.size) * fit.sigma2_hat
+    return calibrated_prior(fit.sigma2_hat, fit.n_obs, response_sq)
 
 
-def calibrated_prior(sigma2_hat: float, n_obs: int) -> PriorSpec:
-    """Data-calibrated prior: a_sigma = 2, b_sigma = sigma2_hat, ridge = 1/N."""
-    if sigma2_hat < B_SIGMA_FLOOR:
-        warnings.warn(
-            f"base fit sigma2_hat={sigma2_hat:.3e} is effectively zero; "
-            f"substituting b_sigma={B_SIGMA_FLOOR:.1e}",
-            stacklevel=3,
-        )
-        sigma2_hat = B_SIGMA_FLOOR
+def calibrated_prior(sigma2_hat: float, n_obs: int, response_sq: float) -> PriorSpec:
+    """Data-calibrated prior: a_sigma = 2, b_sigma = sigma2_hat, ridge = 1/N.
+
+    response_sq is y~'y~.  A sigma2_hat below eps y~'y~ / N, which scales as it does with y, is
+    effectively zero, and that floor replaces it, or B_SIGMA_FLOOR for an all-zero response.
+    """
+    floor = np.finfo(float).eps * response_sq / n_obs or B_SIGMA_FLOOR
+    if sigma2_hat < floor:
+        warnings.warn(f"base fit sigma2_hat={sigma2_hat:.3e} is effectively zero; substituting b_sigma={floor:.1e}",
+                      stacklevel=3)
+        sigma2_hat = floor
     return PriorSpec(a_sigma=2.0, b_sigma=sigma2_hat, ridge=1.0 / n_obs)
 
 

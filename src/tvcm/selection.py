@@ -1,6 +1,6 @@
 """Knot selection by predictive cross-validation, fit-quality metrics, and
-K-fold cross-validation of a fixed basis (crossval_amse, through
-frequentist.weighted_fits; wls and vb folds draw nothing).
+K-fold cross-validation of a fixed basis (crossval_amse, one
+frequentist.solve_stats per chunk of folds; wls and vb folds draw nothing).
 
 The fast selection criterion replaces the leave-one-out sum
 
@@ -42,7 +42,8 @@ from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_s
 from .data import LongitudinalDataset, subject_uniform_weights
 from .engines import ENGINES, fit_engine
 from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
-from .frequentist import GramStats, WlsFit, fit_gram, fit_wls, gram_feasible, subject_stats, weighted_fits, whiten
+from .frequentist import (GramStats, WlsFit, fit_wls, gram_feasible, infeasible_error, solve_stats, subject_stats,
+                          weighted_sums, whiten)
 from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 
@@ -320,11 +321,12 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     Observations (not subjects) are split into n_folds folds; each training
     fit recomputes the subject-uniform weights on the reduced data, and
     held-out points score unweighted squared error.  n_folds = N is
-    leave-one-out.  No fold is rebuilt: frequentist.weighted_fits solves
+    leave-one-out.  No fold is rebuilt: its training statistics are
     sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
-    fold empties, all about gram_stats's default center, which never raises.
+    fold empties, all about gram_stats's default center, which never raises;
+    solve_stats solves STACK_CHUNK folds at once, and the first infeasible one raises.
     A wls fold's point is that solution; a vb fold's is ridge_posterior's mu
     for the prior's ridge 1/N' on the same sums, VB's m* exactly (vb's module
     docstring), so wls and vb draw nothing and read no stream, whatever draws
@@ -365,18 +367,18 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
         n_train = np.count_nonzero(kept, axis=1)[:, None]
         ratio = np.divide(n * data.counts, n_train * kept, out=np.zeros(kept.shape), where=kept > 0)
         outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
-        less = GramStats(None, outer[:, :p, :p], stats.center, outer[:, p, p], outer[:, :p, p])
-        sums, feasible, alpha, sigma2 = weighted_fits(stats, ratio, n_obs - sizes[span], less)
-        for b in np.flatnonzero(~feasible):
-            try:  # fit_gram applies the rule that failed and names it
-                fit_gram(sums.gram[b], sums.lever[b], int(sums.n_obs[b]))
-            except (SingularDesignError, InsufficientDataError) as exc:
-                raise SelectionError(f"fold {lo + b} is infeasible: {exc}") from exc
+        sums = weighted_sums(stats, ratio, n_obs - sizes[span])
+        sums = GramStats(sums.n_obs, sums.gram - outer[:, :p, :p], stats.center,
+                         sums.resid_sq - outer[:, p, p], sums.lever - outer[:, :p, p])
+        feasible, alpha, sigma2 = solve_stats(sums)
+        if not feasible.all():
+            b = np.flatnonzero(~feasible)[0]
+            cause = infeasible_error(sums.n_obs[b], p)
+            raise SelectionError(f"fold {lo + b} is infeasible: {cause}") from cause
         if engine == "vb":
             alpha = frequentist.ridge_posterior(sums, 1.0 / sums.n_obs)[2]
         for b in range(folds) if engine == "gibbs" else ():
-            fold = GramStats(int(sums.n_obs[b]), sums.gram[b], stats.center, sums.resid_sq[b], sums.lever[b])
-            base = frequentist.BaseFit(None, fold, alpha[b], float(sigma2[b]))
+            base = frequentist.BaseFit(None, sums[b], alpha[b], float(sigma2[b]))
             alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
         preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
         total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))

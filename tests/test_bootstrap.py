@@ -24,7 +24,7 @@ from tvcm.errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from tvcm.frequentist import base_fit, fit_wls, subject_stats, weighted_fits
+from tvcm.frequentist import base_fit, fit_wls, solve_stats, subject_stats, weighted_sums
 from tvcm.mcmc import default_prior, gibbs, whiten
 from tvcm.selection import crossval_amse
 
@@ -59,10 +59,10 @@ def _loop_bootstrap(data, specs, n_draws, seed):
 
 
 def _replicate_wave(stats, picks):
-    """bootstrap_fit's fits of the attempts in a pick matrix: weighted_fits
-    with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
+    """bootstrap_fit's fits of the attempts in a pick matrix: solve_stats of
+    weighted_sums with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
     copies = np.stack([np.bincount(row, minlength=picks.shape[1]) for row in picks]).astype(float)
-    return weighted_fits(stats, copies, copies @ stats.n_obs)[1:]
+    return solve_stats(weighted_sums(stats, copies, copies @ stats.n_obs))
 
 
 def _feasible_attempts(data, specs, seed, n_attempts):

@@ -873,6 +873,21 @@ class TestOptionsAndErrors:
         assert payload["error"] == "KnotError"
         assert "time domain (-1e+308, 1e+308) is too wide" in payload["message"]
 
+    def test_fit_on_too_wide_domain_is_typed_error(self, tmp_path, capsys):
+        """A fit that needs no knots on finite times whose span b - a
+        overflows: the curve grid cannot be built, so fit warns nothing,
+        writes no curves.csv and names the domain with a typed error."""
+        path = tmp_path / "wide.csv"
+        path.write_text("subject,time,y\na,-1e308,1.0\na,1e308,2.0\nb,-1e308,0.5\nb,1e308,1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = _run(["fit", "--data", str(path), "--family", "tpower", "--degree", "0",
+                                  "--knots", "0", "--engine", "wls", "--out", str(tmp_path / "fit")], capsys)
+        assert code == 1
+        assert payload["error"] == "KnotError"
+        assert "time domain (-1e+308, 1e+308) is too wide" in payload["message"]
+        assert not (tmp_path / "fit" / "curves.csv").exists()
+
     def test_overflowing_crossval_prints_one_line(self, tmp_path):
         """A degree-2 design on times near 1e200 overflows; every engine's
         crossval exits 1 with one typed JSON line and nothing else on fd 1."""
@@ -1111,6 +1126,59 @@ def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
             values = [v for block in fit["alpha"].values() for v in block] + [fit["sigma2"]]
             assert all(isinstance(v, float) and np.isfinite(v) for v in values), fit
             assert fit["sigma2"] >= 0, fit
+        return
+    assert code == 1
+    error = getattr(tvcm.errors, payload["error"], None)
+    typed = isinstance(error, type) and issubclass(error, tvcm.errors.TvcmError)
+    assert typed or (payload["error"] == "ValueError" and re.search(r"--[a-z]", payload["message"])), payload
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value, None for null."""
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in _numbers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in _numbers(v)]
+    return [value] if value is None or isinstance(value, (int, float)) else []
+
+
+@st.composite
+def _simulate_runs(draw):
+    """simulate options of each flag's type: scenario 1 or 2, 1-6 subjects,
+    one replicate, degree 0-12, --kmax 0-3, small --draws (0 is the engine
+    default) and --burnin, every strategy, any engines and families; now
+    and then one count falls below its range, as a typo would."""
+    typo = draw(st.sampled_from(["--n", "--degree", "--kmax", "--draws", "--burnin"])) \
+        if draw(st.integers(0, 9)) == 9 else None
+
+    def option(flag, low, high):
+        return [flag, str(low - 1 if flag == typo else draw(st.integers(low, high)))]
+
+    def names(choices):
+        return ",".join(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=len(choices), unique=True)))
+
+    return ["--scenario", str(draw(st.sampled_from([1, 2]))), *option("--n", 1, 6), "--reps", "1",
+            *option("--degree", 0, 12), *option("--kmax", 0, 3), *option("--draws", 0, 20),
+            *option("--burnin", 0, 5), "--strategy", draw(st.sampled_from(["auto", "full", "coordinate"])),
+            "--engines", names(["wls", "gibbs", "vb"]), "--families", names(["radial", "tpower"]),
+            "--seed", str(draw(st.integers(0, 3)))]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(args=_simulate_runs())
+def test_any_small_simulate_exits_cleanly(args, tmp_path_factory):
+    """simulate either succeeds, printing a summary whose numbers are finite
+    or null, or exits 1 with one JSON line naming a TvcmError, or a
+    ValueError that names a --flag: never a traceback or another exception type."""
+    prefix = tmp_path_factory.mktemp("simulate") / "sim"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # calibrated_prior's zero-variance warning
+        code = main(["simulate", *args, "--out-prefix", str(prefix)])
+    [line] = stdout.getvalue().splitlines()
+    payload = json.loads(line)
+    if code == 0:
+        assert all(v is None or np.isfinite(v) for v in _numbers(payload)), payload
         return
     assert code == 1
     error = getattr(tvcm.errors, payload["error"], None)

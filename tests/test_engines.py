@@ -1,6 +1,8 @@
 """Shared front end dispatching to the three inference engines."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,29 @@ class TestFitEngine:
                 outcomes.add(type(exc))
         assert len(outcomes) == 1
         assert outcomes <= {None, SingularDesignError}
+
+    @pytest.mark.parametrize("engine", ["gibbs", "vb"])
+    def test_response_unit_scales_the_posterior(self, demo_csv, engine):
+        """y -> c y on the noisy demo panel: the point scales by c and the
+        sigma2 draws by c^2, within 1e-9 of the largest value, and no
+        zero-variance warning fires, down to c = 1e-7."""
+        demo = ingest_csv(demo_csv)
+        specs = tuple(make_spec("radial", 2, 2, demo.time_domain)
+                      for _ in range(demo.covariate_dim + 1))
+
+        def fit(c):
+            data = LongitudinalDataset(demo.subject_ids, demo.counts, demo.times,
+                                       demo.responses * c, demo.covariates)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = fit_engine(data, specs, engine, rng=3, draws=500, burnin=100)
+            return result.alpha, result.draws.sigma2_draws
+
+        point, sigma2 = fit(1.0)
+        for c in (1e3, 1e-3, 1e-5, 1e-7):
+            got_point, got_sigma2 = fit(c)
+            for got, want in ((got_point, c * point), (got_sigma2, c * c * sigma2)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), c
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_singular_design_raises_for_every_engine(self, demo_csv,

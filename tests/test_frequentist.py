@@ -11,7 +11,7 @@ from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
 from tvcm.frequentist import (CONDITION_LIMIT, GramStats, base_fit, fit_wls, gram_feasible,
-                              gram_stats, predict_rows, solve_gram)
+                              gram_stats, predict_rows, solve_stats)
 
 from conftest import exact_response_dataset, single_subject
 
@@ -214,7 +214,7 @@ class TestGramStats:
 class TestBaseFit:
     def test_noiseless_sigma2_is_not_negative(self):
         """On panels the model fits exactly, rss(alpha_hat) is roundoff of
-        either sign; sigma2_hat clamps it at 0, as weighted_fits does."""
+        either sign; sigma2_hat clamps it at 0, as every solve_stats score does."""
         for seed in range(10):
             data, _ = gen_scenario2(30, np.random.default_rng(seed))
             for family in ("radial", "tpower"):
@@ -224,6 +224,13 @@ class TestBaseFit:
                         build_design(data, specs).n_params)
                     fit = base_fit(exact_response_dataset(data, specs, alpha), specs)
                     assert 0.0 <= fit.sigma2_hat <= 1e-15, (seed, family, k)
+
+
+def solve_gram(gram, cross):
+    """solve_stats on the normal equations G x = cross: regressions about 0
+    with more rows than coefficients; returns (feasible, x)."""
+    b, p = cross.shape
+    return solve_stats(GramStats(np.full(b, p + 1), gram, np.zeros(p), np.zeros(b), cross))[:2]
 
 
 def _eig_solve_gram(gram, cross):

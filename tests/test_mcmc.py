@@ -1,6 +1,9 @@
 """Whitening, conjugate priors, the two-block sampler, and DIC."""
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +18,7 @@ from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource, PosteriorDraws
 from tvcm.engines import fit_engine
 from tvcm.errors import NumericalError
-from tvcm.frequentist import WlsFit, fit_gram, fit_wls, gram_stats, ridge_posterior
+from tvcm.frequentist import WlsFit, fit_wls, gram_stats, ridge_posterior
 from tvcm.mcmc import (PriorSpec, default_prior, dic, dic_from_stats, gibbs, gibbs_from_stats,
                        whiten)
 
@@ -86,6 +89,17 @@ class TestPriorSpec:
         with pytest.warns(UserWarning):
             prior = default_prior(fit)
         assert prior.b_sigma > 0
+
+    def test_floor_follows_the_response_unit(self):
+        """default_prior reads y~'y~ from the fit itself, so a noisy fit in
+        small units is not floored: b_sigma scales by c^2, silently."""
+        bundle, _, _ = _whitened_scenario()
+        want = default_prior(fit_wls(bundle)).b_sigma
+        for c in (1e3, 1e-3, 1e-7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                prior = default_prior(fit_wls(dataclasses.replace(bundle, y=bundle.y * c)))
+            assert prior.b_sigma == pytest.approx(c * c * want, rel=1e-9), c
 
     def test_positivity_validated(self):
         with pytest.raises(ValueError):
@@ -218,7 +232,7 @@ class TestRidgePosterior:
         gibbs_from_stats at one seed draws within 1e-9 of the largest draw."""
         Zt, yt, prior = oracle_problems["demo"]
         default = gram_stats(Zt, yt)
-        wls = default.center + fit_gram(default.gram, default.lever, yt.size)
+        wls = np.linalg.lstsq(Zt, yt, rcond=None)[0]
         near = wls * (1.0 + 1e-3 * np.random.default_rng(3).standard_normal(wls.size))
 
         def fits(stats):

@@ -688,7 +688,7 @@ class TestCrossval:
             assert points.shape == (n_folds, sum(spec.n_terms for spec in specs))
             for b, point in enumerate(points):
                 fold = GramStats(int(sums.n_obs[b]), sums.gram[b], sums.center, sums.resid_sq[b], sums.lever[b])
-                post = vb_fit_from_stats(fold, calibrated_prior(1.0, fold.n_obs), 1e-6, 500)
+                post = vb_fit_from_stats(fold, calibrated_prior(1.0, fold.n_obs, fold.rss(0.0)), 1e-6, 500)
                 assert post.m_star.tobytes() == point.tobytes()
 
     def test_unknown_engine_rejected(self, demo_csv):
