@@ -12,8 +12,8 @@ a replicate is fully described by how many copies of each subject it holds.
 bootstrap_fit therefore stacks each subject's whitened statistics once with
 frequentist.subject_stats about base_fit's alpha_hat, whose solve refuses an
 infeasible design before any resampling; frequentist.weighted_sums sums them
-for STACK_CHUNK replicates at a time, with copy counts as weights, and
-frequentist.solve_stats solves the stack as steps from alpha_hat.  A
+for a batch of at most STACK_CHUNK replicates, with copy counts as weights,
+and frequentist.solve_stats solves the stack as steps from alpha_hat.  A
 replicate costs O(n p^2 + p^3) whatever the number of observations.
 resample_subjects followed by a QR fit_wls is the per-replicate reference
 path and stays as the test oracle.
@@ -201,13 +201,16 @@ def bootstrap_fit(
 ) -> PosteriorDraws:
     """Collect n_draws successful replicate fits.
 
-    Attempts run in waves of one replicate per still-missing draw.  Attempt
-    j takes the next n subject indices from the master generator itself, so
-    the draws equal those of resample_subjects(data, gen) called once per
-    attempt in order; each chunk of up to frequentist.STACK_CHUNK attempts is
-    one gen.integers call.  Draws are kept in attempt-index order, and the
-    returned draws record the attempts made.  base, when given, is
-    frequentist.base_fit(data, specs), which is built here otherwise.
+    Each pass of one loop tries a batch of min(frequentist.STACK_CHUNK,
+    missing draws, remaining attempts) replicates as one gen.integers call
+    and one stacked solve.  No batch holds more attempts than there are
+    missing draws, so the run ends on the n_draws-th success or at the
+    attempt cap.  Attempt j takes the next n subject indices from the master
+    generator itself, so the draws equal those of resample_subjects(data,
+    gen) called once per attempt in order.  Draws are kept in attempt-index
+    order, and the returned draws record the attempts made.  base, when
+    given, is frequentist.base_fit(data, specs), which is built here
+    otherwise.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -221,18 +224,16 @@ def bootstrap_fit(
     alphas, sigma2s = [], []
     found = attempts = 0
     while found < n_draws and attempts < cap:
-        wave_end = attempts + min(n_draws - found, cap - attempts)
-        while attempts < wave_end:
-            rows = min(frequentist.STACK_CHUNK, wave_end - attempts)
-            # one bincount over row-offset picks counts the copies of every attempt
-            offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
-            copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-            sums = frequentist.weighted_sums(stats, copies, copies @ stats.n_obs)
-            feasible, alpha, sigma2 = frequentist.solve_stats(sums)
-            alphas.append(alpha[feasible])
-            sigma2s.append(sigma2[feasible])
-            found += int(feasible.sum())
-            attempts += rows
+        rows = min(frequentist.STACK_CHUNK, n_draws - found, cap - attempts)
+        # one bincount over row-offset picks counts the copies of every attempt
+        offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
+        copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
+        sums = frequentist.weighted_sums(stats, copies, copies @ stats.n_obs)
+        feasible, alpha, sigma2 = frequentist.solve_stats(sums)
+        alphas.append(alpha[feasible])
+        sigma2s.append(sigma2[feasible])
+        found += int(feasible.sum())
+        attempts += rows
     if found < n_draws:
         raise BootstrapDegeneracyError(
             f"only {found} of {n_draws} replicates succeeded within {attempts} attempts"

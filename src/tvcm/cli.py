@@ -257,17 +257,18 @@ def _comma_list(opts, name, allowed) -> tuple:
 def _write_curves(path, grid, curves) -> None:
     """curves.csv: a row per coefficient r and grid time, from its (estimate, lower, upper).
 
-    Each coefficient's rows are whole columns mapped through one %r template;
-    lower and upper are None without draws and leave their cells empty.
+    Each coefficient's rows are whole columns mapped through one template,
+    whose t column is the grid's reprs, made once per file; lower and upper
+    are None without draws and leave their cells empty.
     """
-    times = grid.tolist()
+    times = list(map(repr, grid.tolist()))
     with open(path, "w") as fh:
         fh.write("coefficient,t,estimate,lower,upper\n")
         for r, (est, lo, hi) in enumerate(curves):
             if lo is None:
-                row, columns = f"{r},%r,%r,,\n", (times, est.tolist())
+                row, columns = f"{r},%s,%r,,\n", (times, est.tolist())
             else:
-                row, columns = f"{r},%r,%r,%r,%r\n", (times, est.tolist(), lo.tolist(), hi.tolist())
+                row, columns = f"{r},%s,%r,%r,%r\n", (times, est.tolist(), lo.tolist(), hi.tolist())
             fh.write("".join(map(row.__mod__, zip(*columns))))
 
 

@@ -6,8 +6,9 @@ rule, gram_feasible; the QR fit_wls is its test oracle, and its hat matrix
 Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit solves the
 full-data fit once, a step from gram_stats's center; nothing solves it
 again.  Every engine reads its GramStats, and the bootstrap solves
-weighted_sums of subject_stats centred at its alpha_hat; ridge_posterior
-and weighted_sums work STACK_CHUNK at a time.
+weighted_sums of subject_stats centred at its alpha_hat.  The stacked
+functions take whatever stack they are given; their callers bound it at
+STACK_CHUNK regressions.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from .errors import InsufficientDataError, NumericalError, SingularDesignError, 
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
-# Gram matrices per Cholesky call in gram_feasible's certificate; it bounds
-# the shifted copy and the factor, and was no slower than whole 200-matrix stacks.
-CERTIFY_CHUNK = 32
-# replicates, or crossval folds, solved as one stack; bounds scratch at chunk x n and chunk x p x p
+# replicates, folds or knot-search candidates per stack; bounds scratch at chunk x n and chunk x p x p
 STACK_CHUNK = 256
 
 
@@ -187,49 +185,37 @@ def gram_feasible(gram: np.ndarray) -> np.ndarray:
     cond(G) = lambda_max / lambda_min stays within CONDITION_LIMIT, which is
     the test fit_wls applies to cond(R)^2; a member with a NaN or inf entry
     is infeasible.  solve_stats and the knot-search scorer both decide
-    feasibility here.
+    feasibility here, on stacks their callers bound.
 
-    Most stacks pass without an eigendecomposition: batched Cholesky
-    factorisations of G_b - s_b I with s_b = 2 tr(G_b) / CONDITION_LIMIT
-    succeed only if every lambda_min(G_b) > s_b >= 2 lambda_max(G_b) /
-    CONDITION_LIMIT, half the allowed condition number, and the factorisation
-    is backward stable (Higham 2002, section 10.1), so roundoff cannot
-    certify a member the eigenvalue test would reject.  When a
-    factorisation fails anywhere, the whole stack takes the eigenvalue test.
+    Most stacks pass without an eigendecomposition: one batched Cholesky
+    factorisation of G_b - s_b I with s_b = 2 tr(G_b) / CONDITION_LIMIT
+    succeeds only if every lambda_min(G_b) > s_b >= 2 lambda_max(G_b) /
+    CONDITION_LIMIT, half the allowed condition number.  A positive definite
+    shifted matrix has a positive shift (tr(G) <= 0 would force lambda_min
+    <= tr(G) / p <= s), so G is positive definite and tr(G) >= lambda_max(G);
+    the factorisation is backward stable (Higham 2002, section 10.1), so
+    roundoff cannot certify a member the eigenvalue test would reject.  When
+    the factorisation fails or has a non-finite entry anywhere, the whole
+    stack takes the eigenvalue test.
     """
     finite = np.isfinite(gram).all(axis=(-2, -1))
     if finite.all():
-        if _certified(gram):
-            return finite
+        p = gram.shape[-1]
+        shifted = gram.copy()
+        shift = (2.0 / CONDITION_LIMIT) * np.trace(shifted, axis1=-2, axis2=-1)
+        # the diagonal of each flattened p x p member, strided in place
+        shifted.reshape(-1, p * p)[:, :: p + 1] -= shift[:, None]
+        try:
+            if np.isfinite(np.linalg.cholesky(shifted)).all():
+                return finite
+        except np.linalg.LinAlgError:
+            pass
     else:
         # LAPACK's answer on NaN or inf is arbitrary; a zero matrix fails the test
         gram = np.where(finite[:, None, None], gram, 0.0)
     lam = np.linalg.eigvalsh(gram)
     lo, hi = lam[..., 0], lam[..., -1]
     return (lo > 0) & (hi <= CONDITION_LIMIT * lo)
-
-
-def _certified(gram: np.ndarray) -> bool:
-    """True when G_b - (2 tr(G_b) / CONDITION_LIMIT) I has a finite Cholesky factor for every b.
-
-    A positive definite shifted matrix has a positive shift (tr(G) <= 0
-    would force lambda_min <= tr(G) / p <= s), so G is positive definite
-    and tr(G) >= lambda_max(G).  Chunks of CERTIFY_CHUNK members bound the
-    shifted copy and its factor, and the first failing chunk ends the test.
-    """
-    p = gram.shape[-1]
-    for lo in range(0, len(gram), CERTIFY_CHUNK):
-        shifted = gram[lo : lo + CERTIFY_CHUNK].copy()
-        shift = (2.0 / CONDITION_LIMIT) * np.trace(shifted, axis1=-2, axis2=-1)
-        # the diagonal of each flattened p x p member, strided in place
-        shifted.reshape(len(shifted), p * p)[:, :: p + 1] -= shift[:, None]
-        try:
-            factor = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.isfinite(factor).all():
-            return False
-    return True
 
 
 def ridge_posterior(stats: GramStats, ridge) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

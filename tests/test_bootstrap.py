@@ -39,9 +39,10 @@ def _one_obs_each(n: int) -> LongitudinalDataset:
 
 def _loop_bootstrap(data, specs, n_draws, seed):
     """Reference bootstrap: resample_subjects from the master generator and
-    a QR fit_wls per attempt, in the waves and attempt order bootstrap_fit
-    uses.  Returns the successful (attempt index, alpha, sigma2) and the
-    attempts used."""
+    a QR fit_wls per attempt, in attempt order, in waves of one attempt per
+    missing draw; bootstrap_fit's batches, never larger than the missing
+    draws, end on the same attempt.  Returns the successful (attempt index,
+    alpha, sigma2) and the attempts used."""
     gen = np.random.default_rng(seed)
     cap = REDRAW_FACTOR * n_draws
     hits, attempts = [], 0
@@ -58,7 +59,7 @@ def _loop_bootstrap(data, specs, n_draws, seed):
     return hits, attempts
 
 
-def _replicate_wave(stats, picks):
+def _replicate_batch(stats, picks):
     """bootstrap_fit's fits of the attempts in a pick matrix: solve_stats of
     weighted_sums with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
     copies = np.stack([np.bincount(row, minlength=picks.shape[1]) for row in picks]).astype(float)
@@ -71,7 +72,7 @@ def _feasible_attempts(data, specs, seed, n_attempts):
                           base_fit(data, specs).alpha_hat)
     n = data.n_subjects
     picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
-    feasible, _, _ = _replicate_wave(stats, picks)
+    feasible, _, _ = _replicate_batch(stats, picks)
     return np.flatnonzero(feasible).tolist()
 
 
@@ -385,7 +386,7 @@ class TestCenteredSigma2:
                               base_fit(data, specs).alpha_hat)
         n = data.n_subjects
         picks = np.random.default_rng(3).integers(0, n, size=(25, n))
-        feasible, alpha, sigma2 = _replicate_wave(stats, picks)
+        feasible, alpha, sigma2 = _replicate_batch(stats, picks)
         assert feasible.all()
         exact = _exact_sigma2(data, specs, 3, alpha)
         np.testing.assert_allclose(sigma2, exact, rtol=1e-10, atol=0.0)
@@ -400,7 +401,7 @@ class TestCenteredSigma2:
         stats = subject_stats(build_design(clean, specs), clean.counts,
                               base_fit(clean, specs).alpha_hat)
         picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
-        feasible, alpha, sigma2 = _replicate_wave(stats, picks)
+        feasible, alpha, sigma2 = _replicate_batch(stats, picks)
         exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]
         assert feasible.sum() >= 10
         assert np.abs(sigma2[feasible] - exact).max() <= 1e-26

@@ -698,6 +698,30 @@ class TestOptionsAndErrors:
         assert code == 1
         assert payload["error"] in ("FileNotFoundError", "OSError")
 
+    def test_config_array_is_one_line_json_error(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "array.json"
+        cfg.write_text(json.dumps([{"engine": "wls"}]))
+        assert main(["fit", "--data", str(data_csv), "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": f"{cfg}: config must be a JSON object"}
+
+    @pytest.mark.parametrize("command", ["fit", "select", "crossval"])
+    def test_missing_data_option_is_json_error(self, tmp_path, capsys, command):
+        code, payload = _run([command, "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": f"{command} requires --data"}
+        assert not (tmp_path / "out").exists()
+
+    def test_knot_count_per_coefficient_mismatch(self, demo_csv, tmp_path, capsys):
+        """Two --knots counts on the demo panel's three coefficients."""
+        code, payload = _run(["fit", "--data", str(demo_csv), "--knots", "1,2",
+                              "--out", str(tmp_path / "fit")], capsys)
+        assert code == 1
+        assert payload == {"error": "ValueError",
+                           "message": "--knots lists 2 counts for 3 coefficients"}
+
     @pytest.mark.parametrize("where, row", [("header", 1), ("id", 3)])
     def test_cell_over_csv_field_limit_is_json_error(self, tmp_path, capsys,
                                                      where, row):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tvcm import LongitudinalDataset, frequentist, gen_scenario2
+from tvcm import LongitudinalDataset, gen_scenario2
 from tvcm.basis import basis_matrix, build_design, make_spec
 from tvcm.bootstrap import bootstrap_fit
 from tvcm.errors import InsufficientDataError, SingularDesignError
@@ -354,27 +354,35 @@ class TestSolveGram:
         assert feasible.any() and not feasible.all()
         assert eig_calls == [len(grams)] * 2  # the fallback and the oracle
 
-    @pytest.mark.parametrize("chunk", [2, 32])
-    def test_well_conditioned_stack_is_certified(self, eig_calls, monkeypatch, chunk):
-        monkeypatch.setattr(frequentist, "CERTIFY_CHUNK", chunk)
+    @pytest.mark.parametrize("n", [2, 32, 40])
+    def test_well_conditioned_stack_is_certified(self, eig_calls, monkeypatch, n):
+        """n members up to cond 1e11 pass one Cholesky call of the whole stack."""
+        cholesky_calls = []
+        real = np.linalg.cholesky
+
+        def counting(a):
+            cholesky_calls.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         rng = np.random.default_rng(3)
-        grams = np.array([_conditioned(c, spike, rng) for c in (1.0, 1e6, 1e11)
-                          for spike in (True, False)])
+        grams = np.array([_conditioned((1.0, 1e6, 1e11)[i % 3], i % 2 == 0, rng)
+                          for i in range(n)])
         feasible, alpha = solve_gram(grams, _cross(grams))
-        assert feasible.all() and eig_calls == []
+        assert feasible.all() and eig_calls == [] and cholesky_calls == [n]
         assert np.array_equal(alpha, _eig_solve_gram(grams, _cross(grams))[1])
 
-    @pytest.mark.parametrize("chunk", [2, 32])
-    def test_one_singular_member_makes_one_eigendecomposition(self, eig_calls, monkeypatch,
-                                                              chunk):
-        """With chunks of 2 the singular member sits in the second chunk."""
-        monkeypatch.setattr(frequentist, "CERTIFY_CHUNK", chunk)
+    @pytest.mark.parametrize("n", [2, 32, 40])
+    def test_one_singular_member_makes_one_eigendecomposition(self, eig_calls, n):
+        """One singular member, the last of an n-member stack, sends the
+        whole stack to one eigendecomposition."""
         rng = np.random.default_rng(4)
-        grams = np.array([_conditioned(1e3, False, rng) for _ in range(5)])
-        grams[2, :, 0] = grams[2, 0, :] = 0.0
+        grams = np.array([_conditioned(1e3, False, rng) for _ in range(n)])
+        grams[n - 1, :, 0] = grams[n - 1, 0, :] = 0.0
         feasible, _ = solve_gram(grams, _cross(grams))
-        assert feasible.tolist() == [True, True, False, True, True]
-        assert eig_calls == [5]
+        assert eig_calls == [n]
+        np.testing.assert_array_equal(feasible, _eig_solve_gram(grams, _cross(grams))[0])
+        assert np.flatnonzero(~feasible).tolist() == [n - 1]
 
     def test_non_finite_factor_is_no_certificate(self, eig_calls, monkeypatch):
         """A factorisation that returns without raising but with NaN in its
@@ -388,7 +396,7 @@ class TestSolveGram:
 
     def test_bootstrap_makes_no_eigendecomposition(self, eig_calls):
         """A 200-replicate bootstrap on a 100-subject scenario-2 panel is
-        certified wave by wave; the eigenvalue rule never runs."""
+        certified as one stack; the eigenvalue rule never runs."""
         data, _ = gen_scenario2(100, np.random.default_rng(7))
         specs = tuple(make_spec("radial", 2, k, data.time_domain) for k in (2, 2, 3))
         draws = bootstrap_fit(data, specs, 200, 11)

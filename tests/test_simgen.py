@@ -7,7 +7,7 @@ import pytest
 import tvcm.simgen
 from tvcm import gen_scenario1, gen_scenario2, run_replications
 from tvcm.engines import fit_engine
-from tvcm.errors import SelectionError, SingularDesignError
+from tvcm.errors import NumericalError, SelectionError, SingularDesignError
 from tvcm.simgen import (
     SCENARIO1_LEVELS,
     SCENARIO1_SIGMA2,
@@ -380,3 +380,29 @@ class TestSharedBaseFit:
             (e, "radial", error.__name__) for e in ("wls", "gibbs", "vb")]
         assert all(np.isnan(r["metric"]) for r in report.rows[:3])
         assert _strip_millis(report.rows[3:]) == _strip_millis(clean.rows[3:])
+
+    def test_failed_engine_fit_keeps_other_rows(self, monkeypatch):
+        """An engine fit that raises records its error type in its own row,
+        with no knots and a NaN metric; every other row stays ok and equal
+        to a run where nothing failed."""
+        kwargs = dict(scenario=1, n=12, reps=1, rng=6,
+                      engines=("wls", "gibbs", "vb"),
+                      families=("radial", "tpower"), k_max=2, draws=30,
+                      burnin=10)
+        clean = run_replications(**kwargs)
+
+        def failing_gibbs(data, specs, engine, **kwargs):
+            if engine == "gibbs" and specs[0].family == "radial":
+                raise NumericalError("patched")
+            return fit_engine(data, specs, engine, **kwargs)
+
+        monkeypatch.setattr(tvcm.simgen, "fit_engine", failing_gibbs)
+        report = run_replications(**kwargs)
+        assert report.failures == 1
+        failed = report.rows[1]
+        assert (failed["engine"], failed["basis"], failed["status"], failed["knots"]) == (
+            "gibbs", "radial", "NumericalError", "")
+        assert np.isnan(failed["metric"]) and np.isnan(failed["millis"])
+        others = report.rows[:1] + report.rows[2:]
+        assert all(r["status"] == "ok" for r in others)
+        assert _strip_millis(others) == _strip_millis(clean.rows[:1] + clean.rows[2:])

@@ -9,9 +9,10 @@ from scipy.special import digamma, gammaln
 from tvcm import gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
 from tvcm.bootstrap import DrawSource
+from tvcm.errors import NumericalError
 from tvcm.frequentist import fit_wls
 from tvcm.mcmc import PriorSpec, default_prior, whiten
-from tvcm.vb import _digamma, _objective_constant, vb_fit, vb_sample
+from tvcm.vb import VariationalPosterior, _digamma, _objective_constant, vb_fit, vb_sample
 
 from oracles import elbo
 
@@ -276,3 +277,9 @@ class TestSampling:
         assert payload["a_star"] == post.a_star
         assert payload["converged"] is True
         assert payload["elbo_trace"] == post.elbo_trace.tolist()
+
+    def test_indefinite_covariance_is_numerical_error(self):
+        post = VariationalPosterior(np.zeros(2), np.diag([1.0, -1.0]), 3.0, 1.0,
+                                    np.zeros(1), True)
+        with pytest.raises(NumericalError, match="V_star is not positive definite"):
+            vb_sample(post, 10, rng=0)
