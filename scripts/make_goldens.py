@@ -5,6 +5,12 @@ tests/golden in the repository.  The script writes all three files, each
 one record per line, at one BLAS thread as the test suite runs.  The tests
 rerun the record builders below in process and compare against the files.
 
+python scripts/make_goldens.py --headroom writes nothing.  It reruns the
+builders as the tests do and prints, for each record of the committed
+goldens, the entry nearest its tolerance: its relative drift and that drift
+as a share of the test's tolerance.  A share of 100% or more fails the test;
+inf marks a changed key set or a non-float entry that differs.
+
 - selection.json: one knot search at degree 2 and k_max 5, radial and
   tpower, full and coordinate, on the bundled demo panel in weeks and in
   years (times / 52) and on scenario 1 (50 subjects) and scenario 2 (100
@@ -208,6 +214,44 @@ def write(path, records: dict) -> None:
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+# golden file -> (relative, absolute) float tolerance of its test; selection is exact
+TOLERANCES = {"selection.json": (0.0, 0.0), "crossval.json": (1e-10, 0.0), "artifacts.json": (1e-9, 1e-12)}
+
+
+def worst_drift(got: dict, want: dict, rel: float, abs_tol: float) -> tuple[str, float, float]:
+    """(key, relative drift, share of the tolerance) of the entry of got nearest its tolerance about want."""
+    if got.keys() != want.keys():
+        return "<keys>", np.inf, np.inf
+    worst = ("", 0.0, 0.0)
+    for key, value in want.items():
+        mine = got[key]
+        floats = isinstance(value, float) and isinstance(mine, float)
+        if type(mine) is type(value) and mine == value or floats and np.isnan(mine) and np.isnan(value):
+            drift = share = 0.0
+        elif floats and np.isfinite(mine - value):
+            diff, tol = abs(mine - value), max(rel * abs(value), abs_tol)
+            drift = diff / abs(value) if value else diff
+            share = diff / tol if tol else np.inf
+        else:  # a NaN or inf that moved, or a non-float that changed
+            drift = share = np.inf
+        if (share, drift) > (worst[2], worst[1]):
+            worst = (key, drift, share)
+    return worst
+
+
+def headroom() -> None:
+    """Print each committed record's largest drift from a rerun of its builder; write nothing."""
+    with tempfile.TemporaryDirectory() as work:
+        rerun = {"selection.json": selection_records(), "crossval.json": crossval_records(),
+                 "artifacts.json": artifact_records(work)}
+    print(f"{'golden':<15} {'record':<40} {'drift':>9} {'share':>9}  entry")
+    for name, got in rerun.items():
+        want = json.loads((ROOT / "tests" / "golden" / name).read_text())
+        for record in [*want, *(k for k in got if k not in want)]:
+            key, drift, share = worst_drift(got.get(record, {}), want.get(record, {}), *TOLERANCES[name])
+            print(f"{name:<15} {record:<40} {drift:9.2e} {share:9.2%}  {key}")
+
+
 def main(out_dir=None) -> None:
     out = pathlib.Path(out_dir) if out_dir else ROOT / "tests" / "golden"
     write(out / "selection.json", selection_records())
@@ -217,4 +261,7 @@ def main(out_dir=None) -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    if sys.argv[1:] == ["--headroom"]:
+        headroom()
+    else:
+        main(*sys.argv[1:2])

@@ -16,8 +16,8 @@ for a batch of at most STACK_CHUNK replicates, with copy counts as weights,
 and frequentist.solve_stats solves the stack as steps from alpha_hat.  A
 replicate costs O(n p^2 + p^3) whatever the number of observations.
 resample_subjects followed by a QR fit_wls is the per-replicate reference
-path and stays as the test oracle.
-Intervals come from central_quantiles and sorted_quantiles.
+path and stays as the test oracle.  Every interval reads order statistics
+along the last axis: each parameter's or grid point's draws are one sorted row.
 """
 
 from __future__ import annotations
@@ -104,46 +104,39 @@ class PosteriorDraws:
                              for b, draw in enumerate(values)))
 
     def summary(self, level: float = 0.95) -> dict:
-        """Means and central intervals for every parameter."""
-        lows, highs = column_intervals(self.alpha_draws, level)
-        s_lo, s_hi = percentile_interval(self.sigma2_draws, level)
+        """Means and central intervals for every parameter, from one sort of a row-per-parameter copy."""
+        ordered = np.column_stack([self.alpha_draws, self.sigma2_draws]).T.copy()
+        ordered.sort(axis=1)
+        lows, highs = central_quantiles(ordered, level)
         return {
             "source": self.source.value,
             "seed": self.seed,
             "n_draws": self.n_draws,
             "level": level,
             "alpha_mean": self.alpha_draws.mean(axis=0).tolist(),
-            "alpha_lower": lows.tolist(),
-            "alpha_upper": highs.tolist(),
+            "alpha_lower": lows[:-1].tolist(),
+            "alpha_upper": highs[:-1].tolist(),
             "sigma2_mean": float(self.sigma2_draws.mean()),
-            "sigma2_lower": s_lo,
-            "sigma2_upper": s_hi,
+            "sigma2_lower": float(lows[-1]),
+            "sigma2_upper": float(highs[-1]),
         }
 
 
 def percentile_interval(samples, level: float) -> tuple[float, float]:
-    """Central interval from order statistics with linear rank interpolation."""
+    """Central interval of all the samples, flattened, from order statistics with linear rank interpolation."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot form a percentile interval from zero samples")
-    lo, hi = central_quantiles(np.sort(samples.ravel()), level)
+    lo, hi = central_quantiles(np.sort(samples, axis=None), level)
     return float(lo), float(hi)
 
 
-def column_intervals(samples, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """percentile_interval of every column of a (n_draws, m) matrix from one sort."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("column intervals need a (n_draws, m) matrix with n_draws >= 1")
-    return central_quantiles(np.sort(samples, axis=0), level)
-
-
 def central_quantiles(ordered: np.ndarray, level: float):
-    """The (1 - level)/2 and (1 + level)/2 quantiles along axis 0 of samples sorted along it.
+    """The (1 - level)/2 and (1 + level)/2 quantiles along the last axis of samples sorted along it.
 
-    On draw matrices one sort serving both ends costs less than np.quantile's
-    multi-point partition; a caller that owns a fresh matrix may sort it in
-    place first.
+    A caller that owns a fresh matrix may sort it in place first.  One sort
+    along contiguous rows serves both ends for less than np.quantile's
+    partition at the four ranks they read.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -152,20 +145,20 @@ def central_quantiles(ordered: np.ndarray, level: float):
 
 
 def sorted_quantiles(ordered: np.ndarray, probs) -> list:
-    """The quantiles at probs along axis 0 of samples sorted along it.
+    """The quantiles at probs along the last axis of samples sorted along it.
 
     This is np.quantile's 'linear' method, bit for bit: the virtual index
     (n - 1)q falls between order statistics a <= b with fraction g, and the
-    quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A column
+    quantile is a + (b - a)g, or b - (b - a)(1 - g) when g >= 0.5.  A row
     holding a NaN gets NaN.
     """
-    n = ordered.shape[0]
-    last = ordered[-1]
+    n = ordered.shape[-1]
+    last = ordered[..., -1]
     values = []
     for q in probs:
         index = (n - 1) * q
         below = math.floor(index)
-        a, b = ordered[min(below, n - 1)], ordered[min(below + 1, n - 1)]
+        a, b = ordered[..., min(below, n - 1)], ordered[..., min(below + 1, n - 1)]
         g = index - below
         diff = b - a
         value = b - diff * (1 - g) if g >= 0.5 else a + diff * g

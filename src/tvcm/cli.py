@@ -302,8 +302,8 @@ def _intervals(specs, result, grid, level):
     curves = []
     for spec, b, draws in zip(specs, blocks, split_alpha(result.draws.alpha_draws, dims)):
         bg = basis_matrix(spec, grid)
-        bands = np.ascontiguousarray(draws) @ bg.T
-        bands.sort(axis=0)  # the product is fresh: sort it, not a copy
+        bands = bg @ draws.T  # (grid, draws), fresh: sort each grid point's row in place
+        bands.sort(axis=1)
         curves.append((bg @ b, *central_quantiles(bands, level)))
     return curves, result.draws.summary(level)
 

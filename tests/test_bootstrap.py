@@ -15,7 +15,6 @@ from tvcm.bootstrap import (
     PosteriorDraws,
     bootstrap_fit,
     central_quantiles,
-    column_intervals,
     percentile_interval,
     resample_subjects,
 )
@@ -288,13 +287,21 @@ class TestLoopOracle:
             assert _picks(data, resample_subjects(data, gen)) == row.tolist()
 
     def test_chunking_leaves_draws_unchanged(self, monkeypatch):
-        """frequentist.STACK_CHUNK bounds scratch memory only.  The bootstrap
-        in chunks of 3 draws and keeps exactly what one chunk per wave does,
-        and crossval_amse in chunks of 3 folds gives the default chunk's AMSE
-        for wls and vb, 5-fold and leave-one-out, within 1e-12 relative: only
-        the order of the cross-chunk sum changes."""
+        """frequentist.STACK_CHUNK bounds scratch memory only.  A replicate's
+        row of the weighted-sum GEMM may round differently with the attempts
+        that share its chunk, so on a multi-observation panel (scenario 2,
+        300 draws, above STACK_CHUNK) the bootstrap in chunks of 3 draws keeps
+        alpha and sigma2 within 1e-12 of the largest draw of the default
+        chunk's.  On a one-observation-per-subject panel it keeps exactly the
+        default chunk's draws.  Both keep the attempt count.  crossval_amse in
+        chunks of 3 folds gives the default chunk's AMSE for wls and vb,
+        5-fold and leave-one-out, within 1e-12 relative: only the order of
+        the cross-chunk sum changes."""
         data = _one_obs_each(6)
         specs = (make_spec("tpower", 4, 0, data.time_domain),)
+        multi, _ = gen_scenario2(40, np.random.default_rng(2))
+        multi_specs = (make_spec("tpower", 2, 2, multi.time_domain),) * 3
+        n_multi = tvcm.frequentist.STACK_CHUNK + 44
         panel, _ = gen_scenario1(12, np.random.default_rng(5), m=5)
         panel_specs = (make_spec("radial", 2, 1, panel.time_domain),)
         runs = [(engine, folds) for engine in ("wls", "vb") for folds in (5, panel.n_obs)]
@@ -303,11 +310,18 @@ class TestLoopOracle:
             return [crossval_amse(panel, panel_specs, folds, rng=4, engine=engine) for engine, folds in runs]
 
         whole, whole_amse = bootstrap_fit(data, specs, 10, 0), crossval()
+        whole_multi = bootstrap_fit(multi, multi_specs, n_multi, 1)
         monkeypatch.setattr(tvcm.frequentist, "STACK_CHUNK", 3)
         chunked, chunked_amse = bootstrap_fit(data, specs, 10, 0), crossval()
+        chunked_multi = bootstrap_fit(multi, multi_specs, n_multi, 1)
         np.testing.assert_array_equal(chunked.alpha_draws, whole.alpha_draws)
         np.testing.assert_array_equal(chunked.sigma2_draws, whole.sigma2_draws)
         assert chunked.attempts == whole.attempts
+        for got, want in ((chunked_multi.alpha_draws, whole_multi.alpha_draws),
+                          (chunked_multi.sigma2_draws, whole_multi.sigma2_draws)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert chunked_multi.attempts == whole_multi.attempts
+        assert whole_multi.n_draws == n_multi
         assert chunked_amse == pytest.approx(whole_amse, rel=1e-12, abs=0.0)
 
 
@@ -447,61 +461,70 @@ class TestPercentileInterval:
         with pytest.raises(ValueError):
             percentile_interval(np.array([]), 0.5)
         with pytest.raises(ValueError):
-            column_intervals(np.ones((4, 2)), 1.0)
+            central_quantiles(np.ones((2, 4)), 1.0)
         with pytest.raises(ValueError):
-            column_intervals(np.empty((0, 2)), 0.5)
+            PosteriorDraws(np.ones((2, 2)), np.ones(2), DrawSource.GIBBS).summary(0.0)
 
     def test_sorted_form_equals_numpy_quantile(self):
-        """Both interval functions reproduce np.quantile's 'linear' method
-        bit for bit: random shapes and levels, rounded values with ties,
-        n = 1, and a NaN column."""
+        """The row form and percentile_interval reproduce np.quantile's
+        'linear' method bit for bit: random shapes and levels, rounded values
+        with ties, n = 1, and a NaN row."""
         gen = np.random.default_rng(17)
         for trial in range(300):
             n = 1 if trial % 10 == 0 else int(gen.integers(2, 600))
-            samples = gen.standard_normal((n, int(gen.integers(1, 5))))
+            samples = gen.standard_normal((int(gen.integers(1, 5)), n))
             if trial % 2:
                 samples = np.round(samples, 1)
             if trial % 7 == 0:
-                samples[int(gen.integers(n)), 0] = np.nan
+                samples[0, int(gen.integers(n))] = np.nan
             level = float(gen.uniform(1e-6, 1.0 - 1e-6))
             tail = (1.0 - level) / 2.0
-            want = np.quantile(samples, [tail, 1.0 - tail], axis=0,
+            want = np.quantile(samples, [tail, 1.0 - tail], axis=-1,
                                method="linear")
-            lo, hi = column_intervals(samples, level)
+            lo, hi = central_quantiles(np.sort(samples, axis=-1), level)
             np.testing.assert_array_equal(lo, want[0])
             np.testing.assert_array_equal(hi, want[1])
-            one = np.quantile(samples[:, -1], [tail, 1.0 - tail],
+            one = np.quantile(samples[-1], [tail, 1.0 - tail],
                               method="linear")
             np.testing.assert_array_equal(
-                percentile_interval(samples[:, -1], level), one)
+                percentile_interval(samples[-1], level), one)
 
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
     def test_column_form_equals_per_column_calls(self, level):
-        samples = np.random.default_rng(4).standard_normal((200, 37))
-        lo, hi = column_intervals(samples, level)
-        expected = [percentile_interval(samples[:, j], level)
-                    for j in range(samples.shape[1])]
-        np.testing.assert_array_equal(lo, [e[0] for e in expected])
-        np.testing.assert_array_equal(hi, [e[1] for e in expected])
-
+        """summary()'s interval for each column of the draws, sigma2 too, is
+        percentile_interval of that column."""
+        gen = np.random.default_rng(4)
+        alpha = np.round(gen.standard_normal((200, 37)), 1)
+        sigma2 = np.round(gen.uniform(0.5, 2.0, 200), 1)
+        s = PosteriorDraws(alpha, sigma2, DrawSource.GIBBS).summary(level)
+        expected = [percentile_interval(alpha[:, j], level)
+                    for j in range(alpha.shape[1])]
+        assert s["alpha_lower"] == [e[0] for e in expected]
+        assert s["alpha_upper"] == [e[1] for e in expected]
+        assert (s["sigma2_lower"], s["sigma2_upper"]) == \
+            percentile_interval(sigma2, level)
 
     def test_public_forms_leave_samples_untouched(self):
         samples = np.random.default_rng(8).standard_normal((300, 5))
         before = samples.copy()
-        column_intervals(samples, 0.9)
         percentile_interval(samples, 0.9)
         percentile_interval(samples[:, 0], 0.9)
+        draws = PosteriorDraws(samples, np.abs(samples[:, 0]) + 1.0, DrawSource.GIBBS)
+        draws.summary(0.9)
         assert samples.tobytes() == before.tobytes()
+        assert draws.alpha_draws.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("level", [0.5, 0.95])
-    def test_in_place_sort_matches_column_form(self, level):
-        """cmd_fit's path: a fresh matrix sorted in place along axis 0."""
-        samples = np.round(np.random.default_rng(9).standard_normal((2000, 40)), 2)
-        samples[:3] = -0.0
+    def test_in_place_row_sort_matches_numpy_quantile(self, level):
+        """cmd_fit's path: a fresh (grid, draws) matrix sorted in place along
+        its rows, with ties and signed zeros."""
+        samples = np.round(np.random.default_rng(9).standard_normal((40, 2000)), 2)
+        samples[:, :3] = -0.0
         bands = samples.copy()
-        bands.sort(axis=0)
+        bands.sort(axis=1)
         lo, hi = central_quantiles(bands, level)
-        want = column_intervals(samples, level)
+        tail = (1.0 - level) / 2.0
+        want = np.quantile(samples, [tail, 1.0 - tail], axis=-1, method="linear")
         assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
 
 
@@ -573,6 +596,19 @@ class TestPosteriorDraws:
         draws.to_csv(fast)
         _loop_to_csv(draws, loop)
         assert fast.read_bytes() == loop.read_bytes()
+
+    @pytest.mark.parametrize("n_draws", [1, 5])
+    def test_summary_of_one_parameter_read_only_draws(self, n_draws):
+        """With one parameter the draws' transpose is already contiguous;
+        summary sorts a copy, never the read-only draws."""
+        alpha = np.arange(n_draws, 0, -1.0)[:, None]
+        draws = PosteriorDraws(alpha, alpha[:, 0] + 1.0, DrawSource.GIBBS)
+        assert not draws.alpha_draws.flags.writeable
+        s = draws.summary(0.5)
+        lo, hi = percentile_interval(alpha, 0.5)
+        assert s["alpha_lower"] == [lo] and s["alpha_upper"] == [hi]
+        assert (s["sigma2_lower"], s["sigma2_upper"]) == (lo + 1.0, hi + 1.0)
+        assert draws.alpha_draws[:, 0].tolist() == alpha[:, 0].tolist()
 
     def test_summary_contract(self):
         d = PosteriorDraws(np.arange(8.0).reshape(4, 2),

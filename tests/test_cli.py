@@ -24,7 +24,6 @@ import tvcm.errors
 from tvcm import gen_scenario1, gen_scenario2, ingest_csv, write_csv
 from tvcm import cli
 from tvcm.basis import BasisSpec, basis_matrix, build_design, make_spec, split_alpha
-from tvcm.bootstrap import column_intervals
 from tvcm.cli import build_parser, main
 
 from conftest import REPO_ROOT, exact_response_dataset, forbid_qr, golden_script
@@ -106,8 +105,8 @@ class TestFit:
 
     def test_bands_are_draw_curve_intervals(self, data_csv, tmp_path,
                                             capsys):
-        """curves.csv bands are the column intervals of the draws' curves on
-        the grid (cmd_fit sorts those curves in place)."""
+        """curves.csv bands are the intervals of the draws' curves at each
+        grid point (cmd_fit sorts each grid point's row in place)."""
         out = tmp_path / "bands"
         code, _ = _run(
             ["fit", "--data", str(data_csv), "--engine", "gibbs", "--draws",
@@ -124,9 +123,30 @@ class TestFit:
         for r, (spec, block) in enumerate(zip(specs, blocks)):
             mine = [row for row in rows if row["coefficient"] == str(r)]
             grid = np.array([float(row["t"]) for row in mine])
-            lo, hi = column_intervals(np.ascontiguousarray(block) @ basis_matrix(spec, grid).T, 0.9)
+            lo, hi = np.quantile(basis_matrix(spec, grid) @ block.T, [0.05, 0.95], axis=-1, method="linear")
             np.testing.assert_allclose([float(row["lower"]) for row in mine], lo, rtol=1e-12)
             np.testing.assert_allclose([float(row["upper"]) for row in mine], hi, rtol=1e-12)
+
+    @pytest.mark.parametrize("engine", ["wls", "gibbs", "vb"])
+    def test_one_parameter_fit_has_bands(self, engine, tmp_path, capsys):
+        """A one-parameter model (intercept only, tpower degree 0, no knots)
+        has a one-column draw matrix, which fit summarises without writing
+        to the read-only draws."""
+        csv_path = tmp_path / "panel.csv"
+        csv_path.write_text("subject,time,y\n" + "".join(
+            f"s{i % 4},{i},{(i * 7) % 5 * 0.5}\n" for i in range(12)))
+        out = tmp_path / "fit"
+        code, _ = _run(["fit", "--data", str(csv_path), "--engine", engine, "--family", "tpower",
+                        "--degree", "0", "--knots", "0", "--boot", "30", "--draws", "30",
+                        "--burnin", "5", "--out", str(out)], capsys)
+        assert code == 0
+        summary = json.loads((out / "draws_summary.json").read_text())
+        assert len(summary["alpha_lower"]) == 1
+        rows = _read_curves(out)
+        lo, hi = summary["alpha_lower"][0], summary["alpha_upper"][0]
+        for row in rows:  # beta_0 is the constant alpha_0, so the bands are alpha_0's interval
+            assert float(row["lower"]) == pytest.approx(lo, rel=1e-12)
+            assert float(row["upper"]) == pytest.approx(hi, rel=1e-12)
 
     def test_vb_close_to_gibbs_curves(self, data_csv, tmp_path, capsys):
         """The two Bayesian engines must produce nearly identical posterior
@@ -1070,6 +1090,21 @@ def test_artifacts_match_golden(demo_csv, tmp_path):
         moved = {key: (got[name][key], value) for key, value in record.items()
                  if not _close(got[name][key], value)}
         assert not moved, f"{name}: {moved}"
+
+
+def test_headroom_reads_drift_as_share_of_tolerance():
+    """make_goldens.py --headroom's rule: the entry nearest its tolerance,
+    with the absolute floor near zero; NaN against NaN, and inf against inf,
+    is no drift; any other change of a non-float, a NaN or a key set is inf."""
+    worst = golden_script().worst_drift
+    want = {"a": 2.0, "b": 0.0, "c": [1, 2], "d": float("nan"), "e": float("inf")}
+    assert worst(dict(want), want, 1e-9, 1e-12) == ("", 0.0, 0.0)
+    key, drift, share = worst({**want, "a": 2.0 + 1e-9}, want, 1e-9, 1e-12)
+    assert key == "a" and drift == pytest.approx(5e-10) and share == pytest.approx(0.5)
+    assert worst({**want, "b": 5e-13}, want, 1e-9, 1e-12)[::2] == ("b", pytest.approx(0.5))
+    for moved in ({"c": [1, 3]}, {"d": 1.0}, {"e": 1.0}, {"a": 2}):
+        assert worst({**want, **moved}, want, 1e-9, 1e-12) == (next(iter(moved)), np.inf, np.inf)
+    assert worst({"a": 2.0}, want, 1e-9, 1e-12) == ("<keys>", np.inf, np.inf)
 
 
 # ---------------------------------------------------------------------------

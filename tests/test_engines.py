@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvcm import LongitudinalDataset, gen_scenario1, gen_scenario2, ingest_csv
 from tvcm.basis import build_design, make_spec
@@ -13,6 +15,7 @@ from tvcm.engines import ENGINES, fit_engine
 from tvcm.errors import SingularDesignError, TvcmError
 from tvcm.frequentist import fit_wls, gram_stats
 from tvcm.mcmc import dic, dic_from_stats, whiten
+from tvcm.selection import knot_search
 
 from conftest import forbid_qr
 
@@ -262,3 +265,85 @@ class TestFitEngine:
 
     def test_engine_registry(self):
         assert ENGINES == ("wls", "gibbs", "vb")
+
+
+def _outcome(run):
+    """run()'s value, or the type of the TvcmError it raised."""
+    try:
+        return run()
+    except TvcmError as exc:
+        return type(exc)
+
+
+def _response_scale_run(data, family):
+    """Knot search at degree 2, k_max 2, then every engine on the selected
+    knots at seed 5.  Returns the knots, every candidate's PCV, and for each
+    engine its alphas (the point and any draws), its sigma2 (base_fit's for
+    wls, else the draws) and for gibbs and vb (DIC, p_DIC); an engine that
+    raised stands as its TvcmError type."""
+    best, table = knot_search(data, family, 2, 2, "full")
+    specs = tuple(make_spec(family, 2, k, data.time_domain) for k in best)
+    fits = {}
+    for name, engine, draws in (("wls", "wls", 0), ("bootstrap", "wls", 60),
+                                ("gibbs", "gibbs", 200), ("vb", "vb", 200)):
+        result = _outcome(lambda: fit_engine(data, specs, engine, rng=5, draws=draws, burnin=20))
+        if isinstance(result, type):
+            fits[name] = result
+        elif result.draws is None:
+            fits[name] = {"alpha": [result.alpha], "sigma2": result.sigma2_hat}
+        else:
+            fits[name] = {"alpha": [result.alpha, result.draws.alpha_draws],
+                          "sigma2": result.draws.sigma2_draws}
+            if engine != "wls":
+                fits[name]["dic"] = dic_from_stats(result.draws, result.stats)
+    return best, np.array([row["pcv"] for row in table]), fits
+
+
+def _close(got, want, scale=None) -> bool:
+    """got within 1e-9 of scale, by default the largest magnitude in want."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = np.max(np.abs(want)) if scale is None else scale
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-9 * scale
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(scenario=st.sampled_from([1, 2]), n=st.integers(3, 10), panel_seed=st.integers(0, 2**16),
+       family=st.sampled_from(["radial", "tpower"]), log_c=st.floats(-6.0, 6.0))
+def test_response_scale_property(scenario, n, panel_seed, family, log_c):
+    """y -> c y on a small scenario-1 or -2 panel, c from 1e-6 to 1e6: the
+    selected knots and the infeasible candidates are unchanged and each PCV
+    scales by c^2; WLS, bootstrap, Gibbs and VB alphas scale by c and their
+    sigma2 by c^2; DIC moves by N log c^2 and p_DIC is unchanged.  Each holds
+    within 1e-9 of the largest value compared.  A step that raises raises
+    the same error at both scales."""
+    data, _ = (gen_scenario1 if scenario == 1 else gen_scenario2)(n, np.random.default_rng(panel_seed))
+    c = 10.0 ** log_c
+    runs = []
+    for scale in (1.0, c):
+        scaled = LongitudinalDataset(data.subject_ids, data.counts, data.times,
+                                     data.responses * scale, data.covariates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a near-exact base fit's zero-variance warning
+            runs.append(_outcome(lambda: _response_scale_run(scaled, family)))
+    base, scaled = runs
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    (knots, pcv, fits), (knots_c, pcv_c, fits_c) = base, scaled
+    assert knots_c == knots
+    feasible = np.isfinite(pcv)
+    np.testing.assert_array_equal(np.isfinite(pcv_c), feasible)
+    assert _close(pcv_c[feasible], c * c * pcv[feasible])
+    for name, fit in fits.items():
+        got = fits_c[name]
+        if isinstance(fit, type):
+            assert got is fit, name
+            continue
+        for value, want in zip(got["alpha"], fit["alpha"]):
+            assert _close(value, c * want), name
+        assert _close(got["sigma2"], c * c * fit["sigma2"]), name
+        if "dic" in fit:
+            (dic_value, p_dic), (dic_c, p_dic_c) = fit["dic"], got["dic"]
+            want = dic_value + data.n_obs * np.log(c * c)
+            assert _close(dic_c, want, max(abs(dic_value), abs(want))), name
+            assert _close(p_dic_c, p_dic), name
