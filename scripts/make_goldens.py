@@ -6,7 +6,8 @@ one record per line, at one BLAS thread as the test suite runs.  The tests
 rerun the record builders below in process and compare against the files.
 
 python scripts/make_goldens.py --headroom writes nothing.  It reruns the
-builders as the tests do and prints, for each record of the committed
+builders as the tests do and prints the BLAS thread count and NumPy version
+it ran under, then, for each record of the committed
 goldens, the entry nearest its tolerance: its relative drift and that drift
 as a share of the test's tolerance.  A share of 100% or more fails the test;
 inf marks a changed key set or a non-float entry that differs.
@@ -240,7 +241,11 @@ def worst_drift(got: dict, want: dict, rel: float, abs_tol: float) -> tuple[str,
 
 
 def headroom() -> None:
-    """Print each committed record's largest drift from a rerun of its builder; write nothing."""
+    """Print each committed record's largest drift from a rerun of its builder; write nothing.
+
+    The first line names the BLAS thread count and the NumPy version of the rerun.
+    """
+    print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} numpy {np.__version__}")
     with tempfile.TemporaryDirectory() as work:
         rerun = {"selection.json": selection_records(), "crossval.json": crossval_records(),
                  "artifacts.json": artifact_records(work)}

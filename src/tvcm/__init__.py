@@ -4,7 +4,9 @@ Coefficient functions are expanded over radial Gaussian kernels or truncated
 power splines and estimated by weighted least squares with a subject-level
 bootstrap, a conjugate two-block Gibbs sampler, or coordinate-ascent
 variational inference.  Knot counts are chosen by a predictive
-cross-validation criterion.
+cross-validation criterion.  LongitudinalDataset, DesignBundle, PosteriorDraws
+and VariationalPosterior freeze copies they own of the arrays they are given:
+the caller's arrays stay writeable, and writing to them changes no record.
 """
 
 __version__ = "0.1.0"

@@ -187,9 +187,9 @@ class DesignBundle:
     specs: tuple[BasisSpec, ...]
 
     def __post_init__(self) -> None:
-        Z = np.asarray(self.Z, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        Z = np.array(self.Z, dtype=float)
+        y = np.array(self.y, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if Z.ndim != 2:
             raise ValueError("Z must be 2-D")
         if y.shape != (Z.shape[0],) or w.shape != (Z.shape[0],):

@@ -9,11 +9,12 @@ master generator, right after attempt j - 1's.
 
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
-bootstrap_fit therefore stacks each subject's whitened statistics once with
-frequentist.subject_stats about base_fit's alpha_hat, whose solve refuses an
-infeasible design before any resampling; frequentist.weighted_sums sums them
-for a batch of at most STACK_CHUNK replicates, with copy counts as weights,
-and frequentist.solve_stats solves the stack as steps from alpha_hat.  A
+bootstrap_fit therefore stacks each subject's whitened statistics once:
+frequentist.subject_stats reads them off the bordered rows [Z~ | e] about
+base_fit's alpha_hat, whose solve refuses an infeasible design before any
+resampling.  frequentist.weighted_sums sums them for a batch of at most
+STACK_CHUNK replicates, with copy counts as weights, and
+frequentist.solve_stats solves the stack as steps from alpha_hat.  A
 replicate costs O(n p^2 + p^3) whatever the number of observations.
 resample_subjects followed by a QR fit_wls is the per-replicate reference
 path and stays as the test oracle.  Every interval reads order statistics
@@ -60,8 +61,8 @@ class PosteriorDraws:
     attempts: int | None = None
 
     def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha_draws, dtype=float)
-        sigma2 = np.asarray(self.sigma2_draws, dtype=float)
+        alpha = np.array(self.alpha_draws, dtype=float)
+        sigma2 = np.array(self.sigma2_draws, dtype=float)
         if alpha.ndim != 2 or alpha.shape[0] < 1:
             raise ValueError("alpha_draws must be a (n_draws, p) matrix with n_draws >= 1")
         if sigma2.shape != (alpha.shape[0],):
@@ -74,10 +75,9 @@ class PosteriorDraws:
             raise ValueError(f"{source.value} variance draws must be strictly positive")
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(sigma2))):
             raise ValueError("draws contain non-finite values")
-        alpha.setflags(write=False)
-        sigma2.setflags(write=False)
-        object.__setattr__(self, "alpha_draws", alpha)
-        object.__setattr__(self, "sigma2_draws", sigma2)
+        for name, arr in (("alpha_draws", alpha), ("sigma2_draws", sigma2)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -210,7 +210,9 @@ def bootstrap_fit(
     gen, seed = as_generator(rng)
     if base is None:
         base = frequentist.base_fit(data, specs)
-    stats = frequentist.subject_stats(base.bundle, data.counts, base.alpha_hat)
+    design, response = frequentist.whiten(base.bundle)
+    bordered = np.column_stack([design, response - design @ base.alpha_hat])
+    stats = frequentist.subject_stats(bordered, data.counts, base.alpha_hat)
 
     n = data.n_subjects
     cap = REDRAW_FACTOR * n_draws

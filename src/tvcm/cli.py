@@ -30,9 +30,10 @@ from .bootstrap import central_quantiles
 from .data import ingest_csv
 from .engines import ENGINES, fit_engine
 from .errors import KnotError, TvcmError
-from .mcmc import DEFAULT_BURNIN, dic_from_stats
+from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, dic_from_stats
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
+from .vb import DEFAULT_TOL
 
 FAMILIES = tuple(f.value for f in BasisFamily)
 
@@ -61,10 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--placement", choices=["equal", "quantile"], default="equal")
     fit.add_argument("--bandwidth", type=float, help="radial kernel bandwidth override")
     fit.add_argument("--engine", choices=ENGINES, default="gibbs")
-    fit.add_argument("--draws", type=int, default=2000, help="posterior draws (gibbs/vb)")
+    fit.add_argument("--draws", type=int, default=DEFAULT_DRAWS, help="posterior draws (gibbs/vb)")
     fit.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
     fit.add_argument("--boot", type=int, default=0, help="bootstrap replicates when engine=wls")
-    fit.add_argument("--tol", type=float, default=1e-6, help="variational convergence tolerance")
+    fit.add_argument("--tol", type=float, default=DEFAULT_TOL, help="variational convergence tolerance")
     fit.add_argument("--level", type=float, default=0.95, help="interval level for curves.csv")
     fit.add_argument("--grid", type=int, default=200, help="curve grid size")
     fit.add_argument("--out", default=".", help="output directory")

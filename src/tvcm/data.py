@@ -59,12 +59,11 @@ class LongitudinalDataset:
         arrays = {}
         for name, ndim in (("times", 1), ("responses", 1), ("covariates", 2)):
             try:
-                arr = np.asarray(getattr(self, name), dtype=float)
+                arr = np.array(getattr(self, name), dtype=float, order="C")
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{name} is not a numeric array: {exc}") from None
             if arr.ndim != ndim:
                 raise DataError(f"{name} must be a {ndim}-D array")
-            arr = np.ascontiguousarray(arr)
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"{name} contains non-finite values")
             if arr.shape[0] != n_rows:

@@ -6,9 +6,9 @@ rule, gram_feasible; the QR fit_wls is its test oracle, and its hat matrix
 Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit solves the
 full-data fit once, a step from gram_stats's center; nothing solves it
 again.  Every engine reads its GramStats, and the bootstrap solves
-weighted_sums of subject_stats centred at its alpha_hat.  The stacked
-functions take whatever stack they are given; their callers bound it at
-STACK_CHUNK regressions.
+weighted_sums of subject_stats about its alpha_hat, read off one product of
+each subject's bordered rows [Z~ | e] with themselves.  The stacked functions
+take whatever stack they are given; callers bound it at STACK_CHUNK.
 """
 
 from __future__ import annotations
@@ -243,28 +243,21 @@ def ridge_posterior(stats: GramStats, ridge) -> tuple[np.ndarray, np.ndarray, np
     return M, linv_t, mu, r0
 
 
-def subject_stats(bundle, counts: np.ndarray, center) -> GramStats:
-    """Per-subject GramStats about center, stacked over subjects.
+def subject_stats(rows: np.ndarray, counts: np.ndarray, center) -> GramStats:
+    """Per-subject GramStats about center, stacked over subjects, from the bordered rows X = [Z~ | e].
 
-    With A = sqrt(W) Z and y~ = sqrt(W) y split into subject blocks, gram[i]
-    is A_i'A_i; with e = y~ - A center, resid_sq[i] is e_i'e_i and lever[i]
-    is A_i'e_i.
+    With e = y~ - Z~ center, X_i'X_i = [[Z~_i'Z~_i, Z~_i'e_i], [e_i'Z~_i, e_i'e_i]] holds
+    subject i's gram, lever and resid_sq; one stacked matmul makes it for every
+    subject with the same visit count, and the returned arrays are views of it.
     """
-    design, response = whiten(bundle)
-    resid = response - design @ center
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    p = bundle.n_params
-    gram = np.empty((counts.size, p, p))
-    lever = np.empty((counts.size, p))
-    # one stacked matmul over all subjects with the same visit count
+    p = rows.shape[1] - 1
+    cross = np.empty((counts.size, p + 1, p + 1))
     for n_i in np.unique(counts):
         subjects = np.flatnonzero(counts == n_i)
-        rows = starts[subjects, None] + np.arange(n_i)
-        block = design[rows]
-        block_t = block.transpose(0, 2, 1)
-        gram[subjects] = block_t @ block
-        lever[subjects] = (block_t @ resid[rows][..., None])[..., 0]
-    return GramStats(counts, gram, center, np.add.reduceat(resid**2, starts), lever)
+        block = rows[starts[subjects, None] + np.arange(n_i)]
+        cross[subjects] = block.transpose(0, 2, 1) @ block
+    return GramStats(counts, cross[:, :p, :p], center, cross[:, p, p], cross[:, :p, p])
 
 
 def weighted_sums(stats: GramStats, weights: np.ndarray, n_obs) -> GramStats:

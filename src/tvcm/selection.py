@@ -349,9 +349,10 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     specs = tuple(specs)
     bundle = build_design(data, specs)
     design, response = whiten(bundle)
-    stats = subject_stats(bundle, data.counts, frequentist.gram_stats(design, response).center)
-    # [a_j, e_j]: one outer product gives a row's Gram, lever and squared residual
-    rows = np.column_stack([design, response - design @ stats.center])
+    center = frequentist.gram_stats(design, response).center
+    # [a_j, e_j]: one outer product gives a row's Gram, lever and squared residual, subject_stats a subject's
+    rows = np.column_stack([design, response - design @ center])
+    stats = subject_stats(rows, data.counts, center)
     # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
     sizes = n_obs // n_folds + (np.arange(n_folds) < n_obs % n_folds)
     live = np.arange(sizes[0]) < sizes[:, None]

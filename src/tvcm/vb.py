@@ -54,9 +54,9 @@ class VariationalPosterior:
     converged: bool
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m_star, dtype=float)
-        V = np.asarray(self.V_star, dtype=float)
-        trace = np.asarray(self.elbo_trace, dtype=float)
+        m = np.array(self.m_star, dtype=float)
+        V = np.array(self.V_star, dtype=float)
+        trace = np.array(self.elbo_trace, dtype=float)
         if m.ndim != 1 or V.shape != (m.size, m.size):
             raise ValueError("m_star must be length p and V_star shape (p, p)")
         if not (self.a_star > 0 and self.b_star > 0):
@@ -143,7 +143,7 @@ def vb_fit_from_stats(stats: GramStats, prior: PriorSpec, tol: float, max_iters:
         V_star=(b_prev / a_star) * (linv_t @ linv_t.T),
         a_star=a_star,
         b_star=b_star,
-        elbo_trace=np.array(trace),
+        elbo_trace=trace,
         converged=converged,
     )
 

@@ -10,7 +10,8 @@ paths: knot_search's shared Gram statistics, vb.vb_fit_from_stats's
 closed-form trace, build_design's shared basis evaluations,
 cli._write_curves's column templates, mcmc.gibbs_from_stats's stacked
 L^-T z_t, and crossval_amse's per-subject statistics, which
-frequentist.subject_stats builds, frequentist.weighted_sums sums and
+frequentist.subject_stats reads off one product of each subject's bordered
+rows [Z~ | e] with themselves, frequentist.weighted_sums sums and
 frequentist.solve_stats solves.  gibbs_rows and elbo read M, L^-T, mu and r0 from
 frequentist.ridge_posterior on statistics about any center, as the library
 does.

@@ -14,6 +14,7 @@ from tvcm import basis as basis_module
 from tvcm.basis import (
     BasisFamily,
     BasisSpec,
+    DesignBundle,
     basis_matrix,
     build_design,
     coefficient_curve,
@@ -244,6 +245,17 @@ def _two_subject_data():
 
 
 class TestBuildDesign:
+    def test_caller_arrays_stay_writeable(self):
+        """A bundle freezes copies that it owns: the caller's arrays stay
+        writeable, and writing to them leaves the bundle unchanged."""
+        Z, y, weights = np.arange(6.0).reshape(3, 2), np.ones(3), np.full(3, 0.5)
+        bundle = DesignBundle(Z, y, weights, (2,), ())
+        for mine, theirs in ((Z, bundle.Z), (y, bundle.y), (weights, bundle.weights)):
+            assert not theirs.flags.writeable
+            before = theirs.copy()
+            mine[0] = 9.0
+            np.testing.assert_array_equal(theirs, before)
+
     def test_intercept_only_rows_are_basis_rows(self):
         data = single_subject([0.2, 0.5, 0.8], [1.0, 2.0, 3.0])
         spec = make_spec("radial", 2, 1, data.time_domain)

@@ -67,8 +67,8 @@ def _replicate_batch(stats, picks):
 
 def _feasible_attempts(data, specs, seed, n_attempts):
     """Attempt indices the batched path accepts, over one pick matrix."""
-    stats = subject_stats(build_design(data, specs), data.counts,
-                          base_fit(data, specs).alpha_hat)
+    stats = _subject_stats(build_design(data, specs), data.counts,
+                           base_fit(data, specs).alpha_hat)
     n = data.n_subjects
     picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
     feasible, _, _ = _replicate_batch(stats, picks)
@@ -337,17 +337,26 @@ def _exact_sigma2(data, specs, seed, alpha):
     return np.array(out)
 
 
-def _loop_subject_blocks(bundle, counts):
-    """Each subject's Gram block and cross product from its own two small
-    matmuls: the per-subject loop that subject_stats batches by visit count."""
+def _subject_stats(bundle, counts, center):
+    """subject_stats of a design about center, from its bordered rows [Z~ | e]."""
+    design, response = whiten(bundle)
+    return subject_stats(np.column_stack([design, response - design @ center]), counts, center)
+
+
+def _loop_subject_blocks(bundle, counts, center):
+    """Each subject's Gram block, cross product and squared residual e_i'e_i
+    about center from its own small matmuls: the per-subject loop that
+    subject_stats batches by visit count.  e = y~ - Z~ center is formed as
+    the library forms it, so an exact fit's roundoff residuals agree."""
     sw = np.sqrt(bundle.weights)
     design, response = bundle.Z * sw[:, None], bundle.y * sw
+    resid = response - design @ center
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    gram = np.stack([design[lo:lo + c].T @ design[lo:lo + c]
-                     for lo, c in zip(starts, counts)])
-    cross = np.stack([design[lo:lo + c].T @ response[lo:lo + c]
-                      for lo, c in zip(starts, counts)])
-    return gram, cross
+    spans = [slice(lo, lo + c) for lo, c in zip(starts, counts)]
+    gram = np.stack([design[s].T @ design[s] for s in spans])
+    cross = np.stack([design[s].T @ response[s] for s in spans])
+    resid_sq = np.array([resid[s] @ resid[s] for s in spans])
+    return gram, cross, resid_sq
 
 
 class TestSubjectStats:
@@ -370,13 +379,15 @@ class TestSubjectStats:
             specs = (make_spec("tpower", 1, 0, data.time_domain),)
         assert panel == "one-visit" or np.unique(data.counts).size > 1
         bundle = build_design(data, specs)
-        stats = subject_stats(bundle, data.counts, base_fit(data, specs).alpha_hat)
-        gram, cross = _loop_subject_blocks(bundle, data.counts)
+        stats = _subject_stats(bundle, data.counts, base_fit(data, specs).alpha_hat)
+        gram, cross, resid_sq = _loop_subject_blocks(bundle, data.counts, stats.center)
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
                                    atol=1e-14 * np.abs(gram).max())
         lever = cross - gram @ stats.center
         np.testing.assert_allclose(stats.lever, lever, rtol=1e-14,
                                    atol=1e-14 * np.abs(cross).max())
+        np.testing.assert_allclose(stats.resid_sq, resid_sq, rtol=1e-14,
+                                   atol=1e-14 * resid_sq.max())
 
 
 class TestCenteredSigma2:
@@ -396,8 +407,8 @@ class TestCenteredSigma2:
             data = ingest_csv(request.getfixturevalue("demo_csv"))
             specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
                           for _ in range(data.covariate_dim + 1))
-        stats = subject_stats(build_design(data, specs), data.counts,
-                              base_fit(data, specs).alpha_hat)
+        stats = _subject_stats(build_design(data, specs), data.counts,
+                               base_fit(data, specs).alpha_hat)
         n = data.n_subjects
         picks = np.random.default_rng(3).integers(0, n, size=(25, n))
         feasible, alpha, sigma2 = _replicate_batch(stats, picks)
@@ -412,8 +423,8 @@ class TestCenteredSigma2:
         alpha_star = np.random.default_rng(5).standard_normal(
             build_design(base, specs).n_params)
         clean = exact_response_dataset(base, specs, alpha_star)
-        stats = subject_stats(build_design(clean, specs), clean.counts,
-                              base_fit(clean, specs).alpha_hat)
+        stats = _subject_stats(build_design(clean, specs), clean.counts,
+                               base_fit(clean, specs).alpha_hat)
         picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
         feasible, alpha, sigma2 = _replicate_batch(stats, picks)
         exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]
@@ -548,6 +559,17 @@ def _loop_to_csv(draws: PosteriorDraws, path) -> None:
 
 
 class TestPosteriorDraws:
+    def test_caller_arrays_stay_writeable(self):
+        """The draws freeze copies that they own: the caller's arrays stay
+        writeable, and writing to them leaves the draws unchanged."""
+        alpha, sigma2 = np.arange(6.0).reshape(3, 2), np.ones(3)
+        d = PosteriorDraws(alpha, sigma2, DrawSource.GIBBS)
+        for mine, theirs in ((alpha, d.alpha_draws), (sigma2, d.sigma2_draws)):
+            assert not theirs.flags.writeable
+            before = theirs.copy()
+            mine[0] = 9.0
+            np.testing.assert_array_equal(theirs, before)
+
     def test_bootstrap_allows_zero_variance(self):
         d = PosteriorDraws(np.zeros((3, 2)), np.zeros(3),
                            DrawSource.BOOTSTRAP, 1)

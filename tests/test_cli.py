@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import tvcm
 import tvcm.errors
 from tvcm import gen_scenario1, gen_scenario2, ingest_csv, write_csv
-from tvcm import cli
+from tvcm import cli, mcmc, vb
 from tvcm.basis import BasisSpec, basis_matrix, build_design, make_spec, split_alpha
 from tvcm.cli import build_parser, main
 
@@ -1018,6 +1018,12 @@ class TestParserDefaults:
         args = cli._parser().parse_args(argv)
         assert cli._resolve(args, argv) == expected
 
+    def test_fit_defaults_are_library_constants(self):
+        """fit's sampler defaults are the library's, declared once."""
+        args = cli._parser().parse_args(["fit", "--data", "panel.csv"])
+        assert (args.draws, args.burnin, args.tol) == (mcmc.DEFAULT_DRAWS, mcmc.DEFAULT_BURNIN,
+                                                       vb.DEFAULT_TOL)
+
     def test_model_options_shared(self):
         shared = ["data", "family", "degree", "kmax", "strategy", "time_domain"]
         sub = next(a for a in build_parser()._actions
@@ -1069,26 +1075,29 @@ class TestParserDefaults:
             "message": f"unknown config key {key!r} for command {command!r}"}
 
 
-def _close(got, want) -> bool:
-    """Floats within 1e-9 relative (1e-12 absolute near zero); other values equal and of one type."""
+def _close(got, want, rel, abs_tol) -> bool:
+    """Floats within rel relative (abs_tol absolute near zero); other values equal and of one type."""
     if isinstance(want, float) and isinstance(got, float):
-        return got == pytest.approx(want, rel=1e-9, abs=1e-12, nan_ok=True)
+        return got == pytest.approx(want, rel=rel, abs=abs_tol, nan_ok=True)
     return type(got) is type(want) and got == want
 
 
 def test_artifacts_match_golden(demo_csv, tmp_path):
     """Every artifact of the runs in tests/golden/artifacts.json, written by
     scripts/make_goldens.py, has the recorded fingerprint: the same keys,
-    integers, booleans and nulls equal, floats within 1e-9 relative (1e-12
-    absolute).  That is loose enough for a change of BLAS summation order,
-    and a number that moves by more fails the test."""
+    integers, booleans and nulls equal, floats within make_goldens.py's
+    artifacts.json tolerance, relative with an absolute floor near zero.
+    That is loose enough for a change of BLAS summation order, and a number
+    that moves by more fails the test."""
     want = json.loads((REPO_ROOT / "tests" / "golden" / "artifacts.json").read_text())
-    got = golden_script().artifact_records(tmp_path)
+    script = golden_script()
+    tolerance = script.TOLERANCES["artifacts.json"]
+    got = script.artifact_records(tmp_path)
     assert got.keys() == want.keys()
     for name, record in want.items():
         assert got[name].keys() == record.keys(), name
         moved = {key: (got[name][key], value) for key, value in record.items()
-                 if not _close(got[name][key], value)}
+                 if not _close(got[name][key], value, *tolerance)}
         assert not moved, f"{name}: {moved}"
 
 

@@ -468,6 +468,17 @@ class TestContainers:
             with pytest.raises(ValueError):
                 arr[0] = 9
 
+    def test_caller_arrays_stay_writeable(self):
+        """The dataset freezes copies that it owns: the caller's arrays stay
+        writeable, and writing to them leaves the dataset unchanged."""
+        times, responses, covariates = np.array([0.1, 0.2, 0.0]), np.ones(3), np.zeros((3, 1))
+        data = _dataset("ab", [2, 1], times, covariates=covariates, responses=responses)
+        for mine, theirs in ((times, data.times), (responses, data.responses),
+                             (covariates, data.covariates)):
+            before = theirs.copy()
+            mine[0] = 9.0
+            np.testing.assert_array_equal(theirs, before)
+
     def test_duplicate_subject_ids_rejected(self):
         with pytest.raises(DataError, match="not unique"):
             _dataset(["a", "a"], [1, 1], [0.1, 0.1])

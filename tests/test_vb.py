@@ -283,3 +283,16 @@ class TestSampling:
                                     np.zeros(1), True)
         with pytest.raises(NumericalError, match="V_star is not positive definite"):
             vb_sample(post, 10, rng=0)
+
+
+class TestVariationalPosterior:
+    def test_caller_arrays_stay_writeable(self):
+        """The state freezes copies that it owns: the caller's arrays stay
+        writeable, and writing to them leaves the state unchanged."""
+        m, V, trace = np.ones(2), np.eye(2), np.array([-3.0, -2.0])
+        post = VariationalPosterior(m, V, 2.0, 1.0, trace, True)
+        for mine, theirs in ((m, post.m_star), (V, post.V_star), (trace, post.elbo_trace)):
+            assert not theirs.flags.writeable
+            before = theirs.copy()
+            mine[0] = 9.0
+            np.testing.assert_array_equal(theirs, before)
