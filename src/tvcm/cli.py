@@ -8,7 +8,9 @@ config file (--config) whose keys are the command's own flags; explicit flags
 win over config values, which win over the defaults.  The master seed
 resolves from --seed, then the config, then the TVCM_SEED environment
 variable, then 0.  Any handled failure prints a one-line JSON error object
-and exits nonzero.
+and exits nonzero.  Every number a JSON artifact holds is finite, save an
+infeasible candidate's pcv in select.json, written as null: a payload with a
+nan or inf raises NumericalError naming the file, which is left unwritten.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .basis import BasisFamily, basis_matrix, make_spec, split_alpha
 from .bootstrap import central_quantiles
 from .data import ingest_csv
 from .engines import ENGINES, fit_engine
-from .errors import KnotError, TvcmError
+from .errors import KnotError, NumericalError, TvcmError
 from .mcmc import DEFAULT_BURNIN, DEFAULT_DRAWS, dic_from_stats
 from .selection import crossval_amse, knot_search
 from .simgen import run_replications
@@ -203,20 +205,14 @@ def _basis(data, opts):
     return counts, specs, table
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _write_json(path, payload) -> None:
+    """Write payload as JSON; a nan or inf raises NumericalError naming path before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _manifest(command, opts, artifacts) -> dict:
@@ -230,7 +226,7 @@ def _manifest(command, opts, artifacts) -> dict:
         "cpu_count": os.cpu_count(),
         "blas_threads": {v: os.environ.get(v)  # null when unset
                          for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "options": {k: _json_safe(v) for k, v in sorted(opts.items())},
+        "options": dict(sorted(opts.items())),
         "artifacts": artifacts,
     }
 
@@ -332,10 +328,9 @@ def _write_fit_artifacts(out_dir, grid, curves, result, summary) -> list:
 
 def cmd_fit(opts) -> int:
     _check_at_least(opts, boot=0, draws=0, burnin=0, grid=1, degree=0, kmax=0)
-    if not opts["tol"] > 0:
-        raise ValueError(f"--tol must be positive, got {opts['tol']}")
-    if opts["bandwidth"] is not None and not 0 < opts["bandwidth"] < np.inf:
-        raise ValueError(f"--bandwidth must be positive and finite, got {opts['bandwidth']}")
+    for name in ("tol", "bandwidth"):
+        if opts[name] is not None and not 0 < opts[name] < np.inf:
+            raise ValueError(f"--{name} must be positive and finite, got {opts[name]}")
     if opts["bandwidth"] is not None and opts["family"] == "tpower":
         raise ValueError(f"--bandwidth {opts['bandwidth']} given, but family 'tpower' takes none")
     if not 0 < opts["level"] < 1:
@@ -397,15 +392,15 @@ def cmd_select(opts) -> int:
     _check_out_file("--out", opts["out"])
     data = _ingest(opts, "select")
     best, table = knot_search(data, opts["family"], opts["degree"], opts["kmax"], opts["strategy"])
-    payload = {
+    _write_json(opts["out"], {
         "selected": list(best),
         "family": opts["family"],
         "degree": opts["degree"],
         "k_max": opts["kmax"],
         "strategy": opts["strategy"],
-        "table": table,
-    }
-    _write_json(opts["out"], payload)
+        # an infeasible candidate's pcv is inf, which JSON cannot hold: null
+        "table": [{**row, "pcv": None if row["pcv"] == np.inf else row["pcv"]} for row in table],
+    })
     print(json.dumps({"status": "ok", "selected": list(best), "out": opts["out"]}))
     return 0
 
@@ -435,7 +430,7 @@ def cmd_simulate(opts) -> int:
     report.to_csv(f"{prefix}_report.csv")
     summary = report.summary()
     _write_json(f"{prefix}_summary.json", summary)
-    print(json.dumps(_json_safe(summary)))
+    print(json.dumps(summary))
     return 0
 
 
@@ -465,7 +460,7 @@ def cmd_crossval(opts) -> int:
         "seed": opts["seed"],
     }
     _write_json(opts["out"], payload)
-    print(json.dumps(_json_safe(payload)))
+    print(json.dumps(payload))
     return 0
 
 

@@ -32,6 +32,8 @@ class LongitudinalDataset:
     Rows are grouped by subject: subject i owns the counts[i] rows after
     those of subjects 0..i-1, sorted by time.  times and responses have
     shape (N,), covariates (N, d) with d possibly zero, and N = counts.sum().
+    Each |y| is at most sqrt(float max)/2, about 6.7e153, so (2y)^2 is finite:
+    a residual up to twice the largest response squares without overflow.
     """
 
     subject_ids: tuple[str, ...]
@@ -69,6 +71,9 @@ class LongitudinalDataset:
             if arr.shape[0] != n_rows:
                 raise DataError(f"{name} has {arr.shape[0]} rows but counts sum to {n_rows}")
             arrays[name] = arr
+        bound, largest = math.sqrt(np.finfo(float).max) / 2, np.abs(arrays["responses"]).max()
+        if largest > bound:
+            raise DataError(f"responses must be at most {bound:.3g} in magnitude, got {largest:.3g}")
         times = arrays["times"]
         index = np.repeat(np.arange(len(ids)), counts)
         unsorted = np.flatnonzero((times[1:] < times[:-1]) & (index[1:] == index[:-1]))

@@ -382,5 +382,5 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
             base = frequentist.BaseFit(None, sums[b], alpha[b], float(sigma2[b]))
             alpha[b] = fit_engine(data, specs, engine, fold_rngs[lo + b], draws, burnin, base=base).alpha
         preds = np.einsum("bjp,bp->bj", bundle.Z[idx], alpha)
-        total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2))
-    return total / n_obs
+        total += float(np.sum(((bundle.y[idx] - preds) * mask) ** 2 / n_obs))  # 1/N first: no overflow
+    return total

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -587,9 +588,10 @@ class TestOptionsAndErrors:
                                                "engine default), got -5"),
         (["--engine", "wls", "--burnin", "-3"], "--burnin must be non-negative, got -3"),
         (["--engine", "gibbs", "--burnin", "-3"], "--burnin must be non-negative, got -3"),
-        (["--engine", "vb", "--tol", "0"], "--tol must be positive, got 0.0"),
-        (["--engine", "wls", "--tol", "-1"], "--tol must be positive, got -1.0"),
-        (["--engine", "vb", "--tol", "nan"], "--tol must be positive, got nan"),
+        (["--engine", "vb", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
+        (["--engine", "wls", "--tol", "-1"], "--tol must be positive and finite, got -1.0"),
+        (["--engine", "vb", "--tol", "nan"], "--tol must be positive and finite, got nan"),
+        (["--engine", "vb", "--tol", "inf"], "--tol must be positive and finite, got inf"),
         (["--grid", "0"], "--grid must be at least 1, got 0"),
         (["--grid", "-3"], "--grid must be at least 1, got -3"),
         (["--level", "1.5"], "--level must be in (0, 1), got 1.5"),
@@ -600,7 +602,7 @@ class TestOptionsAndErrors:
     ], ids=["domain-three-values", "domain-not-a-number", "knots-not-a-count",
             "knots-negative", "boot-negative", "boot-negative-gibbs", "draws-negative",
             "draws-negative-wls", "burnin-negative-wls", "burnin-negative-gibbs", "tol-zero-vb",
-            "tol-negative-wls", "tol-nan-vb", "grid-zero",
+            "tol-negative-wls", "tol-nan-vb", "tol-inf", "grid-zero",
             "grid-negative", "level-above-one", "level-zero",
             "tpower-bandwidth", "tpower-bandwidth-auto"])
     def test_bad_option_names_the_option(self, data_csv, tmp_path, capsys,
@@ -948,6 +950,79 @@ class TestOptionsAndErrors:
             error = getattr(tvcm.errors, json.loads(line)["error"], None)
             assert isinstance(error, type) and issubclass(error, tvcm.errors.TvcmError), line
 
+    def test_non_finite_number_writes_no_file(self, data_csv, tmp_path, capsys, monkeypatch):
+        """A nan sigma2 exits 1 with a NumericalError naming fit.json, and
+        fit.json is not written: no number is written as null in its place."""
+        fit_engine = cli.fit_engine
+        monkeypatch.setattr(cli, "fit_engine", lambda *args, **kwargs: dataclasses.replace(
+            fit_engine(*args, **kwargs), sigma2_hat=float("nan")))
+        out = tmp_path / "fit"
+        code = main(["fit", "--data", str(data_csv), "--engine", "wls", "--knots", "1", "--out", str(out)])
+        [line] = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert json.loads(line) == {
+            "error": "NumericalError",
+            "message": f"{out / 'fit.json'}: Out of range float values are not JSON compliant: nan"}
+        assert not (out / "fit.json").exists()
+
+    _SCALED_RUNS = {
+        "fit-wls": ["fit", "--engine", "wls", "--knots", "2"],
+        "fit-wls-boot": ["fit", "--engine", "wls", "--knots", "2", "--boot", "20"],
+        "fit-gibbs": ["fit", "--engine", "gibbs", "--knots", "2", "--draws", "200", "--burnin", "20"],
+        "fit-vb": ["fit", "--engine", "vb", "--knots", "2", "--draws", "200"],
+        "select": ["select", "--kmax", "2"],
+        "crossval": ["crossval", "--knots", "2"],
+        "crossval-loo": ["crossval", "--knots", "2", "--folds", "1579"],
+    }
+
+    @staticmethod
+    def _scaled_demo(demo_csv, path, c):
+        """The demo panel with each response times c, written cell by cell:
+        past the response bound no dataset can hold it."""
+        with open(demo_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        y = rows[0].index("y")
+        for row in rows[1:]:
+            row[y] = repr(float(row[y]) * c)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    @pytest.mark.parametrize("c", [1e153, 1e154, 1e300])
+    def test_responses_past_bound_are_data_errors(self, demo_csv, tmp_path, capsys, c):
+        """max |y| = 28 c above sqrt(float max)/2: every command exits 1
+        with one JSON line naming the responses, and writes nothing."""
+        path = self._scaled_demo(demo_csv, tmp_path / "scaled.csv", c)
+        for name, args in self._SCALED_RUNS.items():
+            out = tmp_path / name
+            code = main([*args, "--data", str(path), "--out", str(out)])
+            [line] = capsys.readouterr().out.splitlines()
+            assert code == 1, name
+            payload = json.loads(line)
+            assert payload["error"] == "DataError", (name, payload)
+            assert payload["message"].startswith("responses must be at most 6.7e+153 in magnitude"), name
+            assert not out.exists(), name
+
+    @pytest.mark.parametrize("c", [1e152, 2e152])
+    def test_responses_within_bound_give_finite_numbers(self, demo_csv, tmp_path, capsys, c):
+        """max |y| = 28 c, up to 5.6e153, within the bound: every command
+        exits 0, and its estimates, sigma2, PCV and AMSE are finite."""
+        path = self._scaled_demo(demo_csv, tmp_path / "scaled.csv", c)
+        for name, args in self._SCALED_RUNS.items():
+            out = tmp_path / name
+            code, payload = _run([*args, "--data", str(path), "--out", str(out)], capsys)
+            assert code == 0, (name, payload)
+            if args[0] == "fit":
+                fit = json.loads((out / "fit.json").read_text())
+                values = [v for block in fit["alpha"].values() for v in block]
+                values += [fit["sigma2"], fit["wls_sigma2"], *fit.get("dic", {}).values()]
+                values += [float(row["estimate"]) for row in _read_curves(out)]
+            elif args[0] == "select":
+                values = [row["pcv"] for row in json.loads(out.read_text())["table"]]
+            else:
+                values = [json.loads(out.read_text())["amse"]]
+            assert all(isinstance(v, float) and np.isfinite(v) for v in values), name
+
     def test_module_entry_point(self, data_csv, tmp_path):
         """One true subprocess run through the installed console script."""
         out = tmp_path / "subproc"
@@ -1125,7 +1200,9 @@ def test_headroom_reads_drift_as_share_of_tolerance():
 def _cli_runs(draw):
     """(csv text, command, its arguments) for a 1-6 subject panel whose times
     may tie or be constant on a scale of 1e-3 to 1e3, or of 1e155 to 1e300,
-    where powers of degree 2 and up overflow, with constant covariates
+    where powers of degree 2 and up overflow, whose responses are kept, or
+    scaled by 1e-3 to 1e3, by 1e150 to 1e155, across the response bound, or
+    by any power of ten from 1e-3 to 1e300, with constant covariates
     possible, and options of each flag's type for fit, select and crossval,
     the time domain's lower bound possibly negative."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
@@ -1134,7 +1211,9 @@ def _cli_runs(draw):
     ticks = st.integers(0, 5) if draw(st.booleans()) else st.just(1)
     times = [scale * draw(ticks) for _ in range(n_obs)]
     cells = st.floats(-5, 5, allow_nan=False, width=16)
-    columns = [draw(st.lists(cells, min_size=n_obs, max_size=n_obs))]
+    y_scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-3, 3), st.integers(150, 155),
+                                      st.integers(-3, 300)))
+    columns = [[y_scale * y for y in draw(st.lists(cells, min_size=n_obs, max_size=n_obs))]]
     for _ in range(n_cov):
         columns.append([draw(cells)] * n_obs if draw(st.booleans())
                        else draw(st.lists(cells, min_size=n_obs, max_size=n_obs)))
@@ -1176,8 +1255,9 @@ def _cli_runs(draw):
 @given(run=_cli_runs())
 def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
     """fit, select and crossval either succeed (fit with finite alpha and
-    sigma2 >= 0) or exit 1 with one JSON line naming a TvcmError, or a ValueError
-    that names a --flag: never a traceback or another exception type."""
+    sigma2 >= 0, crossval with a finite amse) or exit 1 with one JSON line
+    naming a TvcmError, or a ValueError that names a --flag: never a
+    traceback or another exception type."""
     text, command, args = run
     folder = tmp_path_factory.mktemp("panel")
     (folder / "panel.csv").write_text(text)
@@ -1194,6 +1274,8 @@ def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
             values = [v for block in fit["alpha"].values() for v in block] + [fit["sigma2"]]
             assert all(isinstance(v, float) and np.isfinite(v) for v in values), fit
             assert fit["sigma2"] >= 0, fit
+        elif command == "crossval":
+            assert isinstance(payload["amse"], float) and np.isfinite(payload["amse"]), payload
         return
     assert code == 1
     error = getattr(tvcm.errors, payload["error"], None)

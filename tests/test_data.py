@@ -288,11 +288,21 @@ class TestColumnarParity:
         ("1_0", False), ("\u0661\u0662", False), ("\uff11\uff12", False)],
         ids=lambda value: ascii(value)[1:25] if isinstance(value, str) else None)
     def test_number_spellings(self, cell, columnar, tmp_path, monkeypatch):
+        """Read from a covariate cell, which, unlike a response, may be as large as 1.79e308."""
         path = tmp_path / "cell.csv"
-        path.write_bytes(f"subject,time,y\na,0.5,{cell}\na,0.25,1\n".encode("utf-8"))
+        path.write_bytes(f"subject,time,y,x1\na,0.5,1,{cell}\na,0.25,1,1\n".encode("utf-8"))
         default, loop = _ingest_both(path, monkeypatch, columnar)
         _assert_same_bits(default, loop)
-        assert default.responses[1].tobytes() == np.float64(float(cell.strip('"'))).tobytes()
+        assert default.covariates[1, 0].tobytes() == np.float64(float(cell.strip('"'))).tobytes()
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_response_past_bound_refused_by_either_parse(self, columnar, tmp_path, monkeypatch):
+        path = tmp_path / "cell.csv"
+        path.write_text("subject,time,y\na,0.5,1.79e308\na,0.25,1\n")
+        parse = ("_parse_rows", _columnar_only) if columnar else ("_load_columns", _row_loop_only)
+        monkeypatch.setattr(data_module, *parse)
+        with pytest.raises(DataError, match=r"at most 6.7e\+153 in magnitude, got 1.79e\+308"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("text", [
         "subject,time,y\n", "subject,time,y", "subject,time,y\n\n\n", "subject,time,y\r\n\r\n",
@@ -320,10 +330,20 @@ class TestColumnarParity:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_generated_panels_match_row_loop(self, tmp_path_factory, data):
+        """Both parses give the same bits, or both refuse a response past the bound alike."""
         text, odd = data.draw(_panels())
         path = tmp_path_factory.getbasetemp() / "generated_panel.csv"
         path.write_bytes(text.encode("utf-8"))
-        default, loop = _ingest_both(path, pytest.MonkeyPatch, columnar=not odd)
+        try:
+            default, loop = _ingest_both(path, pytest.MonkeyPatch, columnar=not odd)
+        except DataError as exc:
+            assert str(exc).startswith("responses must be at most"), exc
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(data_module, "_load_columns", _row_loop_only)
+                with pytest.raises(DataError) as loop_exc:
+                    ingest_csv(path)
+            assert str(loop_exc.value) == str(exc)
+            return
         _assert_same_bits(default, loop)
 
 
@@ -421,6 +441,13 @@ class TestContainers:
             read = ingest_csv(io.StringIO("subject,time,y\na,1e308,1\nb,-1e308,2\na,-1e308,3\n"))
         np.testing.assert_array_equal(read.times, [-1e308, 1e308, -1e308])
         np.testing.assert_array_equal(read.responses, [3.0, 1.0, 2.0])
+
+    def test_response_bound_decided_without_overflow(self):
+        """|y| up to sqrt(float max)/2 passes and one ulp more is refused; no warning fires."""
+        bound = np.sqrt(np.finfo(float).max) / 2
+        _dataset("a", [2], [0.1, 0.2], responses=[-bound, bound])
+        with pytest.raises(DataError, match="responses must be at most 6.7e\\+153 in magnitude"):
+            _dataset("a", [2], [0.1, 0.2], responses=[0.0, -np.nextafter(bound, np.inf)])
 
     def test_values_must_be_finite(self):
         with pytest.raises(DataError, match="responses contains non-finite"):

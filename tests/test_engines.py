@@ -347,3 +347,40 @@ def test_response_scale_property(scenario, n, panel_seed, family, log_c):
             want = dic_value + data.n_obs * np.log(c * c)
             assert _close(dic_c, want, max(abs(dic_value), abs(want))), name
             assert _close(p_dic_c, p_dic), name
+
+
+def _subject_order_run(data, family):
+    """Knot search at degree 2, k_max 4, then the WLS base fit's alpha and
+    VB's m* on the selected knots."""
+    best, table = knot_search(data, family, 2, 4, "full")
+    specs = tuple(make_spec(family, 2, k, data.time_domain) for k in best)
+    alphas = [_outcome(lambda: fit_engine(data, specs, engine, rng=5, draws=10).alpha)
+              for engine in ("wls", "vb")]
+    return best, np.array([row["pcv"] for row in table]), alphas
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(scenario=st.sampled_from([1, 2]), n=st.integers(3, 10), panel_seed=st.integers(0, 2**16),
+       family=st.sampled_from(["radial", "tpower"]))
+def test_subject_order_property(scenario, n, panel_seed, family):
+    """Subjects in reverse order on a small scenario-1 or -2 panel: the
+    selected knots and the infeasible candidates are unchanged, and each
+    PCV, the WLS alpha and VB's m* agree within 1e-9 of the largest value
+    compared.  A step that raises raises the same error in both orders."""
+    data, _ = (gen_scenario1 if scenario == 1 else gen_scenario2)(n, np.random.default_rng(panel_seed))
+    rows = np.concatenate(np.split(np.arange(data.n_obs), np.cumsum(data.counts)[:-1])[::-1])
+    flipped = LongitudinalDataset(data.subject_ids[::-1], data.counts[::-1], data.times[rows],
+                                  data.responses[rows], data.covariates[rows], data.time_domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a near-exact base fit's zero-variance warning
+        base, other = (_outcome(lambda: _subject_order_run(d, family)) for d in (data, flipped))
+    if isinstance(base, type):
+        assert other is base
+        return
+    (knots, pcv, alphas), (knots_r, pcv_r, alphas_r) = base, other
+    assert knots_r == knots
+    feasible = np.isfinite(pcv)
+    np.testing.assert_array_equal(np.isfinite(pcv_r), feasible)
+    assert _close(pcv_r[feasible], pcv[feasible])
+    for got, want in zip(alphas_r, alphas):
+        assert got is want if isinstance(want, type) else _close(got, want)
