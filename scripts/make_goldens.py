@@ -36,8 +36,9 @@ inf marks a changed key set or a non-float entry that differs.
   records count, sum, sum of squares, min and max of each column whose
   cells all parse as numbers.  A JSON file records every number, boolean
   and null by its key path.  Wall-clock fields (timings, sampling_seconds,
-  millis, mean_millis) and environment fields (cpu_count, blas_threads) are
-  left out; strings, paths among them, are not recorded.
+  millis, mean_millis), fit.json's per-stage minor_faults and environment
+  fields (cpu_count, blas_threads) are left out; strings, paths among them,
+  are not recorded.
   tests/test_cli.py checks floats within 1e-9 relative.
 """
 from __future__ import annotations
@@ -154,7 +155,7 @@ ARTIFACT_RUNS = {
 # command -> its output flag and the file it names in the run's directory; fit names the directory
 OUTPUTS = {"fit": ("--out", None), "simulate": ("--out-prefix", "sim"),
            "select": ("--out", "select.json"), "crossval": ("--out", "crossval.json")}
-UNRECORDED = {"timings", "sampling_seconds", "millis", "mean_millis", "cpu_count", "blas_threads"}
+UNRECORDED = {"timings", "minor_faults", "sampling_seconds", "millis", "mean_millis", "cpu_count", "blas_threads"}
 
 
 def csv_fingerprint(path) -> dict:

@@ -237,24 +237,31 @@ def build_design(
                 raise KnotError(
                     f"knot {kappa} of coefficient {r} lies outside the time domain [{a}, {b}]"
                 )
+    if weights is None:
+        weights = subject_uniform_weights(data)
+    return DesignBundle(
+        Z=_stacked_design(data, specs),
+        y=data.responses,
+        weights=weights,
+        block_dims=tuple(spec.n_terms for spec in specs),
+        specs=specs,
+    )
+
+
+def _stacked_design(data: LongitudinalDataset, specs) -> np.ndarray:
+    """The (N, p) design x_r * basis_r(t), block by block.
+
+    Its basis evaluations are freed on return, before the DesignBundle copies it.
+    """
     x = np.column_stack([np.ones(data.n_obs), data.covariates])
     bases: dict[BasisSpec, np.ndarray] = {}  # equal specs (one knot count for all) share one evaluation
-    block_dims = tuple(spec.n_terms for spec in specs)
-    offsets = np.cumsum((0,) + block_dims)
+    offsets = np.cumsum([0] + [spec.n_terms for spec in specs])
     Z = np.empty((data.n_obs, offsets[-1]))
     for r, spec in enumerate(specs):
         if spec not in bases:
             bases[spec] = basis_matrix(spec, data.times)
         np.multiply(x[:, [r]], bases[spec], out=Z[:, offsets[r] : offsets[r + 1]])
-    if weights is None:
-        weights = subject_uniform_weights(data)
-    return DesignBundle(
-        Z=Z,
-        y=data.responses,
-        weights=weights,
-        block_dims=block_dims,
-        specs=specs,
-    )
+    return Z
 
 
 def split_alpha(alpha, block_dims) -> list[np.ndarray]:

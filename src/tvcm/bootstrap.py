@@ -93,19 +93,22 @@ class PosteriorDraws:
         """Flat draw,param_index,value rows; indices 0..p-1 are coefficients, p is sigma2.
 
         The bytes are those of csv.writer with repr floats: \\r\\n line ends and
-        no quoting, which repr of a finite float never needs.
+        no quoting, which repr of a finite float never needs.  Each draw's rows
+        are formatted and handed to the file in turn, so one draw's text exists at a time.
         """
         # ["0,%r\r\n", "1,%r\r\n", ...]: draw b's p + 1 rows are "b," joined with these
         rows = [f"{j},%r\r\n" for j in range(self.n_params + 1)]
-        values = np.column_stack([self.alpha_draws, self.sigma2_draws]).tolist()
+        draws = zip(self.alpha_draws, self.sigma2_draws.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("draw,param_index,value\r\n")
-            fh.write("".join((f"{b}," + f"{b},".join(rows)) % tuple(draw)
-                             for b, draw in enumerate(values)))
+            fh.writelines((f"{b}," + f"{b},".join(rows)) % (*alpha.tolist(), sigma2)
+                          for b, (alpha, sigma2) in enumerate(draws))
 
     def summary(self, level: float = 0.95) -> dict:
-        """Means and central intervals for every parameter, from one sort of a row-per-parameter copy."""
-        ordered = np.column_stack([self.alpha_draws, self.sigma2_draws]).T.copy()
+        """Means and central intervals for every parameter, from one in-place sort of a (p + 1, n_draws) copy."""
+        ordered = np.empty((self.n_params + 1, self.n_draws))
+        ordered[:-1] = self.alpha_draws.T
+        ordered[-1] = self.sigma2_draws
         ordered.sort(axis=1)
         lows, highs = central_quantiles(ordered, level)
         return {

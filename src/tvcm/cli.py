@@ -11,6 +11,8 @@ variable, then 0.  Any handled failure prints a one-line JSON error object
 and exits nonzero.  Every number a JSON artifact holds is finite, save an
 infeasible candidate's pcv in select.json, written as null: a payload with a
 nan or inf raises NumericalError naming the file, which is left unwritten.
+fit serialises fit.json and draws_summary.json before it opens any file, so
+such a refusal leaves no fit artifact at all.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import os
 import platform
 import re
+import resource
 import sys
 import time
 
@@ -205,14 +208,19 @@ def _basis(data, opts):
     return counts, specs, table
 
 
-def _write_json(path, payload) -> None:
-    """Write payload as JSON; a nan or inf raises NumericalError naming path before the file opens."""
+def _json_text(path, payload) -> str:
+    """payload as the text of a JSON file; a nan or inf raises NumericalError naming path."""
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"{path}: {exc}") from None
+
+
+def _write_json(path, payload) -> None:
+    """Write payload as JSON; a nan or inf raises NumericalError naming path before the file opens."""
+    text = _json_text(path, payload)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _manifest(command, opts, artifacts) -> dict:
@@ -290,18 +298,22 @@ def _check_out_file(flag, path) -> None:
 def _intervals(specs, result, grid, level):
     """Each coefficient's (estimate, lower, upper) on grid, and the draws' summary.
 
-    lower and upper are None, and so is the summary, without draws.
+    lower and upper are None, and so is the summary, without draws.  Every
+    coefficient's (grid, draws) bands go into one buffer, and each grid
+    point's row of it is sorted in place.
     """
     dims = tuple(s.n_terms for s in specs)
     blocks = split_alpha(result.alpha, dims)
     if result.draws is None:
         return [(basis_matrix(spec, grid) @ b, None, None) for spec, b in zip(specs, blocks)], None
     curves = []
+    bands = np.empty((grid.size, result.draws.n_draws))
     for spec, b, draws in zip(specs, blocks, split_alpha(result.draws.alpha_draws, dims)):
         bg = basis_matrix(spec, grid)
-        bands = bg @ draws.T  # (grid, draws), fresh: sort each grid point's row in place
+        np.matmul(bg, draws.T, out=bands)
         bands.sort(axis=1)
         curves.append((bg @ b, *central_quantiles(bands, level)))
+    del bands  # freed before the summary makes its own copy
     return curves, result.draws.summary(level)
 
 
@@ -315,15 +327,26 @@ def _posterior_fields(result) -> dict:
 
 
 def _write_fit_artifacts(out_dir, grid, curves, result, summary) -> list:
-    """Write curves.csv and, with draws, draws.csv and draws_summary.json; return every artifact name."""
+    """Write curves.csv and, with draws, draws.csv and draws_summary.json; return every artifact name.
+
+    The summary is serialised before the first file opens, so a nan or inf in it writes no file.
+    """
+    summary_path = os.path.join(out_dir, "draws_summary.json")
+    summary_text = None if summary is None else _json_text(summary_path, summary)
     os.makedirs(out_dir, exist_ok=True)
     _write_curves(os.path.join(out_dir, "curves.csv"), grid, curves)
     artifacts = ["fit.json", "curves.csv", "manifest.json"]
     if result.draws is not None:
         result.draws.to_csv(os.path.join(out_dir, "draws.csv"))
-        _write_json(os.path.join(out_dir, "draws_summary.json"), summary)
+        with open(summary_path, "w") as fh:
+            fh.write(summary_text)
         artifacts += ["draws.csv", "draws_summary.json"]
     return sorted(artifacts)
+
+
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far, from POSIX getrusage."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def cmd_fit(opts) -> int:
@@ -337,12 +360,14 @@ def cmd_fit(opts) -> int:
         raise ValueError(f"--level must be in (0, 1), got {opts['level']}")
     _check_out_dir(opts["out"])
     engine, level, out_dir = opts["engine"], opts["level"], opts["out"]
-    timings = {}  # seconds per stage, in stage order; only fit.json's assembly goes untimed
+    # seconds and minor page faults per stage, in stage order; only fit.json's assembly goes unmeasured
+    timings, faults = {}, {}
 
     def stage(name, run, *args, **kwargs):
-        start = time.perf_counter()
+        start, faulted = time.perf_counter(), _minor_faults()
         value = run(*args, **kwargs)
         timings[name] = time.perf_counter() - start
+        faults[name] = _minor_faults() - faulted
         return value
 
     data = stage("ingest", _ingest, opts, "fit")
@@ -354,12 +379,12 @@ def cmd_fit(opts) -> int:
                    burnin=opts["burnin"], tol=opts["tol"])
     grid = np.linspace(*data.time_domain, opts["grid"])
     curves, summary = stage("intervals", _intervals, specs, result, grid, level)
-    timings["dic"], posterior = 0.0, {}  # wls has no posterior and computes no DIC
+    timings["dic"], faults["dic"], posterior = 0.0, 0, {}  # wls has no posterior and computes no DIC
     if engine != "wls":
         posterior = stage("dic", _posterior_fields, result)
-    artifacts = stage("write", _write_fit_artifacts, out_dir, grid, curves, result, summary)
     blocks = split_alpha(result.alpha, tuple(s.n_terms for s in specs))
-    _write_json(os.path.join(out_dir, "fit.json"), {
+    fit_path = os.path.join(out_dir, "fit.json")
+    payload = {
         "engine": engine,
         "seed": opts["seed"],
         "data": opts["data"],
@@ -380,8 +405,12 @@ def cmd_fit(opts) -> int:
         "wls_sigma2": result.sigma2_hat,
         "sampling_seconds": result.sampling_seconds,
         **posterior,
-        "timings": timings,
-    })
+        "timings": timings,  # the write stage's entries are added as it runs
+        "minor_faults": faults,
+    }
+    _json_text(fit_path, payload)  # a nan or inf is refused before the write stage opens a file
+    artifacts = stage("write", _write_fit_artifacts, out_dir, grid, curves, result, summary)
+    _write_json(fit_path, payload)
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest("fit", opts, artifacts))
     print(json.dumps({"status": "ok", "out": out_dir, "artifacts": artifacts}))
     return 0

@@ -169,6 +169,7 @@ def _parse_csv(fh, label, time_domain) -> LongitudinalDataset:
         except csv.Error as exc:
             # line_num counts the data lines read, the failing one included, after the header's
             raise CsvParseError(f"{label}: row {rows.line_num + 1} cannot be read: {exc}") from None
+    del lines  # parsed: their text is freed before the grouping and the dataset's copies
 
     # first-seen numbering: equal raw ids strip alike, so only run heads need a lookup
     heads = np.flatnonzero(np.concatenate(([True], raw_ids[1:] != raw_ids[:-1])))

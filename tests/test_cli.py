@@ -13,6 +13,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,12 +177,17 @@ class TestFit:
                  "--knots", "auto", "--kmax", "2", "--grid", "20", "--seed", "4",
                  "--out", str(out)], capsys)
             assert code == 0
-            timings = json.loads((out / "fit.json").read_text())["timings"]
+            fit = json.loads((out / "fit.json").read_text())
+            timings, faults = fit["timings"], fit["minor_faults"]
             assert sorted(timings) == ["dic", "fit", "ingest", "intervals", "select", "write"]
+            assert list(faults) == list(timings)
             for stage, seconds in timings.items():
                 assert isinstance(seconds, float), stage
                 assert np.isfinite(seconds) and seconds >= 0.0, stage
+                assert isinstance(faults[stage], int) and faults[stage] >= 0, stage
             assert (timings["dic"] > 0.0) == (engine == "gibbs")  # wls computes no DIC
+            if engine == "wls":
+                assert faults["dic"] == 0
 
     @pytest.mark.parametrize("engine, options, posterior", [
         ("wls", [], []),
@@ -204,11 +210,14 @@ class TestFit:
         assert list(fit) == [
             "engine", "seed", "data", "n_subjects", "n_obs", "level", "basis",
             "knot_counts", "selection", "bootstrap", "alpha", "sigma2",
-            "wls_sigma2", "sampling_seconds", *posterior, "timings"]
+            "wls_sigma2", "sampling_seconds", *posterior, "timings",
+            "minor_faults"]
         assert list(fit["timings"]) == ["ingest", "select", "fit", "intervals",
                                         "dic", "write"]
+        assert list(fit["minor_faults"]) == list(fit["timings"])
         if engine == "wls":
             assert fit["timings"]["dic"] == 0.0
+            assert fit["minor_faults"]["dic"] == 0
             assert fit["sigma2"] == fit["wls_sigma2"]
         else:
             with open(out / "draws.csv", newline="") as fh:
@@ -297,8 +306,34 @@ class TestFit:
             fit = json.loads((out / "fit.json").read_text())
             fit.pop("sampling_seconds")
             fit.pop("timings")
+            fit.pop("minor_faults")
             payloads.append(fit)
         assert payloads[0] == payloads[1]
+
+    def test_bands_and_draws_csv_memory_bounds(self, tmp_path):
+        """With 3 coefficients, a grid of 200 and 2,000 gibbs draws, _intervals
+        peaks under 1.5 (grid, draws) band buffers, as it forms every band into
+        one buffer, and to_csv peaks under the size of the file it writes, as
+        it hands the file one draw's rows at a time (tracemalloc peaks above
+        the memory in use when each call starts)."""
+        data, _ = gen_scenario2(60, np.random.default_rng(8))
+        specs = (make_spec("tpower", 2, 4, data.time_domain),) * 3
+        result = tvcm.fit_engine(data, specs, "gibbs", rng=8, draws=2000, burnin=50)
+        grid = np.linspace(*data.time_domain, 200)
+        path = tmp_path / "draws.csv"
+
+        def traced_peak(run, *args):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(*args)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        band_bytes = grid.size * 2000 * 8
+        assert traced_peak(cli._intervals, specs, result, grid, 0.95) < 1.5 * band_bytes
+        assert traced_peak(result.draws.to_csv, path) < path.stat().st_size
 
 
 class TestCurvesWriter:
@@ -952,7 +987,8 @@ class TestOptionsAndErrors:
 
     def test_non_finite_number_writes_no_file(self, data_csv, tmp_path, capsys, monkeypatch):
         """A nan sigma2 exits 1 with a NumericalError naming fit.json, and
-        fit.json is not written: no number is written as null in its place."""
+        fit.json is not written: no number is written as null in its place.
+        Nor is any other artifact: fit.json is refused before a file opens."""
         fit_engine = cli.fit_engine
         monkeypatch.setattr(cli, "fit_engine", lambda *args, **kwargs: dataclasses.replace(
             fit_engine(*args, **kwargs), sigma2_hat=float("nan")))
@@ -963,7 +999,7 @@ class TestOptionsAndErrors:
         assert json.loads(line) == {
             "error": "NumericalError",
             "message": f"{out / 'fit.json'}: Out of range float values are not JSON compliant: nan"}
-        assert not (out / "fit.json").exists()
+        assert sorted(out.glob("*")) == []
 
     _SCALED_RUNS = {
         "fit-wls": ["fit", "--engine", "wls", "--knots", "2"],
@@ -1198,24 +1234,31 @@ def test_headroom_reads_drift_as_share_of_tolerance():
 
 @st.composite
 def _cli_runs(draw):
-    """(csv text, command, its arguments) for a 1-6 subject panel whose times
-    may tie or be constant on a scale of 1e-3 to 1e3, or of 1e155 to 1e300,
-    where powers of degree 2 and up overflow, whose responses are kept, or
+    """(csv text, command, its arguments) for a panel of 1-6 subjects with
+    1-4 rows each, whose times may tie or be constant and whose covariates
+    may be constant, or for a roomy panel of 8-20 subjects with 3-8 rows each,
+    times spread over [0, 4] and varying covariates, which leaves a crossval
+    fold rows to fit.  Times are on a scale of 1e-3 to 1e3, or of 1e155 to
+    1e300, where powers of degree 2 and up overflow; responses are kept, or
     scaled by 1e-3 to 1e3, by 1e150 to 1e155, across the response bound, or
-    by any power of ten from 1e-3 to 1e300, with constant covariates
-    possible, and options of each flag's type for fit, select and crossval,
-    the time domain's lower bound possibly negative."""
-    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    by any power of ten from 1e-3 to 1e300; options are of each flag's type
+    for fit, select and crossval, the time domain's lower bound possibly
+    negative."""
+    roomy = draw(st.booleans())
+    if roomy:
+        counts, ticks = draw(st.lists(st.integers(3, 8), min_size=8, max_size=20)), st.floats(0, 4)
+    else:
+        counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        ticks = st.integers(0, 5) if draw(st.booleans()) else st.just(1)
     n_obs, n_cov = sum(counts), draw(st.integers(0, 2))
     scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.integers(155, 300)))
-    ticks = st.integers(0, 5) if draw(st.booleans()) else st.just(1)
     times = [scale * draw(ticks) for _ in range(n_obs)]
     cells = st.floats(-5, 5, allow_nan=False, width=16)
     y_scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-3, 3), st.integers(150, 155),
                                       st.integers(-3, 300)))
     columns = [[y_scale * y for y in draw(st.lists(cells, min_size=n_obs, max_size=n_obs))]]
     for _ in range(n_cov):
-        columns.append([draw(cells)] * n_obs if draw(st.booleans())
+        columns.append([draw(cells)] * n_obs if not roomy and draw(st.booleans())
                        else draw(st.lists(cells, min_size=n_obs, max_size=n_obs)))
     subjects = [f"s{i}" for i, c in enumerate(counts) for _ in range(c)]
     header = ",".join(["subject", "time", "y"] + [f"x{j + 1}" for j in range(n_cov)])
