@@ -9,8 +9,9 @@ python scripts/make_goldens.py --headroom writes nothing.  It reruns the
 builders as the tests do and prints the BLAS thread count and NumPy version
 it ran under, then, for each record of the committed
 goldens, the entry nearest its tolerance: its relative drift and that drift
-as a share of the test's tolerance.  A share of 100% or more fails the test;
-inf marks a changed key set or a non-float entry that differs.
+as a share of the test's tolerance.  The golden tests judge every record by
+the same rule, worst_drift under TOLERANCES, so a share of 100% or more fails
+the test; inf marks a changed key set or a non-float entry that differs.
 
 - selection.json: one knot search at degree 2 and k_max 5, radial and
   tpower, full and coordinate, on the bundled demo panel in weeks and in

@@ -11,8 +11,8 @@ variable, then 0.  Any handled failure prints a one-line JSON error object
 and exits nonzero.  Every number a JSON artifact holds is finite, save an
 infeasible candidate's pcv in select.json, written as null: a payload with a
 nan or inf raises NumericalError naming the file, which is left unwritten.
-fit serialises fit.json and draws_summary.json before it opens any file, so
-such a refusal leaves no fit artifact at all.
+fit serialises fit.json and draws_summary.json, and simulate its summary,
+before it opens any file, so such a refusal leaves no artifact of either at all.
 """
 
 from __future__ import annotations
@@ -456,8 +456,9 @@ def cmd_simulate(opts) -> int:
         shape=opts["shape"],
         strategy=opts["strategy"],
     )
-    report.to_csv(f"{prefix}_report.csv")
     summary = report.summary()
+    _json_text(f"{prefix}_summary.json", summary)  # a nan or inf is refused before either file opens
+    report.to_csv(f"{prefix}_report.csv")
     _write_json(f"{prefix}_summary.json", summary)
     print(json.dumps(summary))
     return 0

@@ -47,7 +47,6 @@ from .frequentist import (GramStats, WlsFit, fit_wls, gram_feasible, infeasible_
 from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 
-MAX_SWEEPS = 100
 # full enumeration is the default up to this many covariates and candidate knot counts
 FULL_GRID_MAX_COVARIATES = 2
 FULL_GRID_MAX_K = 10
@@ -227,7 +226,8 @@ def _walk_grid(criterion, n_coef: int, k_max: int, strategy: str):
     else:
         best = (0,) * n_coef
         best_value = evaluate([best])[0]
-        for _ in range(MAX_SWEEPS):
+        changed = True
+        while changed:
             changed = False
             for r in range(n_coef):
                 # moving along coordinate r leaves the others, so the line is fixed up front
@@ -236,8 +236,6 @@ def _walk_grid(criterion, n_coef: int, k_max: int, strategy: str):
                     if value < best_value:
                         best, best_value = candidate, value
                         changed = True
-            if not changed:
-                break
     if best is None or not np.isfinite(best_value):
         raise SelectionError(f"no feasible knot configuration up to k_max={k_max}")
     table = [{"k": list(combo), "pcv": value} for combo, value in sorted(cache.items())]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
+import json
 import os
 import pathlib
 
@@ -37,6 +38,19 @@ def golden_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def assert_matches_golden(name: str, got: dict) -> None:
+    """got holds the records of tests/golden/<name>, each within the file's
+    make_goldens.TOLERANCES by make_goldens.worst_drift, the rule that
+    --headroom prints: an entry at 100% or more of its tolerance fails."""
+    script = golden_script()
+    want = json.loads((REPO_ROOT / "tests" / "golden" / name).read_text())
+    assert got.keys() == want.keys(), name
+    worst = {record: script.worst_drift(got[record], value, *script.TOLERANCES[name])
+             for record, value in want.items()}
+    moved = {record: drift for record, drift in worst.items() if drift[2] >= 1.0}
+    assert not moved, f"{name}: {moved}"
 
 
 def forbid_qr(monkeypatch) -> None:

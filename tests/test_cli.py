@@ -27,8 +27,9 @@ from tvcm import gen_scenario1, gen_scenario2, ingest_csv, write_csv
 from tvcm import cli, mcmc, vb
 from tvcm.basis import BasisSpec, basis_matrix, build_design, make_spec, split_alpha
 from tvcm.cli import build_parser, main
+from tvcm.simgen import SimReport
 
-from conftest import REPO_ROOT, exact_response_dataset, forbid_qr, golden_script
+from conftest import assert_matches_golden, exact_response_dataset, forbid_qr, golden_script
 from oracles import write_curves_rows
 
 
@@ -1001,6 +1002,21 @@ class TestOptionsAndErrors:
             "message": f"{out / 'fit.json'}: Out of range float values are not JSON compliant: nan"}
         assert sorted(out.glob("*")) == []
 
+    def test_non_finite_summary_writes_no_simulate_file(self, tmp_path, capsys, monkeypatch):
+        """A nan in simulate's summary exits 1 with a NumericalError naming
+        the summary file, and neither it nor the report is written."""
+        summary = SimReport.summary
+        monkeypatch.setattr(SimReport, "summary", lambda self: {**summary(self), "nan": float("nan")})
+        prefix = tmp_path / "run"
+        code = main(["simulate", "--n", "8", "--reps", "1", "--kmax", "2", "--engines", "wls",
+                     "--families", "radial", "--out-prefix", str(prefix)])
+        [line] = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert json.loads(line) == {
+            "error": "NumericalError",
+            "message": f"{prefix}_summary.json: Out of range float values are not JSON compliant: nan"}
+        assert sorted(tmp_path.glob("*")) == []
+
     _SCALED_RUNS = {
         "fit-wls": ["fit", "--engine", "wls", "--knots", "2"],
         "fit-wls-boot": ["fit", "--engine", "wls", "--knots", "2", "--boot", "20"],
@@ -1186,13 +1202,6 @@ class TestParserDefaults:
             "message": f"unknown config key {key!r} for command {command!r}"}
 
 
-def _close(got, want, rel, abs_tol) -> bool:
-    """Floats within rel relative (abs_tol absolute near zero); other values equal and of one type."""
-    if isinstance(want, float) and isinstance(got, float):
-        return got == pytest.approx(want, rel=rel, abs=abs_tol, nan_ok=True)
-    return type(got) is type(want) and got == want
-
-
 def test_artifacts_match_golden(demo_csv, tmp_path):
     """Every artifact of the runs in tests/golden/artifacts.json, written by
     scripts/make_goldens.py, has the recorded fingerprint: the same keys,
@@ -1200,22 +1209,16 @@ def test_artifacts_match_golden(demo_csv, tmp_path):
     artifacts.json tolerance, relative with an absolute floor near zero.
     That is loose enough for a change of BLAS summation order, and a number
     that moves by more fails the test."""
-    want = json.loads((REPO_ROOT / "tests" / "golden" / "artifacts.json").read_text())
-    script = golden_script()
-    tolerance = script.TOLERANCES["artifacts.json"]
-    got = script.artifact_records(tmp_path)
-    assert got.keys() == want.keys()
-    for name, record in want.items():
-        assert got[name].keys() == record.keys(), name
-        moved = {key: (got[name][key], value) for key, value in record.items()
-                 if not _close(got[name][key], value, *tolerance)}
-        assert not moved, f"{name}: {moved}"
+    assert_matches_golden("artifacts.json", golden_script().artifact_records(tmp_path))
 
 
 def test_headroom_reads_drift_as_share_of_tolerance():
     """make_goldens.py --headroom's rule: the entry nearest its tolerance,
     with the absolute floor near zero; NaN against NaN, and inf against inf,
-    is no drift; any other change of a non-float, a NaN or a key set is inf."""
+    is no drift; any other change of a non-float, a NaN or a key set is inf.
+    The goldens rely on two more cases: selection.json's knot lists compare
+    exactly, and under crossval.json's purely relative tolerance a zero
+    entry must stay zero."""
     worst = golden_script().worst_drift
     want = {"a": 2.0, "b": 0.0, "c": [1, 2], "d": float("nan"), "e": float("inf")}
     assert worst(dict(want), want, 1e-9, 1e-12) == ("", 0.0, 0.0)
@@ -1225,6 +1228,11 @@ def test_headroom_reads_drift_as_share_of_tolerance():
     for moved in ({"c": [1, 3]}, {"d": 1.0}, {"e": 1.0}, {"a": 2}):
         assert worst({**want, **moved}, want, 1e-9, 1e-12) == (next(iter(moved)), np.inf, np.inf)
     assert worst({"a": 2.0}, want, 1e-9, 1e-12) == ("<keys>", np.inf, np.inf)
+    knots = {"selected": [0, 2, 0], "infeasible": 85}
+    assert worst(dict(knots), knots, 0.0, 0.0) == ("", 0.0, 0.0)
+    assert worst({**knots, "selected": [0, 2, 1]}, knots, 0.0, 0.0) == ("selected", np.inf, np.inf)
+    assert worst({"amse": 0.0}, {"amse": 0.0}, 1e-10, 0.0) == ("", 0.0, 0.0)
+    assert worst({"amse": 1e-300}, {"amse": 0.0}, 1e-10, 0.0) == ("amse", 1e-300, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1298,9 +1306,11 @@ def _cli_runs(draw):
 @given(run=_cli_runs())
 def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
     """fit, select and crossval either succeed (fit with finite alpha and
-    sigma2 >= 0, crossval with a finite amse) or exit 1 with one JSON line
-    naming a TvcmError, or a ValueError that names a --flag: never a
-    traceback or another exception type."""
+    sigma2 >= 0; select with each count in 0..k_max, every scored pcv finite
+    and >= 0, and the selected candidate's pcv the least; crossval with a
+    finite amse) or exit 1 with one JSON line naming a TvcmError, or a
+    ValueError that names a --flag: never a traceback or another exception
+    type."""
     text, command, args = run
     folder = tmp_path_factory.mktemp("panel")
     (folder / "panel.csv").write_text(text)
@@ -1317,6 +1327,13 @@ def test_any_small_panel_exits_cleanly(run, tmp_path_factory):
             values = [v for block in fit["alpha"].values() for v in block] + [fit["sigma2"]]
             assert all(isinstance(v, float) and np.isfinite(v) for v in values), fit
             assert fit["sigma2"] >= 0, fit
+        elif command == "select":
+            chosen = json.loads(out.read_text())
+            pcv = {tuple(row["k"]): row["pcv"] for row in chosen["table"]}
+            scored = [v for v in pcv.values() if v is not None]
+            assert all(0 <= k <= chosen["k_max"] for k in chosen["selected"]), chosen
+            assert all(isinstance(v, float) and np.isfinite(v) and v >= 0 for v in scored), chosen
+            assert pcv[tuple(chosen["selected"])] == min(scored), chosen
         elif command == "crossval":
             assert isinstance(payload["amse"], float) and np.isfinite(payload["amse"]), payload
         return

@@ -1,7 +1,9 @@
 """Shared front end dispatching to the three inference engines."""
 from __future__ import annotations
 
+import dataclasses
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -275,30 +277,6 @@ def _outcome(run):
         return type(exc)
 
 
-def _response_scale_run(data, family):
-    """Knot search at degree 2, k_max 2, then every engine on the selected
-    knots at seed 5.  Returns the knots, every candidate's PCV, and for each
-    engine its alphas (the point and any draws), its sigma2 (base_fit's for
-    wls, else the draws) and for gibbs and vb (DIC, p_DIC); an engine that
-    raised stands as its TvcmError type."""
-    best, table = knot_search(data, family, 2, 2, "full")
-    specs = tuple(make_spec(family, 2, k, data.time_domain) for k in best)
-    fits = {}
-    for name, engine, draws in (("wls", "wls", 0), ("bootstrap", "wls", 60),
-                                ("gibbs", "gibbs", 200), ("vb", "vb", 200)):
-        result = _outcome(lambda: fit_engine(data, specs, engine, rng=5, draws=draws, burnin=20))
-        if isinstance(result, type):
-            fits[name] = result
-        elif result.draws is None:
-            fits[name] = {"alpha": [result.alpha], "sigma2": result.sigma2_hat}
-        else:
-            fits[name] = {"alpha": [result.alpha, result.draws.alpha_draws],
-                          "sigma2": result.draws.sigma2_draws}
-            if engine != "wls":
-                fits[name]["dic"] = dic_from_stats(result.draws, result.stats)
-    return best, np.array([row["pcv"] for row in table]), fits
-
-
 def _close(got, want, scale=None) -> bool:
     """got within 1e-9 of scale, by default the largest magnitude in want."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -306,47 +284,98 @@ def _close(got, want, scale=None) -> bool:
     return np.max(np.abs(got - want), initial=0.0) <= 1e-9 * scale
 
 
+def _quantities(result) -> dict:
+    """An engine fit's quantities by name: its point alpha, any alpha draws,
+    its sigma2 (base_fit's without draws, else the draws) and, for gibbs and
+    vb, DIC and p_DIC."""
+    if result.draws is None:
+        return {"alpha": result.alpha, "sigma2": result.sigma2_hat}
+    found = {"alpha": result.alpha, "draws": result.draws.alpha_draws, "sigma2": result.draws.sigma2_draws}
+    if result.engine != "wls":
+        found["dic"], found["p_dic"] = dic_from_stats(result.draws, result.stats)
+    return found
+
+
+def _run(data, family, row):
+    """Knot search at degree 2 and the row's k_max, then each of the row's
+    engine steps on the selected knots at seed 5.  Returns the knots, which
+    candidates are infeasible, and each step's quantities (the search's are
+    the feasible PCVs) or the type of the TvcmError the step raised."""
+    best, table = knot_search(data, family, 2, row.k_max, "full")
+    pcv = np.array([entry["pcv"] for entry in table])
+    specs = tuple(make_spec(family, 2, k, data.time_domain) for k in best)
+    steps = {name: _outcome(lambda: _quantities(fit_engine(data, specs, engine, rng=5, draws=draws, burnin=20)))
+             for name, engine, draws in row.steps}
+    return best, ~np.isfinite(pcv), {"search": {"pcv": pcv[np.isfinite(pcv)]}, **steps}
+
+
+def _times(k):
+    """c^k times the base value, judged on the largest magnitude wanted."""
+    return lambda value, c, n_obs: (c ** k * value, np.max(np.abs(c ** k * value)))
+
+
+def _dic_shift(value, c, n_obs):
+    """DIC moves by N log c^2, judged on the larger of the two DICs."""
+    want = value + n_obs * np.log(c * c)
+    return want, max(abs(value), abs(want))
+
+
+class Transform(NamedTuple):
+    """apply(data, c) transforms a panel by c, drawn from factor.  The knot
+    search runs at k_max, then each (name, engine, draws) step.  expect maps
+    each compared quantity to a function of (base value, c, N) that gives
+    the transformed side's wanted value and the scale of its 1e-9 bound."""
+    apply: Callable
+    factor: st.SearchStrategy
+    k_max: int
+    steps: tuple
+    expect: dict
+
+
+# Subject reversal is not a row yet.  On near-singular designs it moves the
+# WLS alpha by more than 1e-9 of its largest entry (scenario 2, 3 subjects,
+# seed 1, radial: 1.12e-9 with cond(G) = 7.5e11), so as a row it fails;
+# test_subject_order_property, whose examples miss such panels, stays as it is.
+TRANSFORMS = {
+    # y -> c y, c from 1e-6 to 1e6: alphas scale by c, PCV and sigma2 by
+    # c^2, DIC moves by N log c^2 and p_DIC is unchanged
+    "response-scale": Transform(
+        lambda data, c: dataclasses.replace(data, responses=data.responses * c),
+        st.floats(-6.0, 6.0).map(lambda log_c: 10.0 ** log_c), 2,
+        (("wls", "wls", 0), ("bootstrap", "wls", 60), ("gibbs", "gibbs", 200), ("vb", "vb", 200)),
+        {"pcv": _times(2), "alpha": _times(1), "draws": _times(1), "sigma2": _times(2),
+         "dic": _dic_shift, "p_dic": _times(0)}),
+}
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(scenario=st.sampled_from([1, 2]), n=st.integers(3, 10), panel_seed=st.integers(0, 2**16),
-       family=st.sampled_from(["radial", "tpower"]), log_c=st.floats(-6.0, 6.0))
-def test_response_scale_property(scenario, n, panel_seed, family, log_c):
-    """y -> c y on a small scenario-1 or -2 panel, c from 1e-6 to 1e6: the
-    selected knots and the infeasible candidates are unchanged and each PCV
-    scales by c^2; WLS, bootstrap, Gibbs and VB alphas scale by c and their
-    sigma2 by c^2; DIC moves by N log c^2 and p_DIC is unchanged.  Each holds
-    within 1e-9 of the largest value compared.  A step that raises raises
-    the same error at both scales."""
+       family=st.sampled_from(["radial", "tpower"]), draw=st.data())
+def test_metamorphic_property(name, scenario, n, panel_seed, family, draw):
+    """A row of TRANSFORMS on a small scenario-1 or -2 panel: the selected
+    knots and the infeasible candidates are unchanged, and each quantity the
+    row compares is its wanted value within 1e-9 of its scale.  A step that
+    raises raises the same TvcmError on both sides."""
+    row = TRANSFORMS[name]
+    c = draw.draw(row.factor, label="c")
     data, _ = (gen_scenario1 if scenario == 1 else gen_scenario2)(n, np.random.default_rng(panel_seed))
-    c = 10.0 ** log_c
-    runs = []
-    for scale in (1.0, c):
-        scaled = LongitudinalDataset(data.subject_ids, data.counts, data.times,
-                                     data.responses * scale, data.covariates)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a near-exact base fit's zero-variance warning
-            runs.append(_outcome(lambda: _response_scale_run(scaled, family)))
-    base, scaled = runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a near-exact base fit's zero-variance warning
+        base, moved = [_outcome(lambda: _run(side, family, row)) for side in (data, row.apply(data, c))]
     if isinstance(base, type):
-        assert scaled is base
+        assert moved is base
         return
-    (knots, pcv, fits), (knots_c, pcv_c, fits_c) = base, scaled
-    assert knots_c == knots
-    feasible = np.isfinite(pcv)
-    np.testing.assert_array_equal(np.isfinite(pcv_c), feasible)
-    assert _close(pcv_c[feasible], c * c * pcv[feasible])
-    for name, fit in fits.items():
-        got = fits_c[name]
-        if isinstance(fit, type):
-            assert got is fit, name
+    (knots, infeasible, steps), (knots_m, infeasible_m, steps_m) = base, moved
+    assert knots_m == knots
+    np.testing.assert_array_equal(infeasible_m, infeasible)
+    for step, found in steps.items():
+        got = steps_m[step]
+        if isinstance(found, type) or isinstance(got, type):
+            assert got is found, step
             continue
-        for value, want in zip(got["alpha"], fit["alpha"]):
-            assert _close(value, c * want), name
-        assert _close(got["sigma2"], c * c * fit["sigma2"]), name
-        if "dic" in fit:
-            (dic_value, p_dic), (dic_c, p_dic_c) = fit["dic"], got["dic"]
-            want = dic_value + data.n_obs * np.log(c * c)
-            assert _close(dic_c, want, max(abs(dic_value), abs(want))), name
-            assert _close(p_dic_c, p_dic), name
+        for quantity in row.expect.keys() & found.keys():
+            assert _close(got[quantity], *row.expect[quantity](found[quantity], c, data.n_obs)), (step, quantity)
 
 
 def _subject_order_run(data, family):

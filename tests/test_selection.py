@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import warnings
 
 import numpy as np
@@ -36,7 +35,7 @@ from tvcm.selection import (
     pcv_loo,
 )
 
-from conftest import REPO_ROOT, by_subject, exact_response_dataset, golden_script, single_subject
+from conftest import assert_matches_golden, by_subject, exact_response_dataset, golden_script, single_subject
 from oracles import candidate_pcv, per_fold_crossval, take_rows
 
 
@@ -484,8 +483,7 @@ def test_searches_select_the_pinned_knots(demo_csv):
     """Each search in tests/golden/selection.json, written by
     scripts/make_goldens.py, selects the recorded knots from as many
     candidates, as many of them infeasible."""
-    want = json.loads((REPO_ROOT / "tests" / "golden" / "selection.json").read_text())
-    assert golden_script().selection_records() == want
+    assert_matches_golden("selection.json", golden_script().selection_records())
 
 
 class TestKnotSearchProperties:
@@ -812,13 +810,4 @@ def test_crossval_matches_golden(demo_csv):
     scripts/make_goldens.py from the per-fold rebuild, gives the recorded
     AMSE within make_goldens.py's crossval.json tolerance or the recorded
     SelectionError."""
-    want = json.loads((REPO_ROOT / "tests" / "golden" / "crossval.json").read_text())
-    script = golden_script()
-    rel, abs_tol = script.TOLERANCES["crossval.json"]
-    got = script.crossval_records()
-    assert got.keys() == want.keys()
-    for key, record in want.items():
-        if "error" in record:
-            assert got[key] == record, key
-        else:
-            assert got[key]["amse"] == pytest.approx(record["amse"], rel=rel, abs=abs_tol), key
+    assert_matches_golden("crossval.json", golden_script().crossval_records())
