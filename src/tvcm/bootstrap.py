@@ -9,12 +9,12 @@ master generator, right after attempt j - 1's.
 
 Because n does not change, every drawn copy keeps its weight 1/(n n_i), and
 a replicate is fully described by how many copies of each subject it holds.
-bootstrap_fit therefore stacks each subject's whitened statistics once:
-frequentist.subject_stats reads them off the bordered rows [Z~ | e] about
-base_fit's alpha_hat, whose solve refuses an infeasible design before any
-resampling.  frequentist.weighted_sums sums them for a batch of at most
-STACK_CHUNK replicates, with copy counts as weights, and
-frequentist.solve_stats solves the stack as steps from alpha_hat.  A
+bootstrap_fit therefore stacks each subject's whitened statistics once, as
+frequentist.subject_stats's bordered cross products about base_fit's
+alpha_hat, whose solve refuses an infeasible design before any resampling.
+A batch of at most STACK_CHUNK replicates is one GEMM of its copy counts
+with that stack, into one buffer reused by every batch, and
+frequentist.solve_stats solves the sums as steps from alpha_hat.  A
 replicate costs O(n p^2 + p^3) whatever the number of observations.
 resample_subjects followed by a QR fit_wls is the per-replicate reference
 path and stays as the test oracle.  Every interval reads order statistics
@@ -214,20 +214,24 @@ def bootstrap_fit(
     if base is None:
         base = frequentist.base_fit(data, specs)
     design, response = frequentist.whiten(base.bundle)
-    bordered = np.column_stack([design, response - design @ base.alpha_hat])
-    stats = frequentist.subject_stats(bordered, data.counts, base.alpha_hat)
+    cross = frequentist.subject_stats(np.column_stack([design, response - design @ base.alpha_hat]), data.counts)
+    del design, response
 
-    n = data.n_subjects
+    n, chunk = data.n_subjects, frequentist.STACK_CHUNK
     cap = REDRAW_FACTOR * n_draws
+    sums = np.empty((min(chunk, n_draws), cross.shape[1]))  # every batch's sums, in its leading rows
     alphas, sigma2s = [], []
     found = attempts = 0
     while found < n_draws and attempts < cap:
-        rows = min(frequentist.STACK_CHUNK, n_draws - found, cap - attempts)
+        rows = min(chunk, n_draws - found, cap - attempts)
         # one bincount over row-offset picks counts the copies of every attempt
-        offset = gen.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
-        copies = np.bincount(offset.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-        sums = frequentist.weighted_sums(stats, copies, copies @ stats.n_obs)
-        feasible, alpha, sigma2 = frequentist.solve_stats(sums)
+        picks = gen.integers(0, n, size=(rows, n))
+        picks += n * np.arange(rows)[:, None]
+        copies = np.bincount(picks.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
+        batch = frequentist.bordered_stats(np.matmul(copies, cross, out=sums[:rows]), copies @ data.counts,
+                                           base.alpha_hat)
+        del picks, copies  # freed before the solve, whose scratch sets the batch's peak
+        feasible, alpha, sigma2 = frequentist.solve_stats(batch)
         alphas.append(alpha[feasible])
         sigma2s.append(sigma2[feasible])
         found += int(feasible.sum())

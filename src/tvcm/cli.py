@@ -442,24 +442,15 @@ def cmd_simulate(opts) -> int:
     for suffix in ("_report.csv", "_summary.json"):
         _check_out_file("--out-prefix", prefix + suffix)
     report = run_replications(
-        scenario=opts["scenario"],
-        n=opts["n"],
-        reps=opts["reps"],
-        rng=opts["seed"],
-        engines=engines,
-        families=families,
-        degree=opts["degree"],
-        k_max=opts["kmax"],
-        draws=opts["draws"],
-        burnin=opts["burnin"],
-        level=opts["level"],
-        shape=opts["shape"],
-        strategy=opts["strategy"],
+        scenario=opts["scenario"], n=opts["n"], reps=opts["reps"], rng=opts["seed"], engines=engines,
+        families=families, degree=opts["degree"], k_max=opts["kmax"], draws=opts["draws"],
+        burnin=opts["burnin"], level=opts["level"], shape=opts["shape"], strategy=opts["strategy"],
     )
     summary = report.summary()
-    _json_text(f"{prefix}_summary.json", summary)  # a nan or inf is refused before either file opens
+    text = _json_text(f"{prefix}_summary.json", summary)  # a nan or inf is refused before either file opens
     report.to_csv(f"{prefix}_report.csv")
-    _write_json(f"{prefix}_summary.json", summary)
+    with open(f"{prefix}_summary.json", "w") as fh:
+        fh.write(text)
     print(json.dumps(summary))
     return 0
 

@@ -5,10 +5,10 @@ of GramStats in one function, solve_stats, under N > p and one singularity
 rule, gram_feasible; the QR fit_wls is its test oracle, and its hat matrix
 Z (Z'WZ)^-1 Z'W has trace exactly p when feasible.  base_fit solves the
 full-data fit once, a step from gram_stats's center; nothing solves it
-again.  Every engine reads its GramStats, and the bootstrap solves
-weighted_sums of subject_stats about its alpha_hat, read off one product of
-each subject's bordered rows [Z~ | e] with themselves.  The stacked functions
-take whatever stack they are given; callers bound it at STACK_CHUNK.
+again.  Every engine reads its GramStats.  Statistics are summed in one form
+only, subject_stats's stack of flattened bordered matrices [[G, Z~'e],
+[e'Z~, e'e]], by one GEMM, and bordered_stats views each sum as GramStats.  The
+stacked functions take whatever stack they are given; callers bound it at STACK_CHUNK.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import InsufficientDataError, NumericalError, SingularDesignError, 
 
 # Relative condition threshold on Z'WZ beyond which the design is treated as singular.
 CONDITION_LIMIT = 1e12
-# replicates, folds or knot-search candidates per stack; bounds scratch at chunk x n and chunk x p x p
+# replicates, folds or knot-search candidates per stack; bounds scratch at chunk x n and chunk x (p+1) x (p+1)
 STACK_CHUNK = 256
 
 
@@ -135,10 +135,11 @@ def gram_stats(design, response, center=None) -> GramStats:
 def solve_stats(stats: GramStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a (B,) stack of regressions; returns (feasible, alpha, sigma2), NaN where infeasible.
 
-    A member is feasible when N > p and gram_feasible passes G.  alpha is the
-    center plus G^-1 Z~'e by LU, whose accuracy, unlike an eigendecomposition's,
-    does not suffer from badly scaled columns such as t^2 on a wide time
-    domain; sigma2 = rss(alpha) / (N - p) does not cancel to noise on a near-exact fit.
+    A member is feasible when N > p and gram_feasible passes G, which must be
+    writeable.  alpha is the center plus G^-1 Z~'e by LU, whose accuracy,
+    unlike an eigendecomposition's, does not suffer from badly scaled columns
+    such as t^2 on a wide time domain; sigma2 = rss(alpha) / (N - p) does not
+    cancel to noise on a near-exact fit.
     """
     n_obs, p = np.asarray(stats.n_obs), stats.center.size
     feasible = gram_feasible(stats.gram) & (n_obs > p)
@@ -196,20 +197,21 @@ def gram_feasible(gram: np.ndarray) -> np.ndarray:
     the factorisation is backward stable (Higham 2002, section 10.1), so
     roundoff cannot certify a member the eigenvalue test would reject.  When
     the factorisation fails or has a non-finite entry anywhere, the whole
-    stack takes the eigenvalue test.
+    stack takes the eigenvalue test.  The shift is made on gram's own diagonal,
+    which must be writeable, and undone from a copy: gram leaves bit for bit as it came.
     """
     finite = np.isfinite(gram).all(axis=(-2, -1))
     if finite.all():
-        p = gram.shape[-1]
-        shifted = gram.copy()
-        shift = (2.0 / CONDITION_LIMIT) * np.trace(shifted, axis1=-2, axis2=-1)
-        # the diagonal of each flattened p x p member, strided in place
-        shifted.reshape(-1, p * p)[:, :: p + 1] -= shift[:, None]
+        diag = np.arange(gram.shape[-1])
+        saved = gram[:, diag, diag]
+        gram[:, diag, diag] = saved - (2.0 / CONDITION_LIMIT) * np.trace(gram, axis1=-2, axis2=-1)[:, None]
         try:
-            if np.isfinite(np.linalg.cholesky(shifted)).all():
+            if np.isfinite(np.linalg.cholesky(gram)).all():
                 return finite
         except np.linalg.LinAlgError:
             pass
+        finally:
+            gram[:, diag, diag] = saved
     else:
         # LAPACK's answer on NaN or inf is arbitrary; a zero matrix fails the test
         gram = np.where(finite[:, None, None], gram, 0.0)
@@ -243,12 +245,13 @@ def ridge_posterior(stats: GramStats, ridge) -> tuple[np.ndarray, np.ndarray, np
     return M, linv_t, mu, r0
 
 
-def subject_stats(rows: np.ndarray, counts: np.ndarray, center) -> GramStats:
-    """Per-subject GramStats about center, stacked over subjects, from the bordered rows X = [Z~ | e].
+def subject_stats(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each subject's bordered cross product X_i'X_i, flattened into an (n, (p+1)^2) stack, from X = [Z~ | e].
 
-    With e = y~ - Z~ center, X_i'X_i = [[Z~_i'Z~_i, Z~_i'e_i], [e_i'Z~_i, e_i'e_i]] holds
-    subject i's gram, lever and resid_sq; one stacked matmul makes it for every
-    subject with the same visit count, and the returned arrays are views of it.
+    With e = y~ - Z~ center, X_i'X_i = [[Z~_i'Z~_i, Z~_i'e_i], [e_i'Z~_i, e_i'e_i]]
+    holds subject i's gram, lever and resid_sq about center; one stacked
+    matmul makes it for every subject with the same visit count.  A weighted
+    sum of subjects is then one GEMM, weights @ stack, which bordered_stats reads.
     """
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     p = rows.shape[1] - 1
@@ -257,15 +260,14 @@ def subject_stats(rows: np.ndarray, counts: np.ndarray, center) -> GramStats:
         subjects = np.flatnonzero(counts == n_i)
         block = rows[starts[subjects, None] + np.arange(n_i)]
         cross[subjects] = block.transpose(0, 2, 1) @ block
-    return GramStats(counts, cross[:, :p, :p], center, cross[:, p, p], cross[:, :p, p])
+    return cross.reshape(counts.size, -1)
 
 
-def weighted_sums(stats: GramStats, weights: np.ndarray, n_obs) -> GramStats:
-    """The regressions sum_i weights[b, i] stats[i] about stats's center, stacked over b, with n_obs rows."""
-    rows, n = weights.shape
-    p = stats.center.size
-    return GramStats(n_obs, (weights @ stats.gram.reshape(n, p * p)).reshape(rows, p, p),
-                     stats.center, weights @ stats.resid_sq, weights @ stats.lever)
+def bordered_stats(sums: np.ndarray, n_obs, center) -> GramStats:
+    """GramStats about center as views of a (B, (p+1)^2) stack of flattened [[G, Z~'e], [e'Z~, e'e]] matrices."""
+    p = center.size
+    cross = sums.reshape(-1, p + 1, p + 1)
+    return GramStats(n_obs, cross[:, :p, :p], center, cross[:, p, p], cross[:, :p, p])
 
 
 def predict_rows(alpha, specs: tuple[BasisSpec, ...], x_rows, times) -> np.ndarray:

@@ -42,8 +42,8 @@ from .basis import BasisFamily, DesignBundle, basis_matrix, build_design, make_s
 from .data import LongitudinalDataset, subject_uniform_weights
 from .engines import ENGINES, fit_engine
 from .errors import InsufficientDataError, KnotError, SelectionError, SingularDesignError
-from .frequentist import (GramStats, WlsFit, fit_wls, gram_feasible, infeasible_error, solve_stats, subject_stats,
-                          weighted_sums, whiten)
+from .frequentist import (WlsFit, bordered_stats, fit_wls, gram_feasible, infeasible_error, solve_stats,
+                          subject_stats, whiten)
 from .mcmc import DEFAULT_BURNIN
 from .rng import as_generator
 
@@ -320,11 +320,12 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     fit recomputes the subject-uniform weights on the reduced data, and
     held-out points score unweighted squared error.  n_folds = N is
     leave-one-out.  No fold is rebuilt: its training statistics are
-    sum_i r_i (S_i - H_i), S_i subject i's whitened statistics at the
+    sum_i r_i (S_i - H_i), S_i subject i's bordered cross product at the
     weights 1/(n n_i) and H_i its held-out rows', with r_i = n n_i / (n' n_i')
     for n' training subjects and n_i' training rows, or 0 for a subject the
-    fold empties, all about gram_stats's default center, which never raises;
-    solve_stats solves STACK_CHUNK folds at once, and the first infeasible one raises.
+    fold empties, all about gram_stats's default center, which never raises.
+    For STACK_CHUNK folds at once, one GEMM sums the r_i S_i, the H_i terms
+    are subtracted in place, and solve_stats solves them; the first infeasible fold raises.
     A wls fold's point is that solution; a vb fold's is ridge_posterior's mu
     for the prior's ridge 1/N' on the same sums, VB's m* exactly (vb's module
     docstring), so wls and vb draw nothing and read no stream, whatever draws
@@ -350,7 +351,7 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
     center = frequentist.gram_stats(design, response).center
     # [a_j, e_j]: one outer product gives a row's Gram, lever and squared residual, subject_stats a subject's
     rows = np.column_stack([design, response - design @ center])
-    stats = subject_stats(rows, data.counts, center)
+    cross = subject_stats(rows, data.counts)
     # fold f holds sizes[f] rows, the live slots of at[f]: np.array_split's first n_obs % n_folds get one more
     sizes = n_obs // n_folds + (np.arange(n_folds) < n_obs % n_folds)
     live = np.arange(sizes[0]) < sizes[:, None]
@@ -366,9 +367,9 @@ def crossval_amse(data: LongitudinalDataset, specs, n_folds: int, rng=0, engine:
         n_train = np.count_nonzero(kept, axis=1)[:, None]
         ratio = np.divide(n * data.counts, n_train * kept, out=np.zeros(kept.shape), where=kept > 0)
         outer = np.einsum("bj,bjk,bjl->bkl", np.take_along_axis(ratio, owner, 1) * mask, rows[idx], rows[idx])
-        sums = weighted_sums(stats, ratio, n_obs - sizes[span])
-        sums = GramStats(sums.n_obs, sums.gram - outer[:, :p, :p], stats.center,
-                         sums.resid_sq - outer[:, p, p], sums.lever - outer[:, :p, p])
+        train = ratio @ cross
+        train -= outer.reshape(folds, -1)
+        sums = bordered_stats(train, n_obs - sizes[span], center)
         feasible, alpha, sigma2 = solve_stats(sums)
         if not feasible.all():
             b = np.flatnonzero(~feasible)[0]

@@ -4,14 +4,15 @@ candidate_pcv scores one knot-search candidate by a full QR refit, elbo
 evaluates the variational objective at any state from its definition,
 stacked_design builds the design block by block, write_curves_rows writes
 curves.csv a row at a time, gibbs_rows runs the sampler one matrix-vector
-product per iteration, and per_fold_crossval rebuilds and refits every
+product per iteration, loop_bootstrap resamples and refits one bootstrap
+replicate at a time, and per_fold_crossval rebuilds and refits every
 cross-validation fold's training dataset.  The library keeps only the fast
 paths: knot_search's shared Gram statistics, vb.vb_fit_from_stats's
 closed-form trace, build_design's shared basis evaluations,
 cli._write_curves's column templates, mcmc.gibbs_from_stats's stacked
-L^-T z_t, and crossval_amse's per-subject statistics, which
-frequentist.subject_stats reads off one product of each subject's bordered
-rows [Z~ | e] with themselves, frequentist.weighted_sums sums and
+L^-T z_t, and bootstrap_fit's and crossval_amse's per-subject statistics,
+which frequentist.subject_stats reads off one product of each subject's
+bordered rows [Z~ | e] with themselves, one GEMM sums and
 frequentist.solve_stats solves.  gibbs_rows and elbo read M, L^-T, mu and r0 from
 frequentist.ridge_posterior on statistics about any center, as the library
 does.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from tvcm.basis import basis_matrix, build_design, make_spec
-from tvcm.bootstrap import DrawSource, PosteriorDraws
+from tvcm.bootstrap import REDRAW_FACTOR, DrawSource, PosteriorDraws, resample_subjects
 from tvcm.data import LongitudinalDataset
 from tvcm.engines import fit_engine
 from tvcm.errors import (
@@ -126,6 +127,27 @@ def gibbs_rows(stats: GramStats, prior: PriorSpec, draws, burnin, rng, fixed_sig
         source=DrawSource.GIBBS,
         seed=seed,
     )
+
+
+def loop_bootstrap(data, specs, n_draws, seed):
+    """bootstrap_fit one replicate at a time: resample_subjects from the master
+    generator and a QR fit_wls per attempt, in attempt order, in waves of one
+    attempt per missing draw; bootstrap_fit's batches, never larger than the
+    missing draws, end on the same attempt.  Returns the successful (attempt
+    index, alpha, sigma2) and the attempts used."""
+    gen = np.random.default_rng(seed)
+    cap = REDRAW_FACTOR * n_draws
+    hits, attempts = [], 0
+    while len(hits) < n_draws and attempts < cap:
+        wave = min(n_draws - len(hits), cap - attempts)
+        for offset in range(wave):
+            try:
+                fit = fit_wls(build_design(resample_subjects(data, gen), specs))
+            except (SingularDesignError, InsufficientDataError):
+                continue
+            hits.append((attempts + offset, fit.alpha_hat, fit.sigma2_hat))
+        attempts += wave
+    return hits, attempts
 
 
 def take_rows(data: LongitudinalDataset, keep: np.ndarray) -> LongitudinalDataset:

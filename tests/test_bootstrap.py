@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from tvcm.errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from tvcm.frequentist import base_fit, fit_wls, solve_stats, subject_stats, weighted_sums
+from tvcm.frequentist import base_fit, bordered_stats, fit_wls, solve_stats, subject_stats
 from tvcm.mcmc import default_prior, gibbs, whiten
 from tvcm.selection import crossval_amse
 
 from conftest import by_subject, exact_response_dataset
+from oracles import loop_bootstrap
 
 
 def _one_obs_each(n: int) -> LongitudinalDataset:
@@ -36,42 +38,21 @@ def _one_obs_each(n: int) -> LongitudinalDataset:
                                np.arange(n, dtype=float), np.empty((n, 0)))
 
 
-def _loop_bootstrap(data, specs, n_draws, seed):
-    """Reference bootstrap: resample_subjects from the master generator and
-    a QR fit_wls per attempt, in attempt order, in waves of one attempt per
-    missing draw; bootstrap_fit's batches, never larger than the missing
-    draws, end on the same attempt.  Returns the successful (attempt index,
-    alpha, sigma2) and the attempts used."""
-    gen = np.random.default_rng(seed)
-    cap = REDRAW_FACTOR * n_draws
-    hits, attempts = [], 0
-    while len(hits) < n_draws and attempts < cap:
-        wave = min(n_draws - len(hits), cap - attempts)
-        for offset in range(wave):
-            try:
-                fit = fit_wls(build_design(resample_subjects(data, gen),
-                                           specs))
-            except (SingularDesignError, InsufficientDataError):
-                continue
-            hits.append((attempts + offset, fit.alpha_hat, fit.sigma2_hat))
-        attempts += wave
-    return hits, attempts
-
-
-def _replicate_batch(stats, picks):
+def _replicate_batch(data, specs, picks):
     """bootstrap_fit's fits of the attempts in a pick matrix: solve_stats of
-    weighted_sums with each attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
+    the subjects' bordered stack about base_fit's alpha_hat, summed with each
+    attempt's copy counts as weights; returns (feasible, alpha, sigma2)."""
+    center = base_fit(data, specs).alpha_hat
+    cross = _subject_cross(build_design(data, specs), data.counts, center)
     copies = np.stack([np.bincount(row, minlength=picks.shape[1]) for row in picks]).astype(float)
-    return solve_stats(weighted_sums(stats, copies, copies @ stats.n_obs))
+    return solve_stats(bordered_stats(copies @ cross, copies @ data.counts, center))
 
 
 def _feasible_attempts(data, specs, seed, n_attempts):
     """Attempt indices the batched path accepts, over one pick matrix."""
-    stats = _subject_stats(build_design(data, specs), data.counts,
-                           base_fit(data, specs).alpha_hat)
     n = data.n_subjects
     picks = np.random.default_rng(seed).integers(0, n, size=(n_attempts, n))
-    feasible, _, _ = _replicate_batch(stats, picks)
+    feasible, _, _ = _replicate_batch(data, specs, picks)
     return np.flatnonzero(feasible).tolist()
 
 
@@ -230,6 +211,33 @@ class TestBootstrapFit:
                 bootstrap_fit(data, specs, 4, gen)
             assert gen.bit_generator.state == state
 
+    def test_memory_bound(self):
+        """200 draws on a 100-subject scenario-2 radial panel (p = 18) peak
+        under the subjects' (n, (p+1)^2) bordered stack plus three (draws,
+        (p+1)^2) stacks: bootstrap_fit sums every batch into one reused
+        buffer and drops the copy counts before the solve, whose
+        feasibility test factors the Gram blocks without copying them
+        (tracemalloc peaks above the memory in use when the call starts, and
+        a first untraced call makes NumPy's one-time lazy imports).  Three
+        separate weighted sums, a contiguous copy of the Gram blocks and a
+        shifted copy of them in the feasibility test peaked at 4.26 stacks
+        plus the subjects' stack, over the bound."""
+        data, _ = gen_scenario2(100, np.random.default_rng(8))
+        specs = (make_spec("radial", 2, 3, data.time_domain),) * 3
+        base = base_fit(data, specs)
+        side = base.alpha_hat.size + 1
+        assert side - 1 >= 17
+        bootstrap_fit(data, specs, 1, 1, base=base)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            draws = bootstrap_fit(data, specs, 200, 1, base=base)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert draws.n_draws == 200
+        assert peak < (data.n_subjects + 3 * 200) * side**2 * 8
+
 
 class TestLoopOracle:
     """The batched sufficient-statistics bootstrap against the per-replicate
@@ -243,7 +251,7 @@ class TestLoopOracle:
             data, _ = gen_scenario2(40, np.random.default_rng(8))
         specs = tuple(make_spec("radial", 2, 2, data.time_domain)
                       for _ in range(data.covariate_dim + 1))
-        hits, _ = _loop_bootstrap(data, specs, 40, 13)
+        hits, _ = loop_bootstrap(data, specs, 40, 13)
         draws = bootstrap_fit(data, specs, 40, 13)
         alpha = np.array([a for _, a, _ in hits])
         sigma2 = np.array([s for _, _, s in hits])
@@ -254,7 +262,7 @@ class TestLoopOracle:
     def test_redraws_succeed_on_the_same_attempts(self):
         data = _one_obs_each(6)
         specs = (make_spec("tpower", 4, 0, data.time_domain),)
-        hits, attempts = _loop_bootstrap(data, specs, 10, 0)
+        hits, attempts = loop_bootstrap(data, specs, 10, 0)
         assert attempts > 10  # several redraw waves ran
         assert _feasible_attempts(data, specs, 0, attempts) == \
             [i for i, _, _ in hits]
@@ -267,7 +275,7 @@ class TestLoopOracle:
     def test_exhaustion_matches_loop(self):
         data = _one_obs_each(8)
         specs = (make_spec("tpower", 6, 0, data.time_domain),)
-        hits, attempts = _loop_bootstrap(data, specs, 100, 0)
+        hits, attempts = loop_bootstrap(data, specs, 100, 0)
         assert len(hits) < 100 and attempts == REDRAW_FACTOR * 100
         assert _feasible_attempts(data, specs, 0, attempts) == \
             [i for i, _, _ in hits]
@@ -285,6 +293,25 @@ class TestLoopOracle:
         gen = np.random.default_rng(n)
         for row in picks:
             assert _picks(data, resample_subjects(data, gen)) == row.tolist()
+
+    def test_short_batches_reuse_one_buffer(self, monkeypatch):
+        """With frequentist.STACK_CHUNK at 3 on a panel whose singular
+        attempts force redraws, every batch's sums are views of one buffer,
+        the shorter batches of its leading rows, and the draws and attempts
+        are the per-replicate oracle's."""
+        data = _one_obs_each(6)
+        specs = (make_spec("tpower", 4, 0, data.time_domain),)
+        hits, attempts = loop_bootstrap(data, specs, 10, 0)
+        base, grams = base_fit(data, specs), []
+        solve = tvcm.frequentist.solve_stats
+        monkeypatch.setattr(tvcm.frequentist, "solve_stats", lambda stats: grams.append(stats.gram) or solve(stats))
+        monkeypatch.setattr(tvcm.frequentist, "STACK_CHUNK", 3)
+        draws = bootstrap_fit(data, specs, 10, 0, base=base)
+        assert len(grams) > 4 and {len(g) for g in grams} >= {1, 2, 3}
+        assert all(np.shares_memory(g, grams[0]) for g in grams)
+        assert draws.attempts == attempts
+        np.testing.assert_allclose(draws.alpha_draws, np.array([a for _, a, _ in hits]), rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(draws.sigma2_draws, np.array([s for _, _, s in hits]), rtol=1e-8, atol=1e-8)
 
     def test_chunking_leaves_draws_unchanged(self, monkeypatch):
         """frequentist.STACK_CHUNK bounds scratch memory only.  A replicate's
@@ -337,10 +364,10 @@ def _exact_sigma2(data, specs, seed, alpha):
     return np.array(out)
 
 
-def _subject_stats(bundle, counts, center):
+def _subject_cross(bundle, counts, center):
     """subject_stats of a design about center, from its bordered rows [Z~ | e]."""
     design, response = whiten(bundle)
-    return subject_stats(np.column_stack([design, response - design @ center]), counts, center)
+    return subject_stats(np.column_stack([design, response - design @ center]), counts)
 
 
 def _loop_subject_blocks(bundle, counts, center):
@@ -379,7 +406,8 @@ class TestSubjectStats:
             specs = (make_spec("tpower", 1, 0, data.time_domain),)
         assert panel == "one-visit" or np.unique(data.counts).size > 1
         bundle = build_design(data, specs)
-        stats = _subject_stats(bundle, data.counts, base_fit(data, specs).alpha_hat)
+        center = base_fit(data, specs).alpha_hat
+        stats = bordered_stats(_subject_cross(bundle, data.counts, center), data.counts, center)
         gram, cross, resid_sq = _loop_subject_blocks(bundle, data.counts, stats.center)
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-14,
                                    atol=1e-14 * np.abs(gram).max())
@@ -407,11 +435,9 @@ class TestCenteredSigma2:
             data = ingest_csv(request.getfixturevalue("demo_csv"))
             specs = tuple(make_spec("tpower", 2, 3, data.time_domain)
                           for _ in range(data.covariate_dim + 1))
-        stats = _subject_stats(build_design(data, specs), data.counts,
-                               base_fit(data, specs).alpha_hat)
         n = data.n_subjects
         picks = np.random.default_rng(3).integers(0, n, size=(25, n))
-        feasible, alpha, sigma2 = _replicate_batch(stats, picks)
+        feasible, alpha, sigma2 = _replicate_batch(data, specs, picks)
         assert feasible.all()
         exact = _exact_sigma2(data, specs, 3, alpha)
         np.testing.assert_allclose(sigma2, exact, rtol=1e-10, atol=0.0)
@@ -423,10 +449,8 @@ class TestCenteredSigma2:
         alpha_star = np.random.default_rng(5).standard_normal(
             build_design(base, specs).n_params)
         clean = exact_response_dataset(base, specs, alpha_star)
-        stats = _subject_stats(build_design(clean, specs), clean.counts,
-                               base_fit(clean, specs).alpha_hat)
         picks = np.random.default_rng(9).integers(0, 12, size=(20, 12))
-        feasible, alpha, sigma2 = _replicate_batch(stats, picks)
+        feasible, alpha, sigma2 = _replicate_batch(clean, specs, picks)
         exact = _exact_sigma2(clean, specs, 9, alpha)[feasible]
         assert feasible.sum() >= 10
         assert np.abs(sigma2[feasible] - exact).max() <= 1e-26

@@ -418,7 +418,11 @@ class TestOtherCommands:
             "message": f"--folds must be at most the {n_obs} observations, got {folds}"}
         assert not list(tmp_path.iterdir())
 
-    def test_simulate_report_and_summary(self, tmp_path, capsys):
+    def test_simulate_report_and_summary(self, tmp_path, capsys, monkeypatch):
+        """The summary is serialised once, and that text is the file written."""
+        texts = []
+        json_text = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda *args: texts.append(json_text(*args)) or texts[-1])
         prefix = tmp_path / "sim"
         code, payload = _run(
             ["simulate", "--scenario", "1", "--n", "8", "--reps", "2",
@@ -426,6 +430,7 @@ class TestOtherCommands:
              "--level", "weak", "--shape", "trig", "--seed", "9",
              "--out-prefix", str(prefix)], capsys)
         assert code == 0
+        assert texts == [(tmp_path / "sim_summary.json").read_text()]
         summary = json.loads((tmp_path / "sim_summary.json").read_text())
         assert summary["failures"] == 0
         cell = summary["cells"]["wls/radial"]

@@ -394,6 +394,29 @@ class TestSolveGram:
         assert _assert_matches_oracle(grams, _cross(grams)).all()
         assert eig_calls == [4, 4]
 
+    def test_gram_is_left_as_it_came(self):
+        """gram_feasible shifts the diagonal of the stack it is given in place
+        and restores it bit for bit, whether the factorisation certifies the
+        stack, fails or raises; on the Gram blocks of a bordered stack, a
+        strided view like the ones solve_stats reads, it decides as on a
+        contiguous copy and leaves the border untouched."""
+        every = np.array([g for _, g in MEMBERS if g.shape[0] == P])
+        certified = every[_eig_solve_gram(every, _cross(every))[0]]
+        nan_factor = np.array([_conditioned(1e3, False, np.random.default_rng(6)) for _ in range(4)])
+        bordered = np.zeros((len(every), P + 1, P + 1))
+        bordered[:, :P, :P], bordered[:, P] = every, 7.0
+        for gram in (every, certified, bordered[:, :P, :P]):
+            kept = gram.copy()
+            want = gram_feasible(kept.copy())
+            np.testing.assert_array_equal(gram_feasible(gram), want)
+            assert gram.tobytes() == kept.tobytes()
+        assert (bordered[:, P] == 7.0).all() and (bordered[:, :P, P] == 0.0).all()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+            kept = nan_factor.copy()
+            assert gram_feasible(nan_factor).all()
+            assert nan_factor.tobytes() == kept.tobytes()
+
     def test_bootstrap_makes_no_eigendecomposition(self, eig_calls):
         """A 200-replicate bootstrap on a 100-subject scenario-2 panel is
         certified as one stack; the eigenvalue rule never runs."""
